@@ -117,7 +117,6 @@ from .twist import (
     TwistedGeometry,
     check_regular,
     coexistence_first_order_check,
-    rho_opposite,
     twisted_order_zero_residual,
     verify_twisted,
     verify_twisted_first_order,

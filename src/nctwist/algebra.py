@@ -7,9 +7,11 @@ one value per block.  Everything is treated as a real *-algebra so that
 quaternionic blocks make sense; generating sets are real-spanning, which
 makes checks of (bi)linear conditions on generators exhaustive.
 
-A representation maps elements to square matrices either through a table of
-block placements (serialisable) or through an arbitrary function (used for
-projector-built representations that have no placement form).
+A representation is real-linear, so it is fixed by its images of a real
+basis.  Those images are built once, on first use, from a table of block
+placements (serialisable) or from an arbitrary real-linear function (used
+for projector-built representations that have no placement form); every
+evaluation is then a real combination of the images.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .matlin import DEFAULT_TOL, Tolerance, as_matrix, dagger, fro, kron
+from .matlin import DEFAULT_TOL, Tolerance, as_matrix, dagger, fro, kron, worst
 from .report import Report
 
 # ---------------------------------------------------------------------------
@@ -42,6 +44,8 @@ class ScalarBlock:
     def generators(self) -> list[complex]:
         return [1.0 + 0.0j, 1.0j]
 
+    basis = generators
+
     def star(self, v):
         return np.conj(complex(v))
 
@@ -50,6 +54,18 @@ class ScalarBlock:
 
     def random(self, rng: np.random.Generator):
         return complex(rng.standard_normal() + 1j * rng.standard_normal())
+
+
+def _matrix_units(n: int) -> list[np.ndarray]:
+    """Matrix units E_rs and their i-multiples: a real basis of M_n(C)."""
+    out = []
+    for r in range(n):
+        for s in range(n):
+            e = np.zeros((n, n), dtype=np.complex128)
+            e[r, s] = 1.0
+            out.append(e)
+            out.append(1j * e)
+    return out
 
 
 QUATERNION_UNITS = {
@@ -91,6 +107,10 @@ class QuaternionBlock:
     def generators(self) -> list[np.ndarray]:
         return [QUATERNION_UNITS[k].copy() for k in ("1", "i", "j", "k")]
 
+    def basis(self) -> list[np.ndarray]:
+        # all of M_2(C): a complex scale factor takes a quaternion outside H
+        return _matrix_units(2)
+
     def star(self, v):
         return dagger(as_matrix(v))
 
@@ -123,15 +143,9 @@ class MatrixBlock:
         return np.zeros((self.n, self.n), dtype=np.complex128)
 
     def generators(self) -> list[np.ndarray]:
-        # matrix units and their i-multiples: a real basis of M_n(C)
-        out = []
-        for r in range(self.n):
-            for s in range(self.n):
-                e = np.zeros((self.n, self.n), dtype=np.complex128)
-                e[r, s] = 1.0
-                out.append(e)
-                out.append(1j * e)
-        return out
+        return _matrix_units(self.n)
+
+    basis = generators
 
     def star(self, v):
         return dagger(as_matrix(v))
@@ -240,6 +254,31 @@ class Algebra:
     def star(self, x: tuple) -> tuple:
         return tuple(c.star(v) for c, v in zip(self.components, x))
 
+    def basis(self) -> list[tuple]:
+        """Real basis whose coordinates ``coords`` returns, block by block.
+
+        C contributes 1, i; H and M_n the matrix units of M_2(C) and M_n(C)
+        and their i-multiples.  Unlike ``generators`` this spans values
+        outside the algebra, such as complex multiples of quaternions.
+        """
+        out = []
+        for i, comp in enumerate(self.components):
+            for v in comp.basis():
+                vals = list(self.zero())
+                vals[i] = v
+                out.append(tuple(vals))
+        return out
+
+    def coords(self, x: tuple) -> np.ndarray:
+        """Real coordinates of an element in ``basis()``.
+
+        Every value is read as its complex entries in row-major order, with
+        real and imaginary parts interleaved.
+        """
+        return np.concatenate(
+            [np.asarray(v, dtype=np.complex128).reshape(-1) for v in x]
+        ).view(np.float64)
+
     def random_element(self, rng: np.random.Generator) -> tuple:
         return tuple(c.random(rng) for c in self.components)
 
@@ -313,10 +352,12 @@ class Placement:
 
 
 class Representation:
-    """Map from algebra elements to dim x dim matrices.
+    """Real-linear map from algebra elements to dim x dim matrices.
 
-    Built either from placements (block-diagonal, serialisable) or from an
-    arbitrary function.  Instances are callable.
+    Its source is either placements (block-diagonal, serialisable) or a
+    real-linear function.  On first use the source is evaluated once per
+    element of ``algebra.basis()`` into ``stack``; calling the instance
+    then combines the images of the nonzero coordinates of the element.
     """
 
     def __init__(
@@ -332,6 +373,7 @@ class Representation:
         self.dim = int(dim)
         self.placements = tuple(placements) if placements is not None else None
         self._func = func
+        self._stack = None
         if self.placements is not None:
             self._validate_placements()
 
@@ -362,19 +404,41 @@ class Representation:
                 raise ValueError("placements overlap")
             covered[p.start : p.start + size] = True
 
+    @property
+    def stack(self) -> np.ndarray:
+        """Images of ``algebra.basis()``, shape (G, dim, dim), built once."""
+        if self._stack is None:
+            alg = self.algebra
+            if self._func is not None:
+                images = [as_matrix(self._func(e)) for e in alg.basis()]
+                if any(m.shape != (self.dim, self.dim) for m in images):
+                    raise ValueError("function image does not match dim")
+                self._stack = np.stack(images)
+            else:
+                sizes = [len(c.basis()) for c in alg.components]
+                offsets = np.cumsum([0] + sizes)
+                out = np.zeros((offsets[-1], self.dim, self.dim), np.complex128)
+                for p in self.placements:
+                    comp = alg.components[p.component]
+                    blk = slice(p.start, p.start + p.block_size(comp))
+                    for k, v in enumerate(comp.basis()):
+                        out[offsets[p.component] + k, blk, blk] = p.block(comp, v)
+                self._stack = out
+            self._stack.flags.writeable = False  # shared by every evaluation
+        return self._stack
+
     def __call__(self, elem: tuple) -> np.ndarray:
         if len(elem) != self.algebra.ncomponents:
             raise ValueError("element does not match algebra")
-        if self._func is not None:
-            return self._func(tuple(elem))
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for p in self.placements:
-            comp = self.algebra.components[p.component]
-            size = p.block_size(comp)
-            out[p.start : p.start + size, p.start : p.start + size] += p.block(
-                comp, elem[p.component]
-            )
-        return out
+        s = self.stack
+        c = self.algebra.coords(elem)
+        if c.size != len(s):
+            raise ValueError("element does not match algebra")
+        # only the nonzero coordinates: a generator reads one image.  The
+        # coefficients are real, so the images combine as float rows.
+        nz = c.nonzero()[0]
+        rows = s.view(np.float64).reshape(len(s), -1)
+        return (c[nz] @ rows[nz]).view(np.complex128).reshape(self.dim, self.dim)
 
     # -- checks ------------------------------------------------------------
 
@@ -393,18 +457,29 @@ class Representation:
         r_unit = fro(self(alg.unit()) - np.eye(self.dim))
         rep.check("unit maps to identity", r_unit, tol, 1.0)
 
-        r_star = max(
+        r_star = worst(
             fro(self(alg.star(g)) - dagger(m)) for g, m in zip(gens, mats)
         )
         rep.check("star preserved on generators", r_star, tol, scale)
 
-        r_mult = 0.0
-        for gi, mi in zip(gens, mats):
-            for gj, mj in zip(gens, mats):
-                r = fro(self(alg.mul(gi, gj)) - mi @ mj)
-                if r > r_mult:
-                    r_mult = r
+        r_mult = worst(
+            fro(self(alg.mul(gi, gj)) - mi @ mj)
+            for gi, mi in zip(gens, mats)
+            for gj, mj in zip(gens, mats)
+        )
         rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
+
+        if self._func is not None:
+            # the stack linearises the function: compare off the basis
+            probes = [alg.unit(), alg.random_element(np.random.default_rng(0))]
+            direct = [as_matrix(self._func(x)) for x in probes]
+            r_lin = worst(fro(m - self(x)) for x, m in zip(probes, direct))
+            rep.check(
+                "function agrees with its basis images (real-linear)",
+                r_lin,
+                tol,
+                worst((fro(m) for m in direct), 1.0),
+            )
 
         if faithful:
             cols = np.stack([m.reshape(-1) for m in mats], axis=1)

@@ -52,6 +52,15 @@ def fro(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def worst(residuals, floor: float = 0.0) -> float:
+    """Largest of ``residuals`` and ``floor``; a NaN anywhere is the result.
+
+    The builtin ``max`` keeps its running value when compared with NaN, so
+    a non-finite residual after the first would silently pass.
+    """
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=floor))
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
@@ -137,13 +146,6 @@ class AntilinearOperator:
 
     def is_isometry(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return is_unitary(self.unitary, tol)
-
-
-def antilinear_conjugate(
-    j: AntilinearOperator, t: np.ndarray
-) -> np.ndarray:
-    """Conjugate a linear operator by an antilinear one: J T J^{-1}."""
-    return j.conjugate(t)
 
 
 def match_sign(

@@ -28,7 +28,6 @@ from .matlin import (
     DEFAULT_TOL,
     AntilinearOperator,
     Tolerance,
-    as_matrix,
     commutator,
     dagger,
     fro,
@@ -69,11 +68,6 @@ def yukawa_block(yukawas: dict | None = None) -> np.ndarray:
     ).astype(np.complex128)
 
 
-def rep_F(e: tuple) -> np.ndarray:
-    """Represent one (c, q, m) element on C^32."""
-    return sm_rep()(e)
-
-
 def sm_rep() -> Representation:
     """The standard action of C + H + M_3 on C^32.
 
@@ -95,6 +89,14 @@ def sm_rep() -> Representation:
                 Placement(component=2, start=base + w + 1, mode="fund", mult=1)
             )
     return Representation.from_placements(sm_algebra(), 32, placements)
+
+
+_SM_REP = sm_rep()  # shared, so its basis images are built once
+
+
+def rep_F(e: tuple) -> np.ndarray:
+    """Represent one (c, q, m) element on C^32."""
+    return _SM_REP(e)
 
 
 def build_dirac(
@@ -136,7 +138,7 @@ def sm_finite_geometry(
     yukawas: dict | None = None, majorana: complex = DEFAULT_MAJORANA
 ) -> FiniteGeometry:
     return FiniteGeometry(
-        rep=sm_rep(),
+        rep=_SM_REP,
         dirac=build_dirac(yukawas, majorana),
         grading=finite_grading(),
         real_structure=finite_real_structure(),
@@ -158,33 +160,6 @@ def sm_twist() -> Automorphism:
     return Automorphism(perm=(1, 0, 3, 2, 4, 6, 5, 8, 7, 9))
 
 
-def _pi_weak(q: np.ndarray) -> np.ndarray:
-    out = np.zeros((32, 32), dtype=np.complex128)
-    out[_L : _L + 8, _L : _L + 8] = kron(as_matrix(q), np.eye(4))
-    return out
-
-
-def _pi_singlet(c: complex) -> np.ndarray:
-    out = np.zeros((32, 32), dtype=np.complex128)
-    out[_R : _R + 4, _R : _R + 4] = complex(c) * np.eye(4)
-    out[_R + 4 : _R + 8, _R + 4 : _R + 8] = np.conj(complex(c)) * np.eye(4)
-    return out
-
-
-def _pi_anti(c: complex, m: np.ndarray) -> np.ndarray:
-    out = np.zeros((32, 32), dtype=np.complex128)
-    m = as_matrix(m)
-    for base in (_LA, _RA):
-        for w in (0, 4):
-            out[base + w, base + w] = complex(c)
-            out[base + w + 1 : base + w + 4, base + w + 1 : base + w + 4] = m
-    return out
-
-
-def _sector_action(c: complex, q: np.ndarray, c_anti: complex, m: np.ndarray):
-    return _pi_weak(q) + _pi_singlet(c) + _pi_anti(c_anti, m)
-
-
 _P_PLUS = np.diag([1.0, 1.0, 0.0, 0.0]).astype(np.complex128)
 _P_MINUS = np.diag([0.0, 0.0, 1.0, 1.0]).astype(np.complex128)
 
@@ -192,6 +167,11 @@ _P_MINUS = np.diag([0.0, 0.0, 1.0, 1.0]).astype(np.complex128)
 _ANTI32 = np.zeros((32, 32))
 _ANTI32[16:, 16:] = 1.0
 _ANTI_MASK = np.kron(np.ones((4, 4)), _ANTI32)
+
+
+def _sector_action(c: complex, q: np.ndarray, c_anti: complex, m: np.ndarray):
+    # the standard action, with the antiparticle scalar read from c_anti
+    return _SM_REP((c, q, m)) * (1.0 - _ANTI32) + _SM_REP((c_anti, q, m)) * _ANTI32
 
 
 def twisted_sm_rep() -> Representation:
@@ -400,7 +380,7 @@ def generalized_minimal_twist_check(
     rep = Report("untwisted action recovered at equal labels")
     if tg is None:
         tg = twisted_sm_geometry()
-    base = sm_rep()
+    base = _SM_REP
     rng = np.random.default_rng(11)
     elements = base.algebra.generators() + [
         base.algebra.random_element(rng) for _ in range(5)

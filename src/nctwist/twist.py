@@ -26,6 +26,7 @@ from .matlin import (
     commutator,
     dagger,
     fro,
+    worst,
 )
 from .report import Report
 from .triple import FiniteGeometry, SignTriple, measure_ko_signs, opposite_action
@@ -170,13 +171,6 @@ class TwistedGeometry:
         return measure_ko_signs(self.geometry, tol)
 
 
-def rho_opposite(
-    rho: Automorphism, g: FiniteGeometry, b: tuple
-) -> np.ndarray:
-    """Operator form of the opposite twist on one element."""
-    return TwistedGeometry(g, rho).rho_opposite(b)
-
-
 def check_regular(
     rho: Automorphism, g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL
 ) -> Report:
@@ -192,24 +186,24 @@ def check_regular(
     gens = alg.generators()
     scale = max([1.0] + [fro(g.pi(e)) for e in gens])
 
-    r_reg = max(
+    r_reg = worst(
         fro(g.pi(rho.apply(alg.star(a))) - g.pi(alg.star(rho_inv.apply(a))))
         for a in gens
     )
     rep.check("regular: rho(a*) = (rho^-1(a))*", r_reg, tol, scale)
 
-    r_mult = 0.0
-    for a in gens:
-        for b in gens:
-            r = fro(
-                g.pi(rho.apply(alg.mul(a, b)))
-                - g.pi(alg.mul(rho.apply(a), rho.apply(b)))
-            )
-            r_mult = max(r_mult, r)
+    r_mult = worst(
+        fro(
+            g.pi(rho.apply(alg.mul(a, b)))
+            - g.pi(alg.mul(rho.apply(a), rho.apply(b)))
+        )
+        for a in gens
+        for b in gens
+    )
     rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
 
     if rho.is_involutive_perm() and rho.inner is None and rho.scale is None:
-        r_inv = max(
+        r_inv = worst(
             fro(g.pi(rho.apply(rho.apply(a))) - g.pi(a)) for a in gens
         )
         rep.check("involutive", r_inv, tol, scale)
@@ -222,7 +216,7 @@ def check_regular(
             tol,
             1.0,
         )
-        r_impl = max(
+        r_impl = worst(
             fro(g.pi(rho.apply(a)) - u @ g.pi(a) @ dagger(u)) for a in gens
         )
         rep.check("pi(rho(a)) = U pi(a) U*", r_impl, tol, scale)
@@ -252,16 +246,14 @@ def verify_twisted_first_order(
     rho_opp_b = [tg.rho_opposite(b) for b in gens]
     scale = max([1.0] + [fro(m) for m in pi_a]) ** 2 * max(1.0, fro(d))
 
-    worst_primary = 0.0
-    worst_symmetric = 0.0
-    for ma, mra in zip(pi_a, pi_rho_a):
-        t1 = d @ ma - mra @ d
-        for ob, rob in zip(opp_b, rho_opp_b):
-            worst_primary = max(worst_primary, fro(t1 @ ob - rob @ t1))
-    for ob, rob in zip(opp_b, rho_opp_b):
-        t2 = d @ ob - rob @ d
-        for ma, mra in zip(pi_a, pi_rho_a):
-            worst_symmetric = max(worst_symmetric, fro(t2 @ ma - mra @ t2))
+    t1 = [d @ ma - mra @ d for ma, mra in zip(pi_a, pi_rho_a)]
+    t2 = [d @ ob - rob @ d for ob, rob in zip(opp_b, rho_opp_b)]
+    worst_primary = worst(
+        fro(t @ ob - rob @ t) for t in t1 for ob, rob in zip(opp_b, rho_opp_b)
+    )
+    worst_symmetric = worst(
+        fro(t @ ma - mra @ t) for t in t2 for ma, mra in zip(pi_a, pi_rho_a)
+    )
     rep.check("primary form on generator pairs", worst_primary, tol, scale)
     rep.check("symmetric form on generator pairs", worst_symmetric, tol, scale)
     rep.info["primary_residual"] = worst_primary
@@ -404,7 +396,7 @@ def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
     pi_gens = [tg.pi(a) for a in gens]
     scale_alg = max([1.0] + [fro(m) for m in pi_gens])
     if g.grading is not None:
-        r = max(fro(commutator(g.grading, m)) for m in pi_gens)
+        r = worst(fro(commutator(g.grading, m)) for m in pi_gens)
         rep.check("grading commutes with algebra", r, tol, scale_alg)
         rep.check(
             "grading anticommutes with D",
@@ -428,9 +420,7 @@ def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
         # order zero stays untwisted: imposing the twisted variant as well
         # would force a trivial twist (see zero_order_conflict_check)
         opp_b = [tg.opposite(b) for b in gens]
-        r0 = max(
-            fro(commutator(ma, ob)) for ma in pi_gens for ob in opp_b
-        )
+        r0 = worst(fro(commutator(ma, ob)) for ma in pi_gens for ob in opp_b)
         rep.check("order zero: algebra commutes with opposite", r0, tol, scale_alg**2)
         rep.merge(verify_twisted_first_order(tg, tol), prefix="order one: ")
     return rep

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctwist.algebra import (
     QUATERNION_UNITS,
@@ -221,3 +223,97 @@ def test_projected_double_blocks():
     expected = p_plus @ rep0(x) + p_minus @ rep0(y)
     assert fro(m - expected) < 1e-12
     assert fro(grading @ rep0(x) - rep0(x) @ grading) < 1e-12
+
+
+# -- basis-image stack ----------------------------------------------------
+
+COMPONENT_SPECS = ["C", "H", ("M", 1), ("M", 2), ("M", 3)]
+
+
+def assemble(rep, x):
+    """Direct placement assembly: every block from the component value."""
+    out = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
+    for p in rep.placements:
+        comp = rep.algebra.components[p.component]
+        blk = slice(p.start, p.start + p.block_size(comp))
+        out[blk, blk] += p.block(comp, x[p.component])
+    return out
+
+
+@st.composite
+def placed_elements(draw):
+    """A placement representation and an element with arbitrary values.
+
+    Quaternion blocks get arbitrary 2x2 complex values, as a complex scale
+    factor of an automorphism produces.
+    """
+    alg = Algebra.of(
+        *draw(st.lists(st.sampled_from(COMPONENT_SPECS), min_size=1, max_size=3))
+    )
+    placements, start = [], 0
+    for i, comp in enumerate(alg.components):
+        modes = ("scalar", "conj-scalar") if comp.kind == "C" else ("fund", "conj-fund")
+        for mode in draw(st.lists(st.sampled_from(modes), min_size=1, max_size=2)):
+            p = Placement(i, start, mode, draw(st.integers(1, 3)))
+            placements.append(p)
+            start += p.block_size(comp)
+    entry = st.floats(-1e3, 1e3) | st.just(0.0)
+    values = []
+    for comp in alg.components:
+        n = 1 if comp.kind == "C" else comp.dim
+        parts = draw(st.lists(entry, min_size=2 * n * n, max_size=2 * n * n))
+        v = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(n, n)
+        values.append(complex(v[0, 0]) if comp.kind == "C" else v)
+    return Representation.from_placements(alg, start, placements), tuple(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(placed_elements())
+def test_stack_matches_direct_placement_assembly(case):
+    rep, x = case
+    assert np.array_equal(rep(x), assemble(rep, x))
+
+
+def test_coords_invert_basis(alg):
+    basis = alg.basis()
+    assert len(basis) == 2 + 8 + 18
+    for k, e in enumerate(basis):
+        c = alg.coords(e)
+        assert c[k] == 1.0 and np.count_nonzero(c) == 1
+
+
+def _base_rep(alg):
+    return Representation.from_placements(
+        alg,
+        6,
+        [
+            Placement(component=0, start=0, mode="scalar", mult=1),
+            Placement(component=1, start=1, mode="fund", mult=1),
+            Placement(component=2, start=3, mode="fund", mult=1),
+        ],
+    )
+
+
+def test_function_called_once_per_basis_direction(alg):
+    base = _base_rep(alg)
+    calls = []
+
+    def act(x):
+        calls.append(x)
+        return base(x)
+
+    rep = Representation.from_function(alg, 6, act)
+    rng = np.random.default_rng(RNG_SEED + 4)
+    for _ in range(3):
+        for x in alg.generators() + [alg.random_element(rng)]:
+            assert fro(rep(x) - base(x)) < 1e-12
+    assert len(calls) == len(alg.basis())
+
+
+def test_nonlinear_function_fails_check(alg):
+    base = _base_rep(alg)
+    rep = Representation.from_function(alg, 6, lambda x: base(x) @ base(x))
+    report = rep.check()
+    assert not report.ok
+    (rec,) = [r for r in report.records if "real-linear" in r.name]
+    assert not rec.passed

@@ -1,11 +1,14 @@
 """Algebra automorphisms, twisted commutators, and the twisted axioms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nctwist.algebra import Algebra
+from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.matlin import Tolerance, fro
 from nctwist.samples import flip_toy, random_twisted_geometry
+from nctwist.triple import FiniteGeometry
 from nctwist.twist import (
     Automorphism,
     TwistedGeometry,
@@ -164,3 +167,57 @@ def test_verify_twisted_detects_wrong_rho():
     wrong = TwistedGeometry(tg.geometry, Automorphism.identity(2))
     report = verify_twisted_first_order(wrong)
     assert not report.ok
+
+
+# records of verify_twisted(flip_toy()) that never evaluate pi of the last
+# generator (0, i): everything else reads its image
+NAN_FREE_RECORDS = {
+    "rep: unit maps to identity",
+    "rho: implementing unitary is unitary",
+    "Dirac operator self-adjoint",
+    "grading anticommutes with D",
+    "sign triple determinate",
+}
+
+
+def test_nan_image_fails_every_record_that_reads_it():
+    tg = flip_toy()
+    base = tg.geometry.rep
+    last = base.algebra.generators()[-1]
+
+    def act(x):
+        m = base(x)
+        if all(np.array_equal(v, w) for v, w in zip(x, last)):
+            m[1, 1] = np.nan
+        return m
+
+    geom = tg.geometry
+    poisoned = TwistedGeometry(
+        replace(geom, rep=Representation.from_function(base.algebra, base.dim, act)),
+        tg.rho,
+    )
+    report = verify_twisted(poisoned)
+    assert not report.ok
+    names = {r.name for r in report.records}
+    assert NAN_FREE_RECORDS <= names
+    for rec in report.records:
+        if rec.name in NAN_FREE_RECORDS:
+            assert rec.passed, rec.name
+        else:
+            assert not rec.passed, rec.name
+            assert np.isnan(rec.residual), rec.name
+
+
+def test_complex_scale_on_quaternions_keeps_its_residuals():
+    # i q is not a quaternion: the representation must see it unprojected
+    alg = Algebra.of("H", "C")
+    rep = Representation.from_placements(
+        alg, 3, [Placement(0, 0, "fund", 1), Placement(1, 2, "scalar", 1)]
+    )
+    g = FiniteGeometry(rep, np.zeros((3, 3)))
+    report = check_regular(Automorphism(perm=(0, 1), scale=(1j, 1.0)), g)
+    residuals = {r.name: r.residual for r in report.records}
+    assert residuals == {
+        "regular: rho(a*) = (rho^-1(a))*": 0.0,
+        "multiplicative on generator pairs": 2.0,
+    }
