@@ -32,8 +32,11 @@ print("\npoint model: chirality factor tensored on, label-swap twist")
 tsm = twisted_sm_geometry()
 report = verify_sm_twisted(tsm)
 print(report.format_text())
-print(f"\n  twisted first order, structural arrangement: {report.info['order_one_flip']:.6f}")
-print(f"  twisted first order, displayed arrangement:  {report.info['order_one_display']:.2e}")
+print()
+for convention, label in (("flip", "structural"), ("display", "displayed")):
+    res = report.info[f"order_one_{convention}"]
+    print(f"  twisted first order, {label} arrangement: primary {res['primary']:.2e},"
+          f" symmetric {res['symmetric']:.2e}")
 print("  (the gap lives entirely in the antiparticle scalar slots)")
 
 print("\nlabel swap on simple tensors")

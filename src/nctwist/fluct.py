@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlin import DEFAULT_TOL, Tolerance, as_matrix, dagger, fro
+from .matlin import DEFAULT_TOL, Tolerance, as_matrix, dagger, fro, pair_residual, worst
 from .report import Report
 from .twist import TwistedGeometry, verify_twisted
 from .triple import measure_ko_signs
@@ -75,16 +75,10 @@ def one_form_opposite_checks(
         raise ValueError("geometry has no real structure")
     a_mat = eval_one_form(f, tg)
     ja_mat = g.real_structure.conjugate(a_mat)
-    gens = tg.algebra.generators()
-    scale = max(1.0, fro(a_mat)) * max(
-        [1.0] + [fro(tg.pi(x)) for x in gens]
-    )
-    worst_right = max(
-        fro(a_mat @ tg.opposite(b) - tg.rho_opposite(b) @ a_mat) for b in gens
-    )
-    worst_left = max(
-        fro(ja_mat @ tg.pi(a) - tg.pi_rho(a) @ ja_mat) for a in gens
-    )
+    pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks()
+    scale = max(1.0, fro(a_mat)) * worst((fro(m) for m in pi_a), 1.0)
+    worst_right = pair_residual([a_mat], opp_b, rho_opp_b)
+    worst_left = pair_residual([ja_mat], pi_a, pi_rho_a)
     rep.check("[A, J b* J^-1]_rho-opposite vanishes", worst_right, tol, scale)
     rep.check("[J A J^-1, a]_rho vanishes", worst_left, tol, scale)
     return rep

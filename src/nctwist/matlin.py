@@ -2,9 +2,9 @@
 
 Everything in the package works with square ``numpy.ndarray`` matrices of
 dtype complex128.  This module collects the primitives the rest of the code
-is built on: twisted commutators, antilinear operators in unitary-times-
-conjugation form, and SVD-based solvers for commutants and intertwiner
-spaces.
+is built on: the pair-residual kernel behind every order condition,
+antilinear operators in unitary-times-conjugation form, and SVD-based
+solvers for commutants and intertwiner spaces.
 """
 
 from __future__ import annotations
@@ -93,22 +93,23 @@ def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
 
 
-def twisted_commutator(
-    d: np.ndarray, a: np.ndarray, a_rho: np.ndarray | None = None
-) -> np.ndarray:
-    """Return ``d @ a - a_rho @ d``.
+def pair_residual(xs, ys, zs=None) -> float:
+    """``max_{i,j} ||xs[i] ys[j] - zs[j] xs[i]||`` over ``(G, n, n)`` stacks.
 
-    With ``a_rho`` omitted this is the ordinary commutator; passing the
-    image of ``a`` under an automorphism gives the twisted one.
+    ``zs`` defaults to ``ys`` (plain commutators); passing the twisted
+    images gives twisted ones, and ``xs = [I]`` a single-generator maximum
+    of ``||ys[j] - zs[j]||``.  Each ``xs[i]`` meets one batched product per
+    block of about 32768 / n^2 of the ``j``, which keeps the temporaries
+    small on large n.  A NaN anywhere is the result.
     """
-    d = as_matrix(d)
-    a = as_matrix(a)
-    a_rho = a if a_rho is None else as_matrix(a_rho)
-    if not (d.shape == a.shape == a_rho.shape):
-        raise ValueError(
-            f"shape mismatch: d{d.shape}, a{a.shape}, a_rho{a_rho.shape}"
-        )
-    return d @ a - a_rho @ d
+    ys = np.asarray(ys, dtype=np.complex128)
+    zs = ys if zs is None else np.asarray(zs, dtype=np.complex128)
+    step = max(1, 32768 // ys.shape[-1] ** 2)
+    return worst(
+        np.linalg.norm(x @ ys[j : j + step] - zs[j : j + step] @ x, axis=(1, 2)).max()
+        for x in np.asarray(xs, dtype=np.complex128)
+        for j in range(0, len(ys), step)
+    )
 
 
 @dataclass(frozen=True)

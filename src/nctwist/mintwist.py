@@ -23,12 +23,13 @@ from .matlin import (
     anticommutator,
     as_matrix,
     commutant,
-    commutator,
     dagger,
     fro,
     intertwiner_space,
     intertwiners,
+    pair_residual,
     polar_unitary,
+    worst,
 )
 from .report import Report
 from .triple import FiniteGeometry
@@ -76,10 +77,7 @@ def _implementing_unitary(
         if sv[0] <= tol.abs or sv[-1] <= 1e-8 * sv[0]:
             continue
         v = polar_unitary(cand)
-        if any(
-            not tol.accepts(fro(lp @ v - v @ lm), scale)
-            for lp, lm in zip(restr_plus, restr_minus)
-        ):
+        if not tol.accepts(pair_residual([v], restr_minus, restr_plus), scale):
             continue
         return q_plus @ v @ dagger(q_minus) + q_minus @ dagger(v) @ dagger(q_plus)
     return None
@@ -159,8 +157,7 @@ def gamma_tilde_diagnostics(
     n = tg.geometry.hilbert_dim
     sa = fro(gt - dagger(gt)) <= tol.rel * max(1.0, fro(gt)) + tol.abs
     inv = fro(gt @ gt - np.eye(n)) <= tol.rel * n + tol.abs
-    gens = tg.algebra.generators()
-    r_comm = max(fro(commutator(gt, tg.pi(a))) for a in gens)
+    r_comm = pair_residual([gt], [tg.pi(a) for a in tg.algebra.generators()])
     r_anti = fro(anticommutator(gt, tg.geometry.dirac))
     commutes = r_comm <= tol.rel * max(1.0, fro(gt)) ** 2 + tol.abs
     is_grading = (
@@ -198,10 +195,10 @@ def grading_compat_check(
     rep = Report("grading compatibility with the doubling")
     candidate = as_matrix(candidate)
     alg = tg.algebra
-    gens = alg.generators()
-    scale = max([1.0] + [fro(tg.pi(a)) for a in gens]) * max(1.0, fro(candidate))
+    pi_a = [tg.pi(a) for a in alg.generators()]
+    scale = worst((fro(m) for m in pi_a), 1.0) * max(1.0, fro(candidate))
 
-    r_full = max(fro(commutator(candidate, tg.pi(a))) for a in gens)
+    r_full = pair_residual([candidate], pi_a)
     rep.add(
         "commutes with the doubled algebra",
         True,
@@ -213,26 +210,26 @@ def grading_compat_check(
     half = alg.ncomponents // 2
     first = Algebra(alg.components[:half])
     diag_gens = [join_double(a, a) for a in first.generators()]
-    r_first = max(fro(commutator(candidate, tg.pi(a))) for a in diag_gens)
-    plus_unit = join_double(first.unit(), first.zero())
-    minus_unit = join_double(first.zero(), first.unit())
-    r_proj = max(
-        fro(commutator(candidate, tg.pi(plus_unit))),
-        fro(commutator(candidate, tg.pi(minus_unit))),
-    )
+    r_first = pair_residual([candidate], [tg.pi(a) for a in diag_gens])
+    projectors = [
+        join_double(first.unit(), first.zero()),
+        join_double(first.zero(), first.unit()),
+    ]
+    r_proj = pair_residual([candidate], [tg.pi(p) for p in projectors])
+    side_b = worst([r_first, r_proj])
     rep.add(
         "commutes with the first copy and the projectors",
         True,
-        max(r_first, r_proj),
+        side_b,
         float("inf"),
         note="side B, recorded",
     )
     lhs = tol.accepts(r_full, scale)
-    rhs = tol.accepts(max(r_first, r_proj), scale)
+    rhs = tol.accepts(side_b, scale)
     rep.add(
         "two sides agree",
         lhs == rhs,
-        abs(r_full - max(r_first, r_proj)),
+        abs(r_full - side_b),
         float("inf"),
         note=f"side A {'holds' if lhs else 'fails'}, side B {'holds' if rhs else 'fails'}",
     )

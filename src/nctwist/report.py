@@ -9,7 +9,10 @@ payload.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+
+from .matlin import worst
 
 
 @dataclass
@@ -53,7 +56,10 @@ class Report:
         tol: float = 0.0,
         note: str = "",
     ) -> CheckRecord:
-        rec = CheckRecord(name, bool(passed), float(residual), float(tol), note)
+        """Record a verdict; a non-finite residual fails whatever it says."""
+        residual = float(residual)
+        passed = bool(passed) and math.isfinite(residual)
+        rec = CheckRecord(name, passed, residual, float(tol), note)
         self.records.append(rec)
         return rec
 
@@ -84,7 +90,7 @@ class Report:
 
     @property
     def max_residual(self) -> float:
-        return max((r.residual for r in self.records), default=0.0)
+        return worst(r.residual for r in self.records)
 
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if not r.passed]

@@ -15,6 +15,7 @@ inputs give byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -216,6 +217,14 @@ def dump_json(obj, path: str) -> None:
         fh.write("\n")
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in JSON input")
+    return value
+
+
 def load_json(path: str) -> dict:
+    """Read a JSON file; NaN, Infinity and overflowing numbers are rejected."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)

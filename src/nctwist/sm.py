@@ -28,15 +28,16 @@ from .matlin import (
     DEFAULT_TOL,
     AntilinearOperator,
     Tolerance,
-    commutator,
     dagger,
     fro,
     kron,
+    pair_residual,
+    worst,
 )
 from .mintwist import gamma_tilde_diagnostics
 from .report import Report
 from .triple import FiniteGeometry, measure_ko_signs, verify_spectral_triple
-from .twist import Automorphism, TwistedGeometry, check_regular
+from .twist import Automorphism, TwistedGeometry, check_regular, first_order_residuals
 
 DEFAULT_YUKAWAS = {
     "nu": 1.1 + 0.3j,
@@ -262,18 +263,17 @@ def label_swap_check(tol: Tolerance = DEFAULT_TOL) -> Report:
     r_unit = fro(twisted_rep((1.0, 1.0), unit5) - np.eye(128))
     rep.add("unit tensor acts as the identity", r_unit == 0.0, r_unit, 0.0)
 
-    worst = 0.0
+    eye4 = np.eye(4)
     elements = alg.generators() + [alg.random_element(rng) for _ in range(4)]
-    for c, q, m in elements:
-        a5 = (c, c, q, q, m)
-        for f in (1.0 + 0.0j, 0.6 - 0.35j):
-            got = twisted_rep((f, f), a5)
-            want = f * kron(np.eye(4), rep_F((c, q, m)))
-            worst = max(worst, fro(got - want))
+    r_equal = worst(
+        fro(twisted_rep((f, f), (c, c, q, q, m)) - f * kron(eye4, rep_F((c, q, m))))
+        for c, q, m in elements
+        for f in (1.0 + 0.0j, 0.6 - 0.35j)
+    )
     rep.add(
         "equal labels and equal function reduce to the untwisted action",
-        worst == 0.0,
-        worst,
+        r_equal == 0.0,
+        r_equal,
         0.0,
         note="bitwise identity, no tolerance",
     )
@@ -385,34 +385,20 @@ def generalized_minimal_twist_check(
     elements = base.algebra.generators() + [
         base.algebra.random_element(rng) for _ in range(5)
     ]
-    eye4 = np.eye(4)
-    worst = 0.0
-    for c, q, m in elements:
-        x = (c, c, q, q, m, c, c, q, q, m)
-        worst = max(worst, fro(tg.pi(x) - kron(eye4, base((c, q, m)))))
+    r_rec = worst(
+        fro(tg.pi((c, c, q, q, m, c, c, q, q, m)) - kron(np.eye(4), base((c, q, m))))
+        for c, q, m in elements
+    )
     rep.add(
         "pi(equal labels) = I_4 kron pi_sm, exactly",
-        worst == 0.0,
-        worst,
+        r_rec == 0.0,
+        r_rec,
         0.0,
         note="bitwise identity, no tolerance",
     )
-    rep.info["recovery_residual"] = worst
+    rep.info["recovery_residual"] = r_rec
     rep.info["tol_note"] = f"checked against exact zero (request tol rel {tol.rel})"
     return rep
-
-
-def _rho_image(tg: TwistedGeometry, x: tuple, convention: str) -> np.ndarray:
-    if convention == "flip":
-        return tg.pi_rho(x)
-    if convention == "display":
-        return display_twist_operator(x)
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-def _rho_opposite_image(tg: TwistedGeometry, b: tuple, convention: str) -> np.ndarray:
-    j = tg.geometry.real_structure
-    return j.conjugate(_rho_image(tg, tg.algebra.star(b), convention))
 
 
 def sm_order_zero_residual(
@@ -421,10 +407,7 @@ def sm_order_zero_residual(
     """Worst commutator of the represented algebra with its opposite."""
     if gens is None:
         gens = lean_generators(tg.algebra)
-    j = tg.geometry.real_structure
-    pi_gens = [tg.pi(a) for a in gens]
-    opp = [j.conjugate(tg.pi(tg.algebra.star(b))) for b in gens]
-    return max(fro(commutator(ma, ob)) for ma in pi_gens for ob in opp)
+    return pair_residual([tg.pi(a) for a in gens], [tg.opposite(b) for b in gens])
 
 
 def sm_first_order_residuals(
@@ -432,26 +415,26 @@ def sm_first_order_residuals(
     convention: str,
     gens: list[tuple] | None = None,
 ) -> dict:
-    """Twisted order-one residuals over generator pairs, both arrangements."""
+    """Twisted order-one residuals over generator pairs, both arrangements.
+
+    The "flip" convention twists the abstract elements; "display" swaps
+    the labels of the represented matrices instead.
+    """
+    if convention not in ("flip", "display"):
+        raise ValueError(f"unknown convention {convention!r}")
     if gens is None:
         gens = lean_generators(tg.algebra)
-    d = tg.geometry.dirac
-    j = tg.geometry.real_structure
-    pi_a = [tg.pi(a) for a in gens]
-    rho_a = [_rho_image(tg, a, convention) for a in gens]
-    opp_b = [j.conjugate(tg.pi(tg.algebra.star(b))) for b in gens]
-    rho_opp_b = [_rho_opposite_image(tg, b, convention) for b in gens]
-    worst_primary = 0.0
-    worst_symmetric = 0.0
-    for ma, mra in zip(pi_a, rho_a):
-        t1 = d @ ma - mra @ d
-        for ob, rob in zip(opp_b, rho_opp_b):
-            worst_primary = max(worst_primary, fro(t1 @ ob - rob @ t1))
-    for ob, rob in zip(opp_b, rho_opp_b):
-        t2 = d @ ob - rob @ d
-        for ma, mra in zip(pi_a, rho_a):
-            worst_symmetric = max(worst_symmetric, fro(t2 @ ma - mra @ t2))
-    return {"primary": worst_primary, "symmetric": worst_symmetric}
+    pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks(gens)
+    if convention == "display":
+        j = tg.geometry.real_structure
+        pi_rho_a = np.stack([display_twist_operator(a) for a in gens])
+        rho_opp_b = np.stack(
+            [j.conjugate(display_twist_operator(tg.algebra.star(b))) for b in gens]
+        )
+    primary, symmetric = first_order_residuals(
+        tg.geometry.dirac, pi_a, pi_rho_a, opp_b, rho_opp_b
+    )
+    return {"primary": primary, "symmetric": symmetric}
 
 
 def verify_sm_twisted(

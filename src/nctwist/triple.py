@@ -25,11 +25,8 @@ from .matlin import (
     AntilinearOperator,
     Tolerance,
     as_matrix,
-    commutator,
-    anticommutator,
-    dagger,
-    fro,
     match_sign,
+    pair_residual,
 )
 from .report import Report
 
@@ -113,114 +110,31 @@ def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTri
     return SignTriple(eps, eps_prime, eps_dbl)
 
 
-def _generator_matrices(g: FiniteGeometry) -> tuple[list[tuple], list[np.ndarray]]:
-    gens = g.algebra.generators()
-    return gens, [g.pi(e) for e in gens]
-
-
 def order_zero_residual(g: FiniteGeometry) -> float:
     """max ||[pi(a), J pi(b*) J^{-1}]|| over generator pairs."""
-    _, pi_gens = _generator_matrices(g)
-    opp = [opposite_action(g, b) for b in g.algebra.generators()]
-    return max(
-        fro(commutator(ma, ob)) for ma in pi_gens for ob in opp
-    )
+    gens = g.algebra.generators()
+    return pair_residual([g.pi(a) for a in gens], [opposite_action(g, b) for b in gens])
 
 
 def order_one_residual(g: FiniteGeometry) -> float:
     """max ||[[D, pi(a)], J pi(b*) J^{-1}]|| over generator pairs."""
-    _, pi_gens = _generator_matrices(g)
-    opp = [opposite_action(g, b) for b in g.algebra.generators()]
-    worst = 0.0
-    for ma in pi_gens:
-        bracket = commutator(g.dirac, ma)
-        for ob in opp:
-            worst = max(worst, fro(commutator(bracket, ob)))
-    return worst
+    gens = g.algebra.generators()
+    d, pi_a = g.dirac, np.stack([g.pi(a) for a in gens])
+    return pair_residual(d @ pi_a - pi_a @ d, [opposite_action(g, b) for b in gens])
 
 
 def verify_spectral_triple(
     g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL
 ) -> Report:
-    """Full axiom run: representation, D, grading, real structure, orders.
+    """Full axiom run: the twisted one with the identity twist.
 
-    Returns a report with one record per axiom; measured signs are stored
-    in ``report.info['signs']`` when a real structure is present.
+    Returns a report with one record per axiom (the ``rho:`` records of
+    the identity included); measured signs are stored in
+    ``report.info['signs']`` when a real structure is present.
     """
-    rep = Report("real spectral triple")
-    rep.merge(g.rep.check(tol), prefix="rep: ")
+    from .twist import Automorphism, TwistedGeometry, verify_twisted  # twist imports us
 
-    gens, pi_gens = _generator_matrices(g)
-    scale_alg = max([1.0] + [fro(m) for m in pi_gens])
-    scale_d = max(1.0, fro(g.dirac))
-
-    rep.check(
-        "Dirac operator self-adjoint", fro(g.dirac - dagger(g.dirac)), tol, scale_d
-    )
-    rep.add(
-        "commutators [D, pi(a)] bounded",
-        True,
-        max(fro(commutator(g.dirac, m)) for m in pi_gens),
-        float("inf"),
-        note="finite dimension: recorded, vacuously bounded",
-    )
-
-    if g.grading is not None:
-        gam = g.grading
-        rep.check("grading self-adjoint", fro(gam - dagger(gam)), tol, 1.0)
-        rep.check(
-            "grading squares to identity",
-            fro(gam @ gam - np.eye(g.hilbert_dim)),
-            tol,
-            1.0,
-        )
-        r = max(fro(commutator(gam, m)) for m in pi_gens)
-        rep.check("grading commutes with algebra", r, tol, scale_alg)
-        rep.check(
-            "grading anticommutes with D",
-            fro(anticommutator(gam, g.dirac)),
-            tol,
-            scale_d,
-        )
-
-    if g.real_structure is not None:
-        j = g.real_structure
-        rep.check(
-            "real structure antiunitary",
-            fro(j.unitary @ dagger(j.unitary) - np.eye(g.hilbert_dim)),
-            tol,
-            1.0,
-        )
-        try:
-            signs = measure_ko_signs(g, tol)
-            rep.add(
-                "sign triple determinate",
-                True,
-                0.0,
-                0.0,
-                note=f"(eps, eps', eps'') = {signs.as_tuple()}",
-            )
-            rep.info["signs"] = list(signs.as_tuple())
-        except ValueError as exc:
-            rep.add("sign triple determinate", False, float("nan"), 0.0, note=str(exc))
-            signs = None
-
-        opp = [opposite_action(g, b) for b in gens]
-        worst0 = 0.0
-        for ma in pi_gens:
-            for ob in opp:
-                worst0 = max(worst0, fro(commutator(ma, ob)))
-        rep.check("order zero: algebra commutes with opposite", worst0, tol, scale_alg**2)
-
-        worst1 = 0.0
-        for ma in pi_gens:
-            bracket = commutator(g.dirac, ma)
-            for ob in opp:
-                worst1 = max(worst1, fro(commutator(bracket, ob)))
-        rep.check(
-            "order one: [D, a] commutes with opposite",
-            worst1,
-            tol,
-            scale_alg**2 * scale_d,
-        )
+    rho = Automorphism.identity(g.algebra.ncomponents)
+    rep = verify_twisted(TwistedGeometry(g, rho), tol)
+    rep.title = "real spectral triple"
     return rep

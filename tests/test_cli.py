@@ -1,10 +1,14 @@
 """Command line interface: exit codes, report formats, artifact files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nctwist
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.cli import main
 from nctwist.matlin import AntilinearOperator
@@ -17,6 +21,9 @@ from nctwist.serialize import (
     twisted_marker_to_json,
 )
 from nctwist.triple import FiniteGeometry
+
+# the directory holding the imported package, for CLI subprocesses
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(nctwist.__file__))
 
 
 @pytest.fixture
@@ -118,6 +125,22 @@ class TestVerify:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["verify", str(path)]) == 2
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_nonfinite_number_exit_two(self, tmp_path, token):
+        obj = geometry_to_json(toy_triple())
+        obj["D"]["data"][1][0] = "TOKEN"
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(obj).replace('"TOKEN"', token))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nctwist.cli", "verify", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+        )
+        assert proc.returncode == 2, proc.stdout
+        assert "non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_twisted_marker_runs_twisted_checks(self, capsys, marker_file):
         code, payload = run_json(capsys, ["verify", marker_file])

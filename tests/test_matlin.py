@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctwist.matlin import (
     DEFAULT_TOL,
@@ -21,9 +23,9 @@ from nctwist.matlin import (
     kron,
     match_sign,
     nullspace,
+    pair_residual,
     polar_unitary,
     residual_against_span,
-    twisted_commutator,
 )
 
 RNG_SEED = 1234
@@ -65,9 +67,51 @@ def test_commutators_and_twisted_variant():
     assert np.allclose(commutator(x, y), x @ y - y @ x)
     assert np.allclose(anticommutator(x, y), x @ y + y @ x)
     # twisted bracket with rho-image r in place of y on the left
-    assert np.allclose(twisted_commutator(x, y, r), x @ y - r @ x)
+    assert pair_residual([x], [y], [r]) == pytest.approx(fro(x @ y - r @ x))
     # degenerates to the plain bracket when the twist fixes y
-    assert np.allclose(twisted_commutator(x, y, y), commutator(x, y))
+    assert pair_residual([x], [y]) == pytest.approx(fro(commutator(x, y)))
+
+
+def explicit_pair_max(xs, ys, zs):
+    return max(fro(x @ y - z @ x) for x in xs for y, z in zip(ys, zs))
+
+
+# n = 64 puts 8 matrices in a block, so up to 20 j span several blocks;
+# about half the cases draw it
+pair_cases = st.tuples(
+    st.one_of(st.integers(1, 8), st.just(64)),
+    st.integers(1, 6),
+    st.integers(1, 20),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def draw_stacks(case):
+    n, g1, g2, twisted, seed = case
+    rng = np.random.default_rng(seed)
+    xs = np.stack([rand_mat(rng, n) for _ in range(g1)])
+    ys = np.stack([rand_mat(rng, n) for _ in range(g2)])
+    zs = np.stack([rand_mat(rng, n) for _ in range(g2)]) if twisted else None
+    return xs, ys, zs, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_cases)
+def test_pair_residual_equals_the_explicit_double_loop(case):
+    xs, ys, zs, _ = draw_stacks(case)
+    want = explicit_pair_max(xs, ys, ys if zs is None else zs)
+    assert pair_residual(xs, ys, zs) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_cases, st.sampled_from(["xs", "ys", "zs"]))
+def test_pair_residual_nan_anywhere_is_the_result(case, slot):
+    xs, ys, zs, rng = draw_stacks(case)
+    stacks = {"xs": xs, "ys": ys, "zs": ys if zs is None else zs}
+    target = stacks[slot]
+    target[tuple(rng.integers(0, dim) for dim in target.shape)] = np.nan
+    assert np.isnan(pair_residual(xs, ys, zs))
 
 
 def test_hermitian_and_unitary_predicates():

@@ -8,7 +8,7 @@ import pytest
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.matlin import Tolerance, fro
 from nctwist.samples import flip_toy, random_twisted_geometry
-from nctwist.triple import FiniteGeometry
+from nctwist.triple import FiniteGeometry, verify_spectral_triple
 from nctwist.twist import (
     Automorphism,
     TwistedGeometry,
@@ -175,12 +175,16 @@ NAN_FREE_RECORDS = {
     "rep: unit maps to identity",
     "rho: implementing unitary is unitary",
     "Dirac operator self-adjoint",
+    "grading self-adjoint",
+    "grading squares to identity",
     "grading anticommutes with D",
+    "real structure antiunitary",
     "sign triple determinate",
 }
 
 
-def test_nan_image_fails_every_record_that_reads_it():
+def poisoned_flip_toy():
+    """flip_toy() with a NaN in pi of its last generator, and only there."""
     tg = flip_toy()
     base = tg.geometry.rep
     last = base.algebra.generators()[-1]
@@ -192,20 +196,40 @@ def test_nan_image_fails_every_record_that_reads_it():
         return m
 
     geom = tg.geometry
-    poisoned = TwistedGeometry(
+    return TwistedGeometry(
         replace(geom, rep=Representation.from_function(base.algebra, base.dim, act)),
         tg.rho,
     )
-    report = verify_twisted(poisoned)
+
+
+def assert_nan_fails_what_reads_it(report):
     assert not report.ok
-    names = {r.name for r in report.records}
-    assert NAN_FREE_RECORDS <= names
+    assert np.isnan(report.max_residual)
     for rec in report.records:
         if rec.name in NAN_FREE_RECORDS:
             assert rec.passed, rec.name
         else:
             assert not rec.passed, rec.name
             assert np.isnan(rec.residual), rec.name
+
+
+def test_nan_image_fails_every_record_that_reads_it():
+    report = verify_twisted(poisoned_flip_toy())
+    assert NAN_FREE_RECORDS <= {r.name for r in report.records}
+    assert_nan_fails_what_reads_it(report)
+
+
+@pytest.mark.parametrize(
+    "verifier",
+    [
+        lambda tg: verify_spectral_triple(tg.geometry),
+        zero_order_conflict_check,
+        coexistence_first_order_check,
+    ],
+    ids=["verify_spectral_triple", "zero_order_conflict", "coexistence_first_order"],
+)
+def test_nan_image_fails_the_untwisted_and_coexistence_reports(verifier):
+    assert_nan_fails_what_reads_it(verifier(poisoned_flip_toy()))
 
 
 def test_complex_scale_on_quaternions_keeps_its_residuals():
