@@ -8,9 +8,10 @@ quaternionic blocks make sense; generating sets are real-spanning, which
 makes checks of (bi)linear conditions on generators exhaustive.
 
 A representation is real-linear, so it is fixed by its images of a real
-basis.  Those images are built once, on first use, from a table of block
-placements (serialisable) or from an arbitrary real-linear function (used
-for projector-built representations that have no placement form); every
+basis, and it is stored as exactly that stack of images.  The stack is
+assembled from a table of block placements (serialisable), evaluated from
+a real-linear function, or transformed from the stack of a parent
+representation (projector doubling, unitary frames, tensor factors); every
 evaluation is then a real combination of the images.
 """
 
@@ -354,78 +355,73 @@ class Placement:
 class Representation:
     """Real-linear map from algebra elements to dim x dim matrices.
 
-    Its source is either placements (block-diagonal, serialisable) or a
-    real-linear function.  On first use the source is evaluated once per
-    element of ``algebra.basis()`` into ``stack``; calling the instance
-    then combines the images of the nonzero coordinates of the element.
+    The map is its ``stack``: the images of ``algebra.basis()``, shape
+    (B, dim, dim), read-only.  Calling the instance combines the images of
+    the nonzero coordinates of the element.  ``placements`` is kept as the
+    serialisable source of the stack and ``func`` for the linearity record
+    of ``check``; neither is read to evaluate.
     """
 
     def __init__(
         self,
         algebra: Algebra,
-        dim: int,
+        stack: np.ndarray,
         placements: tuple[Placement, ...] | None = None,
         func: Callable[[tuple], np.ndarray] | None = None,
     ):
-        if (placements is None) == (func is None):
-            raise ValueError("provide exactly one of placements or func")
+        stack = np.array(stack, dtype=np.complex128)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"stack must hold square images, got shape {stack.shape}")
+        nbasis = len(algebra.basis())
+        if len(stack) != nbasis:
+            raise ValueError(
+                f"stack holds {len(stack)} images, algebra basis has {nbasis}"
+            )
+        stack.flags.writeable = False  # shared by every evaluation
         self.algebra = algebra
-        self.dim = int(dim)
+        self.stack = stack
         self.placements = tuple(placements) if placements is not None else None
         self._func = func
-        self._stack = None
-        if self.placements is not None:
-            self._validate_placements()
 
     @classmethod
     def from_placements(
         cls, algebra: Algebra, dim: int, placements: Sequence[Placement]
     ) -> "Representation":
-        return cls(algebra, dim, placements=tuple(placements))
+        """Block-diagonal representation assembled from placements."""
+        placements = tuple(placements)
+        offsets = np.cumsum([0] + [len(c.basis()) for c in algebra.components])
+        stack = np.zeros((offsets[-1], dim, dim), np.complex128)
+        covered = np.zeros(dim, dtype=bool)
+        for p in placements:
+            if not 0 <= p.component < algebra.ncomponents:
+                raise ValueError(f"placement component {p.component} out of range")
+            comp = algebra.components[p.component]
+            size = p.block_size(comp)
+            if p.start < 0 or p.start + size > dim:
+                raise ValueError(
+                    f"placement at {p.start} size {size} exceeds dim {dim}"
+                )
+            blk = slice(p.start, p.start + size)
+            if covered[blk].any():
+                raise ValueError("placements overlap")
+            covered[blk] = True
+            for k, v in enumerate(comp.basis()):
+                stack[offsets[p.component] + k, blk, blk] = p.block(comp, v)
+        return cls(algebra, stack, placements=placements)
 
     @classmethod
     def from_function(
         cls, algebra: Algebra, dim: int, func: Callable[[tuple], np.ndarray]
     ) -> "Representation":
-        return cls(algebra, dim, func=func)
-
-    def _validate_placements(self) -> None:
-        covered = np.zeros(self.dim, dtype=bool)
-        for p in self.placements:
-            if not 0 <= p.component < self.algebra.ncomponents:
-                raise ValueError(f"placement component {p.component} out of range")
-            comp = self.algebra.components[p.component]
-            size = p.block_size(comp)
-            if p.start < 0 or p.start + size > self.dim:
-                raise ValueError(
-                    f"placement at {p.start} size {size} exceeds dim {self.dim}"
-                )
-            if covered[p.start : p.start + size].any():
-                raise ValueError("placements overlap")
-            covered[p.start : p.start + size] = True
+        """Evaluate a real-linear function once per basis direction."""
+        images = [as_matrix(func(e)) for e in algebra.basis()]
+        if any(m.shape != (dim, dim) for m in images):
+            raise ValueError("function image does not match dim")
+        return cls(algebra, np.stack(images), func=func)
 
     @property
-    def stack(self) -> np.ndarray:
-        """Images of ``algebra.basis()``, shape (G, dim, dim), built once."""
-        if self._stack is None:
-            alg = self.algebra
-            if self._func is not None:
-                images = [as_matrix(self._func(e)) for e in alg.basis()]
-                if any(m.shape != (self.dim, self.dim) for m in images):
-                    raise ValueError("function image does not match dim")
-                self._stack = np.stack(images)
-            else:
-                sizes = [len(c.basis()) for c in alg.components]
-                offsets = np.cumsum([0] + sizes)
-                out = np.zeros((offsets[-1], self.dim, self.dim), np.complex128)
-                for p in self.placements:
-                    comp = alg.components[p.component]
-                    blk = slice(p.start, p.start + p.block_size(comp))
-                    for k, v in enumerate(comp.basis()):
-                        out[offsets[p.component] + k, blk, blk] = p.block(comp, v)
-                self._stack = out
-            self._stack.flags.writeable = False  # shared by every evaluation
-        return self._stack
+    def dim(self) -> int:
+        return self.stack.shape[1]
 
     def __call__(self, elem: tuple) -> np.ndarray:
         if len(elem) != self.algebra.ncomponents:
@@ -510,10 +506,8 @@ def projected_double(
         raise ValueError("grading dimension does not match representation")
     p_plus = (np.eye(n) + grading) / 2.0
     p_minus = (np.eye(n) - grading) / 2.0
-    alg2 = doubled(rep0.algebra)
-
-    def act(elem: tuple) -> np.ndarray:
-        a, b = split_double(elem)
-        return p_plus @ rep0(a) + p_minus @ rep0(b)
-
-    return Representation.from_function(alg2, n, act)
+    s = rep0.stack
+    # (a, 0) and (0, a') run over the basis of the doubled algebra
+    return Representation(
+        doubled(rep0.algebra), np.concatenate([p_plus @ s, p_minus @ s])
+    )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clifford import MAX_M, charge_conjugation, gamma, grading_product
 from .fluct import TwistedOneForm, verify_fluctuated
-from .matlin import DEFAULT_TOL, Tolerance, anticommutator, dagger, fro
+from .matlin import DEFAULT_TOL, Tolerance, anticommutator, dagger, fro, worst
 from .mintwist import (
     free_dirac_pointwise,
     gamma_tilde_diagnostics,
@@ -48,9 +48,8 @@ from .sm import (
     DEFAULT_YUKAWAS,
     generalized_minimal_twist_check,
     label_swap_check,
-    lean_generators,
-    sm_first_order_residuals,
-    sm_order_zero_residual,
+    sm_first_order_report,
+    sm_order_zero_report,
     twisted_sm_geometry,
     verify_sm_twisted,
 )
@@ -90,14 +89,15 @@ def _gamma_report(m: int, tol: Tolerance) -> Report:
     rep = Report(f"gamma matrices, m={m} (dimension {data.dim})")
     n = data.dim
     eye = np.eye(n)
-    r_sa = max(fro(g - dagger(g)) for g in data.gammas)
+    r_sa = worst(fro(g - dagger(g)) for g in data.gammas)
     rep.check("each gamma self-adjoint", r_sa, tol, 1.0)
-    r_sq = max(fro(g @ g - eye) for g in data.gammas)
+    r_sq = worst(fro(g @ g - eye) for g in data.gammas)
     rep.check("each gamma squares to one", r_sq, tol, 1.0)
-    r_ac = 0.0
-    for i, gi in enumerate(data.gammas):
-        for gj in data.gammas[i + 1 :]:
-            r_ac = max(r_ac, fro(anticommutator(gi, gj)))
+    r_ac = worst(
+        fro(anticommutator(gi, gj))
+        for i, gi in enumerate(data.gammas)
+        for gj in data.gammas[i + 1 :]
+    )
     rep.check("distinct gammas anticommute", r_ac, tol, 1.0)
     rep.check(
         "grading is the signed product of the gammas",
@@ -107,7 +107,7 @@ def _gamma_report(m: int, tol: Tolerance) -> Report:
     )
     rep.check(
         "grading anticommutes with every gamma",
-        max(fro(anticommutator(data.grading, g)) for g in data.gammas),
+        worst(fro(anticommutator(data.grading, g)) for g in data.gammas),
         tol,
         1.0,
     )
@@ -277,39 +277,9 @@ def cmd_sm(args) -> int:
     if args.check == "all":
         rep = verify_sm_twisted(tg, tol)
     elif args.check == "zero-order":
-        rep = Report("twisted standard model: order zero")
-        gens = lean_generators(tg.algebra)
-        scale = max([1.0] + [fro(tg.pi(a)) for a in gens]) ** 2
-        rep.check(
-            "order zero: algebra commutes with opposite",
-            sm_order_zero_residual(tg, gens),
-            tol,
-            scale,
-        )
+        rep = sm_order_zero_report(tg, tol)
     elif args.check == "first-order":
-        rep = Report("twisted standard model: order one")
-        gens = lean_generators(tg.algebra)
-        scale = max([1.0] + [fro(tg.pi(a)) for a in gens]) ** 2
-        d_scale = scale * max(1.0, fro(tg.geometry.dirac))
-        for convention in ("flip", "display"):
-            res = sm_first_order_residuals(tg, convention, gens)
-            for form in ("primary", "symmetric"):
-                if convention == "display":
-                    rep.check(
-                        f"order one (display convention, {form} form)",
-                        res[form],
-                        tol,
-                        d_scale,
-                    )
-                else:
-                    rep.add(
-                        f"order one (flip convention, {form} form)",
-                        True,
-                        res[form],
-                        float("inf"),
-                        note="measured only",
-                    )
-            rep.info[f"order_one_{convention}"] = res
+        rep = sm_first_order_report(tg, tol)
     else:  # recovery
         rep = generalized_minimal_twist_check(tg, tol)
         rep.merge(label_swap_check(tol), prefix="labels: ")

@@ -85,10 +85,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
-
-
 def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
 

@@ -259,9 +259,7 @@ def uniqueness_engine(m: int, tol: Tolerance = DEFAULT_TOL) -> Report:
         note=f"dim = {len(pairs)}",
     )
     half = data.dim // 2
-    worst_block = 0.0
-    worst_swap = 0.0
-    lambdas = []
+    blocks, swaps, lambdas = [], [], []
     for a_mat, b_mat in pairs:
         la = np.trace(a_mat[:half, :half]) / half
         lb = np.trace(a_mat[half:, half:]) / half
@@ -272,9 +270,10 @@ def uniqueness_engine(m: int, tol: Tolerance = DEFAULT_TOL) -> Report:
         model_b[:half, :half] = lb * np.eye(half)
         model_b[half:, half:] = la * np.eye(half)
         norm = max(fro(a_mat), 1e-30)
-        worst_block = max(worst_block, fro(a_mat - model_a) / norm)
-        worst_swap = max(worst_swap, fro(b_mat - model_b) / norm)
+        blocks.append(fro(a_mat - model_a) / norm)
+        swaps.append(fro(b_mat - model_b) / norm)
         lambdas.append((la, lb))
+    worst_block, worst_swap = worst(blocks), worst(swaps)
     rep.check(
         "solutions are scalar on chiral blocks",
         worst_block,

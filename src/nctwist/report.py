@@ -24,14 +24,18 @@ class CheckRecord:
     note: str = ""
 
     def to_dict(self) -> dict:
+        """Strict JSON form: a non-finite residual is null plus a note."""
+        residual, note = float(self.residual), self.note
+        if not math.isfinite(residual):
+            note = "; ".join(filter(None, [note, f"residual is {residual}"]))
         d = {
             "name": self.name,
             "passed": bool(self.passed),
-            "residual": float(self.residual),
+            "residual": _jsonable(residual),
             "tol": float(self.tol),
         }
-        if self.note:
-            d["note"] = self.note
+        if note:
+            d["note"] = note
         return d
 
     def format_line(self) -> str:
@@ -117,21 +121,21 @@ class Report:
 
 
 def _jsonable(value):
-    """Recursively coerce numpy scalars/arrays so json.dumps succeeds."""
+    """Recursively coerce numpy values for JSON; a non-finite float is null."""
     import numpy as np
 
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.complexfloating) or isinstance(value, complex):
-        return [float(value.real), float(value.imag)]
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return [_jsonable(float(value.real)), _jsonable(float(value.imag))]
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
     return value

@@ -101,12 +101,7 @@ def left_regular_geometry(
         w = as_matrix(frame)
         if w.shape != (k * k, k * k):
             raise ValueError("frame must act on the full space")
-        base = rep
-
-        def act(elem: tuple) -> np.ndarray:
-            return w @ base(elem) @ dagger(w)
-
-        rep = Representation.from_function(alg, k * k, act)
+        rep = Representation(alg, w @ rep.stack @ dagger(w))
         dirac = w @ dirac @ dagger(w)
         grading = w @ grading @ dagger(w)
         u_real = w @ u_real @ w.T
@@ -131,16 +126,10 @@ def clifford_tensor(m: int, fin: FiniteGeometry) -> FiniteGeometry:
         raise ValueError("finite factor needs grading and real structure")
     data = gamma(m)
     cc = charge_conjugation(m)
-    base = fin.rep
-    dim_m = data.dim
-    eye_m = np.eye(dim_m)
-
-    def act(elem: tuple) -> np.ndarray:
-        return kron(eye_m, base(elem))
-
-    rep = Representation.from_function(base.algebra, dim_m * fin.hilbert_dim, act)
+    # kron over the stack axis too: image b becomes I_m kron S[b]
+    stack = kron(np.eye(data.dim)[None], fin.rep.stack)
     return FiniteGeometry(
-        rep=rep,
+        rep=Representation(fin.rep.algebra, stack),
         dirac=kron(data.grading, fin.dirac),
         grading=kron(data.grading, fin.grading),
         real_structure=AntilinearOperator(

@@ -9,7 +9,8 @@ its grading round-trips through a marker object holding the untwisted
 base, since the doubled representation is reconstructed from it.
 
 Writers emit deterministic JSON (sorted keys, no whitespace) so identical
-inputs give byte-identical files.
+inputs give byte-identical files.  Readers check the JSON type of every
+field they use and raise ValueError naming the field when it is wrong.
 """
 
 from __future__ import annotations
@@ -27,6 +28,36 @@ from .twist import Automorphism, TwistedGeometry
 
 MATRIX_KEYS = {"rows", "cols", "data"}
 
+_KIND_NAMES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if JSON decoded it as a ``kind``, else a ValueError.
+
+    Integers count as numbers; booleans count as neither.
+    """
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        shown = json.dumps(value)
+        if len(shown) > 40:
+            shown = shown[:37] + "..."
+        raise ValueError(f"{what} must be {_KIND_NAMES[kind]}, got {shown}")
+    return value
+
+
+def _complex(value, what: str) -> complex:
+    """A complex number from its [re, im] pair."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{what} must be an [re, im] pair")
+    re, im = (_typed(v, float, what) for v in value)
+    return complex(re, im)
+
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = as_matrix(m, allow_nonsquare=True)
@@ -37,11 +68,12 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict) or not MATRIX_KEYS <= set(obj):
         raise ValueError("matrix object needs rows, cols, data")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
+    rows = _typed(obj["rows"], int, "matrix rows")
+    cols = _typed(obj["cols"], int, "matrix cols")
+    data = _typed(obj["data"], list, "matrix data")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != {rows}*{cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    flat = np.array([_complex(v, "matrix entry") for v in data], dtype=np.complex128)
     return flat.reshape(rows, cols)
 
 
@@ -50,7 +82,7 @@ def antilinear_to_json(j: AntilinearOperator) -> dict:
 
 
 def antilinear_from_json(obj: dict) -> AntilinearOperator:
-    if obj.get("convention", "u-conj") != "u-conj":
+    if _typed(obj, dict, "antilinear operator").get("convention", "u-conj") != "u-conj":
         raise ValueError(f"unknown antilinear convention {obj.get('convention')!r}")
     return AntilinearOperator(matrix_from_json(obj["unitary"]))
 
@@ -67,12 +99,12 @@ def algebra_to_json(alg: Algebra) -> list:
 
 def algebra_from_json(items: list) -> Algebra:
     specs = []
-    for it in items:
-        kind = it.get("type")
+    for it in _typed(items, list, "algebra"):
+        kind = _typed(it, dict, "algebra component").get("type")
         if kind in ("C", "H"):
             specs.append(kind)
         elif kind == "M":
-            specs.append(("M", int(it["n"])))
+            specs.append(("M", _typed(it.get("n"), int, "algebra component n")))
         else:
             raise ValueError(f"unknown algebra component type {kind!r}")
     return Algebra.of(*specs)
@@ -90,14 +122,14 @@ def element_to_json(alg: Algebra, elem: tuple) -> list:
 
 
 def element_from_json(alg: Algebra, items: list) -> tuple:
-    if len(items) != alg.ncomponents:
+    if len(_typed(items, list, "element")) != alg.ncomponents:
         raise ValueError(
             f"element has {len(items)} components, algebra needs {alg.ncomponents}"
         )
     vals = []
     for comp, it in zip(alg.components, items):
         if comp.kind == "C":
-            vals.append(complex(it[0], it[1]))
+            vals.append(_complex(it, "scalar element value"))
         else:
             vals.append(matrix_from_json(it))
     return alg.element(vals)
@@ -111,15 +143,18 @@ def placements_to_json(placements: tuple) -> list:
 
 
 def placements_from_json(items: list) -> list[Placement]:
-    return [
-        Placement(
-            component=int(it["component"]),
-            start=int(it["start"]),
-            mode=str(it["mode"]),
-            mult=int(it.get("mult", 1)),
+    out = []
+    for it in _typed(items, list, "representation"):
+        it = _typed(it, dict, "placement")
+        out.append(
+            Placement(
+                component=_typed(it["component"], int, "placement component"),
+                start=_typed(it["start"], int, "placement start"),
+                mode=_typed(it["mode"], str, "placement mode"),
+                mult=_typed(it.get("mult", 1), int, "placement mult"),
+            )
         )
-        for it in items
-    ]
+    return out
 
 
 def geometry_to_json(g: FiniteGeometry) -> dict:
@@ -139,8 +174,8 @@ def geometry_to_json(g: FiniteGeometry) -> dict:
 
 
 def geometry_from_json(obj: dict) -> FiniteGeometry:
-    alg = algebra_from_json(obj["algebra"])
-    dim = int(obj["hilbert_dim"])
+    alg = algebra_from_json(_typed(obj, dict, "geometry")["algebra"])
+    dim = _typed(obj["hilbert_dim"], int, "hilbert_dim")
     rep = Representation.from_placements(
         alg, dim, placements_from_json(obj["representation"])
     )
@@ -165,15 +200,19 @@ def automorphism_to_json(rho: Automorphism) -> dict:
 
 
 def automorphism_from_json(obj: dict) -> Automorphism:
-    perm = tuple(int(i) for i in obj["permutation"])
+    perm = _typed(_typed(obj, dict, "automorphism")["permutation"], list, "permutation")
+    perm = tuple(_typed(i, int, "permutation entry") for i in perm)
     inner = None
     if obj.get("inner") is not None:
         inner = tuple(
-            None if it is None else matrix_from_json(it) for it in obj["inner"]
+            None if it is None else matrix_from_json(it)
+            for it in _typed(obj["inner"], list, "inner")
         )
     scale = None
     if obj.get("scale") is not None:
-        scale = tuple(complex(re, im) for re, im in obj["scale"])
+        scale = tuple(
+            _complex(v, "scale entry") for v in _typed(obj["scale"], list, "scale")
+        )
     u_rho = matrix_from_json(obj["u_rho"]) if obj.get("u_rho") is not None else None
     return Automorphism(perm=perm, inner=inner, scale=scale, u_rho=u_rho)
 
@@ -188,10 +227,11 @@ def one_form_to_json(alg: Algebra, terms: list[tuple]) -> dict:
 
 
 def one_form_from_json(alg: Algebra, obj: dict) -> list[tuple]:
-    return [
-        (element_from_json(alg, t["a"]), element_from_json(alg, t["b"]))
-        for t in obj["terms"]
-    ]
+    out = []
+    for t in _typed(_typed(obj, dict, "one-form")["terms"], list, "terms"):
+        t = _typed(t, dict, "one-form term")
+        out.append((element_from_json(alg, t["a"]), element_from_json(alg, t["b"])))
+    return out
 
 
 def twisted_marker_to_json(base: FiniteGeometry) -> dict:
@@ -225,6 +265,7 @@ def _finite_number(text: str) -> float:
 
 
 def load_json(path: str) -> dict:
-    """Read a JSON file; NaN, Infinity and overflowing numbers are rejected."""
+    """Read a JSON object; NaN, Infinity and overflowing numbers are rejected."""
     with open(path) as fh:
-        return json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+        obj = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+    return _typed(obj, dict, "top-level JSON value")

@@ -437,6 +437,46 @@ def sm_first_order_residuals(
     return {"primary": primary, "symmetric": symmetric}
 
 
+def _sm_scale(tg: TwistedGeometry) -> float:
+    return max([1.0] + [fro(tg.pi(a)) for a in lean_generators(tg.algebra)]) ** 2
+
+
+def sm_order_zero_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
+    """The order-zero record of the twisted point model."""
+    rep = Report("twisted standard model: order zero")
+    rep.check(
+        "order zero: algebra commutes with opposite",
+        sm_order_zero_residual(tg),
+        tol,
+        _sm_scale(tg),
+    )
+    return rep
+
+
+def sm_first_order_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
+    """Order-one records of both conventions; only "display" is gated."""
+    rep = Report("twisted standard model: order one")
+    d_scale = _sm_scale(tg) * max(1.0, fro(tg.geometry.dirac))
+    for convention in ("flip", "display"):
+        res = sm_first_order_residuals(tg, convention)
+        for form in ("primary", "symmetric"):
+            r = res[form]
+            if convention == "display":
+                rep.check(
+                    f"order one (display convention, {form} form)", r, tol, d_scale
+                )
+            else:
+                rep.add(
+                    f"order one (flip convention, {form} form)",
+                    True,
+                    r,
+                    float("inf"),
+                    note="measured only; the label swap misses the antiparticle scalar",
+                )
+        rep.info[f"order_one_{convention}"] = res
+    return rep
+
+
 def verify_sm_twisted(
     tg: TwistedGeometry | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> Report:
@@ -467,32 +507,9 @@ def verify_sm_twisted(
     )
     rep.info["signs"] = list(signs.as_tuple())
 
-    gens = lean_generators(tg.algebra)
-    pi_gens = [tg.pi(a) for a in gens]
-    scale = max([1.0] + [fro(m) for m in pi_gens]) ** 2
-    r0 = sm_order_zero_residual(tg, gens)
-    rep.check("order zero: algebra commutes with opposite", r0, tol, scale)
-
+    rep.merge(sm_order_zero_report(tg, tol))
     rep.merge(generalized_minimal_twist_check(tg, tol), prefix="recovery: ")
-
-    d_scale = scale * max(1.0, fro(tg.geometry.dirac))
-    for convention in ("flip", "display"):
-        res = sm_first_order_residuals(tg, convention, gens)
-        for form in ("primary", "symmetric"):
-            r = res[form]
-            if convention == "display":
-                rep.check(
-                    f"order one (display convention, {form} form)", r, tol, d_scale
-                )
-            else:
-                rep.add(
-                    f"order one (flip convention, {form} form)",
-                    True,
-                    r,
-                    float("inf"),
-                    note="measured only; the label swap misses the antiparticle scalar",
-                )
-        rep.info[f"order_one_{convention}"] = res
+    rep.merge(sm_first_order_report(tg, tol))
 
     # the doubling involution, color slot completed with the unit
     diag = gamma_tilde_diagnostics(tg, sm_gamma_tilde_element(), tol)
@@ -506,7 +523,7 @@ def verify_sm_twisted(
         "doubling involution commutes with the algebra",
         diag.commutes_with_rep,
         tol,
-        scale,
+        _sm_scale(tg),
     )
     r_formula = fro(diag.gamma_tilde - sm_gamma_tilde_expected())
     rep.add(

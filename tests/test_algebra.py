@@ -18,6 +18,7 @@ from nctwist.algebra import (
     split_double,
 )
 from nctwist.matlin import dagger, fro
+from nctwist.samples import clifford_tensor, left_regular_geometry, random_unitary
 
 RNG_SEED = 20
 
@@ -205,6 +206,16 @@ def test_function_representation_has_no_placements(alg):
     assert rep.check().ok
 
 
+def assert_stack_transform(rep, formula, rng):
+    """``rep`` equals ``formula``: exactly on the basis, closely elsewhere."""
+    alg = rep.algebra
+    for e in alg.basis():
+        assert np.array_equal(rep(e), formula(e))
+    for _ in range(3):
+        x = alg.random_element(rng)
+        assert fro(rep(x) - formula(x)) < 1e-12
+
+
 def test_projected_double_blocks():
     alg = Algebra.of(("M", 2))
     rep0 = Representation.from_placements(
@@ -216,13 +227,32 @@ def test_projected_double_blocks():
     dbl = dbl_rep.algebra
     assert dbl.ncomponents == 2
     rng = np.random.default_rng(RNG_SEED + 3)
-    x, y = alg.random_element(rng), alg.random_element(rng)
-    m = dbl_rep(join_double(x, y))
     p_plus = (np.eye(4) + grading) / 2
     p_minus = (np.eye(4) - grading) / 2
-    expected = p_plus @ rep0(x) + p_minus @ rep0(y)
-    assert fro(m - expected) < 1e-12
+
+    def doubled_action(elem):
+        x, y = split_double(elem)
+        return p_plus @ rep0(x) + p_minus @ rep0(y)
+
+    assert_stack_transform(dbl_rep, doubled_action, rng)
+    x = alg.random_element(rng)
     assert fro(grading @ rep0(x) - rep0(x) @ grading) < 1e-12
+
+    # the framed and Clifford-tensored families are stack transforms too
+    sub = Algebra.of("C", "H")
+    m_small = np.zeros((3, 3), dtype=np.complex128)
+    m_small[0, 1:] = [1.0, 0.5j]
+    m_small[1:, 0] = [1.0, -0.5j]
+    plain = left_regular_geometry(sub, [1, -1], m_small)
+    w = random_unitary(rng, 9)
+    framed = left_regular_geometry(sub, [1, -1], m_small, frame=w)
+    assert_stack_transform(
+        framed.rep, lambda e: w @ plain.rep(e) @ dagger(w), rng
+    )
+    tensored = clifford_tensor(2, plain)
+    assert_stack_transform(
+        tensored.rep, lambda e: np.kron(np.eye(4), plain.rep(e)), rng
+    )
 
 
 # -- basis-image stack ----------------------------------------------------
@@ -272,6 +302,23 @@ def placed_elements(draw):
 def test_stack_matches_direct_placement_assembly(case):
     rep, x = case
     assert np.array_equal(rep(x), assemble(rep, x))
+
+
+def test_stack_constructor_checks_images(alg):
+    stack = _base_rep(alg).stack
+    rep = Representation(alg, stack)
+    assert rep.dim == 6 and np.array_equal(rep.stack, stack)
+    with pytest.raises(AttributeError):
+        rep.dim = 7
+    with pytest.raises(ValueError):
+        Representation(alg, stack[:-1])  # one image short
+    with pytest.raises(ValueError):
+        Representation(alg, stack[:, :, :5])  # non-square images
+
+
+def test_function_image_shape_checked_at_construction(alg):
+    with pytest.raises(ValueError):
+        Representation.from_function(alg, 6, lambda x: np.eye(5))
 
 
 def test_coords_invert_basis(alg):

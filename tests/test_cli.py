@@ -4,18 +4,22 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nctwist
+from nctwist import cli
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.cli import main
-from nctwist.matlin import AntilinearOperator
+from nctwist.clifford import gamma
+from nctwist.matlin import DEFAULT_TOL, AntilinearOperator
 from nctwist.samples import left_regular_geometry, toy_triple
 from nctwist.serialize import (
     dump_json,
     geometry_to_json,
+    load_json,
     matrix_to_json,
     one_form_to_json,
     twisted_marker_to_json,
@@ -104,6 +108,16 @@ class TestGamma:
         assert main(["gamma", "--m", "9"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_nan_in_a_later_gamma_fails(self, monkeypatch):
+        data = gamma(2)
+        gams = [g.copy() for g in data.gammas]
+        gams[1][0, 1] = np.nan
+        monkeypatch.setattr(cli, "gamma", lambda m: replace(data, gammas=tuple(gams)))
+        report = cli._gamma_report(2, DEFAULT_TOL)
+        (rec,) = [r for r in report.records if r.name == "each gamma self-adjoint"]
+        assert not rec.passed
+        assert np.isnan(rec.residual)
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys, toy_file):
@@ -141,6 +155,49 @@ class TestVerify:
         assert proc.returncode == 2, proc.stdout
         assert "non-finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: [obj],
+            lambda obj: obj["D"].update(data=[["0", "1"]] * 4),
+            lambda obj: obj["D"].update(rows=None),
+            lambda obj: obj.update(algebra=5),
+            lambda obj: obj.update(algebra=["C"]),
+        ],
+        ids=["top-level-array", "string-entries", "null-rows", "number-algebra",
+             "string-component"],
+    )
+    def test_wrong_json_type_exit_two(self, tmp_path, edit):
+        obj = geometry_to_json(toy_triple())
+        obj = edit(obj) or obj
+        path = tmp_path / "wrong_type.json"
+        path.write_text(json.dumps(obj))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nctwist.cli", "verify", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+        )
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_nan_residual_report_reads_back(self, capsys, tmp_path):
+        # D = 0 fits both signs of J D = eps' D J: "sign triple determinate" is NaN
+        path = tmp_path / "d0.json"
+        zero_dirac = replace(toy_triple(), dirac=np.zeros((2, 2)))
+        dump_json(geometry_to_json(zero_dirac), str(path))
+        out = tmp_path / "report.json"
+        runs = []
+        for _ in range(2):
+            assert main(["verify", str(path), "--out", str(out)]) == 1
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
+        saved = load_json(str(out))
+        (rec,) = [c for c in saved["checks"] if c["name"] == "sign triple determinate"]
+        assert rec["residual"] is None and not rec["passed"]
+        assert "residual is nan" in rec["note"]
 
     def test_twisted_marker_runs_twisted_checks(self, capsys, marker_file):
         code, payload = run_json(capsys, ["verify", marker_file])

@@ -13,7 +13,6 @@ from nctwist.matlin import (
     as_matrix,
     canonical_phase,
     commutant,
-    commutator,
     dagger,
     fro,
     intertwiner_space,
@@ -64,12 +63,11 @@ def test_fro_dagger_kron_basics():
 def test_commutators_and_twisted_variant():
     rng = np.random.default_rng(RNG_SEED + 1)
     x, y, r = rand_mat(rng, 4), rand_mat(rng, 4), rand_mat(rng, 4)
-    assert np.allclose(commutator(x, y), x @ y - y @ x)
     assert np.allclose(anticommutator(x, y), x @ y + y @ x)
     # twisted bracket with rho-image r in place of y on the left
     assert pair_residual([x], [y], [r]) == pytest.approx(fro(x @ y - r @ x))
     # degenerates to the plain bracket when the twist fixes y
-    assert pair_residual([x], [y]) == pytest.approx(fro(commutator(x, y)))
+    assert pair_residual([x], [y]) == pytest.approx(fro(x @ y - y @ x))
 
 
 def explicit_pair_max(xs, ys, zs):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nctwist import mintwist
 from nctwist.algebra import Algebra
 from nctwist.clifford import charge_conjugation, gamma
 from nctwist.matlin import dagger, fro
@@ -125,6 +126,21 @@ class TestUniqueness:
         # the two independent solutions
         det = l1a * l2b - l1b * l2a
         assert abs(det) > 1e-6
+
+    def test_nan_in_a_later_solution_fails(self, monkeypatch):
+        solve = mintwist.intertwiner_space
+
+        def poisoned(*args, **kwargs):
+            pairs = [(a.copy(), b) for a, b in solve(*args, **kwargs)]
+            pairs[1][0][0, -1] = np.nan  # off the chiral blocks
+            return pairs
+
+        monkeypatch.setattr(mintwist, "intertwiner_space", poisoned)
+        report = uniqueness_engine(2)
+        name = "solutions are scalar on chiral blocks"
+        (rec,) = [r for r in report.records if r.name == name]
+        assert not rec.passed
+        assert np.isnan(rec.residual)
 
 
 def test_commutant_scalars_forces_trivial_twist():

@@ -1,9 +1,12 @@
 """Finite geometry of one fermion generation, untwisted and twisted."""
 
+import json
+
 import numpy as np
 import pytest
 
 from nctwist.algebra import QUATERNION_UNITS, quaternion
+from nctwist.cli import main
 from nctwist.matlin import Tolerance, anticommutator, dagger, fro, kron
 from nctwist.mintwist import gamma_tilde_diagnostics
 from nctwist.sm import (
@@ -257,7 +260,7 @@ class TestGammaTilde:
         assert not d.equals_input_grading
 
 
-def test_verify_sm_twisted_full_run(tsm):
+def test_verify_sm_twisted_full_run(tsm, capsys):
     report = verify_sm_twisted(tsm)
     assert report.ok, "\n".join(r.format_line() for r in report.failures())
     assert report.info["signs"] == [-1, 1, -1]
@@ -269,6 +272,12 @@ def test_verify_sm_twisted_full_run(tsm):
     assert report.info["gamma_tilde_anticommutator"] > 1.0
     assert report.info["convention_antiparticle_residual"] > 0.1
     assert report.info["convention_particle_residual"] <= 1e-12
+    # the CLI's partial checks print the records of the full run
+    full = {c["name"]: c for c in report.to_dict()["checks"]}
+    for check in ("zero-order", "first-order"):
+        main(["sm", "--check", check, "--report", "json"])
+        printed = json.loads(capsys.readouterr().out)["checks"]
+        assert printed and printed == [full[c["name"]] for c in printed]
 
 
 def test_custom_yukawas_still_verify():
