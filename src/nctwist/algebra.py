@@ -22,7 +22,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .matlin import DEFAULT_TOL, Tolerance, as_matrix, dagger, fro, kron, worst
+from .matlin import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    blocked_max,
+    dagger,
+    fro,
+    kron,
+    worst,
+)
 from .report import Report
 
 # ---------------------------------------------------------------------------
@@ -280,6 +289,35 @@ class Algebra:
             [np.asarray(v, dtype=np.complex128).reshape(-1) for v in x]
         ).view(np.float64)
 
+    def mul_coords(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """Coordinates of products ``x y``, computed from coordinates.
+
+        ``cx`` and ``cy`` are ``(..., B)`` arrays that broadcast over their
+        leading axes.  Each block is read as its complex matrices and
+        multiplied in one batched product, which applies the structure
+        constants of ``basis()`` without a dense B x B x B tensor.
+        """
+        cx = np.asarray(cx, dtype=np.float64)
+        cy = np.asarray(cy, dtype=np.float64)
+        out, start = [], 0
+        for comp in self.components:
+            d = comp.dim
+            blk = slice(start, start + 2 * d * d)
+            x, y = (
+                np.ascontiguousarray(c[..., blk])
+                .view(np.complex128)
+                .reshape(c.shape[:-1] + (d, d))
+                for c in (cx, cy)
+            )
+            p = x @ y
+            out.append(p.reshape(p.shape[:-2] + (d * d,)).view(np.float64))
+            start = blk.stop
+        return np.concatenate(out, axis=-1)
+
+    def linear_map(self, f: Callable[[tuple], tuple]) -> np.ndarray:
+        """Real B x B matrix of a real-linear map: ``coords(f(x)) = coords(x) @ M``."""
+        return np.stack([self.coords(f(e)) for e in self.basis()])
+
     def random_element(self, rng: np.random.Generator) -> tuple:
         return tuple(c.random(rng) for c in self.components)
 
@@ -293,11 +331,6 @@ class Algebra:
 def doubled(alg: Algebra) -> Algebra:
     """Two copies of every block: the element (a, a') as one tuple."""
     return Algebra(alg.components + alg.components)
-
-
-def split_double(elem: tuple) -> tuple[tuple, tuple]:
-    half = len(elem) // 2
-    return elem[:half], elem[half:]
 
 
 def join_double(a: tuple, b: tuple) -> tuple:
@@ -426,15 +459,23 @@ class Representation:
     def __call__(self, elem: tuple) -> np.ndarray:
         if len(elem) != self.algebra.ncomponents:
             raise ValueError("element does not match algebra")
-        s = self.stack
         c = self.algebra.coords(elem)
-        if c.size != len(s):
+        if c.size != len(self.stack):
             raise ValueError("element does not match algebra")
-        # only the nonzero coordinates: a generator reads one image.  The
-        # coefficients are real, so the images combine as float rows.
-        nz = c.nonzero()[0]
+        return self.images(c[None])[0]
+
+    def images(self, c: np.ndarray) -> np.ndarray:
+        """Images of a ``(P, B)`` batch of coordinate rows, shape ``(P, dim, dim)``.
+
+        Only the basis images whose column some row uses are combined: a
+        generator reads one image.  The coefficients are real, so the images
+        combine as float rows.
+        """
+        s = self.stack
+        used = np.flatnonzero((c != 0).any(axis=0))
         rows = s.view(np.float64).reshape(len(s), -1)
-        return (c[nz] @ rows[nz]).view(np.complex128).reshape(self.dim, self.dim)
+        out = (c[:, used] @ rows[used]).view(np.complex128)
+        return out.reshape(len(c), self.dim, self.dim)
 
     # -- checks ------------------------------------------------------------
 
@@ -447,21 +488,27 @@ class Representation:
         rep = Report("representation")
         alg = self.algebra
         gens = alg.generators()
-        mats = [self(g) for g in gens]
+        cg = np.stack([alg.coords(g) for g in gens])
+        mats = self.images(cg)
         scale = max([1.0] + [fro(m) for m in mats])
+        count, n = len(gens), self.dim
 
-        r_unit = fro(self(alg.unit()) - np.eye(self.dim))
+        r_unit = fro(self(alg.unit()) - np.eye(n))
         rep.check("unit maps to identity", r_unit, tol, 1.0)
 
-        r_star = worst(
-            fro(self(alg.star(g)) - dagger(m)) for g, m in zip(gens, mats)
+        c_star = cg @ alg.linear_map(alg.star)
+        r_star = blocked_max(
+            count, n, lambda s: self.images(c_star[s]) - dagger(mats[s])
         )
         rep.check("star preserved on generators", r_star, tol, scale)
 
+        # every pair, cross-block ones included: pi(g_i g_j) - pi(g_i) pi(g_j)
+        prod = alg.mul_coords(cg[:, None], cg[None])
         r_mult = worst(
-            fro(self(alg.mul(gi, gj)) - mi @ mj)
-            for gi, mi in zip(gens, mats)
-            for gj, mj in zip(gens, mats)
+            blocked_max(
+                count, n, lambda s: self.images(prod[i, s]) - mats[i] @ mats[s]
+            )
+            for i in range(count)
         )
         rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
 
@@ -478,7 +525,7 @@ class Representation:
             )
 
         if faithful:
-            cols = np.stack([m.reshape(-1) for m in mats], axis=1)
+            cols = mats.reshape(count, -1).T
             stacked = np.vstack([cols.real, cols.imag])
             rank = np.linalg.matrix_rank(stacked, tol=tol.rel * max(1.0, scale))
             rep.add(

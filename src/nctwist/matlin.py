@@ -62,7 +62,8 @@ def worst(residuals, floor: float = 0.0) -> float:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -95,16 +96,27 @@ def pair_residual(xs, ys, zs=None) -> float:
     ``zs`` defaults to ``ys`` (plain commutators); passing the twisted
     images gives twisted ones, and ``xs = [I]`` a single-generator maximum
     of ``||ys[j] - zs[j]||``.  Each ``xs[i]`` meets one batched product per
-    block of about 32768 / n^2 of the ``j``, which keeps the temporaries
-    small on large n.  A NaN anywhere is the result.
+    block of the ``j`` (``blocked_max``).  A NaN anywhere is the result.
     """
     ys = np.asarray(ys, dtype=np.complex128)
     zs = ys if zs is None else np.asarray(zs, dtype=np.complex128)
-    step = max(1, 32768 // ys.shape[-1] ** 2)
     return worst(
-        np.linalg.norm(x @ ys[j : j + step] - zs[j : j + step] @ x, axis=(1, 2)).max()
+        blocked_max(len(ys), ys.shape[-1], lambda s: x @ ys[s] - zs[s] @ x)
         for x in np.asarray(xs, dtype=np.complex128)
-        for j in range(0, len(ys), step)
+    )
+
+
+def blocked_max(count: int, n: int, block) -> float:
+    """``max_k ||block(s)[k]||`` over ``k < count`` for ``n x n`` differences.
+
+    ``block`` maps a slice of the ``k`` to the ``(len, n, n)`` differences
+    it covers; the slices hold ``max(1, 32768 // n^2)`` of them, which keeps
+    the temporaries small on large n.  A NaN anywhere is the result.
+    """
+    step = max(1, 32768 // n**2)
+    return worst(
+        np.linalg.norm(block(slice(j, j + step)), axis=(-2, -1)).max()
+        for j in range(0, count, step)
     )
 
 
@@ -187,7 +199,8 @@ def nullspace(
     if mat.size == 0:
         n = mat.shape[1]
         return np.eye(n, dtype=np.complex128), np.zeros(n)
-    _, s, vh = np.linalg.svd(mat)
+    # U is never read; a wide matrix still needs all of vh for its null rows
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     smax = s[0] if s.size else 0.0
     cutoff = max(tol.rel * smax, tol.abs)
     ncols = mat.shape[1]

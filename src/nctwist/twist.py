@@ -19,7 +19,16 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Algebra
-from .matlin import DEFAULT_TOL, Tolerance, as_matrix, dagger, fro, pair_residual, worst
+from .matlin import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    blocked_max,
+    dagger,
+    fro,
+    pair_residual,
+    worst,
+)
 from .report import Report
 from .triple import FiniteGeometry, SignTriple, measure_ko_signs, opposite_action
 
@@ -187,31 +196,34 @@ def check_regular(
     rep = Report("automorphism regularity")
     alg = g.algebra
     rho.validate_for(alg)
-    rho_inv = rho.inverse()
+    pi = g.rep
     gens = alg.generators()
-    scale = max([1.0] + [fro(g.pi(e)) for e in gens])
+    cg = np.stack([alg.coords(a) for a in gens])
+    mats = pi.images(cg)
+    scale = max([1.0] + [fro(m) for m in mats])
+    count, n = len(gens), pi.dim
+    # coordinate rows move through rho, rho^-1 and the star as real matrices
+    r = alg.linear_map(rho.apply)
+    star = alg.linear_map(alg.star)
+    cr = cg @ r
 
-    r_reg = worst(
-        fro(g.pi(rho.apply(alg.star(a))) - g.pi(alg.star(rho_inv.apply(a))))
-        for a in gens
-    )
+    def gap(ca, cb):
+        """max_k ||pi(ca[k]) - pi(cb[k])||; both sides are evaluated."""
+        return blocked_max(
+            len(ca), n, lambda s: pi.images(ca[s]) - pi.images(cb[s])
+        )
+
+    r_reg = gap(cg @ star @ r, cg @ alg.linear_map(rho.inverse().apply) @ star)
     rep.check("regular: rho(a*) = (rho^-1(a))*", r_reg, tol, scale)
 
-    r_mult = worst(
-        fro(
-            g.pi(rho.apply(alg.mul(a, b)))
-            - g.pi(alg.mul(rho.apply(a), rho.apply(b)))
-        )
-        for a in gens
-        for b in gens
-    )
+    # rho(a b) against rho(a) rho(b) on every pair, cross-block ones included
+    lhs = alg.mul_coords(cg[:, None], cg[None]) @ r
+    rhs = alg.mul_coords(cr[:, None], cr[None])
+    r_mult = worst(gap(lhs[i], rhs[i]) for i in range(count))
     rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
 
     if rho.is_involutive_perm() and rho.inner is None and rho.scale is None:
-        r_inv = worst(
-            fro(g.pi(rho.apply(rho.apply(a))) - g.pi(a)) for a in gens
-        )
-        rep.check("involutive", r_inv, tol, scale)
+        rep.check("involutive", gap(cr @ r, cg), tol, scale)
 
     if rho.u_rho is not None:
         u = rho.u_rho
@@ -221,8 +233,8 @@ def check_regular(
             tol,
             1.0,
         )
-        r_impl = worst(
-            fro(g.pi(rho.apply(a)) - u @ g.pi(a) @ dagger(u)) for a in gens
+        r_impl = blocked_max(
+            count, n, lambda s: pi.images(cr[s]) - u @ mats[s] @ dagger(u)
         )
         rep.check("pi(rho(a)) = U pi(a) U*", r_impl, tol, scale)
     return rep

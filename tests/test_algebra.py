@@ -15,7 +15,6 @@ from nctwist.algebra import (
     join_double,
     projected_double,
     quaternion,
-    split_double,
 )
 from nctwist.matlin import dagger, fro
 from nctwist.samples import clifford_tensor, left_regular_geometry, random_unitary
@@ -91,6 +90,26 @@ def test_random_element_is_reproducible(alg):
     assert alg.norm(alg.add(a, alg.neg(b))) == 0.0
 
 
+def test_coordinate_products_and_linear_maps(alg):
+    gens = alg.generators()
+    cg = np.stack([alg.coords(g) for g in gens])
+    # structure constants: products of generators are exact
+    assert np.array_equal(
+        alg.mul_coords(cg[:, None], cg[None]),
+        [[alg.coords(alg.mul(a, b)) for b in gens] for a in gens],
+    )
+    rng = np.random.default_rng(RNG_SEED + 5)
+    xs = [alg.random_element(rng) for _ in range(3)]
+    cx = np.stack([alg.coords(x) for x in xs])
+    prod = alg.mul_coords(cx, cx[::-1])
+    for x, y, p in zip(xs, xs[::-1], prod):
+        assert np.allclose(p, alg.coords(alg.mul(x, y)), rtol=0, atol=1e-12)
+    star = alg.linear_map(alg.star)
+    assert np.array_equal(cg @ star, [alg.coords(alg.star(g)) for g in gens])
+    want = [alg.coords(alg.star(x)) for x in xs]
+    assert np.allclose(cx @ star, want, rtol=0, atol=1e-12)
+
+
 def test_doubled_split_join(alg):
     dbl = doubled(alg)
     assert dbl.ncomponents == 6
@@ -98,7 +117,7 @@ def test_doubled_split_join(alg):
     x = alg.random_element(rng)
     y = alg.random_element(rng)
     both = join_double(x, y)
-    back_x, back_y = split_double(both)
+    back_x, back_y = both[: alg.ncomponents], both[alg.ncomponents :]
     assert alg.norm(alg.add(x, alg.neg(back_x))) == 0.0
     assert alg.norm(alg.add(y, alg.neg(back_y))) == 0.0
 
@@ -231,7 +250,7 @@ def test_projected_double_blocks():
     p_minus = (np.eye(4) - grading) / 2
 
     def doubled_action(elem):
-        x, y = split_double(elem)
+        x, y = elem[: alg.ncomponents], elem[alg.ncomponents :]
         return p_plus @ rep0(x) + p_minus @ rep0(y)
 
     assert_stack_transform(dbl_rep, doubled_action, rng)

@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctwist.algebra import Algebra, Placement, Representation
-from nctwist.matlin import Tolerance, fro
-from nctwist.samples import flip_toy, random_twisted_geometry
+from nctwist.matlin import Tolerance, dagger, fro
+from nctwist.samples import flip_toy, random_twisted_geometry, random_unitary
 from nctwist.triple import FiniteGeometry, verify_spectral_triple
 from nctwist.twist import (
     Automorphism,
@@ -245,3 +247,142 @@ def test_complex_scale_on_quaternions_keeps_its_residuals():
         "regular: rho(a*) = (rho^-1(a))*": 0.0,
         "multiplicative on generator pairs": 2.0,
     }
+
+
+# -- batched generator-pair records against one pi call per pair ----------
+
+
+def per_pair_records(rho, g):
+    """The generator loops of Representation.check and check_regular, written
+    out with one pi call per generator and per pair."""
+    alg, pi = g.algebra, g.pi
+    gens = alg.generators()
+    mats = [pi(a) for a in gens]
+    rho_inv = rho.inverse()
+    out = {
+        "rep: star preserved on generators": max(
+            fro(pi(alg.star(a)) - dagger(m)) for a, m in zip(gens, mats)
+        ),
+        "rep: multiplicative on generator pairs": max(
+            fro(pi(alg.mul(a, b)) - ma @ mb)
+            for a, ma in zip(gens, mats)
+            for b, mb in zip(gens, mats)
+        ),
+        "rho: regular: rho(a*) = (rho^-1(a))*": max(
+            fro(pi(rho.apply(alg.star(a))) - pi(alg.star(rho_inv.apply(a))))
+            for a in gens
+        ),
+        "rho: multiplicative on generator pairs": max(
+            fro(
+                pi(rho.apply(alg.mul(a, b)))
+                - pi(alg.mul(rho.apply(a), rho.apply(b)))
+            )
+            for a in gens
+            for b in gens
+        ),
+    }
+    if rho.is_involutive_perm() and rho.inner is None and rho.scale is None:
+        out["rho: involutive"] = max(
+            fro(pi(rho.apply(rho.apply(a))) - m) for a, m in zip(gens, mats)
+        )
+    if rho.u_rho is not None:
+        u = rho.u_rho
+        out["rho: pi(rho(a)) = U pi(a) U*"] = max(
+            fro(pi(rho.apply(a)) - u @ m @ dagger(u)) for a, m in zip(gens, mats)
+        )
+    return out, max([1.0] + [fro(m) for m in mats])
+
+
+SCALES = [1.0, -1.0, 1j, 2.0, 0.5 - 0.5j]
+
+
+@st.composite
+def twisted_cases(draw):
+    """An automorphism and a geometry whose representation is placed, framed
+    or an arbitrary stack (no homomorphism, so every pair has a residual).
+
+    n = 64 puts 8 images in a block of j, so the larger algebras span
+    several blocks.
+    """
+    spec = st.sampled_from(["C", "H", ("M", 2), ("M", 3)])
+    alg = Algebra.of(*draw(st.lists(spec, min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    placements, start = [], 0
+    for i, comp in enumerate(alg.components):
+        modes = ["scalar"] if comp.kind == "C" else ["fund", "conj-fund"]
+        p = Placement(i, start, draw(st.sampled_from(modes)), draw(st.integers(1, 2)))
+        placements.append(p)
+        start += p.block_size(comp)
+    n = draw(st.sampled_from([start, 64]))
+    stack = np.zeros((len(alg.basis()), n, n), dtype=np.complex128)
+    placed = Representation.from_placements(alg, start, placements)
+    stack[:, :start, :start] = placed.stack
+    kind = draw(st.sampled_from(["placed", "framed", "arbitrary"]))
+    if kind == "framed":
+        w = random_unitary(rng, n)
+        stack = w @ stack @ dagger(w)
+    elif kind == "arbitrary":
+        shape = stack.shape
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # blocks of one signature may trade places; inner unitaries, complex scales
+    sig = alg.signature()
+    perm = list(range(alg.ncomponents))
+    for key in dict.fromkeys(sig):
+        idx = [i for i, k in enumerate(sig) if k == key]
+        for i, j in zip(idx, draw(st.permutations(idx))):
+            perm[i] = j
+    inner = None
+    if draw(st.booleans()):
+        inner = tuple(
+            random_unitary(rng, c.dim)
+            if c.kind != "C" and draw(st.booleans())
+            else None
+            for c in alg.components
+        )
+    scale = None
+    if draw(st.booleans()):
+        scale = tuple(draw(st.sampled_from(SCALES)) for _ in alg.components)
+    u_rho = random_unitary(rng, n) if draw(st.booleans()) else None
+    rho = Automorphism(tuple(perm), inner, scale, u_rho)
+    return rho, FiniteGeometry(Representation(alg, stack), np.zeros((n, n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(twisted_cases())
+def test_batched_records_equal_the_per_pair_loops(case):
+    rho, g = case
+    want, scale = per_pair_records(rho, g)
+    got = {"rep: " + r.name: r.residual for r in g.rep.check().records}
+    got.update({"rho: " + r.name: r.residual for r in check_regular(rho, g).records})
+    assert want.keys() <= got.keys()
+    for name, value in want.items():
+        # relative, with rounding-level residuals read against the record's scale
+        assert abs(got[name] - value) <= 1e-13 * max(value, scale**2), name
+
+
+def test_overlapping_units_fail_multiplicativity_on_a_cross_block_pair():
+    # pi(z, w) = z E11 + w I: each block alone is a homomorphism, but
+    # pi(1, 0) pi(0, 1) = E11 while (1, 0)(0, 1) = 0
+    alg = Algebra.of("C", "C")
+    e11, eye = np.diag([1.0, 0.0]), np.eye(2)
+    rep = Representation(alg, [e11, 1j * e11, eye, 1j * eye])
+    records = {r.name: r for r in rep.check().records}
+    assert records["star preserved on generators"].residual == 0.0
+    mult = records["multiplicative on generator pairs"]
+    assert not mult.passed and mult.residual == 1.0
+
+
+def test_scaled_matrix_block_fails_rho_multiplicativity():
+    # rho(a) = 2 a on M_2: rho(ab) - rho(a) rho(b) = -2 ab, and
+    # rho(a*) - (rho^-1(a))* = 1.5 a*
+    alg = Algebra.of(("M", 2), "C")
+    rep = Representation.from_placements(
+        alg, 3, [Placement(0, 0, "fund", 1), Placement(1, 2, "scalar", 1)]
+    )
+    g = FiniteGeometry(rep, np.zeros((3, 3)))
+    report = check_regular(Automorphism((0, 1), scale=(2, 1)), g)
+    records = {r.name: r for r in report.records}
+    assert not report.ok
+    assert not records["multiplicative on generator pairs"].passed
+    assert records["multiplicative on generator pairs"].residual == 2.0
+    assert records["regular: rho(a*) = (rho^-1(a))*"].residual == 1.5
