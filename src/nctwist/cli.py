@@ -22,9 +22,18 @@ import time
 
 import numpy as np
 
+from .algebra import Algebra, join_double
 from .clifford import MAX_M, charge_conjugation, gamma, grading_product
 from .fluct import TwistedOneForm, verify_fluctuated
-from .matlin import DEFAULT_TOL, Tolerance, anticommutator, dagger, fro, worst
+from .matlin import (
+    DEFAULT_TOL,
+    Tolerance,
+    anticommutator,
+    dagger,
+    fro,
+    pair_residual,
+    worst,
+)
 from .mintwist import (
     free_dirac_pointwise,
     gamma_tilde_diagnostics,
@@ -159,8 +168,6 @@ def cmd_verify(args) -> int:
         g = geometry_from_json(obj)
         rho = automorphism_from_json(load_json(args.rho))
         rep = verify_twisted(TwistedGeometry(g, rho), tol)
-    elif args.twisted:
-        raise ValueError("--twisted needs --rho or a twist-by-grading file")
     else:
         rep = verify_spectral_triple(geometry_from_json(obj), tol)
     return _emit(rep, args, started)
@@ -249,6 +256,32 @@ def cmd_gamma_tilde(args) -> int:
         0.0,
         note="exact for a twist by grading",
     )
+    # the pair (a, b) acts as P+ pi0(a) + P- pi0(b), so commuting with the
+    # doubled algebra is commuting with the first copy and the projectors
+    gam, alg = tg.geometry.grading, tg.algebra
+    first = Algebra(alg.components[: alg.ncomponents // 2])
+    one, zero = first.unit(), first.zero()
+    side_b = [join_double(a, a) for a in first.generators()]
+    side_b += [join_double(one, zero), join_double(zero, one)]
+    pi_a = [tg.pi(a) for a in alg.generators()]
+    scale = worst((fro(m) for m in pi_a), 1.0) * max(1.0, fro(gam))
+    holds_a = rep.check(
+        "grading commutes with the doubled algebra",
+        pair_residual([gam], pi_a),
+        tol,
+        scale,
+    )
+    holds_b = rep.check(
+        "grading commutes with the first copy and the projectors",
+        pair_residual([gam], [tg.pi(x) for x in side_b]),
+        tol,
+        scale,
+    )
+    rep.add(
+        "the two sides agree",
+        holds_a.passed == holds_b.passed,
+        note="commuting with the doubling = commuting with both",
+    )
     return _emit(rep, args, started)
 
 
@@ -293,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", choices=("text", "json"), default="text", help="output format"
     )
     common.add_argument("--out", default=None, help="write output to this file")
-    common.add_argument("--seed", type=int, default=0, help="seed for random draws")
 
     parser = argparse.ArgumentParser(
         prog="nctwist", description="twisted finite geometry toolbox"
@@ -306,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="verify a geometry file")
     p.add_argument("geometry", help="geometry JSON file")
-    p.add_argument("--twisted", action="store_true", help="run the twisted checks")
     p.add_argument("--rho", default=None, help="automorphism JSON file")
     p.set_defaults(func=cmd_verify)
 
@@ -335,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, required=True, help="half-dimension, 1..3")
     p.add_argument("--samples", default=None, help="2m x 2 coefficient matrix JSON")
+    p.add_argument("--seed", type=int, default=0, help="seed of drawn samples")
     p.set_defaults(func=cmd_free_dirac)
 
     p = sub.add_parser(

@@ -31,11 +31,6 @@ SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
-def pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three Pauli matrices (fresh copies)."""
-    return SIGMA_1.copy(), SIGMA_2.copy(), SIGMA_3.copy()
-
-
 @dataclass(frozen=True)
 class CliffordData:
     """2m anticommuting self-adjoint generators and their grading."""

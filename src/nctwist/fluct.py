@@ -12,7 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlin import DEFAULT_TOL, Tolerance, as_matrix, dagger, fro, pair_residual, worst
+from .matlin import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    dagger,
+    fro,
+    pair_residual,
+    residual_against_span,
+    worst,
+)
 from .report import Report
 from .twist import TwistedGeometry, verify_twisted
 from .triple import measure_ko_signs
@@ -23,10 +32,6 @@ class TwistedOneForm:
     """Formal sum of terms a_j [D, b_j]_rho given by element pairs."""
 
     terms: tuple[tuple[tuple, tuple], ...]
-
-    @classmethod
-    def empty(cls) -> "TwistedOneForm":
-        return cls(())
 
     @classmethod
     def of(cls, *pairs) -> "TwistedOneForm":
@@ -46,19 +51,6 @@ def eval_one_form(f: TwistedOneForm, tg: TwistedGeometry) -> np.ndarray:
     for a, b in f.terms:
         out += tg.pi(a) @ tg.twisted_commutator(b)
     return out
-
-
-def leibniz_check(
-    tg: TwistedGeometry, a: tuple, b: tuple, tol: Tolerance = DEFAULT_TOL
-) -> Report:
-    """[D, ab]_rho = [D, a]_rho pi(b) + pi(rho(a)) [D, b]_rho."""
-    rep = Report("twisted Leibniz rule")
-    alg = tg.algebra
-    lhs = tg.twisted_commutator(alg.mul(a, b))
-    rhs = tg.twisted_commutator(a) @ tg.pi(b) + tg.pi_rho(a) @ tg.twisted_commutator(b)
-    scale = max(1.0, fro(tg.pi(a)) * fro(tg.pi(b)) * fro(tg.geometry.dirac))
-    rep.check("Leibniz residual", fro(lhs - rhs), tol, scale)
-    return rep
 
 
 def one_form_opposite_checks(
@@ -210,15 +202,6 @@ def one_form_basis(tg: TwistedGeometry) -> list[np.ndarray]:
     return [ma @ br for ma in mats for br in brackets]
 
 
-def span_membership_residual(
-    tg: TwistedGeometry, target: np.ndarray
-) -> float:
-    """Distance from ``target`` to the evaluated one-form span."""
-    from .matlin import residual_against_span
-
-    return residual_against_span(target, one_form_basis(tg))
-
-
 def compose_fluctuations(
     tg: TwistedGeometry,
     f: TwistedOneForm,
@@ -247,7 +230,7 @@ def compose_fluctuations(
         tol,
         scale,
     )
-    r_span = span_membership_residual(tg, a2)
+    r_span = residual_against_span(a2, one_form_basis(tg))
     rep.check(
         "second one-form lies in the original bimodule",
         r_span,

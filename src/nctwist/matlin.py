@@ -4,7 +4,8 @@ Everything in the package works with square ``numpy.ndarray`` matrices of
 dtype complex128.  This module collects the primitives the rest of the code
 is built on: the pair-residual kernel behind every order condition,
 antilinear operators in unitary-times-conjugation form, and SVD-based
-solvers for commutants and intertwiner spaces.
+solvers for intertwiner spaces (the commutant of a set is its
+intertwiners with itself).
 """
 
 from __future__ import annotations
@@ -24,11 +25,20 @@ class Tolerance:
 
     A residual r measured against a scale s passes when
     ``r <= rel * s + abs``.  The same ``rel`` drives the singular-value
-    cutoff in nullspace computations.
+    cutoff in nullspace computations.  Both must be finite and
+    non-negative (zero is allowed): an infinite bound passes every check,
+    and a negative or NaN one fails every check.
     """
 
     rel: float = DEFAULT_RTOL
     abs: float = DEFAULT_ATOL
+
+    def __post_init__(self):
+        for name, value in (("rel", self.rel), ("abs", self.abs)):
+            if not 0.0 <= value < np.inf:
+                raise ValueError(
+                    f"tolerance {name} must be finite and non-negative, got {value}"
+                )
 
     def accepts(self, residual: float, scale: float = 1.0) -> bool:
         return residual <= self.rel * scale + self.abs
@@ -64,19 +74,6 @@ def worst(residuals, floor: float = 0.0) -> float:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return a.conj().swapaxes(-1, -2)
-
-
-def is_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_matrix(a)
-    return tol.accepts(fro(a - dagger(a)), max(1.0, fro(a)))
-
-
-def is_unitary(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_matrix(a)
-    eye = np.eye(a.shape[0])
-    return tol.accepts(fro(a @ dagger(a) - eye), 1.0) and tol.accepts(
-        fro(dagger(a) @ a - eye), 1.0
-    )
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,9 +149,6 @@ class AntilinearOperator:
     def sign_of_square(self, tol: Tolerance = DEFAULT_TOL) -> int:
         """Return +1 or -1 such that J^2 = sign * id, else raise."""
         return match_sign(self.square(), np.eye(self.dim), tol, what="J^2")
-
-    def is_isometry(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return is_unitary(self.unitary, tol)
 
 
 def match_sign(
@@ -245,13 +239,6 @@ def intertwiners(
     rows = [np.kron(l, eye) - np.kron(eye, r.T) for l, r in zip(lhs, rhs)]
     basis, _ = nullspace(np.vstack(rows), tol)
     return [basis[:, k].reshape(n, n) for k in range(basis.shape[1])]
-
-
-def commutant(
-    gens: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL
-) -> list[np.ndarray]:
-    """Basis of the algebra of matrices commuting with every generator."""
-    return intertwiners(gens, gens, tol)
 
 
 def intertwiner_space(

@@ -6,7 +6,8 @@ flip of the two copies twists the commutators.  This module builds that
 twist, analyses the distinguished involution coming from the doubling,
 contains the intertwiner computation showing that for irreducible gamma
 families the doubling is the only choice, and carries the pointwise
-analysis of twisted fluctuations of a free Dirac operator.
+analysis of twisted fluctuations of a free Dirac operator, including how
+charge conjugation moves the doubled scalars.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .matlin import (
     Tolerance,
     anticommutator,
     as_matrix,
-    commutant,
     dagger,
     fro,
     intertwiner_space,
@@ -180,65 +180,6 @@ def gamma_tilde_diagnostics(
     )
 
 
-def grading_compat_check(
-    tg: TwistedGeometry,
-    candidate: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Report:
-    """Commuting with the doubled algebra = first copy plus the projectors.
-
-    pi(a, b) = P+ pi0(a) + P- pi0(b), so an operator commutes with every
-    represented pair exactly when it commutes with the first copy pi0 and
-    with the projector pair P+-.  Both sides are measured; this is the
-    criterion deciding which gradings survive the doubling.
-    """
-    rep = Report("grading compatibility with the doubling")
-    candidate = as_matrix(candidate)
-    alg = tg.algebra
-    pi_a = [tg.pi(a) for a in alg.generators()]
-    scale = worst((fro(m) for m in pi_a), 1.0) * max(1.0, fro(candidate))
-
-    r_full = pair_residual([candidate], pi_a)
-    rep.add(
-        "commutes with the doubled algebra",
-        True,
-        r_full,
-        float("inf"),
-        note="side A, recorded",
-    )
-
-    half = alg.ncomponents // 2
-    first = Algebra(alg.components[:half])
-    diag_gens = [join_double(a, a) for a in first.generators()]
-    r_first = pair_residual([candidate], [tg.pi(a) for a in diag_gens])
-    projectors = [
-        join_double(first.unit(), first.zero()),
-        join_double(first.zero(), first.unit()),
-    ]
-    r_proj = pair_residual([candidate], [tg.pi(p) for p in projectors])
-    side_b = worst([r_first, r_proj])
-    rep.add(
-        "commutes with the first copy and the projectors",
-        True,
-        side_b,
-        float("inf"),
-        note="side B, recorded",
-    )
-    lhs = tol.accepts(r_full, scale)
-    rhs = tol.accepts(side_b, scale)
-    rep.add(
-        "two sides agree",
-        lhs == rhs,
-        abs(r_full - side_b),
-        float("inf"),
-        note=f"side A {'holds' if lhs else 'fails'}, side B {'holds' if rhs else 'fails'}",
-    )
-    rep.info["full_algebra_residual"] = r_full
-    rep.info["first_copy_residual"] = r_first
-    rep.info["projector_residual"] = r_proj
-    return rep
-
-
 def uniqueness_engine(m: int, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Solve the two-sided intertwiner problem for the gamma family.
 
@@ -299,37 +240,6 @@ def uniqueness_engine(m: int, tol: Tolerance = DEFAULT_TOL) -> Report:
     return rep
 
 
-def irreducibility_triviality_check(
-    g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL
-) -> Report:
-    """Commutant dimension of the represented algebra.
-
-    A one-dimensional commutant (scalars only) leaves no room for a second
-    tensor factor to act: any twist built on top of such a representation
-    is trivial.
-    """
-    rep = Report("commutant of the representation")
-    gens = [g.pi(a) for a in g.algebra.generators()]
-    basis = commutant(gens, tol)
-    dim = len(basis)
-    rep.add(
-        "commutant computed",
-        True,
-        float(dim),
-        float("inf"),
-        note=f"dimension {dim}",
-    )
-    rep.add(
-        "twist forced trivial" if dim == 1 else "room for a nontrivial twist",
-        True,
-        0.0,
-        0.0,
-        note="commutant is scalars" if dim == 1 else f"commutant dim {dim} > 1",
-    )
-    rep.info["commutant_dim"] = dim
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # free Dirac operator at a point
 
@@ -357,9 +267,12 @@ def free_dirac_pointwise(
 
     With the flip twist, A* = i sum gamma^mu flip(conj Y_mu), so the
     conjugated one-form is -rho(A*) on the branch where J commutes with
-    the grading and -A* on the branch where it anticommutes.  The report
-    measures the branch formula, the self-adjointness gate on T, and the
-    structure of what survives the gate.
+    the grading and -A* on the branch where it anticommutes.  Both follow
+    from how J moves the doubled scalars pi(z, w) = diag(z I, w I): to
+    pi(z*, w*) on the first branch and to pi(w*, z*) on the second.  The
+    report measures that lemma at (z, w) = samples[0], the branch formula,
+    the self-adjointness gate on T, and the structure of what survives the
+    gate.
     """
     if not 1 <= m <= 3:
         raise ValueError("pointwise free Dirac analysis supports m in 1..3")
@@ -379,6 +292,19 @@ def free_dirac_pointwise(
     ys = [
         _coefficient_blocks(m, samples[mu, 0], samples[mu, 1]) for mu in range(2 * m)
     ]
+    # the lemma at a = (z, w) = samples[0], whose image pi(a) is ys[0]
+    z_bar, w_bar = np.conj(samples[0])
+    jpj = cc.j.conjugate(ys[0])
+    r_plain = fro(jpj - _coefficient_blocks(m, z_bar, w_bar))
+    r_flip = fro(jpj - _coefficient_blocks(m, w_bar, z_bar))
+    pi_scale = max(1.0, fro(ys[0]))
+    if cc.eps_dblprime == 1:
+        rep.check("J pi(a) J^-1 = pi(a*)", r_plain, tol, pi_scale)
+        rep.add("flipped form differs", True, r_flip, float("inf"), "recorded")
+    else:
+        rep.check("J pi(a) J^-1 = pi(flip(a*))", r_flip, tol, pi_scale)
+        rep.add("plain form differs", True, r_plain, float("inf"), "recorded")
+
     a_mat = sum(-1j * g @ y for g, y in zip(data.gammas, ys))
     a_dag = dagger(a_mat)
     # rho undoes the flip that taking the adjoint applies to the blocks
@@ -495,40 +421,4 @@ def free_dirac_pointwise(
         note="equal blocks passing the gate give T = 0",
     )
     rep.info["accepted"] = accepted
-    return rep
-
-
-def conjugation_lemma_check(
-    m: int, a: tuple[complex, complex], tol: Tolerance = DEFAULT_TOL
-) -> Report:
-    """How charge conjugation moves the doubled scalars through pi.
-
-    With pi(z, w) = diag(z I, w I) in the chiral basis:
-    J commutes with the grading:      J pi(a) J^{-1} = pi(a*)
-    J anticommutes with the grading:  J pi(a) J^{-1} = pi(flip(a*))
-    """
-    rep = Report(f"conjugation of the doubled scalars, m={m}")
-    z, w = complex(a[0]), complex(a[1])
-    cc = charge_conjugation(m, tol)
-    pi_a = _coefficient_blocks(m, z, w)
-    lhs = cc.j.conjugate(pi_a)
-    rhs_plain = _coefficient_blocks(m, np.conj(z), np.conj(w))
-    rhs_flip = _coefficient_blocks(m, np.conj(w), np.conj(z))
-    scale = max(1.0, fro(pi_a))
-    r_plain = fro(lhs - rhs_plain)
-    r_flip = fro(lhs - rhs_flip)
-    rep.add(
-        "conjugation branch",
-        True,
-        0.0,
-        0.0,
-        note=f"eps'' = {cc.eps_dblprime}, branch {cc.branch()}",
-    )
-    if cc.eps_dblprime == 1:
-        rep.check("J pi(a) J^-1 = pi(a*)", r_plain, tol, scale)
-        rep.add("flipped form differs", True, r_flip, float("inf"), "recorded")
-    else:
-        rep.check("J pi(a) J^-1 = pi(flip(a*))", r_flip, tol, scale)
-        rep.add("plain form differs", True, r_plain, float("inf"), "recorded")
-    rep.info["branch"] = cc.branch()
     return rep

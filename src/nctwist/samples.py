@@ -214,11 +214,6 @@ def random_graded_geometry(rng: np.random.Generator) -> FiniteGeometry:
     return clifford_tensor(params["m"], fin)
 
 
-def random_twisted_geometry(rng: np.random.Generator) -> TwistedGeometry:
-    """Random graded geometry, doubled and twisted along its grading."""
-    return twist_by_grading(random_graded_geometry(rng))
-
-
 def random_one_form(
     rng: np.random.Generator,
     tg: TwistedGeometry,

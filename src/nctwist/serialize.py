@@ -107,6 +107,8 @@ def algebra_from_json(items: list) -> Algebra:
             specs.append(("M", _typed(it.get("n"), int, "algebra component n")))
         else:
             raise ValueError(f"unknown algebra component type {kind!r}")
+    if not specs:
+        raise ValueError("algebra must list at least one component")
     return Algebra.of(*specs)
 
 
@@ -176,6 +178,8 @@ def geometry_to_json(g: FiniteGeometry) -> dict:
 def geometry_from_json(obj: dict) -> FiniteGeometry:
     alg = algebra_from_json(_typed(obj, dict, "geometry")["algebra"])
     dim = _typed(obj["hilbert_dim"], int, "hilbert_dim")
+    if dim < 1:
+        raise ValueError(f"hilbert_dim must be positive, got {dim}")
     rep = Representation.from_placements(
         alg, dim, placements_from_json(obj["representation"])
     )
@@ -184,19 +188,6 @@ def geometry_from_json(obj: dict) -> FiniteGeometry:
     return FiniteGeometry(
         rep=rep, dirac=matrix_from_json(obj["D"]), grading=grading, real_structure=real
     )
-
-
-def automorphism_to_json(rho: Automorphism) -> dict:
-    out: dict = {"permutation": list(rho.perm)}
-    if rho.inner is not None:
-        out["inner"] = [
-            None if u is None else matrix_to_json(u) for u in rho.inner
-        ]
-    if rho.scale is not None:
-        out["scale"] = [[float(s.real), float(s.imag)] for s in rho.scale]
-    if rho.u_rho is not None:
-        out["u_rho"] = matrix_to_json(rho.u_rho)
-    return out
 
 
 def automorphism_from_json(obj: dict) -> Automorphism:

@@ -482,16 +482,19 @@ def verify_sm_twisted(
 ) -> Report:
     """Full measurement run on the twisted point model.
 
-    Gates on the untwisted finite triple, checks the twisted data
-    (representation, twist regularity, signs, order zero), measures the
-    twisted order-one residuals under both conventions, and reports the
-    behaviour of the doubling involution and the convention discrepancy.
+    Gates on the untwisted finite triple at the couplings of ``tg``, checks
+    the twisted data (representation, twist regularity, signs, order zero),
+    measures the twisted order-one residuals under both conventions, and
+    reports the behaviour of the doubling involution and the convention
+    discrepancy.
     """
     rep = Report("twisted standard model point geometry")
     if tg is None:
         tg = twisted_sm_geometry()
 
-    fin = sm_finite_geometry()
+    # D = grading_4 kron D_F and grading_4 starts with +1, so D_F is the
+    # leading block of D: the finite triple at the couplings of tg
+    fin = sm_finite_geometry().with_dirac(tg.geometry.dirac[:32, :32])
     rep.merge(verify_spectral_triple(fin, tol), prefix="finite untwisted: ")
 
     rep.merge(tg.geometry.rep.check(tol), prefix="twisted rep: ")

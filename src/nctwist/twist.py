@@ -279,14 +279,6 @@ def verify_twisted_first_order(
     return rep
 
 
-def twisted_order_zero_residual(
-    tg: TwistedGeometry,
-) -> float:
-    """max ||pi(a) b^o - rho^o(b^o) pi(a)|| over generator pairs."""
-    pi_a, _, opp_b, rho_opp_b = tg.stacks()
-    return pair_residual(pi_a, opp_b, rho_opp_b)
-
-
 def zero_order_conflict_check(
     tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL
 ) -> Report:

@@ -157,18 +157,20 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, field",
         [
-            lambda obj: [obj],
-            lambda obj: obj["D"].update(data=[["0", "1"]] * 4),
-            lambda obj: obj["D"].update(rows=None),
-            lambda obj: obj.update(algebra=5),
-            lambda obj: obj.update(algebra=["C"]),
+            (lambda obj: [obj], "top-level JSON value"),
+            (lambda obj: obj["D"].update(data=[["0", "1"]] * 4), "matrix entry"),
+            (lambda obj: obj["D"].update(rows=None), "matrix rows"),
+            (lambda obj: obj.update(algebra=5), "algebra"),
+            (lambda obj: obj.update(algebra=["C"]), "algebra component"),
+            (lambda obj: obj.update(algebra=[]), "algebra"),
+            (lambda obj: obj.update(hilbert_dim=0), "hilbert_dim"),
         ],
         ids=["top-level-array", "string-entries", "null-rows", "number-algebra",
-             "string-component"],
+             "string-component", "empty-algebra", "zero-dim"],
     )
-    def test_wrong_json_type_exit_two(self, tmp_path, edit):
+    def test_wrong_json_type_exit_two(self, tmp_path, edit, field):
         obj = geometry_to_json(toy_triple())
         obj = edit(obj) or obj
         path = tmp_path / "wrong_type.json"
@@ -180,7 +182,7 @@ class TestVerify:
             env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
         )
         assert proc.returncode == 2, proc.stdout
-        assert proc.stderr.startswith("error:")
+        assert proc.stderr.startswith(f"error: {field} ")
         assert "Traceback" not in proc.stderr
 
     def test_nan_residual_report_reads_back(self, capsys, tmp_path):
@@ -238,6 +240,21 @@ class TestTolerances:
     def test_flag_beats_env(self, capsys, bad_geometry_file, monkeypatch):
         monkeypatch.setenv("NCT_TOL", "10.0")
         assert main(["verify", bad_geometry_file, "--tol", "1e-10"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, env",
+        [(["--tol", "inf"], None), (["--tol", "nan"], None), (["--tol", "-1"], None),
+         ([], "inf")],
+        ids=["inf", "nan", "negative", "env-inf"],
+    )
+    def test_unusable_tolerance_is_an_input_error(
+        self, capsys, bad_geometry_file, monkeypatch, flag, env
+    ):
+        # inf would pass the broken Dirac; nan and -1 would fail every record
+        if env is not None:
+            monkeypatch.setenv("NCT_TOL", env)
+        assert main(["verify", bad_geometry_file] + flag) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance rel ")
 
 
 class TestTwistByGrading:
@@ -314,6 +331,14 @@ class TestEngines:
         assert code == 0
         assert payload["info"]["branch"] == "{2,6}"
         assert payload["info"]["accepted"] is False
+        names = [c["name"] for c in payload["checks"]]
+        assert "J pi(a) J^-1 = pi(flip(a*))" in names
+
+    @pytest.mark.parametrize(
+        "argv", [["uniqueness", "--m", "2"], ["gamma", "--m", "1"], ["sm"]]
+    )
+    def test_seed_belongs_to_free_dirac_only(self, capsys, argv):
+        assert main(argv + ["--seed", "5"]) == 2
 
     def test_free_dirac_explicit_samples(self, capsys, tmp_path):
         f = np.array([0.5 + 0.25j, -1.0 + 0.5j, 0.0 + 1.0j, 2.0 + 0.0j])
@@ -336,6 +361,7 @@ class TestEngines:
         out = capsys.readouterr().out
         assert code == 0
         assert "involution" in out
+        assert "PASS  the two sides agree" in out
 
 
 class TestSM:

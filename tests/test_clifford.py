@@ -8,18 +8,10 @@ from nctwist.clifford import (
     charge_conjugation,
     gamma,
     grading_product,
-    pauli,
 )
 from nctwist.matlin import anticommutator, dagger, fro
 
 TOL = 1e-12
-
-
-def test_pauli_matrices_exact():
-    s1, s2, s3 = pauli()
-    assert np.array_equal(s1, np.array([[0, 1], [1, 0]], dtype=np.complex128))
-    assert np.array_equal(s2, np.array([[0, -1j], [1j, 0]]))
-    assert np.array_equal(s3, np.array([[1, 0], [0, -1]], dtype=np.complex128))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -79,7 +71,7 @@ class TestChargeConjugation:
         data = gamma(m)
         cc = charge_conjugation(m)
         j = cc.j
-        assert j.is_isometry()
+        assert fro(j.unitary @ dagger(j.unitary) - np.eye(data.dim)) <= 1e-10
         # J^2 = eps
         assert fro(j.square() - cc.eps * np.eye(data.dim)) <= 1e-10
         # J gamma^mu J^{-1} = -gamma^mu

@@ -1,25 +1,26 @@
 """Twisting by the grading: construction, uniqueness, pointwise models."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nctwist import mintwist
+from nctwist import cli, mintwist
 from nctwist.algebra import Algebra
 from nctwist.clifford import charge_conjugation, gamma
-from nctwist.matlin import dagger, fro
+from nctwist.matlin import dagger, fro, intertwiners
 from nctwist.mintwist import (
-    conjugation_lemma_check,
     double_unit_element,
     free_dirac_pointwise,
     gamma_tilde_diagnostics,
-    grading_compat_check,
-    irreducibility_triviality_check,
     twist_by_grading,
     uniqueness_engine,
 )
 from nctwist.samples import flip_toy, left_regular_geometry, toy_triple
+from nctwist.serialize import dump_json, twisted_marker_to_json
 from nctwist.triple import FiniteGeometry
-from nctwist.twist import verify_twisted
+from nctwist.twist import TwistedGeometry, verify_twisted
 
 
 def block_geometry():
@@ -95,20 +96,33 @@ def test_gamma_tilde_on_block_geometry():
     assert d.is_grading and d.equals_input_grading
 
 
-def test_grading_compat_two_sided_criterion():
+def test_grading_compat_two_sided_criterion(tmp_path, capsys, monkeypatch):
+    # the gamma-tilde report measures both sides of the criterion on the
+    # grading of its input: commuting with the doubled algebra, and with
+    # the first copy plus the projector pair
+    path = tmp_path / "toy_twisted.json"
+    dump_json(twisted_marker_to_json(toy_triple()), str(path))
+    sides = (
+        "grading commutes with the doubled algebra",
+        "grading commutes with the first copy and the projectors",
+    )
+
+    def records():
+        cli.main(["gamma-tilde", str(path), "--report", "json"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        return {c["name"]: c for c in checks}
+
+    got = records()
+    assert all(got[name]["passed"] and got[name]["residual"] <= 1e-12 for name in sides)
+    assert got["the two sides agree"]["passed"]
+    # an off-diagonal grading fails both sides coherently
     tg = flip_toy()
-    # the grading itself commutes with everything on both sides
-    report = grading_compat_check(tg, tg.geometry.grading)
-    assert report.ok
-    assert report.info["full_algebra_residual"] <= 1e-12
-    assert report.info["first_copy_residual"] <= 1e-12
-    assert report.info["projector_residual"] <= 1e-12
-    # an off-diagonal candidate fails both sides coherently
     off = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    report2 = grading_compat_check(tg, off)
-    assert report2.ok  # agreement of the two sides, not smallness
-    assert report2.info["full_algebra_residual"] > 0.1
-    assert report2.info["projector_residual"] > 0.1
+    bent = TwistedGeometry(replace(tg.geometry, grading=off), tg.rho)
+    monkeypatch.setattr(cli, "twisted_from_json", lambda obj: bent)
+    got = records()
+    assert not any(got[name]["passed"] or got[name]["residual"] < 0.1 for name in sides)
+    assert got["the two sides agree"]["passed"]  # agreement, not smallness
 
 
 class TestUniqueness:
@@ -151,15 +165,15 @@ def test_commutant_scalars_forces_trivial_twist():
         alg, 2, [Placement(component=0, start=0, mode="fund", mult=1)]
     )
     g = FiniteGeometry(rep=rep, dirac=np.zeros((2, 2)))
-    report = irreducibility_triviality_check(g)
-    assert report.info["commutant_dim"] == 1
-    assert any("trivial" in r.name for r in report.records)
+    # a scalar commutant leaves no room for a second factor to twist
+    gens = [g.pi(a) for a in g.algebra.generators()]
+    assert len(intertwiners(gens, gens)) == 1
 
 
 def test_commutant_of_toy_leaves_room():
-    report = irreducibility_triviality_check(toy_triple())
-    assert report.info["commutant_dim"] == 4
-    assert any("room" in r.name for r in report.records)
+    g = toy_triple()
+    gens = [g.pi(a) for a in g.algebra.generators()]
+    assert len(intertwiners(gens, gens)) == 4
 
 
 class TestFreeDiracPointwise:
@@ -202,7 +216,19 @@ class TestFreeDiracPointwise:
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_conjugation_lemma(m):
-    report = conjugation_lemma_check(m, (0.8 + 0.2j, -0.3 + 1.1j))
+    # J pi(a) J^-1 is pi(a*) on {0,4} and pi(flip(a*)) on {2,6}, at a = samples[0]
+    rng = np.random.default_rng(m)
+    samples = rng.standard_normal((2 * m, 2)) + 1j * rng.standard_normal((2 * m, 2))
+    samples[0] = (0.8 + 0.2j, -0.3 + 1.1j)
+    report = free_dirac_pointwise(m, samples)
     assert report.ok, report.format_text()
     expected = "{0,4}" if m == 2 else "{2,6}"
     assert report.info["branch"] == expected
+    lemma, contrast = (
+        ("J pi(a) J^-1 = pi(a*)", "flipped form differs")
+        if m == 2
+        else ("J pi(a) J^-1 = pi(flip(a*))", "plain form differs")
+    )
+    got = {r.name: r for r in report.records}
+    assert got[lemma].passed and got[lemma].residual <= 1e-12
+    assert got[contrast].residual > 0.1 and got[contrast].tol == float("inf")

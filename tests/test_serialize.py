@@ -14,7 +14,6 @@ from nctwist.serialize import (
     antilinear_from_json,
     antilinear_to_json,
     automorphism_from_json,
-    automorphism_to_json,
     dump_json,
     element_from_json,
     element_to_json,
@@ -139,26 +138,23 @@ def test_function_representation_not_serializable():
 
 def test_automorphism_roundtrip_with_extras():
     u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    rho = Automorphism(
-        perm=(1, 0, 2),
-        inner=(None, None, u),
-        scale=(1.0, 1.0, 1.0 + 0j),
-        u_rho=np.eye(4, dtype=np.complex128),
-    )
-    obj = automorphism_to_json(rho)
-    assert obj["permutation"] == [1, 0, 2]
+    obj = {
+        "permutation": [1, 0, 2],
+        "inner": [None, None, matrix_to_json(u)],
+        "scale": [[1.0, 0.0]] * 3,
+        "u_rho": matrix_to_json(np.eye(4)),
+    }
     back = automorphism_from_json(obj)
     assert back.perm == (1, 0, 2)
     assert back.inner[0] is None
     assert np.array_equal(back.inner[2], u)
+    assert back.scale == (1.0, 1.0, 1.0)
     assert np.array_equal(back.u_rho, np.eye(4))
 
 
 def test_automorphism_minimal_form():
-    obj = automorphism_to_json(Automorphism.identity(3))
-    assert "inner" not in obj and "scale" not in obj and "u_rho" not in obj
-    back = automorphism_from_json(obj)
-    assert back.perm == (0, 1, 2)
+    back = automorphism_from_json({"permutation": [0, 1, 2]})
+    assert back == Automorphism.identity(3)
 
 
 def test_one_form_roundtrip():

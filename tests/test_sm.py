@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nctwist import sm
 from nctwist.algebra import QUATERNION_UNITS, quaternion
 from nctwist.cli import main
 from nctwist.matlin import Tolerance, anticommutator, dagger, fro, kron
@@ -288,3 +289,22 @@ def test_custom_yukawas_still_verify():
     gens = lean_generators(tsm.algebra)
     res = sm_first_order_residuals(tsm, "display", gens)
     assert res["primary"] <= 1e-12
+
+
+def test_verify_sm_twisted_gates_on_the_finite_triple_it_was_given(monkeypatch):
+    yuk = {"nu": 0.5, "up": 1.0 + 0.1j, "e": -0.2j, "down": 0.75}
+    majorana = 0.4 + 0.9j
+    seen = []
+
+    class Seen(Exception):
+        pass
+
+    def capture(g, tol):
+        seen.append(g)
+        raise Seen  # the finite gate runs first; the rest is not needed
+
+    monkeypatch.setattr(sm, "verify_spectral_triple", capture)
+    with pytest.raises(Seen):
+        verify_sm_twisted(twisted_sm_geometry(yuk, majorana))
+    (g,) = seen
+    assert np.array_equal(g.dirac, build_dirac(yuk, majorana))

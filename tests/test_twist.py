@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.matlin import Tolerance, dagger, fro
-from nctwist.samples import flip_toy, random_twisted_geometry, random_unitary
+from nctwist.mintwist import twist_by_grading
+from nctwist.samples import flip_toy, random_graded_geometry, random_unitary
 from nctwist.triple import FiniteGeometry, verify_spectral_triple
 from nctwist.twist import (
     Automorphism,
     TwistedGeometry,
     check_regular,
     coexistence_first_order_check,
-    twisted_order_zero_residual,
     verify_twisted,
     verify_twisted_first_order,
     zero_order_conflict_check,
@@ -142,7 +142,7 @@ def test_coexistence_first_order_on_flip_toy():
 
 def test_twisted_order_zero_matches_untwisted_for_regular_twist():
     tg = flip_toy()
-    r = twisted_order_zero_residual(tg)
+    r = zero_order_conflict_check(tg).info["twisted_residual"]
     assert r == pytest.approx(1.0)
 
 
@@ -157,7 +157,7 @@ def test_verify_twisted_on_flip_toy():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_verify_twisted_on_random_geometries(seed):
-    tg = random_twisted_geometry(np.random.default_rng(seed))
+    tg = twist_by_grading(random_graded_geometry(np.random.default_rng(seed)))
     report = verify_twisted(tg)
     assert report.ok, report.format_text()
 
