@@ -29,6 +29,7 @@ from .matlin import (
     blocked_max,
     dagger,
     fro,
+    generator_scale,
     kron,
     worst,
 )
@@ -479,18 +480,14 @@ class Representation:
 
     # -- checks ------------------------------------------------------------
 
-    def check(
-        self,
-        tol: Tolerance = DEFAULT_TOL,
-        faithful: bool = False,
-    ) -> Report:
-        """Star-homomorphism property on generators; optional faithfulness."""
+    def check(self, tol: Tolerance = DEFAULT_TOL) -> Report:
+        """Star-homomorphism property on generators."""
         rep = Report("representation")
         alg = self.algebra
         gens = alg.generators()
         cg = np.stack([alg.coords(g) for g in gens])
         mats = self.images(cg)
-        scale = max([1.0] + [fro(m) for m in mats])
+        scale = generator_scale(mats)
         count, n = len(gens), self.dim
 
         r_unit = fro(self(alg.unit()) - np.eye(n))
@@ -521,19 +518,7 @@ class Representation:
                 "function agrees with its basis images (real-linear)",
                 r_lin,
                 tol,
-                worst((fro(m) for m in direct), 1.0),
-            )
-
-        if faithful:
-            cols = mats.reshape(count, -1).T
-            stacked = np.vstack([cols.real, cols.imag])
-            rank = np.linalg.matrix_rank(stacked, tol=tol.rel * max(1.0, scale))
-            rep.add(
-                "faithful on generator span",
-                rank == len(gens),
-                float(len(gens) - rank),
-                0.0,
-                note=f"rank {rank} of {len(gens)}",
+                generator_scale(direct),
             )
         return rep
 

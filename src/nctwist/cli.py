@@ -31,6 +31,7 @@ from .matlin import (
     anticommutator,
     dagger,
     fro,
+    generator_scale,
     pair_residual,
     worst,
 )
@@ -243,11 +244,11 @@ def cmd_gamma_tilde(args) -> int:
     rep.check(
         "commutes with the represented algebra", diag.commutes_with_rep, tol, scale
     )
-    rep.add(
+    rep.check(
         "anticommutes with D (is a grading)",
-        diag.is_grading,
         diag.anticommutator_with_dirac,
-        tol.rel * max(1.0, fro(tg.geometry.dirac)) * scale + tol.abs,
+        tol,
+        max(1.0, fro(tg.geometry.dirac)),
     )
     rep.add(
         "equals the grading of the input geometry",
@@ -263,8 +264,8 @@ def cmd_gamma_tilde(args) -> int:
     one, zero = first.unit(), first.zero()
     side_b = [join_double(a, a) for a in first.generators()]
     side_b += [join_double(one, zero), join_double(zero, one)]
-    pi_a = [tg.pi(a) for a in alg.generators()]
-    scale = worst((fro(m) for m in pi_a), 1.0) * max(1.0, fro(gam))
+    pi_a = tg.stacks()[0]
+    scale = generator_scale(pi_a) * max(1.0, fro(gam))
     holds_a = rep.check(
         "grading commutes with the doubled algebra",
         pair_residual([gam], pi_a),
@@ -273,7 +274,7 @@ def cmd_gamma_tilde(args) -> int:
     )
     holds_b = rep.check(
         "grading commutes with the first copy and the projectors",
-        pair_residual([gam], [tg.pi(x) for x in side_b]),
+        pair_residual([gam], tg.stacks(side_b)[0]),
         tol,
         scale,
     )
@@ -290,9 +291,12 @@ def _parse_complex_list(text: str, count: int, what: str) -> list[complex]:
     if len(parts) != count:
         raise ValueError(f"{what} needs {count} comma-separated values")
     try:
-        return [complex(p) for p in parts]
+        values = [complex(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"bad {what} value: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} values must be finite, got {text}")
+    return values
 
 
 def cmd_sm(args) -> int:
@@ -304,7 +308,7 @@ def cmd_sm(args) -> int:
         yukawas = {"nu": y_nu, "e": y_e, "up": y_u, "down": y_d}
     majorana = DEFAULT_MAJORANA
     if args.majorana:
-        majorana = complex(args.majorana)
+        (majorana,) = _parse_complex_list(args.majorana, 1, "--majorana")
 
     tg = twisted_sm_geometry(yukawas, majorana)
     if args.check == "all":

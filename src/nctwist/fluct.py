@@ -18,9 +18,9 @@ from .matlin import (
     as_matrix,
     dagger,
     fro,
+    generator_scale,
     pair_residual,
     residual_against_span,
-    worst,
 )
 from .report import Report
 from .twist import TwistedGeometry, verify_twisted
@@ -68,7 +68,7 @@ def one_form_opposite_checks(
     a_mat = eval_one_form(f, tg)
     ja_mat = g.real_structure.conjugate(a_mat)
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks()
-    scale = max(1.0, fro(a_mat)) * worst((fro(m) for m in pi_a), 1.0)
+    scale = max(1.0, fro(a_mat)) * generator_scale(pi_a)
     worst_right = pair_residual([a_mat], opp_b, rho_opp_b)
     worst_left = pair_residual([ja_mat], pi_a, pi_rho_a)
     rep.check("[A, J b* J^-1]_rho-opposite vanishes", worst_right, tol, scale)
@@ -189,17 +189,17 @@ def verify_fluctuated(
     return rep
 
 
-def one_form_basis(tg: TwistedGeometry) -> list[np.ndarray]:
-    """Evaluations pi(g_i) [D, g_j]_rho over the generator grid.
+def one_form_basis(tg: TwistedGeometry) -> np.ndarray:
+    """Evaluations pi(g_i) [D, g_j]_rho over the generator grid, stacked.
 
     The generators real-span the algebra and one-form evaluation is
     real-bilinear in (a, b), so the real span of this grid is the whole
     evaluated one-form bimodule.
     """
-    gens = tg.algebra.generators()
-    brackets = [tg.twisted_commutator(b) for b in gens]
-    mats = [tg.pi(a) for a in gens]
-    return [ma @ br for ma in mats for br in brackets]
+    d = tg.geometry.dirac
+    pi_a, pi_rho_a, _, _ = tg.stacks()
+    grid = pi_a[:, None] @ (d @ pi_a - pi_rho_a @ d)[None]
+    return grid.reshape((-1,) + d.shape)
 
 
 def compose_fluctuations(

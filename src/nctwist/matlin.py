@@ -71,6 +71,11 @@ def worst(residuals, floor: float = 0.0) -> float:
     return float(np.max(np.fromiter(residuals, dtype=float), initial=floor))
 
 
+def generator_scale(images) -> float:
+    """``max(1, max_k ||images[k]||)``: the scale of a stack of generator images."""
+    return worst((fro(m) for m in images), 1.0)
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -138,8 +143,8 @@ class AntilinearOperator:
         return self.unitary @ np.conj(psi)
 
     def conjugate(self, t: np.ndarray) -> np.ndarray:
-        """Return J T J^{-1} = U conj(T) U^dagger for linear T."""
-        t = as_matrix(t)
+        """Return J T J^{-1} = U conj(T) U^dagger for linear T, or a stack of T."""
+        t = np.asarray(t, dtype=np.complex128)
         return self.unitary @ np.conj(t) @ dagger(self.unitary)
 
     def square(self) -> np.ndarray:
@@ -292,14 +297,14 @@ def residual_against_span(
     target: np.ndarray,
     span: Sequence[np.ndarray],
 ) -> float:
-    """Distance from ``target`` to the real span of ``span`` matrices.
+    """Distance from ``target`` to the real span of ``span`` matrices (or a stack).
 
     Real coefficients keep quaternionic blocks honest: the spanning sets
     used by callers are real bases of the algebras involved.  Stacking real
     and imaginary parts turns the least-squares problem into a real one.
     """
     t = as_matrix(target).reshape(-1)
-    if not span:
+    if len(span) == 0:
         return fro(target)
     cols = np.stack([as_matrix(s).reshape(-1) for s in span], axis=1)
     a = np.vstack([cols.real, cols.imag])

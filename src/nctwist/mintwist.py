@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Representation, join_double, projected_double
+from .algebra import Algebra, join_double, projected_double
 from .clifford import ChargeConjugation, charge_conjugation, gamma
 from .matlin import (
     DEFAULT_TOL,
@@ -25,6 +25,7 @@ from .matlin import (
     as_matrix,
     dagger,
     fro,
+    generator_scale,
     intertwiner_space,
     intertwiners,
     pair_residual,
@@ -44,11 +45,7 @@ def _eigenbasis(grading: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nda
     return vecs[:, vals > 0], vecs[:, vals < 0]
 
 
-def _implementing_unitary(
-    rep0: Representation,
-    grading: np.ndarray,
-    tol: Tolerance,
-) -> np.ndarray | None:
+def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | None:
     """Unitary exchanging the eigenspace components, when one exists.
 
     Requires equal eigenspace dimensions and unitarily equivalent
@@ -57,16 +54,16 @@ def _implementing_unitary(
     intertwines again, so candidates are drawn from the intertwiner basis
     and a few fixed generic combinations of it.
     """
-    q_plus, q_minus = _eigenbasis(grading, tol)
+    q_plus, q_minus = _eigenbasis(g.grading, tol)
     if q_plus.shape[1] != q_minus.shape[1]:
         return None
-    gens = [rep0(g) for g in rep0.algebra.generators()]
-    restr_plus = [dagger(q_plus) @ m @ q_plus for m in gens]
-    restr_minus = [dagger(q_minus) @ m @ q_minus for m in gens]
+    pi_a = TwistedGeometry.untwisted(g).stacks()[0]
+    restr_plus = dagger(q_plus) @ pi_a @ q_plus
+    restr_minus = dagger(q_minus) @ pi_a @ q_minus
     space = intertwiners(restr_plus, restr_minus, tol)
     if not space:
         return None
-    scale = max([1.0] + [fro(m) for m in restr_plus])
+    scale = generator_scale(restr_plus)
     rng = np.random.default_rng(0)
     candidates = list(space)
     for _ in range(4):
@@ -104,7 +101,7 @@ def twist_by_grading(
     ):
         raise ValueError("grading is not a self-adjoint involution")
     rep2 = projected_double(g.rep, gam)
-    u_rho = _implementing_unitary(g.rep, gam, tol)
+    u_rho = _implementing_unitary(g, tol)
     rho = Automorphism.flip(rep2.algebra.ncomponents, u_rho=u_rho)
     doubled_geom = FiniteGeometry(
         rep=rep2,
@@ -157,7 +154,7 @@ def gamma_tilde_diagnostics(
     n = tg.geometry.hilbert_dim
     sa = fro(gt - dagger(gt)) <= tol.rel * max(1.0, fro(gt)) + tol.abs
     inv = fro(gt @ gt - np.eye(n)) <= tol.rel * n + tol.abs
-    r_comm = pair_residual([gt], [tg.pi(a) for a in tg.algebra.generators()])
+    r_comm = pair_residual([gt], tg.stacks()[0])
     r_anti = fro(anticommutator(gt, tg.geometry.dirac))
     commutes = r_comm <= tol.rel * max(1.0, fro(gt)) ** 2 + tol.abs
     is_grading = (
@@ -244,6 +241,10 @@ def uniqueness_engine(m: int, tol: Tolerance = DEFAULT_TOL) -> Report:
 # free Dirac operator at a point
 
 
+# the gate on max |Re f + Re g|; fixed, independent of the run's tolerance
+COEFF_TOL = 1e-10
+
+
 def _coefficient_blocks(m: int, f: complex, g_val: complex) -> np.ndarray:
     half = 2 ** (m - 1)
     out = np.zeros((2 * half, 2 * half), dtype=np.complex128)
@@ -253,10 +254,7 @@ def _coefficient_blocks(m: int, f: complex, g_val: complex) -> np.ndarray:
 
 
 def free_dirac_pointwise(
-    m: int,
-    samples: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-    coeff_tol: float = 1e-10,
+    m: int, samples: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> Report:
     """Pointwise analysis of twisted fluctuations of a free Dirac operator.
 
@@ -374,7 +372,7 @@ def free_dirac_pointwise(
         scale,
         note="acceptance is equivalent to Re g = -Re f",
     )
-    accepted = coeff_defect <= coeff_tol
+    accepted = coeff_defect <= COEFF_TOL
     rep.add(
         "self-adjointness gate",
         True,

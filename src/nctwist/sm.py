@@ -20,6 +20,8 @@ scalar the antiparticle sector sees, and the reports quantify both.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .algebra import Algebra, Placement, QUATERNION_UNITS, Representation
@@ -30,6 +32,7 @@ from .matlin import (
     Tolerance,
     dagger,
     fro,
+    generator_scale,
     kron,
     pair_residual,
     worst,
@@ -407,7 +410,8 @@ def sm_order_zero_residual(
     """Worst commutator of the represented algebra with its opposite."""
     if gens is None:
         gens = lean_generators(tg.algebra)
-    return pair_residual([tg.pi(a) for a in gens], [tg.opposite(b) for b in gens])
+    pi_a, _, opp_b, _ = tg.stacks(gens)
+    return pair_residual(pi_a, opp_b)
 
 
 def sm_first_order_residuals(
@@ -418,7 +422,8 @@ def sm_first_order_residuals(
     """Twisted order-one residuals over generator pairs, both arrangements.
 
     The "flip" convention twists the abstract elements; "display" swaps
-    the labels of the represented matrices instead.
+    the labels of the represented matrices instead, so its pi o rho is
+    read from the stack of ``display_twist_operator``.
     """
     if convention not in ("flip", "display"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -426,11 +431,11 @@ def sm_first_order_residuals(
         gens = lean_generators(tg.algebra)
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks(gens)
     if convention == "display":
-        j = tg.geometry.real_structure
-        pi_rho_a = np.stack([display_twist_operator(a) for a in gens])
-        rho_opp_b = np.stack(
-            [j.conjugate(display_twist_operator(tg.algebra.star(b))) for b in gens]
+        shown = Representation.from_function(
+            tg.algebra, tg.geometry.hilbert_dim, display_twist_operator
         )
+        disp = TwistedGeometry.untwisted(replace(tg.geometry, rep=shown))
+        pi_rho_a, _, rho_opp_b, _ = disp.stacks(gens)
     primary, symmetric = first_order_residuals(
         tg.geometry.dirac, pi_a, pi_rho_a, opp_b, rho_opp_b
     )
@@ -438,7 +443,7 @@ def sm_first_order_residuals(
 
 
 def _sm_scale(tg: TwistedGeometry) -> float:
-    return max([1.0] + [fro(tg.pi(a)) for a in lean_generators(tg.algebra)]) ** 2
+    return generator_scale(tg.stacks(lean_generators(tg.algebra))[0]) ** 2
 
 
 def sm_order_zero_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:

@@ -82,13 +82,6 @@ class FiniteGeometry:
         return replace(self, dirac=as_matrix(new_d))
 
 
-def opposite_action(g: FiniteGeometry, b: tuple) -> np.ndarray:
-    """Right action J pi(b*) J^{-1} of an element through the real structure."""
-    if g.real_structure is None:
-        raise ValueError("geometry has no real structure")
-    return g.real_structure.conjugate(g.pi(g.algebra.star(b)))
-
-
 def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTriple:
     """Measure (eps, eps', eps'') from the operators.
 
@@ -110,17 +103,25 @@ def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTri
     return SignTriple(eps, eps_prime, eps_dbl)
 
 
+def _opposite_stacks(g: FiniteGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """pi and the opposite action over the generators, through the identity twist."""
+    from .twist import TwistedGeometry  # twist imports us
+
+    if g.real_structure is None:
+        raise ValueError("geometry has no real structure")
+    pi_a, _, opp_b, _ = TwistedGeometry.untwisted(g).stacks()
+    return pi_a, opp_b
+
+
 def order_zero_residual(g: FiniteGeometry) -> float:
     """max ||[pi(a), J pi(b*) J^{-1}]|| over generator pairs."""
-    gens = g.algebra.generators()
-    return pair_residual([g.pi(a) for a in gens], [opposite_action(g, b) for b in gens])
+    return pair_residual(*_opposite_stacks(g))
 
 
 def order_one_residual(g: FiniteGeometry) -> float:
     """max ||[[D, pi(a)], J pi(b*) J^{-1}]|| over generator pairs."""
-    gens = g.algebra.generators()
-    d, pi_a = g.dirac, np.stack([g.pi(a) for a in gens])
-    return pair_residual(d @ pi_a - pi_a @ d, [opposite_action(g, b) for b in gens])
+    pi_a, opp_b = _opposite_stacks(g)
+    return pair_residual(g.dirac @ pi_a - pi_a @ g.dirac, opp_b)
 
 
 def verify_spectral_triple(
@@ -132,9 +133,8 @@ def verify_spectral_triple(
     the identity included); measured signs are stored in
     ``report.info['signs']`` when a real structure is present.
     """
-    from .twist import Automorphism, TwistedGeometry, verify_twisted  # twist imports us
+    from .twist import TwistedGeometry, verify_twisted  # twist imports us
 
-    rho = Automorphism.identity(g.algebra.ncomponents)
-    rep = verify_twisted(TwistedGeometry(g, rho), tol)
+    rep = verify_twisted(TwistedGeometry.untwisted(g), tol)
     rep.title = "real spectral triple"
     return rep

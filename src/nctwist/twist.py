@@ -26,11 +26,12 @@ from .matlin import (
     blocked_max,
     dagger,
     fro,
+    generator_scale,
     pair_residual,
     worst,
 )
 from .report import Report
-from .triple import FiniteGeometry, SignTriple, measure_ko_signs, opposite_action
+from .triple import FiniteGeometry, SignTriple, measure_ko_signs
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,11 @@ class TwistedGeometry:
     def algebra(self) -> Algebra:
         return self.geometry.algebra
 
+    @classmethod
+    def untwisted(cls, g: FiniteGeometry) -> "TwistedGeometry":
+        """``g`` with the identity twist."""
+        return cls(g, Automorphism.identity(g.algebra.ncomponents))
+
     def pi(self, elem: tuple) -> np.ndarray:
         return self.geometry.pi(elem)
 
@@ -158,28 +164,25 @@ class TwistedGeometry:
         d = self.geometry.dirac
         return d @ self.pi(elem) - self.pi_rho(elem) @ d
 
-    def opposite(self, elem: tuple) -> np.ndarray:
-        return opposite_action(self.geometry, elem)
+    def stacks(self, gens: list[tuple] | None = None) -> tuple:
+        """pi(a), pi(rho(a)), J pi(b*) J^-1 and J pi(rho(b*)) J^-1 over ``gens``.
 
-    def rho_opposite(self, elem: tuple) -> np.ndarray:
-        """J pi(rho(b*)) J^{-1}: the twist acting on the opposite copy."""
-        g = self.geometry
-        if g.real_structure is None:
-            raise ValueError("geometry has no real structure")
-        return g.real_structure.conjugate(self.pi_rho(self.algebra.star(elem)))
-
-    def stacks(self, gens: list[tuple] | None = None) -> tuple[np.ndarray, ...]:
-        """pi, pi o rho, the opposite action and its twist, stacked over ``gens``.
-
-        ``gens`` defaults to the algebra generators; each stack has shape
-        ``(len(gens), n, n)``.
+        Images of the coordinate rows cg, cg R, cg Star and cg Star R of
+        ``gens`` (default: the generators), R and Star the real matrices of
+        rho and the star; J conjugates the last two in one batch.  Each is
+        ``(len(gens), n, n)``, and the last two are None without a J.
         """
+        alg, pi, j = self.algebra, self.geometry.rep, self.geometry.real_structure
         if gens is None:
-            gens = self.algebra.generators()
-        return tuple(
-            np.stack([f(e) for e in gens])
-            for f in (self.pi, self.pi_rho, self.opposite, self.rho_opposite)
-        )
+            gens = alg.generators()
+        cg = np.stack([alg.coords(e) for e in gens])
+        r = alg.linear_map(self.rho.apply)
+        pi_a, pi_rho_a = pi.images(cg), pi.images(cg @ r)
+        if j is None:
+            return pi_a, pi_rho_a, None, None
+        cs = cg @ alg.linear_map(alg.star)
+        opp = j.conjugate(pi.images(np.concatenate([cs, cs @ r])))
+        return pi_a, pi_rho_a, opp[: len(cg)], opp[len(cg) :]
 
     def signs(self, tol: Tolerance = DEFAULT_TOL) -> SignTriple:
         return measure_ko_signs(self.geometry, tol)
@@ -200,7 +203,7 @@ def check_regular(
     gens = alg.generators()
     cg = np.stack([alg.coords(a) for a in gens])
     mats = pi.images(cg)
-    scale = max([1.0] + [fro(m) for m in mats])
+    scale = generator_scale(mats)
     count, n = len(gens), pi.dim
     # coordinate rows move through rho, rho^-1 and the star as real matrices
     r = alg.linear_map(rho.apply)
@@ -271,7 +274,7 @@ def verify_twisted_first_order(
     d = tg.geometry.dirac
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks()
     primary, symmetric = first_order_residuals(d, pi_a, pi_rho_a, opp_b, rho_opp_b)
-    scale = worst((fro(m) for m in pi_a), 1.0) ** 2 * max(1.0, fro(d))
+    scale = generator_scale(pi_a) ** 2 * max(1.0, fro(d))
     rep.check("primary form on generator pairs", primary, tol, scale)
     rep.check("symmetric form on generator pairs", symmetric, tol, scale)
     rep.info["primary_residual"] = primary
@@ -291,7 +294,7 @@ def zero_order_conflict_check(
     """
     rep = Report("order-zero conflict")
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks()
-    scale = worst((fro(m) for m in pi_a), 1.0) ** 2
+    scale = generator_scale(pi_a) ** 2
 
     worst_plain = pair_residual(pi_a, opp_b)
     worst_twisted = pair_residual(pi_a, opp_b, rho_opp_b)
@@ -355,7 +358,7 @@ def coexistence_first_order_check(
     )
     rep.add("untwisted order one residual", True, worst_plain, float("inf"), "recorded")
     rep.add("twisted order one residual", True, worst_twisted, float("inf"), "recorded")
-    scale = worst((fro(m) for m in pi_a), 1.0) ** 2 * max(1.0, fro(d))
+    scale = generator_scale(pi_a) ** 2 * max(1.0, fro(d))
     rep.check("both conditions on twist-fixed elements", worst_fixed, tol, scale)
     rep.info["untwisted_residual"] = worst_plain
     rep.info["twisted_residual"] = worst_twisted
@@ -378,9 +381,8 @@ def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
     d = g.dirac
     scale_d = max(1.0, fro(d))
     rep.check("Dirac operator self-adjoint", fro(d - dagger(d)), tol, scale_d)
-    gens = tg.algebra.generators()
-    pi_a = np.stack([tg.pi(a) for a in gens])
-    scale_alg = worst((fro(m) for m in pi_a), 1.0)
+    pi_a, _, opp_b, _ = tg.stacks()
+    scale_alg = generator_scale(pi_a)
     if g.grading is not None:
         gam = g.grading
         rep.check("grading self-adjoint", fro(gam - dagger(gam)), tol, 1.0)
@@ -405,7 +407,6 @@ def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
             rep.add("sign triple determinate", False, float("nan"), 0.0, note=str(exc))
         # order zero stays untwisted: imposing the twisted variant as well
         # would force a trivial twist (see zero_order_conflict_check)
-        opp_b = np.stack([tg.opposite(b) for b in gens])
         r0 = pair_residual(pi_a, opp_b)
         rep.check("order zero: algebra commutes with opposite", r0, tol, scale_alg**2)
         rep.merge(verify_twisted_first_order(tg, tol), prefix="order one: ")

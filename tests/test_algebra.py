@@ -186,22 +186,10 @@ def test_representation_action_and_check(alg):
     assert m[0, 0] == x[0]
     assert m[2, 2] == np.conj(x[0])
     assert np.allclose(m[3:5, 3:5], np.asarray(x[1]))
-    report = rep.check(faithful=True)
+    report = rep.check()
     assert report.ok
     names = [r.name for r in report.records]
     assert any("unit" in n for n in names)
-    assert any("faithful" in n for n in names)
-
-
-def test_unfaithful_representation_flagged():
-    alg = Algebra.of("C", "C")
-    # second summand is never placed: kernel is nontrivial
-    rep = Representation.from_placements(
-        alg, 2, [Placement(component=0, start=0, mode="scalar", mult=2)]
-    )
-    report = rep.check(faithful=True)
-    assert not report.ok
-    assert any("faithful" in r.name and not r.passed for r in report.records)
 
 
 def test_function_representation_has_no_placements(alg):

@@ -6,9 +6,14 @@ definition by the package itself, the demos, the benchmark, the README or
 the acceptance checklist.  A name that only other tests reach is either
 deleted or routed into a report.  Methods are matched by attribute name
 alone, so a method shares its references with every same-named one.
+
+Generator images are built in one place, ``TwistedGeometry.stacks``: outside
+``algebra.py`` no module forms pi, pi o rho or a twisted commutator one
+generator at a time.
 """
 
 import ast
+import builtins
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -94,3 +99,81 @@ def unreferenced() -> list[str]:
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert unreferenced() == []
+
+
+# -- generator images are built in one place -----------------------------
+
+GENERATOR_SETS = {"generators", "lean_generators"}
+IMAGE_METHODS = {"pi", "pi_rho", "twisted_commutator", "rep"}
+IMAGE_FUNCTIONS = {"display_twist_operator"}
+
+
+def terminal_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def over_generators(comp: ast.AST) -> bool:
+    """A comprehension with a loop over ``gens`` or a generator set."""
+    for loop in comp.generators:
+        it = loop.iter
+        if isinstance(it, ast.Name) and it.id == "gens":
+            return True
+        if isinstance(it, ast.Call) and terminal_name(it) in GENERATOR_SETS:
+            return True
+    return False
+
+
+def module_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level: its functions, classes and imports."""
+    out = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            out.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            out.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+    return out
+
+
+def per_element_images() -> list[str]:
+    """``module.py:line callee`` of every per-element generator image, sorted.
+
+    That is a comprehension over ``gens``, ``generators()`` or
+    ``lean_generators(...)`` that calls ``.pi``, ``.pi_rho``,
+    ``.twisted_commutator``, a representation (``.rep`` or a local value
+    such as ``rep0`` or a bound method) or ``display_twist_operator``.
+    ``algebra.py`` is exempt: it defines how a representation evaluates.
+    """
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "algebra.py":
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        known = module_names(tree) | set(dir(builtins))
+        comps = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        for comp in ast.walk(tree):
+            if not isinstance(comp, comps) or not over_generators(comp):
+                continue
+            for call in ast.walk(comp):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = terminal_name(call)
+                local = isinstance(call.func, ast.Name) and name not in known
+                if (
+                    local
+                    or name in IMAGE_FUNCTIONS
+                    or (isinstance(call.func, ast.Attribute) and name in IMAGE_METHODS)
+                ):
+                    found.append((module.name, comp.lineno, ast.unparse(call.func)))
+                    break
+    return [f"{m}:{line} {callee}" for m, line, callee in sorted(found)]
+
+
+def test_generator_images_are_built_in_one_place():
+    # TwistedGeometry.stacks is the one place that forms them, in batches
+    assert per_element_images() == []

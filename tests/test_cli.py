@@ -363,6 +363,25 @@ class TestEngines:
         assert "involution" in out
         assert "PASS  the two sides agree" in out
 
+    @pytest.mark.parametrize("shift", [0.0, 0.75e-10])
+    def test_gamma_tilde_grading_verdict_matches_its_tol(self, capsys, tmp_path, shift):
+        # D = sigma_1 + shift I: the anticommutator {gamma, D} = 2 shift gamma
+        # has norm 2 sqrt(2) shift, above the bound tol.rel ||D|| + tol.abs
+        g = toy_triple()
+        g = g.with_dirac(g.dirac + shift * np.eye(2))
+        path = tmp_path / "shifted.json"
+        dump_json(twisted_marker_to_json(g), str(path))
+        code, payload = run_json(capsys, ["gamma-tilde", str(path)])
+        (rec,) = [
+            c for c in payload["checks"] if c["name"] == "anticommutes with D (is a grading)"
+        ]
+        assert rec["passed"] == (rec["residual"] <= rec["tol"])
+        if shift:
+            assert code == 1 and not rec["passed"]
+            assert rec["residual"] == pytest.approx(2 * np.sqrt(2) * shift)
+        else:
+            assert code == 0 and rec["passed"] and rec["residual"] == 0.0
+
 
 class TestSM:
     def test_recovery_check(self, capsys):
@@ -389,6 +408,16 @@ class TestSM:
 
     def test_malformed_yukawa_is_input_error(self, capsys):
         assert main(["sm", "--check", "recovery", "--yukawa", "1.0,2.0"]) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("flag", ["--yukawa", "--majorana"])
+    def test_non_finite_coupling_is_input_error(self, capsys, flag, value):
+        # "=" keeps argparse from reading "-inf" as an option
+        arg = f"{value},1,1,1" if flag == "--yukawa" else value
+        assert main(["sm", "--check", "zero-order", f"{flag}={arg}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_two(capsys):

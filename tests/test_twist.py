@@ -10,13 +10,26 @@ from hypothesis import strategies as st
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.matlin import Tolerance, dagger, fro
 from nctwist.mintwist import twist_by_grading
-from nctwist.samples import flip_toy, random_graded_geometry, random_unitary
+from nctwist.samples import (
+    clifford_tensor,
+    flip_toy,
+    random_graded_geometry,
+    random_matrix_geometry,
+    random_unitary,
+)
+from nctwist.sm import (
+    display_twist_operator,
+    lean_generators,
+    sm_first_order_residuals,
+    twisted_sm_geometry,
+)
 from nctwist.triple import FiniteGeometry, verify_spectral_triple
 from nctwist.twist import (
     Automorphism,
     TwistedGeometry,
     check_regular,
     coexistence_first_order_check,
+    first_order_residuals,
     verify_twisted,
     verify_twisted_first_order,
     zero_order_conflict_check,
@@ -324,7 +337,13 @@ def twisted_cases(draw):
     elif kind == "arbitrary":
         shape = stack.shape
         stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # blocks of one signature may trade places; inner unitaries, complex scales
+    rho = draw_automorphism(draw, alg, rng, n)
+    return rho, FiniteGeometry(Representation(alg, stack), np.zeros((n, n)))
+
+
+def draw_automorphism(draw, alg, rng, n):
+    """Blocks of one signature may trade places; optional inner unitaries,
+    complex scales and an implementing unitary on C^n."""
     sig = alg.signature()
     perm = list(range(alg.ncomponents))
     for key in dict.fromkeys(sig):
@@ -343,8 +362,7 @@ def twisted_cases(draw):
     if draw(st.booleans()):
         scale = tuple(draw(st.sampled_from(SCALES)) for _ in alg.components)
     u_rho = random_unitary(rng, n) if draw(st.booleans()) else None
-    rho = Automorphism(tuple(perm), inner, scale, u_rho)
-    return rho, FiniteGeometry(Representation(alg, stack), np.zeros((n, n)))
+    return Automorphism(tuple(perm), inner, scale, u_rho)
 
 
 @settings(max_examples=80, deadline=None)
@@ -386,3 +404,86 @@ def test_scaled_matrix_block_fails_rho_multiplicativity():
     assert not records["multiplicative on generator pairs"].passed
     assert records["multiplicative on generator pairs"].residual == 2.0
     assert records["regular: rho(a*) = (rho^-1(a))*"].residual == 1.5
+
+
+# -- TwistedGeometry.stacks against its per-element definitions ---------
+
+
+def per_element_stacks(g, rho, gens, twisted_rep=None):
+    """pi(a), pi(rho(a)), J pi(b*) J^-1 and J pi(rho(b*)) J^-1, one element
+    at a time; ``twisted_rep`` stands in for pi o rho when given."""
+    alg, j = g.algebra, g.real_structure
+    pi_rho = twisted_rep or (lambda e: g.rep(rho.apply(e)))
+    return (
+        [g.rep(e) for e in gens],
+        [pi_rho(e) for e in gens],
+        [j.conjugate(g.rep(alg.star(e))) for e in gens],
+        [j.conjugate(pi_rho(alg.star(e))) for e in gens],
+    )
+
+
+@st.composite
+def stack_cases(draw):
+    """A twisted geometry with a real structure and the elements to stack.
+
+    The geometry is placed, framed or a Clifford factor; it is doubled and
+    flipped by twist_by_grading, or twisted on its own algebra by block
+    permutations, inner unitaries, complex scales and an implementing
+    unitary.  The elements are the generators and a few random ones.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["placed", "framed", "clifford"]))
+    k = draw(st.sampled_from([2, 3]))
+    if kind == "clifford":
+        g = clifford_tensor(draw(st.sampled_from([1, 2])), random_matrix_geometry(rng, k))
+    else:
+        g = random_matrix_geometry(rng, k, frame=kind == "framed")
+    if draw(st.booleans()):
+        tg = twist_by_grading(g)
+    else:
+        tg = TwistedGeometry(g, draw_automorphism(draw, g.algebra, rng, g.hilbert_dim))
+    extra = [tg.algebra.random_element(rng) for _ in range(draw(st.integers(0, 2)))]
+    return tg, tg.algebra.generators() + extra
+
+
+def assert_stacks_agree(got, want):
+    for name, s, w in zip(("pi", "pi o rho", "opposite", "twisted opposite"), got, want):
+        assert s.shape == (len(w),) + w[0].shape, name
+        for k, m in enumerate(w):
+            assert fro(s[k] - m) <= 1e-13 * max(1.0, fro(m)), (name, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack_cases())
+def test_stacks_equal_their_per_element_definitions(case):
+    tg, gens = case
+    assert_stacks_agree(tg.stacks(gens), per_element_stacks(tg.geometry, tg.rho, gens))
+    # the default is the generator set
+    default = tg.stacks()
+    explicit = tg.stacks(tg.algebra.generators())
+    assert all(np.array_equal(a, b) for a, b in zip(default, explicit))
+
+
+def test_stacks_without_real_structure_have_no_opposite():
+    tg = flip_toy()
+    bare = TwistedGeometry(replace(tg.geometry, real_structure=None), tg.rho)
+    pi_a, pi_rho_a, opp_b, rho_opp_b = bare.stacks()
+    assert opp_b is None and rho_opp_b is None
+    assert np.array_equal(pi_a, tg.stacks()[0])
+    assert np.array_equal(pi_rho_a, tg.stacks()[1])
+
+
+@pytest.mark.parametrize("convention", ["flip", "display"])
+def test_sm_stacks_equal_their_definitions_in_both_conventions(convention):
+    tg = twisted_sm_geometry()
+    g, gens = tg.geometry, lean_generators(tg.algebra)
+    shown = display_twist_operator if convention == "display" else None
+    want = per_element_stacks(g, tg.rho, gens, shown)
+    if convention == "flip":
+        assert_stacks_agree(tg.stacks(gens), want)
+    # the order-one residuals of the convention, on a spread of generators
+    few = slice(None, None, 5)
+    got = sm_first_order_residuals(tg, convention, gens[few])
+    primary, symmetric = first_order_residuals(g.dirac, *(np.stack(w[few]) for w in want))
+    assert abs(got["primary"] - primary) <= 1e-13 * max(1.0, primary)
+    assert abs(got["symmetric"] - symmetric) <= 1e-13 * max(1.0, symmetric)
