@@ -9,10 +9,11 @@ makes checks of (bi)linear conditions on generators exhaustive.
 
 A representation is real-linear, so it is fixed by its images of a real
 basis, and it is stored as exactly that stack of images.  The stack is
-assembled from a table of block placements (serialisable), evaluated from
-a real-linear function, or transformed from the stack of a parent
-representation (projector doubling, unitary frames, tensor factors); every
-evaluation is then a real combination of the images.
+either assembled from a table of block placements (serialisable) or
+transformed from the stack of a parent representation (projector doubling,
+unitary frames, tensor factors, the chirality sectors of the twisted
+standard model); every evaluation is then a real combination of the
+images.
 """
 
 from __future__ import annotations
@@ -290,6 +291,10 @@ class Algebra:
             [np.asarray(v, dtype=np.complex128).reshape(-1) for v in x]
         ).view(np.float64)
 
+    def coord_rows(self, elems: Sequence[tuple]) -> np.ndarray:
+        """``(len(elems), B)`` array whose rows are the ``coords`` of ``elems``."""
+        return np.stack([self.coords(e) for e in elems])
+
     def mul_coords(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         """Coordinates of products ``x y``, computed from coordinates.
 
@@ -392,8 +397,7 @@ class Representation:
     The map is its ``stack``: the images of ``algebra.basis()``, shape
     (B, dim, dim), read-only.  Calling the instance combines the images of
     the nonzero coordinates of the element.  ``placements`` is kept as the
-    serialisable source of the stack and ``func`` for the linearity record
-    of ``check``; neither is read to evaluate.
+    serialisable source of the stack; it is not read to evaluate.
     """
 
     def __init__(
@@ -401,7 +405,6 @@ class Representation:
         algebra: Algebra,
         stack: np.ndarray,
         placements: tuple[Placement, ...] | None = None,
-        func: Callable[[tuple], np.ndarray] | None = None,
     ):
         stack = np.array(stack, dtype=np.complex128)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -415,7 +418,6 @@ class Representation:
         self.algebra = algebra
         self.stack = stack
         self.placements = tuple(placements) if placements is not None else None
-        self._func = func
 
     @classmethod
     def from_placements(
@@ -442,16 +444,6 @@ class Representation:
             for k, v in enumerate(comp.basis()):
                 stack[offsets[p.component] + k, blk, blk] = p.block(comp, v)
         return cls(algebra, stack, placements=placements)
-
-    @classmethod
-    def from_function(
-        cls, algebra: Algebra, dim: int, func: Callable[[tuple], np.ndarray]
-    ) -> "Representation":
-        """Evaluate a real-linear function once per basis direction."""
-        images = [as_matrix(func(e)) for e in algebra.basis()]
-        if any(m.shape != (dim, dim) for m in images):
-            raise ValueError("function image does not match dim")
-        return cls(algebra, np.stack(images), func=func)
 
     @property
     def dim(self) -> int:
@@ -485,7 +477,7 @@ class Representation:
         rep = Report("representation")
         alg = self.algebra
         gens = alg.generators()
-        cg = np.stack([alg.coords(g) for g in gens])
+        cg = alg.coord_rows(gens)
         mats = self.images(cg)
         scale = generator_scale(mats)
         count, n = len(gens), self.dim
@@ -508,18 +500,6 @@ class Representation:
             for i in range(count)
         )
         rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
-
-        if self._func is not None:
-            # the stack linearises the function: compare off the basis
-            probes = [alg.unit(), alg.random_element(np.random.default_rng(0))]
-            direct = [as_matrix(self._func(x)) for x in probes]
-            r_lin = worst(fro(m - self(x)) for x, m in zip(probes, direct))
-            rep.check(
-                "function agrees with its basis images (real-linear)",
-                r_lin,
-                tol,
-                generator_scale(direct),
-            )
         return rep
 
 

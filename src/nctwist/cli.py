@@ -36,6 +36,7 @@ from .matlin import (
     worst,
 )
 from .mintwist import (
+    UNIQUENESS_MAX_M,
     free_dirac_pointwise,
     gamma_tilde_diagnostics,
     twist_by_grading,
@@ -264,7 +265,8 @@ def cmd_gamma_tilde(args) -> int:
     one, zero = first.unit(), first.zero()
     side_b = [join_double(a, a) for a in first.generators()]
     side_b += [join_double(one, zero), join_double(zero, one)]
-    pi_a = tg.stacks()[0]
+    pi = tg.geometry.rep
+    pi_a = pi.images(alg.coord_rows(alg.generators()))
     scale = generator_scale(pi_a) * max(1.0, fro(gam))
     holds_a = rep.check(
         "grading commutes with the doubled algebra",
@@ -274,7 +276,7 @@ def cmd_gamma_tilde(args) -> int:
     )
     holds_b = rep.check(
         "grading commutes with the first copy and the projectors",
-        pair_residual([gam], tg.stacks(side_b)[0]),
+        pair_residual([gam], pi.images(alg.coord_rows(side_b))),
         tol,
         scale,
     )
@@ -362,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "uniqueness", parents=[common], help="dimension of the gamma intertwiner space"
     )
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument(
+        "--m", type=int, required=True, help=f"half-dimension, 1..{UNIQUENESS_MAX_M}"
+    )
     p.set_defaults(func=cmd_uniqueness)
 
     p = sub.add_parser(
@@ -393,11 +397,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose value may start with "-" (a negative complex such as
+# -1.0-0.2j), which argparse would otherwise read as an option
+_SIGNED_VALUE_FLAGS = ("--yukawa", "--majorana")
+
+
+def _glue_signed_values(argv: list[str]) -> list[str]:
+    """``--flag -value`` as ``--flag=-value`` for the signed-value flags."""
+    out = []
+    for tok in argv:
+        signed = tok.startswith("-") and not tok.startswith("--")
+        if signed and out and out[-1] in _SIGNED_VALUE_FLAGS:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_signed_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage, 0 on --help; keep its code
         return int(exc.code or 0)

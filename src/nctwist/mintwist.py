@@ -57,7 +57,7 @@ def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | Non
     q_plus, q_minus = _eigenbasis(g.grading, tol)
     if q_plus.shape[1] != q_minus.shape[1]:
         return None
-    pi_a = TwistedGeometry.untwisted(g).stacks()[0]
+    pi_a = g.rep.images(g.algebra.coord_rows(g.algebra.generators()))
     restr_plus = dagger(q_plus) @ pi_a @ q_plus
     restr_minus = dagger(q_minus) @ pi_a @ q_minus
     space = intertwiners(restr_plus, restr_minus, tol)
@@ -154,7 +154,9 @@ def gamma_tilde_diagnostics(
     n = tg.geometry.hilbert_dim
     sa = fro(gt - dagger(gt)) <= tol.rel * max(1.0, fro(gt)) + tol.abs
     inv = fro(gt @ gt - np.eye(n)) <= tol.rel * n + tol.abs
-    r_comm = pair_residual([gt], tg.stacks()[0])
+    alg = tg.algebra
+    pi_a = tg.geometry.rep.images(alg.coord_rows(alg.generators()))
+    r_comm = pair_residual([gt], pi_a)
     r_anti = fro(anticommutator(gt, tg.geometry.dirac))
     commutes = r_comm <= tol.rel * max(1.0, fro(gt)) ** 2 + tol.abs
     is_grading = (
@@ -177,14 +179,27 @@ def gamma_tilde_diagnostics(
     )
 
 
+# the intertwiner system of the gamma family in dimension n = 2^m is
+# 2m n^2 x 2n^2 complex: 335 MB at m = 5, 6.4 GB at m = 6
+UNIQUENESS_MAX_M = 5
+
+
 def uniqueness_engine(m: int, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Solve the two-sided intertwiner problem for the gamma family.
 
     Pairs (A, B) with gamma^mu A = B gamma^mu for all 2m generators form a
     two-dimensional space; in the chiral basis every solution is
     A = diag(l1 I, l2 I), B = diag(l2 I, l1 I).  This pins the twisting
-    data down to two scalars exchanged by the flip.
+    data down to two scalars exchanged by the flip.  m above
+    ``UNIQUENESS_MAX_M`` is rejected before anything is allocated.
     """
+    if m > UNIQUENESS_MAX_M:
+        n = 2**m
+        raise ValueError(
+            f"uniqueness needs m <= {UNIQUENESS_MAX_M}: at m={m} the intertwiner "
+            f"system is {2 * m * n * n} x {2 * n * n} complex "
+            f"({64 * m * n**4 / 1e9:.1f} GB)"
+        )
     rep = Report(f"twist uniqueness for the gamma family, m={m}")
     data = gamma(m)
     gams = list(data.gammas)

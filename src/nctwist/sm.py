@@ -10,11 +10,15 @@ antiparticles, and the grading is chirality.
 The twisted model tensors a 4-dim chirality factor on and doubles the
 scalar and quaternion sectors: independent right/left coefficients act
 through the chirality projectors while the color sector stays undoubled.
-The twist exchanges the right and left labels.  Two conventions for the
-twisted commutator are measured side by side: the structural one, where
-the automorphism acts on abstract elements before representing, and the
+Its representation is a stack transform of the finite one: each chirality
+sector reads a particle scalar, a quaternion, an antiparticle scalar and
+a color matrix from chosen components of the doubled algebra.  The twist
+exchanges the right and left labels.  Two conventions for the twisted
+commutator are measured side by side: the structural one, where the
+automorphism acts on abstract elements before representing, and the
 display one, where the label swap is applied to the represented matrix
-leaving the antiparticle scalar untouched.  They differ exactly in which
+leaving the antiparticle scalar untouched; it is built the same way, with
+the sectors reading swapped components.  They differ exactly in which
 scalar the antiparticle sector sees, and the reports quantify both.
 """
 
@@ -98,11 +102,6 @@ def sm_rep() -> Representation:
 _SM_REP = sm_rep()  # shared, so its basis images are built once
 
 
-def rep_F(e: tuple) -> np.ndarray:
-    """Represent one (c, q, m) element on C^32."""
-    return _SM_REP(e)
-
-
 def build_dirac(
     yukawas: dict | None = None, majorana: complex = DEFAULT_MAJORANA
 ) -> np.ndarray:
@@ -172,10 +171,29 @@ _ANTI32 = np.zeros((32, 32))
 _ANTI32[16:, 16:] = 1.0
 _ANTI_MASK = np.kron(np.ones((4, 4)), _ANTI32)
 
+# the four slots a chirality sector reads, in order: the particle scalar,
+# the quaternion, the antiparticle scalar and the color matrix; each is a
+# component of C + H + M_3 and the entries of its image that it fills
+_SLOTS = ((0, 1.0 - _ANTI32), (1, 1.0), (0, _ANTI32), (2, 1.0))
 
-def _sector_action(c: complex, q: np.ndarray, c_anti: complex, m: np.ndarray):
-    # the standard action, with the antiparticle scalar read from c_anti
-    return _SM_REP((c, q, m)) * (1.0 - _ANTI32) + _SM_REP((c_anti, q, m)) * _ANTI32
+
+def _sector_rep(plus: tuple, minus: tuple) -> Representation:
+    """The doubled algebra acting on C^4 kron C^32 through the projectors.
+
+    ``plus`` and ``minus`` name, for each slot of ``_SLOTS``, the component
+    of the doubled algebra the sector reads there.  The stack is the finite
+    one transformed: a component's images sum ``kron(P, S * mask)`` over
+    the sectors and slots it feeds, S the finite images of its kind.
+    """
+    alg = twisted_sm_algebra()
+    bounds = np.cumsum([0] + [len(c.basis()) for c in _SM_REP.algebra.components])
+    offsets = np.cumsum([0] + [len(c.basis()) for c in alg.components])
+    stack = np.zeros((offsets[-1], 128, 128), np.complex128)
+    for proj, reads in ((_P_PLUS, plus), (_P_MINUS, minus)):
+        for comp, (kind, mask) in zip(reads, _SLOTS):
+            images = _SM_REP.stack[bounds[kind] : bounds[kind + 1]] * mask
+            stack[offsets[comp] : offsets[comp + 1]] += kron(proj, images)
+    return Representation(alg, stack)
 
 
 def twisted_sm_rep() -> Representation:
@@ -186,90 +204,52 @@ def twisted_sm_rep() -> Representation:
     antiparticle scalar stays the right one.  Several slots are never
     read, so the representation is not faithful.
     """
-    alg = twisted_sm_algebra()
-
-    def act(x: tuple) -> np.ndarray:
-        y_plus = _sector_action(x[0], x[2], x[0], x[4])
-        y_minus = _sector_action(x[6], x[8], x[5], x[9])
-        return kron(_P_PLUS, y_plus) + kron(_P_MINUS, y_minus)
-
-    return Representation.from_function(alg, 128, act)
+    return _sector_rep(plus=(0, 2, 0, 4), minus=(6, 8, 5, 9))
 
 
-def twisted_rep(f_point: tuple, a: tuple) -> np.ndarray:
-    """Simple tensor f x A of the doubled model, A = (c_r, c_l, q_r, q_l, m).
-
-    The scalar pair f_point = (f_plus, f_minus) stands for the two
-    chirality components of the outer function factor at a point.  The
-    right labels ride the + projector, the left labels the - projector,
-    and the antiparticle sector reads only c_r, with the full function.
-    """
-    f_plus, f_minus = (complex(f) for f in f_point)
-    c_r, c_l, q_r, q_l, m = a
-    y_plus = f_plus * _sector_action(c_r, q_r, c_r, m)
-    y_minus = f_minus * _sector_action(c_l, q_l, c_r, m)
-    return kron(_P_PLUS, y_plus) + kron(_P_MINUS, y_minus)
-
-
-def rho_sm(a: tuple) -> tuple:
-    """Exchange right and left labels: (c_r, c_l, q_r, q_l, m) relabeled.
-
-    This is the label-level involution.  Because the antiparticle summand
-    of twisted_rep reads the c_r slot, representing the relabeled element
-    moves c_l onto the antiparticle sector, whereas the displayed twist
-    keeps c_r there: the swap is an automorphism of the represented image
-    rather than of the label algebra, and the verification report
-    measures the difference instead of hiding it.
-    """
-    c_r, c_l, q_r, q_l, m = a
-    return (c_l, c_r, q_l, q_r, m)
-
-
-def display_twist_operator(x: tuple) -> np.ndarray:
+def display_twist_rep() -> Representation:
     """The label swap applied to the represented matrix directly.
 
     Right and left labels are exchanged where they are displayed, but the
-    antiparticle scalar column keeps its right label.  This is not the
-    representation of any element image under the structural twist; the
-    two differ precisely on the antiparticle scalar slots.
+    antiparticle scalar keeps its right label.  This is not pi o rho for
+    the structural twist: the two differ precisely on the antiparticle
+    scalar slots, where representing the swapped labels moves c_l.
     """
-    y_plus = _sector_action(x[1], x[3], x[0], x[4])
-    y_minus = _sector_action(x[5], x[7], x[5], x[9])
-    return kron(_P_PLUS, y_plus) + kron(_P_MINUS, y_minus)
-
-
-def _display_simple(f_point: tuple, a: tuple) -> np.ndarray:
-    # displayed action of the swapped element: particle labels exchanged,
-    # antiparticle scalar kept at c_r
-    f_plus, f_minus = (complex(f) for f in f_point)
-    c_r, c_l, q_r, q_l, m = a
-    y_plus = f_plus * _sector_action(c_l, q_l, c_r, m)
-    y_minus = f_minus * _sector_action(c_r, q_r, c_r, m)
-    return kron(_P_PLUS, y_plus) + kron(_P_MINUS, y_minus)
+    return _sector_rep(plus=(1, 3, 0, 4), minus=(5, 7, 5, 9))
 
 
 def label_swap_check(tol: Tolerance = DEFAULT_TOL) -> Report:
     """Behaviour of the label swap on simple tensors f x A.
 
-    Checks the unit and recovery identities bitwise, that the swap is an
-    involution, that right/left label differences live purely in the
-    particle sector, and measures where representing the swapped labels
-    departs from the displayed swap (the antiparticle scalar).
+    A = (c_r, c_l, q_r, q_l, m) acts as the element A + A of the doubled
+    algebra, whose copies are equal, and f through its chirality values:
+    f x A is ``F * pi(A + A)``, its swap ``F * pi_rho(A + A)`` and the
+    displayed swap ``F * display(A + A)``.  Checks the unit and recovery
+    identities bitwise, that the swap is an involution, that right/left
+    label differences live purely in the particle sector, and measures
+    where representing the swapped labels departs from the displayed swap
+    (the antiparticle scalar).
     """
     rep = Report("label swap on simple tensors")
+    tg = twisted_sm_geometry()  # pi and the twist do not read the couplings
+    shown = display_twist_rep()
     alg = sm_algebra()
     rng = np.random.default_rng(7)
-    eye3 = np.eye(3, dtype=np.complex128)
-    q_one = QUATERNION_UNITS["1"].copy()
 
-    unit5 = (1.0 + 0.0j, 1.0 + 0.0j, q_one, q_one, eye3)
-    r_unit = fro(twisted_rep((1.0, 1.0), unit5) - np.eye(128))
+    def simple(f_point: tuple, image: np.ndarray) -> np.ndarray:
+        # F: f+ on the rows of the + sector (0-63), f- on the - sector
+        return np.repeat(np.asarray(f_point, np.complex128), 64)[:, None] * image
+
+    r_unit = fro(tg.pi(tg.algebra.unit()) - np.eye(128))
     rep.add("unit tensor acts as the identity", r_unit == 0.0, r_unit, 0.0)
 
     eye4 = np.eye(4)
     elements = alg.generators() + [alg.random_element(rng) for _ in range(4)]
     r_equal = worst(
-        fro(twisted_rep((f, f), (c, c, q, q, m)) - f * kron(eye4, rep_F((c, q, m))))
+        fro(
+            simple((f, f), tg.pi((c, c, q, q, m) * 2))
+            - f * kron(eye4, _SM_REP((c, q, m)))
+        )
         for c, q, m in elements
         for f in (1.0 + 0.0j, 0.6 - 0.35j)
     )
@@ -283,8 +263,8 @@ def label_swap_check(tol: Tolerance = DEFAULT_TOL) -> Report:
 
     c1, q1, m1 = alg.random_element(rng)
     c2, q2, m2 = alg.random_element(rng)
-    a = (c1, c2, q1, q2, m1)
-    back = rho_sm(rho_sm(a))
+    a = (c1, c2, q1, q2, m1) * 2
+    back = tg.rho.apply(tg.rho.apply(a))
     r_inv = sum(
         float(np.linalg.norm(np.atleast_1d(np.asarray(v - w))))
         for v, w in zip(back, a)
@@ -292,14 +272,14 @@ def label_swap_check(tol: Tolerance = DEFAULT_TOL) -> Report:
     rep.add("label swap is an involution", r_inv == 0.0, r_inv, 0.0)
 
     f_pair = (0.8 + 0.3j, -0.2 + 1.1j)
-    same_labels = (c1, c1, q1, q1, m1)
-    d_lab = twisted_rep(f_pair, a) - twisted_rep(f_pair, same_labels)
+    same_labels = (c1, c1, q1, q1, m1) * 2
+    d_lab = simple(f_pair, tg.pi(a)) - simple(f_pair, tg.pi(same_labels))
     r_anti = fro(d_lab * _ANTI_MASK)
     rep.check(
         "label differences are confined to the particle sector", r_anti, tol, 1.0
     )
 
-    d_conv = twisted_rep(f_pair, rho_sm(a)) - _display_simple(f_pair, a)
+    d_conv = simple(f_pair, tg.pi_rho(a)) - simple(f_pair, shown(a))
     r_part = fro(d_conv * (1.0 - _ANTI_MASK))
     r_rest = fro(d_conv * _ANTI_MASK)
     rep.check("swap matches the display on the particle sector", r_part, tol, 1.0)
@@ -423,7 +403,7 @@ def sm_first_order_residuals(
 
     The "flip" convention twists the abstract elements; "display" swaps
     the labels of the represented matrices instead, so its pi o rho is
-    read from the stack of ``display_twist_operator``.
+    read from the stack of ``display_twist_rep``.
     """
     if convention not in ("flip", "display"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -431,9 +411,7 @@ def sm_first_order_residuals(
         gens = lean_generators(tg.algebra)
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks(gens)
     if convention == "display":
-        shown = Representation.from_function(
-            tg.algebra, tg.geometry.hilbert_dim, display_twist_operator
-        )
+        shown = display_twist_rep()
         disp = TwistedGeometry.untwisted(replace(tg.geometry, rep=shown))
         pi_rho_a, _, rho_opp_b, _ = disp.stacks(gens)
     primary, symmetric = first_order_residuals(
@@ -442,8 +420,11 @@ def sm_first_order_residuals(
     return {"primary": primary, "symmetric": symmetric}
 
 
-def _sm_scale(tg: TwistedGeometry) -> float:
-    return generator_scale(tg.stacks(lean_generators(tg.algebra))[0]) ** 2
+def _lean_scale(tg: TwistedGeometry) -> float:
+    """Squared generator scale of pi over the lean generators."""
+    alg = tg.algebra
+    pi_a = tg.geometry.rep.images(alg.coord_rows(lean_generators(alg)))
+    return generator_scale(pi_a) ** 2
 
 
 def sm_order_zero_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -453,7 +434,7 @@ def sm_order_zero_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> R
         "order zero: algebra commutes with opposite",
         sm_order_zero_residual(tg),
         tol,
-        _sm_scale(tg),
+        _lean_scale(tg),
     )
     return rep
 
@@ -461,7 +442,7 @@ def sm_order_zero_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> R
 def sm_first_order_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Order-one records of both conventions; only "display" is gated."""
     rep = Report("twisted standard model: order one")
-    d_scale = _sm_scale(tg) * max(1.0, fro(tg.geometry.dirac))
+    d_scale = _lean_scale(tg) * max(1.0, fro(tg.geometry.dirac))
     for convention in ("flip", "display"):
         res = sm_first_order_residuals(tg, convention)
         for form in ("primary", "symmetric"):
@@ -531,7 +512,7 @@ def verify_sm_twisted(
         "doubling involution commutes with the algebra",
         diag.commutes_with_rep,
         tol,
-        _sm_scale(tg),
+        _lean_scale(tg),
     )
     r_formula = fro(diag.gamma_tilde - sm_gamma_tilde_expected())
     rep.add(
@@ -552,7 +533,7 @@ def verify_sm_twisted(
 
     rep.merge(label_swap_check(tol), prefix="labels: ")
     witness = tg.algebra.basis_element(1, 1.0 + 0.0j)  # left scalar, first copy
-    diff = tg.pi_rho(witness) - display_twist_operator(witness)
+    diff = tg.pi_rho(witness) - display_twist_rep()(witness)
     r_anti_sector = fro(diff * _ANTI_MASK)
     r_part_sector = fro(diff * (1.0 - _ANTI_MASK))
     rep.check("conventions agree on the particle sector", r_part_sector, tol, 1.0)

@@ -175,7 +175,7 @@ class TwistedGeometry:
         alg, pi, j = self.algebra, self.geometry.rep, self.geometry.real_structure
         if gens is None:
             gens = alg.generators()
-        cg = np.stack([alg.coords(e) for e in gens])
+        cg = alg.coord_rows(gens)
         r = alg.linear_map(self.rho.apply)
         pi_a, pi_rho_a = pi.images(cg), pi.images(cg @ r)
         if j is None:
@@ -201,7 +201,7 @@ def check_regular(
     rho.validate_for(alg)
     pi = g.rep
     gens = alg.generators()
-    cg = np.stack([alg.coords(a) for a in gens])
+    cg = alg.coord_rows(gens)
     mats = pi.images(cg)
     scale = generator_scale(mats)
     count, n = len(gens), pi.dim

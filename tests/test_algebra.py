@@ -192,27 +192,6 @@ def test_representation_action_and_check(alg):
     assert any("unit" in n for n in names)
 
 
-def test_function_representation_has_no_placements(alg):
-    base = Representation.from_placements(
-        alg,
-        6,
-        [
-            Placement(component=0, start=0, mode="scalar", mult=1),
-            Placement(component=1, start=1, mode="fund", mult=1),
-            Placement(component=2, start=3, mode="fund", mult=1),
-        ],
-    )
-
-    def act(elem):
-        return base(elem)
-
-    rep = Representation.from_function(alg, 6, act)
-    assert rep.placements is None
-    x = alg.random_element(np.random.default_rng(3))
-    assert np.allclose(rep(x), base(x))
-    assert rep.check().ok
-
-
 def assert_stack_transform(rep, formula, rng):
     """``rep`` equals ``formula``: exactly on the basis, closely elsewhere."""
     alg = rep.algebra
@@ -323,17 +302,13 @@ def test_stack_constructor_checks_images(alg):
         Representation(alg, stack[:, :, :5])  # non-square images
 
 
-def test_function_image_shape_checked_at_construction(alg):
-    with pytest.raises(ValueError):
-        Representation.from_function(alg, 6, lambda x: np.eye(5))
-
-
 def test_coords_invert_basis(alg):
     basis = alg.basis()
     assert len(basis) == 2 + 8 + 18
     for k, e in enumerate(basis):
         c = alg.coords(e)
         assert c[k] == 1.0 and np.count_nonzero(c) == 1
+    assert np.array_equal(alg.coord_rows(basis), np.eye(len(basis)))
 
 
 def _base_rep(alg):
@@ -346,28 +321,3 @@ def _base_rep(alg):
             Placement(component=2, start=3, mode="fund", mult=1),
         ],
     )
-
-
-def test_function_called_once_per_basis_direction(alg):
-    base = _base_rep(alg)
-    calls = []
-
-    def act(x):
-        calls.append(x)
-        return base(x)
-
-    rep = Representation.from_function(alg, 6, act)
-    rng = np.random.default_rng(RNG_SEED + 4)
-    for _ in range(3):
-        for x in alg.generators() + [alg.random_element(rng)]:
-            assert fro(rep(x) - base(x)) < 1e-12
-    assert len(calls) == len(alg.basis())
-
-
-def test_nonlinear_function_fails_check(alg):
-    base = _base_rep(alg)
-    rep = Representation.from_function(alg, 6, lambda x: base(x) @ base(x))
-    report = rep.check()
-    assert not report.ok
-    (rec,) = [r for r in report.records if "real-linear" in r.name]
-    assert not rec.passed

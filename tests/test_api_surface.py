@@ -105,7 +105,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 GENERATOR_SETS = {"generators", "lean_generators"}
 IMAGE_METHODS = {"pi", "pi_rho", "twisted_commutator", "rep"}
-IMAGE_FUNCTIONS = {"display_twist_operator"}
+IMAGE_FUNCTIONS = {"display_twist_rep"}
 
 
 def terminal_name(node: ast.AST) -> str | None:
@@ -146,7 +146,7 @@ def per_element_images() -> list[str]:
     That is a comprehension over ``gens``, ``generators()`` or
     ``lean_generators(...)`` that calls ``.pi``, ``.pi_rho``,
     ``.twisted_commutator``, a representation (``.rep`` or a local value
-    such as ``rep0`` or a bound method) or ``display_twist_operator``.
+    such as ``rep0`` or a bound method) or ``display_twist_rep``.
     ``algebra.py`` is exempt: it defines how a representation evaluates.
     """
     found = []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nctwist
-from nctwist import cli
+from nctwist import cli, mintwist
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.cli import main
 from nctwist.clifford import gamma
@@ -326,6 +326,15 @@ class TestEngines:
         assert code == 0
         assert payload["info"]["dimension"] == 2
 
+    def test_uniqueness_above_m5_is_rejected_before_allocating(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the m=6 intertwiner system was about to be built")
+
+        monkeypatch.setattr(mintwist, "intertwiner_space", unreachable)
+        assert main(["uniqueness", "--m", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: uniqueness needs m <= 5") and "49152 x 8192" in err
+
     def test_free_dirac_seeded(self, capsys):
         code, payload = run_json(capsys, ["free-dirac", "--m", "1", "--seed", "3"])
         assert code == 0
@@ -406,6 +415,27 @@ class TestSM:
         )
         assert code == 0
 
+    def test_signed_values_parse_with_or_without_equals(self, capsys, monkeypatch):
+        seen = []
+        build = cli.twisted_sm_geometry
+
+        def capture(yukawas, majorana):
+            seen.append((yukawas, majorana))
+            return build(yukawas, majorana)
+
+        monkeypatch.setattr(cli, "twisted_sm_geometry", capture)
+        values = {"--yukawa": "-0.5,1,1,1", "--majorana": "-1.0-0.2j"}
+        spaced = [tok for flag, v in values.items() for tok in (flag, v)]
+        glued = [f"{flag}={v}" for flag, v in values.items()]
+        checks = []
+        for flags in (spaced, glued):
+            code, payload = run_json(capsys, ["sm", "--check", "zero-order", *flags])
+            assert code == 0
+            checks.append(payload["checks"])
+        assert checks[0] == checks[1]
+        assert seen[0] == seen[1]
+        assert seen[0][0]["nu"] == -0.5 and seen[0][1] == -1.0 - 0.2j
+
     def test_malformed_yukawa_is_input_error(self, capsys):
         assert main(["sm", "--check", "recovery", "--yukawa", "1.0,2.0"]) == 2
 
@@ -413,7 +443,6 @@ class TestSM:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     @pytest.mark.parametrize("flag", ["--yukawa", "--majorana"])
     def test_non_finite_coupling_is_input_error(self, capsys, flag, value):
-        # "=" keeps argparse from reading "-inf" as an option
         arg = f"{value},1,1,1" if flag == "--yukawa" else value
         assert main(["sm", "--check", "zero-order", f"{flag}={arg}"]) == 2
         err = capsys.readouterr().err

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctwist import sm
 from nctwist.algebra import QUATERNION_UNITS, quaternion
@@ -14,14 +16,12 @@ from nctwist.sm import (
     DEFAULT_MAJORANA,
     DEFAULT_YUKAWAS,
     build_dirac,
-    display_twist_operator,
+    display_twist_rep,
     finite_grading,
     finite_real_structure,
     generalized_minimal_twist_check,
     label_swap_check,
     lean_generators,
-    rep_F,
-    rho_sm,
     sm_algebra,
     sm_finite_geometry,
     sm_first_order_residuals,
@@ -30,9 +30,9 @@ from nctwist.sm import (
     sm_order_zero_residual,
     sm_rep,
     sm_twist,
-    twisted_rep,
     twisted_sm_algebra,
     twisted_sm_geometry,
+    twisted_sm_rep,
     verify_sm_twisted,
 )
 from nctwist.triple import measure_ko_signs, order_one_residual, order_zero_residual, verify_spectral_triple
@@ -86,7 +86,7 @@ class TestRepF:
     def test_quaternion_acts_on_doublets(self):
         q = quaternion(0.3 + 0.1j, -0.7 + 0.2j)
         e = sm_algebra().element([0.0, q, np.zeros((3, 3))])
-        m = rep_F(e)
+        m = sm_rep()(e)
         # weak doublets: (nu, e) and (u, d) for each of the four colors
         assert np.allclose(m[:8, :8], kron(q, np.eye(4)))
         assert fro(m[8:, 8:]) == 0.0
@@ -94,14 +94,14 @@ class TestRepF:
     def test_scalar_acts_conjugated_on_right_block(self):
         c = 0.4 - 0.9j
         e = sm_algebra().element([c, np.zeros((2, 2)), np.zeros((3, 3))])
-        m = rep_F(e)
+        m = sm_rep()(e)
         assert np.allclose(m[8:12, 8:12], c * np.eye(4))
         assert np.allclose(m[12:16, 12:16], np.conj(c) * np.eye(4))
 
     def test_color_acts_on_antiparticles(self):
         w = np.arange(9).reshape(3, 3).astype(np.complex128)
         e = sm_algebra().element([0.0, np.zeros((2, 2)), w])
-        m = rep_F(e)
+        m = sm_rep()(e)
         assert fro(m[:16, :16]) == 0.0
         # lepton slots stay zero, color triplets carry w
         assert np.allclose(m[17:20, 17:20], w)
@@ -207,12 +207,12 @@ class TestSimpleTensors:
         assert report.ok, report.format_text()
         assert report.info["recovery_residual"] == 0.0
 
-    def test_twisted_rep_reads_right_and_left_labels(self):
+    def test_twisted_rep_reads_right_and_left_labels(self, tsm):
         q_r = quaternion(0.2 + 0.1j, 0.5 - 0.3j)
         q_l = quaternion(-0.4 + 0.6j, 0.1 + 0.1j)
         m = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
         a = (0.7 + 0.2j, -0.3 + 0.9j, q_r, q_l, m)
-        out = twisted_rep((1.0, 1.0), a)
+        out = tsm.pi(a + a)
         assert out.shape == (128, 128)
         # + sector, weak block: right quaternion
         assert np.allclose(out[:8, :8], kron(q_r, np.eye(4)))
@@ -224,10 +224,11 @@ class TestSimpleTensors:
 
     def test_rho_sm_is_an_involution(self):
         a = (1.0 + 2j, 3.0 - 1j, QUATERNION_UNITS["j"], QUATERNION_UNITS["k"], np.eye(3))
-        b = rho_sm(rho_sm(a))
-        assert all(np.array_equal(np.atleast_1d(x), np.atleast_1d(y)) for x, y in zip(a, b))
-        assert rho_sm(a)[0] == a[1]
-        assert rho_sm(a)[4] is a[4]
+        swap = sm_twist().apply
+        b = swap(swap(a + a))
+        assert all(np.array_equal(np.atleast_1d(x), np.atleast_1d(y)) for x, y in zip(a + a, b))
+        assert swap(a + a)[0] == a[1]
+        assert swap(a + a)[4] is a[4]
 
     def test_swap_discrepancy_lives_on_antiparticle_scalars(self):
         report = label_swap_check()
@@ -239,10 +240,8 @@ class TestSimpleTensors:
     def test_displayed_swap_of_equal_labels_is_identity_action(self):
         q = quaternion(0.3, 0.4)
         x = (0.5 + 0.1j, 0.5 + 0.1j, q, q, np.eye(3), 0.5 + 0.1j, 0.5 + 0.1j, q, q, np.eye(3))
-        from nctwist.sm import twisted_sm_rep
-
         rep = twisted_sm_rep()
-        assert fro(display_twist_operator(x) - rep(x)) == 0.0
+        assert fro(display_twist_rep()(x) - rep(x)) == 0.0
 
 
 class TestGammaTilde:
@@ -308,3 +307,92 @@ def test_verify_sm_twisted_gates_on_the_finite_triple_it_was_given(monkeypatch):
         verify_sm_twisted(twisted_sm_geometry(yuk, majorana))
     (g,) = seen
     assert np.array_equal(g.dirac, build_dirac(yuk, majorana))
+
+
+# -- the stack-built twisted representations against their closures -------
+#
+# The twisted model and its display swap were once functions of the element,
+# evaluated once per basis direction.  Those closures are kept here as the
+# reference: each chirality sector is the finite action with its
+# antiparticle scalar read from a label of its own.
+
+FIN = sm_rep()
+ANTI32 = np.zeros((32, 32))
+ANTI32[16:, 16:] = 1.0
+P_PLUS = np.diag([1.0, 1.0, 0.0, 0.0]).astype(np.complex128)
+P_MINUS = np.diag([0.0, 0.0, 1.0, 1.0]).astype(np.complex128)
+
+
+def sector_action(c, q, c_anti, m):
+    return FIN((c, q, m)) * (1.0 - ANTI32) + FIN((c_anti, q, m)) * ANTI32
+
+
+def sectors(y_plus, y_minus):
+    return kron(P_PLUS, y_plus) + kron(P_MINUS, y_minus)
+
+
+def twisted_closure(x):
+    return sectors(sector_action(x[0], x[2], x[0], x[4]), sector_action(x[6], x[8], x[5], x[9]))
+
+
+def display_closure(x):
+    return sectors(sector_action(x[1], x[3], x[0], x[4]), sector_action(x[5], x[7], x[5], x[9]))
+
+
+def simple_tensor(f_point, a):
+    """f x A with A = (c_r, c_l, q_r, q_l, m), f = (f+, f-)."""
+    f_plus, f_minus = (complex(f) for f in f_point)
+    c_r, c_l, q_r, q_l, m = a
+    return sectors(f_plus * sector_action(c_r, q_r, c_r, m), f_minus * sector_action(c_l, q_l, c_r, m))
+
+
+def swapped_labels(a):
+    c_r, c_l, q_r, q_l, m = a
+    return (c_l, c_r, q_l, q_r, m)
+
+
+def displayed_simple_swap(f_point, a):
+    f_plus, f_minus = (complex(f) for f in f_point)
+    c_r, c_l, q_r, q_l, m = a
+    return sectors(f_plus * sector_action(c_l, q_l, c_r, m), f_minus * sector_action(c_r, q_r, c_r, m))
+
+
+def assert_matches_closure(rep, closure):
+    """Exactly on every basis element, within 1e-13 on random elements."""
+    alg = rep.algebra
+    for k, e in enumerate(alg.basis()):
+        assert np.array_equal(rep.stack[k], closure(e)), k
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = alg.random_element(rng)
+        want = closure(x)
+        assert fro(rep(x) - want) <= 1e-13 * max(1.0, fro(want))
+
+
+@pytest.mark.parametrize(
+    "build, closure",
+    [(twisted_sm_rep, twisted_closure), (display_twist_rep, display_closure)],
+    ids=["twisted", "display"],
+)
+def test_sector_stacks_equal_their_closures(build, closure):
+    assert_matches_closure(build(), closure)
+
+
+@pytest.fixture(scope="module")
+def shown():
+    return display_twist_rep()
+
+
+complexes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=20, deadline=None)
+@given(f=st.tuples(complexes, complexes), seed=st.integers(0, 2**32 - 1))
+def test_simple_tensors_are_read_through_the_geometry(tsm, shown, f, seed):
+    rng = np.random.default_rng(seed)
+    (c_r, q_r, m), (c_l, q_l, _) = sm_algebra().random_element(rng), sm_algebra().random_element(rng)
+    a = (c_r, c_l, q_r, q_l, m)
+    rows = np.repeat(np.asarray(f, np.complex128), 64)[:, None]
+    assert np.array_equal(rows * tsm.pi(a + a), simple_tensor(f, a))
+    assert np.array_equal(rows * tsm.pi_rho(a + a), simple_tensor(f, swapped_labels(a)))
+    assert np.array_equal(rows * shown(a + a), displayed_simple_swap(f, a))

@@ -18,7 +18,7 @@ from nctwist.samples import (
     random_unitary,
 )
 from nctwist.sm import (
-    display_twist_operator,
+    display_twist_rep,
     lean_generators,
     sm_first_order_residuals,
     twisted_sm_geometry,
@@ -202,19 +202,11 @@ def poisoned_flip_toy():
     """flip_toy() with a NaN in pi of its last generator, and only there."""
     tg = flip_toy()
     base = tg.geometry.rep
-    last = base.algebra.generators()[-1]
-
-    def act(x):
-        m = base(x)
-        if all(np.array_equal(v, w) for v, w in zip(x, last)):
-            m[1, 1] = np.nan
-        return m
-
+    (k,) = np.flatnonzero(base.algebra.coords(base.algebra.generators()[-1]))
+    stack = base.stack.copy()
+    stack[k, 1, 1] = np.nan
     geom = tg.geometry
-    return TwistedGeometry(
-        replace(geom, rep=Representation.from_function(base.algebra, base.dim, act)),
-        tg.rho,
-    )
+    return TwistedGeometry(replace(geom, rep=Representation(base.algebra, stack)), tg.rho)
 
 
 def assert_nan_fails_what_reads_it(report):
@@ -477,7 +469,7 @@ def test_stacks_without_real_structure_have_no_opposite():
 def test_sm_stacks_equal_their_definitions_in_both_conventions(convention):
     tg = twisted_sm_geometry()
     g, gens = tg.geometry, lean_generators(tg.algebra)
-    shown = display_twist_operator if convention == "display" else None
+    shown = display_twist_rep() if convention == "display" else None
     want = per_element_stacks(g, tg.rho, gens, shown)
     if convention == "flip":
         assert_stacks_agree(tg.stacks(gens), want)
