@@ -27,12 +27,11 @@ from .matlin import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    blocked_max,
     dagger,
     fro,
     generator_scale,
     kron,
-    worst,
+    pair_max,
 )
 from .report import Report
 
@@ -486,18 +485,15 @@ class Representation:
         rep.check("unit maps to identity", r_unit, tol, 1.0)
 
         c_star = cg @ alg.linear_map(alg.star)
-        r_star = blocked_max(
-            count, n, lambda s: self.images(c_star[s]) - dagger(mats[s])
+        r_star = pair_max(
+            1, count, n, lambda _, s: self.images(c_star[s]) - dagger(mats[s])
         )
         rep.check("star preserved on generators", r_star, tol, scale)
 
         # every pair, cross-block ones included: pi(g_i g_j) - pi(g_i) pi(g_j)
         prod = alg.mul_coords(cg[:, None], cg[None])
-        r_mult = worst(
-            blocked_max(
-                count, n, lambda s: self.images(prod[i, s]) - mats[i] @ mats[s]
-            )
-            for i in range(count)
+        r_mult = pair_max(
+            count, count, n, lambda i, s: self.images(prod[i, s]) - mats[i] @ mats[s]
         )
         rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
         return rep

@@ -2,7 +2,9 @@
 
 Everything in the package works with square ``numpy.ndarray`` matrices of
 dtype complex128.  This module collects the primitives the rest of the code
-is built on: the pair-residual kernel behind every order condition,
+is built on: the tolerance and its bound, ``pair_max``, the one walk over
+generators or generator pairs behind every order, regularity and
+multiplicativity check (``pair_residual`` is its commutator form),
 antilinear operators in unitary-times-conjugation form, and SVD-based
 solvers for intertwiner spaces (the commutant of a set is its
 intertwiners with itself).
@@ -40,8 +42,12 @@ class Tolerance:
                     f"tolerance {name} must be finite and non-negative, got {value}"
                 )
 
+    def bound(self, scale: float = 1.0) -> float:
+        """``rel * scale + abs``: the largest residual accepted at ``scale``."""
+        return self.rel * scale + self.abs
+
     def accepts(self, residual: float, scale: float = 1.0) -> bool:
-        return residual <= self.rel * scale + self.abs
+        return residual <= self.bound(scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -92,33 +98,36 @@ def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
 
 
+def pair_max(rows: int, cols: int, n: int, block) -> float:
+    """``max_{i,j} ||block(i, s)[j]||`` over ``i < rows``, ``j < cols``.
+
+    The one walk over generators or generator pairs.  ``block(i, s)`` maps
+    row ``i`` and a slice ``s`` of the columns to the ``(len, n, n)``
+    differences it covers; the slices hold ``max(1, 32768 // n^2)`` of them,
+    which keeps the temporaries small on large n.  Rows run outer and
+    columns inner.  An empty side gives 0.0, and a NaN anywhere is the result.
+    """
+    step = max(1, 32768 // n**2)
+    return worst(
+        np.linalg.norm(block(i, slice(j, j + step)), axis=(-2, -1)).max()
+        for i in range(rows)
+        for j in range(0, cols, step)
+    )
+
+
 def pair_residual(xs, ys, zs=None) -> float:
     """``max_{i,j} ||xs[i] ys[j] - zs[j] xs[i]||`` over ``(G, n, n)`` stacks.
 
     ``zs`` defaults to ``ys`` (plain commutators); passing the twisted
     images gives twisted ones, and ``xs = [I]`` a single-generator maximum
     of ``||ys[j] - zs[j]||``.  Each ``xs[i]`` meets one batched product per
-    block of the ``j`` (``blocked_max``).  A NaN anywhere is the result.
+    block of the ``j`` (``pair_max``).  A NaN anywhere is the result.
     """
+    xs = np.asarray(xs, dtype=np.complex128)
     ys = np.asarray(ys, dtype=np.complex128)
     zs = ys if zs is None else np.asarray(zs, dtype=np.complex128)
-    return worst(
-        blocked_max(len(ys), ys.shape[-1], lambda s: x @ ys[s] - zs[s] @ x)
-        for x in np.asarray(xs, dtype=np.complex128)
-    )
-
-
-def blocked_max(count: int, n: int, block) -> float:
-    """``max_k ||block(s)[k]||`` over ``k < count`` for ``n x n`` differences.
-
-    ``block`` maps a slice of the ``k`` to the ``(len, n, n)`` differences
-    it covers; the slices hold ``max(1, 32768 // n^2)`` of them, which keeps
-    the temporaries small on large n.  A NaN anywhere is the result.
-    """
-    step = max(1, 32768 // n**2)
-    return worst(
-        np.linalg.norm(block(slice(j, j + step)), axis=(-2, -1)).max()
-        for j in range(0, count, step)
+    return pair_max(
+        len(xs), len(ys), ys.shape[-1], lambda i, s: xs[i] @ ys[s] - zs[s] @ xs[i]
     )
 
 

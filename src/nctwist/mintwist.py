@@ -96,8 +96,8 @@ def twist_by_grading(
     gam = g.grading
     n = g.hilbert_dim
     if not (
-        fro(gam - dagger(gam)) <= tol.rel * n + tol.abs
-        and fro(gam @ gam - np.eye(n)) <= tol.rel * n + tol.abs
+        tol.accepts(fro(gam - dagger(gam)), n)
+        and tol.accepts(fro(gam @ gam - np.eye(n)), n)
     ):
         raise ValueError("grading is not a self-adjoint involution")
     rep2 = projected_double(g.rep, gam)
@@ -152,22 +152,22 @@ def gamma_tilde_diagnostics(
         element = double_unit_element(tg.algebra)
     gt = tg.pi(element)
     n = tg.geometry.hilbert_dim
-    sa = fro(gt - dagger(gt)) <= tol.rel * max(1.0, fro(gt)) + tol.abs
-    inv = fro(gt @ gt - np.eye(n)) <= tol.rel * n + tol.abs
+    sa = tol.accepts(fro(gt - dagger(gt)), max(1.0, fro(gt)))
+    inv = tol.accepts(fro(gt @ gt - np.eye(n)), n)
     alg = tg.algebra
     pi_a = tg.geometry.rep.images(alg.coord_rows(alg.generators()))
     r_comm = pair_residual([gt], pi_a)
     r_anti = fro(anticommutator(gt, tg.geometry.dirac))
-    commutes = r_comm <= tol.rel * max(1.0, fro(gt)) ** 2 + tol.abs
+    commutes = tol.accepts(r_comm, max(1.0, fro(gt)) ** 2)
     is_grading = (
         sa
         and inv
         and commutes
-        and r_anti <= tol.rel * max(1.0, fro(tg.geometry.dirac)) + tol.abs
+        and tol.accepts(r_anti, max(1.0, fro(tg.geometry.dirac)))
     )
     equals_input = (
         tg.geometry.grading is not None
-        and fro(gt - tg.geometry.grading) <= tol.rel * n + tol.abs
+        and tol.accepts(fro(gt - tg.geometry.grading), n)
     )
     return GammaTildeReport(
         gamma_tilde=gt,
@@ -313,10 +313,10 @@ def free_dirac_pointwise(
     pi_scale = max(1.0, fro(ys[0]))
     if cc.eps_dblprime == 1:
         rep.check("J pi(a) J^-1 = pi(a*)", r_plain, tol, pi_scale)
-        rep.add("flipped form differs", True, r_flip, float("inf"), "recorded")
+        rep.record("flipped form differs", r_flip, "recorded")
     else:
         rep.check("J pi(a) J^-1 = pi(flip(a*))", r_flip, tol, pi_scale)
-        rep.add("plain form differs", True, r_plain, float("inf"), "recorded")
+        rep.record("plain form differs", r_plain, "recorded")
 
     a_mat = sum(-1j * g @ y for g, y in zip(data.gammas, ys))
     a_dag = dagger(a_mat)
@@ -336,13 +336,7 @@ def free_dirac_pointwise(
     rep.check(
         "conjugated one-form formula for this branch", r_branch, tol, scale, note=note
     )
-    rep.add(
-        "other branch formula differs",
-        True,
-        r_other,
-        float("inf"),
-        note="recorded for contrast",
-    )
+    rep.record("other branch formula differs", r_other, "recorded for contrast")
 
     term = a_mat + jaj
     defect = fro(term - dagger(term)) / 2.0
@@ -367,12 +361,10 @@ def free_dirac_pointwise(
             tol,
             scale,
         )
-        rep.add(
+        rep.record(
             "no nonzero self-adjoint fluctuation on this branch",
-            True,
             fro(term),
-            float("inf"),
-            note=f"gate keeps T only if T = 0; ||T|| = {fro(term):.3e}",
+            f"gate keeps T only if T = 0; ||T|| = {fro(term):.3e}",
         )
         rep.info["accepted"] = False
         return rep
@@ -388,12 +380,10 @@ def free_dirac_pointwise(
         note="acceptance is equivalent to Re g = -Re f",
     )
     accepted = coeff_defect <= COEFF_TOL
-    rep.add(
+    rep.record(
         "self-adjointness gate",
-        True,
         defect,
-        float("inf"),
-        note=f"accepted={accepted} (max |Re f + Re g| = {coeff_defect:.3e})",
+        f"accepted={accepted} (max |Re f + Re g| = {coeff_defect:.3e})",
     )
     if accepted:
         expected = sum(
@@ -413,12 +403,10 @@ def free_dirac_pointwise(
             scale,
         )
     else:
-        rep.add(
+        rep.record(
             "sample rejected by the gate",
-            True,
             defect,
-            float("inf"),
-            note="no self-adjoint fluctuation for these coefficients",
+            "no self-adjoint fluctuation for these coefficients",
         )
     # identity-twist degeneration: equal blocks g = f reduce the gate to
     # Re f = 0, and such coefficients produce the zero term identically

@@ -76,8 +76,12 @@ class Report:
         note: str = "",
     ) -> CheckRecord:
         """Record a residual judged by a Tolerance against a scale."""
-        bound = tol.rel * scale + tol.abs
+        bound = tol.bound(scale)
         return self.add(name, residual <= bound, residual, bound, note)
+
+    def record(self, name: str, residual: float, note: str = "") -> CheckRecord:
+        """Record a measured-only residual (tol inf): it fails only if non-finite."""
+        return self.add(name, True, residual, float("inf"), note)
 
     def merge(self, other: "Report", prefix: str = "") -> None:
         for rec in other.records:

@@ -3,10 +3,12 @@
 All matrices travel as {"rows": n, "cols": m, "data": [[re, im], ...]} in
 row-major order.  Antilinear operators carry their unitary part plus the
 fixed convention tag "u-conj" (apply the unitary, then conjugate entries).
-Geometries serialize their placement tables; representations defined by
-arbitrary functions have no file form, except that a geometry twisted by
-its grading round-trips through a marker object holding the untwisted
-base, since the doubled representation is reconstructed from it.
+Geometries serialize their placement tables.  A representation built as a
+transform of a parent stack (the projector doubling, a unitary frame, a
+Clifford factor, the standard-model chirality sectors) has no file form,
+except that a geometry twisted by its grading round-trips through a marker
+object holding the untwisted base, since the doubled representation is
+reconstructed from it.
 
 Writers emit deterministic JSON (sorted keys, no whitespace) so identical
 inputs give byte-identical files.  Readers check the JSON type of every

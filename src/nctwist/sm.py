@@ -452,12 +452,10 @@ def sm_first_order_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> 
                     f"order one (display convention, {form} form)", r, tol, d_scale
                 )
             else:
-                rep.add(
+                rep.record(
                     f"order one (flip convention, {form} form)",
-                    True,
                     r,
-                    float("inf"),
-                    note="measured only; the label swap misses the antiparticle scalar",
+                    "measured only; the label swap misses the antiparticle scalar",
                 )
         rep.info[f"order_one_{convention}"] = res
     return rep

@@ -23,10 +23,10 @@ from .matlin import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    blocked_max,
     dagger,
     fro,
     generator_scale,
+    pair_max,
     pair_residual,
     worst,
 )
@@ -144,6 +144,9 @@ class TwistedGeometry:
 
     def __post_init__(self):
         self.rho.validate_for(self.geometry.algebra)
+        n, u = self.geometry.hilbert_dim, self.rho.u_rho
+        if u is not None and u.shape != (n, n):
+            raise ValueError(f"u_rho has shape {u.shape}, expected ({n}, {n})")
 
     @property
     def algebra(self) -> Algebra:
@@ -211,22 +214,26 @@ def check_regular(
     cr = cg @ r
 
     def gap(ca, cb):
-        """max_k ||pi(ca[k]) - pi(cb[k])||; both sides are evaluated."""
-        return blocked_max(
-            len(ca), n, lambda s: pi.images(ca[s]) - pi.images(cb[s])
+        """max_{i,j} ||pi(ca[i, j]) - pi(cb[i, j])||; both sides are evaluated."""
+        rows, cols = ca.shape[:2]
+        return pair_max(
+            rows, cols, n, lambda i, s: pi.images(ca[i, s]) - pi.images(cb[i, s])
         )
 
-    r_reg = gap(cg @ star @ r, cg @ alg.linear_map(rho.inverse().apply) @ star)
+    # a single-generator record is one row of the pair grid: (1, G, B)
+    r_reg = gap(
+        (cg @ star @ r)[None], (cg @ alg.linear_map(rho.inverse().apply) @ star)[None]
+    )
     rep.check("regular: rho(a*) = (rho^-1(a))*", r_reg, tol, scale)
 
     # rho(a b) against rho(a) rho(b) on every pair, cross-block ones included
     lhs = alg.mul_coords(cg[:, None], cg[None]) @ r
     rhs = alg.mul_coords(cr[:, None], cr[None])
-    r_mult = worst(gap(lhs[i], rhs[i]) for i in range(count))
+    r_mult = gap(lhs, rhs)
     rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
 
     if rho.is_involutive_perm() and rho.inner is None and rho.scale is None:
-        rep.check("involutive", gap(cr @ r, cg), tol, scale)
+        rep.check("involutive", gap((cr @ r)[None], cg[None]), tol, scale)
 
     if rho.u_rho is not None:
         u = rho.u_rho
@@ -236,8 +243,8 @@ def check_regular(
             tol,
             1.0,
         )
-        r_impl = blocked_max(
-            count, n, lambda s: pi.images(cr[s]) - u @ mats[s] @ dagger(u)
+        r_impl = pair_max(
+            1, count, n, lambda _, s: pi.images(cr[s]) - u @ mats[s] @ dagger(u)
         )
         rep.check("pi(rho(a)) = U pi(a) U*", r_impl, tol, scale)
     return rep
@@ -299,27 +306,15 @@ def zero_order_conflict_check(
     worst_plain = pair_residual(pi_a, opp_b)
     worst_twisted = pair_residual(pi_a, opp_b, rho_opp_b)
     obstruction = pair_residual([np.eye(tg.geometry.hilbert_dim)], pi_a, pi_rho_a)
-    rep.add(
-        "untwisted order zero residual",
-        True,
-        worst_plain,
-        float("inf"),
-        note="recorded",
-    )
-    rep.add(
-        "twisted order zero residual",
-        True,
-        worst_twisted,
-        float("inf"),
-        note="recorded",
-    )
+    rep.record("untwisted order zero residual", worst_plain, "recorded")
+    rep.record("twisted order zero residual", worst_twisted, "recorded")
     both_hold = tol.accepts(worst_plain, scale) and tol.accepts(worst_twisted, scale)
     trivial = tol.accepts(obstruction, scale)
     rep.add(
         "coexistence forces trivial twist",
         (not both_hold) or trivial,
         obstruction,
-        tol.rel * scale + tol.abs,
+        tol.bound(scale),
         note=f"obstruction ||pi(b - rho(b))|| = {obstruction:.3e}",
     )
     rep.info["obstruction"] = obstruction
@@ -345,7 +340,7 @@ def coexistence_first_order_check(
     twisted = d @ pi_a - pi_rho_a @ d
     # a generator its twist cannot be told apart from (NaN included) is fixed
     fixed = [
-        not fro(ma - mra) > tol.rel * max(1.0, fro(ma)) + tol.abs
+        not fro(ma - mra) > tol.bound(max(1.0, fro(ma)))
         for ma, mra in zip(pi_a, pi_rho_a)
     ]
     worst_plain = pair_residual(plain, opp_b)
@@ -356,8 +351,8 @@ def coexistence_first_order_check(
             pair_residual(twisted[fixed], opp_b, rho_opp_b),
         ]
     )
-    rep.add("untwisted order one residual", True, worst_plain, float("inf"), "recorded")
-    rep.add("twisted order one residual", True, worst_twisted, float("inf"), "recorded")
+    rep.record("untwisted order one residual", worst_plain, "recorded")
+    rep.record("twisted order one residual", worst_twisted, "recorded")
     scale = generator_scale(pi_a) ** 2 * max(1.0, fro(d))
     rep.check("both conditions on twist-fixed elements", worst_fixed, tol, scale)
     rep.info["untwisted_residual"] = worst_plain

@@ -9,7 +9,9 @@ alone, so a method shares its references with every same-named one.
 
 Generator images are built in one place, ``TwistedGeometry.stacks``: outside
 ``algebra.py`` no module forms pi, pi o rho or a twisted commutator one
-generator at a time.
+generator at a time.  Generators and generator pairs are walked in one
+place, ``matlin.pair_max``: outside ``matlin.py`` no loop over ``range``
+calls the kernel.
 """
 
 import ast
@@ -177,3 +179,83 @@ def per_element_images() -> list[str]:
 def test_generator_images_are_built_in_one_place():
     # TwistedGeometry.stacks is the one place that forms them, in batches
     assert per_element_images() == []
+
+
+# -- generator pairs are walked in one place -----------------------------
+
+KERNEL_NAME = re.compile(r"pair_\w+|\w+_max")
+
+
+def kernels() -> set[str]:
+    """The pair walks: functions of ``matlin.py`` named ``pair_*`` or ``*_max``.
+
+    They are read from the module so that a renamed kernel is still seen.
+    """
+    matlin = ast.parse((PACKAGE / "matlin.py").read_text())
+    return {
+        f.name
+        for f in matlin.body
+        if isinstance(f, ast.FunctionDef) and KERNEL_NAME.fullmatch(f.name)
+    }
+
+
+def kernel_callers(tree: ast.Module, found: set[str]) -> set[str]:
+    """The kernels ``found`` and every function of ``tree`` that reaches one."""
+    found = set(found)
+    funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    grew = True
+    while grew:
+        grew = False
+        for func in funcs:
+            if func.name not in found and any(
+                isinstance(call, ast.Call) and terminal_name(call) in found
+                for call in ast.walk(func)
+            ):
+                found.add(func.name)
+                grew = True
+    return found
+
+
+def over_range(node: ast.AST) -> bool:
+    """A ``for`` statement or a comprehension with a loop over ``range(...)``."""
+    if isinstance(node, ast.For):
+        loops = [node]
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        loops = node.generators
+    else:
+        return False
+    return any(
+        isinstance(loop.iter, ast.Call) and terminal_name(loop.iter) == "range"
+        for loop in loops
+    )
+
+
+def pair_loops() -> list[str]:
+    """``module.py:lines callee`` of every range loop that calls a kernel, sorted.
+
+    A kernel is a pair walk of ``matlin.py`` (``pair_max``, ``pair_residual``),
+    called directly or through a function of the same module that calls one.
+    ``matlin.py`` is exempt: ``pair_max`` is the walk.
+    """
+    found, walks = [], kernels()
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "matlin.py":
+            continue
+        tree = ast.parse(module.read_text(), filename=str(module))
+        callers = kernel_callers(tree, walks)
+        for loop in ast.walk(tree):
+            if not over_range(loop):
+                continue
+            for call in ast.walk(loop):
+                if isinstance(call, ast.Call) and terminal_name(call) in callers:
+                    lines = f"{loop.lineno}"
+                    if loop.end_lineno != loop.lineno:
+                        lines += f"-{loop.end_lineno}"
+                    found.append((module.name, loop.lineno, lines, terminal_name(call)))
+                    break
+    return [f"{m}:{lines} {callee}" for m, _, lines, callee in sorted(found)]
+
+
+def test_generator_pairs_are_walked_in_one_place():
+    # matlin.pair_max is the one loop over generators and generator pairs
+    assert pair_loops() == []

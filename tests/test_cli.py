@@ -228,6 +228,28 @@ class TestVerify:
         assert saved["ok"] is True
 
 
+@pytest.mark.parametrize("command", ["verify", "fluctuate"])
+def test_u_rho_of_the_wrong_shape_is_an_input_error(tmp_path, block_file, command):
+    # block_file acts on C^4; a 3 x 3 implementing unitary cannot act there
+    rho = tmp_path / "rho.json"
+    dump_json({"permutation": [0, 1], "u_rho": matrix_to_json(np.eye(3))}, str(rho))
+    form = tmp_path / "form.json"
+    form.write_text('{"terms":[]}')
+    argv = [command, block_file, "--rho", str(rho)]
+    if command == "fluctuate":
+        argv += ["--form", str(form)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nctwist.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith("error: u_rho ")
+    assert "(3, 3)" in proc.stderr and "(4, 4)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestTolerances:
     def test_tol_flag_loosens_gate(self, capsys, bad_geometry_file):
         # the broken Dirac has residual ~1; an absurdly loose gate passes

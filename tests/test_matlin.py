@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nctwist.matlin import (
@@ -19,6 +19,7 @@ from nctwist.matlin import (
     kron,
     match_sign,
     nullspace,
+    pair_max,
     pair_residual,
     polar_unitary,
     residual_against_span,
@@ -107,6 +108,51 @@ def test_pair_residual_nan_anywhere_is_the_result(case, slot):
     target = stacks[slot]
     target[tuple(rng.integers(0, dim) for dim in target.shape)] = np.nan
     assert np.isnan(pair_residual(xs, ys, zs))
+
+
+# n = 64 and 70 put 8 and 6 differences in a column block, so up to 20
+# columns may end in a partial block; rows differ from cols and take 0 and 1
+pair_max_cases = st.tuples(
+    st.sampled_from([1, 5, 64, 70]),
+    st.integers(0, 4),
+    st.integers(0, 20),
+    st.integers(0, 2**32 - 1),
+).filter(lambda case: case[1] != case[2])
+
+
+def draw_differences(case):
+    """``(rows, cols, n, n)`` differences, each at its own scale in [1, 10]."""
+    n, rows, cols, seed = case
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols, n, n)
+    diffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    diffs *= rng.uniform(1.0, 10.0, (rows, cols, 1, 1))
+    return diffs, rng
+
+
+def kernel_max(diffs):
+    rows, cols, n = diffs.shape[:3]
+    return pair_max(rows, cols, n, lambda i, s: diffs[i, s])
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_max_cases)
+def test_pair_max_equals_the_explicit_double_loop(case):
+    diffs, _ = draw_differences(case)
+    want = 0.0
+    for i in range(diffs.shape[0]):
+        for j in range(diffs.shape[1]):
+            want = max(want, fro(diffs[i, j]))
+    assert kernel_max(diffs) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_max_cases)
+def test_pair_max_nan_at_any_pair_is_the_result(case):
+    diffs, rng = draw_differences(case)
+    assume(diffs.size > 0)
+    diffs[tuple(rng.integers(0, dim) for dim in diffs.shape)] = np.nan
+    assert np.isnan(kernel_max(diffs))
 
 
 class TestAntilinear:
