@@ -255,10 +255,6 @@ class Algebra:
     def add(self, x: tuple, y: tuple) -> tuple:
         return tuple(a + b for a, b in zip(x, y))
 
-    def scale(self, t: float, x: tuple) -> tuple:
-        # real scalars only: the algebra is real wherever quaternions live
-        return tuple(t * a for a in x)
-
     def neg(self, x: tuple) -> tuple:
         return tuple(-a for a in x)
 

@@ -238,9 +238,7 @@ def cmd_gamma_tilde(args) -> int:
     tg = twisted_from_json(load_json(args.twisted))
     diag = gamma_tilde_diagnostics(tg, tol=tol)
     rep = Report("doubling involution of a twisted geometry")
-    rep.add(
-        "self-adjoint involution", diag.is_selfadjoint_involution, 0.0, 0.0
-    )
+    rep.add("self-adjoint involution", diag.is_selfadjoint_involution, *diag.involution)
     scale = max(1.0, fro(diag.gamma_tilde)) ** 2
     rep.check(
         "commutes with the represented algebra", diag.commutes_with_rep, tol, scale
@@ -254,8 +252,7 @@ def cmd_gamma_tilde(args) -> int:
     rep.add(
         "equals the grading of the input geometry",
         diag.equals_input_grading,
-        0.0,
-        0.0,
+        *diag.input_grading,
         note="exact for a twist by grading",
     )
     # the pair (a, b) acts as P+ pi0(a) + P- pi0(b), so commuting with the

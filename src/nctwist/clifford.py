@@ -43,10 +43,6 @@ class CliffordData:
     def dim(self) -> int:
         return 2**self.m
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        eye = np.eye(self.dim)
-        return (eye + self.grading) / 2.0, (eye - self.grading) / 2.0
-
 
 def gamma(m: int) -> CliffordData:
     """Generators for 2m Euclidean dimensions on C^(2^m), chiral basis.

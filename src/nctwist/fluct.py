@@ -45,12 +45,13 @@ class TwistedOneForm:
 
 
 def eval_one_form(f: TwistedOneForm, tg: TwistedGeometry) -> np.ndarray:
-    """Evaluate sum_j pi(a_j) (D pi(b_j) - pi(rho(b_j)) D)."""
-    n = tg.geometry.hilbert_dim
-    out = np.zeros((n, n), dtype=np.complex128)
-    for a, b in f.terms:
-        out += tg.pi(a) @ tg.twisted_commutator(b)
-    return out
+    """Evaluate sum_j pi(a_j) (D pi(b_j) - pi(rho(b_j)) D), all terms in one batch."""
+    g, d = tg.geometry, tg.geometry.dirac
+    if not f.terms:
+        return np.zeros_like(d)
+    ca, cb = (g.algebra.coord_rows(side) for side in zip(*f.terms))
+    pi_b, pi_rho_b = g.rep.images(cb), tg.twisted_rep.images(cb)
+    return (g.rep.images(ca) @ (d @ pi_b - pi_rho_b @ d)).sum(axis=0)
 
 
 def one_form_opposite_checks(
@@ -196,8 +197,9 @@ def one_form_basis(tg: TwistedGeometry) -> np.ndarray:
     real-bilinear in (a, b), so the real span of this grid is the whole
     evaluated one-form bimodule.
     """
-    d = tg.geometry.dirac
-    pi_a, pi_rho_a, _, _ = tg.stacks()
+    g = tg.geometry
+    d, cg = g.dirac, g.algebra.coord_rows(g.algebra.generators())
+    pi_a, pi_rho_a = g.rep.images(cg), tg.twisted_rep.images(cg)
     grid = pi_a[:, None] @ (d @ pi_a - pi_rho_a @ d)[None]
     return grid.reshape((-1,) + d.shape)
 

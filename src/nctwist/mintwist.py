@@ -126,14 +126,22 @@ def double_unit_element(alg: Algebra) -> tuple:
 
 @dataclass(frozen=True)
 class GammaTildeReport:
-    """Diagnostics of the involution carried by the doubling."""
+    """Diagnostics of the involution carried by the doubling.
+
+    ``involution`` and ``input_grading`` are the (residual, bound) pairs
+    the verdicts before them were decided on: the failing one of
+    ||g - g*|| and ||g^2 - 1|| or else the one nearer its bound, and
+    (nan, 0.0) without an input grading.
+    """
 
     gamma_tilde: np.ndarray
     is_selfadjoint_involution: bool
+    involution: tuple[float, float]
     commutes_with_rep: float
     anticommutator_with_dirac: float
     is_grading: bool
     equals_input_grading: bool
+    input_grading: tuple[float, float]
 
 
 def gamma_tilde_diagnostics(
@@ -150,32 +158,32 @@ def gamma_tilde_diagnostics(
     """
     if element is None:
         element = double_unit_element(tg.algebra)
-    gt = tg.pi(element)
-    n = tg.geometry.hilbert_dim
-    sa = tol.accepts(fro(gt - dagger(gt)), max(1.0, fro(gt)))
-    inv = tol.accepts(fro(gt @ gt - np.eye(n)), n)
-    alg = tg.algebra
-    pi_a = tg.geometry.rep.images(alg.coord_rows(alg.generators()))
+    g = tg.geometry
+    gt, n = g.rep(element), g.hilbert_dim
+    halves = [
+        (fro(gt - dagger(gt)), tol.bound(max(1.0, fro(gt)))),
+        (fro(gt @ gt - np.eye(n)), tol.bound(n)),
+    ]
+    failing = [h for h in halves if not h[0] <= h[1]]
+    involution = (failing or sorted(halves, key=lambda h: h[1] - h[0]))[0]
+    pi_a = g.rep.images(g.algebra.coord_rows(g.algebra.generators()))
     r_comm = pair_residual([gt], pi_a)
-    r_anti = fro(anticommutator(gt, tg.geometry.dirac))
+    r_anti = fro(anticommutator(gt, g.dirac))
     commutes = tol.accepts(r_comm, max(1.0, fro(gt)) ** 2)
-    is_grading = (
-        sa
-        and inv
-        and commutes
-        and tol.accepts(r_anti, max(1.0, fro(tg.geometry.dirac)))
-    )
-    equals_input = (
-        tg.geometry.grading is not None
-        and tol.accepts(fro(gt - tg.geometry.grading), n)
-    )
+    anticommutes = tol.accepts(r_anti, max(1.0, fro(g.dirac)))
+    is_grading = not failing and commutes and anticommutes
+    input_grading = (float("nan"), 0.0)
+    if g.grading is not None:
+        input_grading = (fro(gt - g.grading), tol.bound(n))
     return GammaTildeReport(
         gamma_tilde=gt,
-        is_selfadjoint_involution=bool(sa and inv),
+        is_selfadjoint_involution=not failing,
+        involution=involution,
         commutes_with_rep=float(r_comm),
         anticommutator_with_dirac=float(r_anti),
         is_grading=bool(is_grading),
-        equals_input_grading=bool(equals_input),
+        equals_input_grading=bool(input_grading[0] <= input_grading[1]),
+        input_grading=input_grading,
     )
 
 

@@ -14,17 +14,16 @@ Its representation is a stack transform of the finite one: each chirality
 sector reads a particle scalar, a quaternion, an antiparticle scalar and
 a color matrix from chosen components of the doubled algebra.  The twist
 exchanges the right and left labels.  Two conventions for the twisted
-commutator are measured side by side: the structural one, where the
-automorphism acts on abstract elements before representing, and the
-display one, where the label swap is applied to the represented matrix
-leaving the antiparticle scalar untouched; it is built the same way, with
-the sectors reading swapped components.  They differ exactly in which
-scalar the antiparticle sector sees, and the reports quantify both.
+commutator are measured side by side; they differ only in the second
+representation pi' of ``D pi(a) - pi'(a) D``.  The structural one twists
+abstract elements before representing, so pi' is pi o rho; the display
+one swaps the labels of the represented matrix, leaving the antiparticle
+scalar untouched, so pi' is built like pi with the sectors reading swapped
+components.  They differ exactly in which scalar the antiparticle sector
+sees, and the reports quantify both.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -223,7 +222,7 @@ def label_swap_check(tol: Tolerance = DEFAULT_TOL) -> Report:
 
     A = (c_r, c_l, q_r, q_l, m) acts as the element A + A of the doubled
     algebra, whose copies are equal, and f through its chirality values:
-    f x A is ``F * pi(A + A)``, its swap ``F * pi_rho(A + A)`` and the
+    f x A is ``F * pi(A + A)``, its swap ``F * (pi o rho)(A + A)`` and the
     displayed swap ``F * display(A + A)``.  Checks the unit and recovery
     identities bitwise, that the swap is an involution, that right/left
     label differences live purely in the particle sector, and measures
@@ -232,7 +231,7 @@ def label_swap_check(tol: Tolerance = DEFAULT_TOL) -> Report:
     """
     rep = Report("label swap on simple tensors")
     tg = twisted_sm_geometry()  # pi and the twist do not read the couplings
-    shown = display_twist_rep()
+    pi, pi_rho, shown = tg.geometry.rep, tg.twisted_rep, display_twist_rep()
     alg = sm_algebra()
     rng = np.random.default_rng(7)
 
@@ -240,14 +239,14 @@ def label_swap_check(tol: Tolerance = DEFAULT_TOL) -> Report:
         # F: f+ on the rows of the + sector (0-63), f- on the - sector
         return np.repeat(np.asarray(f_point, np.complex128), 64)[:, None] * image
 
-    r_unit = fro(tg.pi(tg.algebra.unit()) - np.eye(128))
+    r_unit = fro(pi(tg.algebra.unit()) - np.eye(128))
     rep.add("unit tensor acts as the identity", r_unit == 0.0, r_unit, 0.0)
 
     eye4 = np.eye(4)
     elements = alg.generators() + [alg.random_element(rng) for _ in range(4)]
     r_equal = worst(
         fro(
-            simple((f, f), tg.pi((c, c, q, q, m) * 2))
+            simple((f, f), pi((c, c, q, q, m) * 2))
             - f * kron(eye4, _SM_REP((c, q, m)))
         )
         for c, q, m in elements
@@ -273,13 +272,13 @@ def label_swap_check(tol: Tolerance = DEFAULT_TOL) -> Report:
 
     f_pair = (0.8 + 0.3j, -0.2 + 1.1j)
     same_labels = (c1, c1, q1, q1, m1) * 2
-    d_lab = simple(f_pair, tg.pi(a)) - simple(f_pair, tg.pi(same_labels))
+    d_lab = simple(f_pair, pi(a)) - simple(f_pair, pi(same_labels))
     r_anti = fro(d_lab * _ANTI_MASK)
     rep.check(
         "label differences are confined to the particle sector", r_anti, tol, 1.0
     )
 
-    d_conv = simple(f_pair, tg.pi_rho(a)) - simple(f_pair, shown(a))
+    d_conv = simple(f_pair, pi_rho(a)) - simple(f_pair, shown(a))
     r_part = fro(d_conv * (1.0 - _ANTI_MASK))
     r_rest = fro(d_conv * _ANTI_MASK)
     rep.check("swap matches the display on the particle sector", r_part, tol, 1.0)
@@ -363,13 +362,13 @@ def generalized_minimal_twist_check(
     rep = Report("untwisted action recovered at equal labels")
     if tg is None:
         tg = twisted_sm_geometry()
-    base = _SM_REP
+    base, pi = _SM_REP, tg.geometry.rep
     rng = np.random.default_rng(11)
     elements = base.algebra.generators() + [
         base.algebra.random_element(rng) for _ in range(5)
     ]
     r_rec = worst(
-        fro(tg.pi((c, c, q, q, m, c, c, q, q, m)) - kron(np.eye(4), base((c, q, m))))
+        fro(pi((c, c, q, q, m, c, c, q, q, m)) - kron(np.eye(4), base((c, q, m))))
         for c, q, m in elements
     )
     rep.add(
@@ -401,19 +400,16 @@ def sm_first_order_residuals(
 ) -> dict:
     """Twisted order-one residuals over generator pairs, both arrangements.
 
-    The "flip" convention twists the abstract elements; "display" swaps
-    the labels of the represented matrices instead, so its pi o rho is
-    read from the stack of ``display_twist_rep``.
+    The "flip" convention twists the abstract elements, so it reads pi o
+    rho; "display" swaps the labels of the represented matrices instead,
+    so it reads ``display_twist_rep`` in place of pi o rho.
     """
     if convention not in ("flip", "display"):
         raise ValueError(f"unknown convention {convention!r}")
     if gens is None:
         gens = lean_generators(tg.algebra)
-    pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks(gens)
-    if convention == "display":
-        shown = display_twist_rep()
-        disp = TwistedGeometry.untwisted(replace(tg.geometry, rep=shown))
-        pi_rho_a, _, rho_opp_b, _ = disp.stacks(gens)
+    twisted = tg.twisted_rep if convention == "flip" else display_twist_rep()
+    pi_a, pi_rho_a, opp_b, rho_opp_b = tg.geometry.image_stacks(twisted, gens)
     primary, symmetric = first_order_residuals(
         tg.geometry.dirac, pi_a, pi_rho_a, opp_b, rho_opp_b
     )
@@ -503,8 +499,7 @@ def verify_sm_twisted(
     rep.add(
         "doubling involution is a self-adjoint involution",
         diag.is_selfadjoint_involution,
-        0.0,
-        0.0,
+        *diag.involution,
     )
     rep.check(
         "doubling involution commutes with the algebra",
@@ -531,7 +526,7 @@ def verify_sm_twisted(
 
     rep.merge(label_swap_check(tol), prefix="labels: ")
     witness = tg.algebra.basis_element(1, 1.0 + 0.0j)  # left scalar, first copy
-    diff = tg.pi_rho(witness) - display_twist_rep()(witness)
+    diff = tg.twisted_rep(witness) - display_twist_rep()(witness)
     r_anti_sector = fro(diff * _ANTI_MASK)
     r_part_sector = fro(diff * (1.0 - _ANTI_MASK))
     rep.check("conventions agree on the particle sector", r_part_sector, tol, 1.0)

@@ -1,7 +1,9 @@
 """Algebra automorphisms and the twisted commutator conditions.
 
 The twisted commutator of an operator with a represented element is
-``[D, a]_rho = D pi(a) - pi(rho(a)) D``.  An automorphism here is
+``[D, a]_rho = D pi(a) - pi(rho(a)) D``: it reads a twisted geometry through
+two representations, pi and pi o rho, and the second is built once per
+twisted geometry as a transform of pi's stack.  An automorphism here is
 structural: a permutation of the algebra blocks, optionally composed with
 inner unitaries; a per-block scalar factor is allowed so that maps that
 fail regularity can be expressed and reported rather than rejected at
@@ -13,12 +15,12 @@ The opposite twist acts through the real structure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, Representation
 from .matlin import (
     DEFAULT_TOL,
     Tolerance,
@@ -135,18 +137,32 @@ class Automorphism:
         return all(self.perm[self.perm[i]] == i for i in range(len(self.perm)))
 
 
+def _validate(rho: Automorphism, g: FiniteGeometry) -> None:
+    """rho acts on the algebra of ``g`` and its u_rho, if any, on C^n."""
+    rho.validate_for(g.algebra)
+    n, u = g.hilbert_dim, rho.u_rho
+    if u is not None and u.shape != (n, n):
+        raise ValueError(f"u_rho has shape {u.shape}, expected ({n}, {n})")
+
+
 @dataclass(frozen=True)
 class TwistedGeometry:
-    """A finite geometry together with an automorphism of its algebra."""
+    """A finite geometry together with an automorphism of its algebra.
+
+    ``twisted_rep`` is pi o rho, built once from pi's stack S as R S, R the
+    real matrix of rho on coordinates: pi(rho(x)) = (coords(x) R) S.
+    """
 
     geometry: FiniteGeometry
     rho: Automorphism
+    twisted_rep: Representation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.rho.validate_for(self.geometry.algebra)
-        n, u = self.geometry.hilbert_dim, self.rho.u_rho
-        if u is not None and u.shape != (n, n):
-            raise ValueError(f"u_rho has shape {u.shape}, expected ({n}, {n})")
+        _validate(self.rho, self.geometry)
+        pi = self.geometry.rep
+        r = pi.algebra.linear_map(self.rho.apply)
+        twisted = Representation(pi.algebra, pi.images(r))
+        object.__setattr__(self, "twisted_rep", twisted)
 
     @property
     def algebra(self) -> Algebra:
@@ -157,35 +173,11 @@ class TwistedGeometry:
         """``g`` with the identity twist."""
         return cls(g, Automorphism.identity(g.algebra.ncomponents))
 
-    def pi(self, elem: tuple) -> np.ndarray:
-        return self.geometry.pi(elem)
-
-    def pi_rho(self, elem: tuple) -> np.ndarray:
-        return self.geometry.pi(self.rho.apply(elem))
-
-    def twisted_commutator(self, elem: tuple) -> np.ndarray:
-        d = self.geometry.dirac
-        return d @ self.pi(elem) - self.pi_rho(elem) @ d
-
     def stacks(self, gens: list[tuple] | None = None) -> tuple:
-        """pi(a), pi(rho(a)), J pi(b*) J^-1 and J pi(rho(b*)) J^-1 over ``gens``.
-
-        Images of the coordinate rows cg, cg R, cg Star and cg Star R of
-        ``gens`` (default: the generators), R and Star the real matrices of
-        rho and the star; J conjugates the last two in one batch.  Each is
-        ``(len(gens), n, n)``, and the last two are None without a J.
-        """
-        alg, pi, j = self.algebra, self.geometry.rep, self.geometry.real_structure
+        """``image_stacks`` of pi and pi o rho; ``gens`` defaults to the generators."""
         if gens is None:
-            gens = alg.generators()
-        cg = alg.coord_rows(gens)
-        r = alg.linear_map(self.rho.apply)
-        pi_a, pi_rho_a = pi.images(cg), pi.images(cg @ r)
-        if j is None:
-            return pi_a, pi_rho_a, None, None
-        cs = cg @ alg.linear_map(alg.star)
-        opp = j.conjugate(pi.images(np.concatenate([cs, cs @ r])))
-        return pi_a, pi_rho_a, opp[: len(cg)], opp[len(cg) :]
+            gens = self.algebra.generators()
+        return self.geometry.image_stacks(self.twisted_rep, gens)
 
     def signs(self, tol: Tolerance = DEFAULT_TOL) -> SignTriple:
         return measure_ko_signs(self.geometry, tol)
@@ -201,7 +193,7 @@ def check_regular(
     """
     rep = Report("automorphism regularity")
     alg = g.algebra
-    rho.validate_for(alg)
+    _validate(rho, g)
     pi = g.rep
     gens = alg.generators()
     cg = alg.coord_rows(gens)

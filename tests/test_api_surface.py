@@ -2,16 +2,20 @@
 
 Every public top-level function and class of ``src/nctwist``, and every
 public method of such a class, must be referenced outside its own
-definition by the package itself, the demos, the benchmark, the README or
+definition by the package itself, the demos, the benchmark, the README's
+code (its backtick spans and fenced blocks; its prose does not count) or
 the acceptance checklist.  A name that only other tests reach is either
 deleted or routed into a report.  Methods are matched by attribute name
 alone, so a method shares its references with every same-named one.
 
-Generator images are built in one place, ``TwistedGeometry.stacks``: outside
+Generator images are built in one place, ``FiniteGeometry.image_stacks``: outside
 ``algebra.py`` no module forms pi, pi o rho or a twisted commutator one
-generator at a time.  Generators and generator pairs are walked in one
-place, ``matlin.pair_max``: outside ``matlin.py`` no loop over ``range``
-calls the kernel.
+generator at a time.  pi o rho is formed in one place,
+``TwistedGeometry.__post_init__`` (and the regularity check, which moves
+coordinates through rho): nowhere else is ``rho.apply`` turned into a
+coordinate map or handed to a representation.  Generators and generator
+pairs are walked in one place, ``matlin.pair_max``: outside ``matlin.py``
+no loop over ``range`` calls the kernel.
 """
 
 import ast
@@ -68,10 +72,19 @@ def statements(path: Path):
             yield (path, i, -1), stmt
 
 
+FENCED = re.compile(r"^```.*?^```", re.S | re.M)
+
+
+def readme_code(text: str) -> str:
+    """The fenced code blocks and the backtick spans of a README text."""
+    prose = FENCED.sub("", text)
+    return "\n".join(FENCED.findall(text) + re.findall(r"`([^`\n]+)`", prose))
+
+
 def unreferenced() -> list[str]:
     # name -> the places that mention it
     places = defaultdict(set)
-    for word in re.findall(r"\w+", (ROOT / "README.md").read_text()):
+    for word in re.findall(r"\w+", readme_code((ROOT / "README.md").read_text())):
         places[word].add(("README.md", 0, -1))
     for path in CALLERS:
         for place, node in statements(path):
@@ -106,7 +119,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 # -- generator images are built in one place -----------------------------
 
 GENERATOR_SETS = {"generators", "lean_generators"}
-IMAGE_METHODS = {"pi", "pi_rho", "twisted_commutator", "rep"}
+IMAGE_METHODS = {"pi", "rep", "twisted_rep"}
 IMAGE_FUNCTIONS = {"display_twist_rep"}
 
 
@@ -146,9 +159,9 @@ def per_element_images() -> list[str]:
     """``module.py:line callee`` of every per-element generator image, sorted.
 
     That is a comprehension over ``gens``, ``generators()`` or
-    ``lean_generators(...)`` that calls ``.pi``, ``.pi_rho``,
-    ``.twisted_commutator``, a representation (``.rep`` or a local value
-    such as ``rep0`` or a bound method) or ``display_twist_rep``.
+    ``lean_generators(...)`` that calls a representation (``.pi``,
+    ``.rep``, ``.twisted_rep`` or a local value such as ``rep0`` or a bound
+    method) or ``display_twist_rep``.
     ``algebra.py`` is exempt: it defines how a representation evaluates.
     """
     found = []
@@ -177,8 +190,74 @@ def per_element_images() -> list[str]:
 
 
 def test_generator_images_are_built_in_one_place():
-    # TwistedGeometry.stacks is the one place that forms them, in batches
+    # FiniteGeometry.image_stacks is the one place that forms them, in batches
     assert per_element_images() == []
+
+
+# -- pi o rho is formed in one place --------------------------------------
+
+PI_RHO_BUILDERS = {"TwistedGeometry.__post_init__", "check_regular"}
+
+
+def functions(tree: ast.Module):
+    """``(qualified name, node)`` of each top-level function and method;
+    other top-level statements are ``<module>``."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for m in stmt.body:
+                if isinstance(m, ast.FunctionDef):
+                    yield f"{stmt.name}.{m.name}", m
+        elif isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+        else:
+            yield "<module>", stmt
+
+
+def is_rho_apply(node: ast.AST) -> bool:
+    """``rho.apply`` or ``<...>.rho.apply``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "apply"
+        and terminal_name(node.value) == "rho"
+    )
+
+
+def pi_rho_sites() -> list[str]:
+    """``file.py:line function`` of every pi o rho formed outside its builders.
+
+    That is ``linear_map`` called on ``rho.apply``, or a representation (as
+    in ``per_element_images``) called on ``rho.apply(...)``.  Algebra-level
+    uses of the twist, such as multiplying or twisting twisted elements
+    again, are not representations and are not flagged.
+    """
+    found = []
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        known = module_names(tree) | set(dir(builtins))
+        for qualname, node in functions(tree):
+            if qualname in PI_RHO_BUILDERS:
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = terminal_name(call)
+                rep = (isinstance(call.func, ast.Name) and name not in known) or (
+                    isinstance(call.func, ast.Attribute) and name in IMAGE_METHODS
+                )
+                coordinate_map = name == "linear_map" and any(
+                    is_rho_apply(a) for a in call.args
+                )
+                image = rep and any(
+                    isinstance(a, ast.Call) and is_rho_apply(a.func) for a in call.args
+                )
+                if coordinate_map or image:
+                    found.append((path.name, call.lineno, qualname))
+    return [f"{m}:{line} {where}" for m, line, where in sorted(found)]
+
+
+def test_pi_rho_is_formed_in_one_place():
+    # TwistedGeometry builds twisted_rep once; everything else reads it
+    assert pi_rho_sites() == []
 
 
 # -- generator pairs are walked in one place -----------------------------

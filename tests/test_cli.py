@@ -394,6 +394,15 @@ class TestEngines:
         assert "involution" in out
         assert "PASS  the two sides agree" in out
 
+    def test_gamma_tilde_records_carry_their_residual_and_bound(self, capsys, marker_file):
+        code, payload = run_json(capsys, ["gamma-tilde", marker_file])
+        assert code == 0
+        checks = {c["name"]: c for c in payload["checks"]}
+        for name in ("self-adjoint involution", "equals the grading of the input geometry"):
+            rec = checks[name]
+            assert rec["passed"] and rec["residual"] <= rec["tol"], name
+            assert 0.0 < rec["tol"] < np.inf, name
+
     @pytest.mark.parametrize("shift", [0.0, 0.75e-10])
     def test_gamma_tilde_grading_verdict_matches_its_tol(self, capsys, tmp_path, shift):
         # D = sigma_1 + shift I: the anticommutator {gamma, D} = 2 shift gamma

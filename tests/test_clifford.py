@@ -41,14 +41,6 @@ def test_grading_is_the_gamma_product(m):
     assert np.count_nonzero(diag > 0.5) == data.dim // 2
 
 
-def test_projectors_sum_to_identity():
-    data = gamma(2)
-    p_plus, p_minus = data.projectors()
-    assert fro(p_plus + p_minus - np.eye(4)) <= TOL
-    assert fro(p_plus @ p_plus - p_plus) <= TOL
-    assert fro(p_plus @ p_minus) <= TOL
-
-
 def test_gamma_rejects_bad_m():
     with pytest.raises(ValueError):
         gamma(0)

@@ -62,9 +62,8 @@ def test_eval_one_form_matches_direct_formula(tg):
     alg = tg.algebra
     a, b = alg.random_element(rng), alg.random_element(rng)
     f = TwistedOneForm.of((a, b))
-    expected = tg.pi(a) @ (
-        tg.geometry.dirac @ tg.pi(b) - tg.pi_rho(b) @ tg.geometry.dirac
-    )
+    pi, d = tg.geometry.rep, tg.geometry.dirac
+    expected = pi(a) @ (d @ pi(b) - pi(tg.rho.apply(b)) @ d)
     assert fro(eval_one_form(f, tg) - expected) < 1e-14
     assert fro(expected) > 0.1  # nondegenerate sample
 
@@ -83,8 +82,13 @@ def test_leibniz_rule(tg):
     alg = tg.algebra
     a, b = alg.random_element(rng), alg.random_element(rng)
     # [D, ab]_rho = [D, a]_rho pi(b) + pi(rho(a)) [D, b]_rho
-    lhs = tg.twisted_commutator(alg.mul(a, b))
-    rhs = tg.twisted_commutator(a) @ tg.pi(b) + tg.pi_rho(a) @ tg.twisted_commutator(b)
+    pi, pi_rho, d = tg.geometry.rep, tg.twisted_rep, tg.geometry.dirac
+
+    def comm(x):
+        return d @ pi(x) - pi_rho(x) @ d
+
+    lhs = comm(alg.mul(a, b))
+    rhs = comm(a) @ pi(b) + pi_rho(a) @ comm(b)
     assert fro(lhs) > 0.1  # nondegenerate sample
     assert fro(lhs - rhs) < 1e-12
 

@@ -166,13 +166,13 @@ def test_commutant_scalars_forces_trivial_twist():
     )
     g = FiniteGeometry(rep=rep, dirac=np.zeros((2, 2)))
     # a scalar commutant leaves no room for a second factor to twist
-    gens = [g.pi(a) for a in g.algebra.generators()]
+    gens = [g.rep(a) for a in g.algebra.generators()]
     assert len(intertwiners(gens, gens)) == 1
 
 
 def test_commutant_of_toy_leaves_room():
     g = toy_triple()
-    gens = [g.pi(a) for a in g.algebra.generators()]
+    gens = [g.rep(a) for a in g.algebra.generators()]
     assert len(intertwiners(gens, gens)) == 4
 
 

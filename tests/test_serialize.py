@@ -110,7 +110,7 @@ def test_geometry_roundtrip_preserves_action():
     back = geometry_from_json(obj)
     rng = np.random.default_rng(RNG_SEED)
     x = back.algebra.random_element(rng)
-    assert fro(back.pi(x) - g.pi(x)) == 0.0
+    assert fro(back.rep(x) - g.rep(x)) == 0.0
     assert np.array_equal(back.dirac, g.dirac)
     assert np.array_equal(back.grading, g.grading)
     assert np.array_equal(back.real_structure.unitary, g.real_structure.unitary)
@@ -178,7 +178,7 @@ def test_twisted_marker_roundtrip_rebuilds_twist():
     assert tg.rho.perm == (1, 0)
     want = flip_toy()
     z = (0.3 + 0.1j, -2.0 + 0j)
-    assert fro(tg.pi(z) - want.pi(z)) == 0.0
+    assert fro(tg.geometry.rep(z) - want.geometry.rep(z)) == 0.0
 
 
 def test_twisted_from_json_rejects_unknown_kind():

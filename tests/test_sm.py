@@ -12,6 +12,7 @@ from nctwist.algebra import QUATERNION_UNITS, quaternion
 from nctwist.cli import main
 from nctwist.matlin import Tolerance, anticommutator, dagger, fro, kron
 from nctwist.mintwist import gamma_tilde_diagnostics
+from nctwist.report import Report
 from nctwist.sm import (
     DEFAULT_MAJORANA,
     DEFAULT_YUKAWAS,
@@ -35,7 +36,7 @@ from nctwist.sm import (
     twisted_sm_rep,
     verify_sm_twisted,
 )
-from nctwist.triple import measure_ko_signs, order_one_residual, order_zero_residual, verify_spectral_triple
+from nctwist.triple import FiniteGeometry, measure_ko_signs, order_one_residual, order_zero_residual, verify_spectral_triple
 
 # frozen measurements for the default Yukawa/Majorana values
 FLIP_FIRST_ORDER = 3.668569203381614
@@ -212,7 +213,7 @@ class TestSimpleTensors:
         q_l = quaternion(-0.4 + 0.6j, 0.1 + 0.1j)
         m = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
         a = (0.7 + 0.2j, -0.3 + 0.9j, q_r, q_l, m)
-        out = tsm.pi(a + a)
+        out = tsm.geometry.rep(a + a)
         assert out.shape == (128, 128)
         # + sector, weak block: right quaternion
         assert np.allclose(out[:8, :8], kron(q_r, np.eye(4)))
@@ -246,7 +247,7 @@ class TestSimpleTensors:
 
 class TestGammaTilde:
     def test_element_represents_expected_projector_formula(self, tsm):
-        gt = tsm.pi(sm_gamma_tilde_element())
+        gt = tsm.geometry.rep(sm_gamma_tilde_element())
         assert fro(gt - sm_gamma_tilde_expected()) == 0.0
 
     def test_involution_commutes_but_is_no_grading(self, tsm):
@@ -278,6 +279,38 @@ def test_verify_sm_twisted_full_run(tsm, capsys):
         main(["sm", "--check", check, "--report", "json"])
         printed = json.loads(capsys.readouterr().out)["checks"]
         assert printed and printed == [full[c["name"]] for c in printed]
+
+
+def test_doubling_involution_record_reads_its_residual(tsm, monkeypatch):
+    # 2x the involution is self-adjoint but squares to 4, not to 1
+    element = sm_gamma_tilde_element()
+    monkeypatch.setattr(sm, "sm_gamma_tilde_element", lambda: tuple(2 * v for v in element))
+    # the order-one and finite-triple runs do not read the element
+    monkeypatch.setattr(sm, "sm_first_order_report", lambda tg, tol: Report("skipped"))
+    monkeypatch.setattr(sm, "verify_spectral_triple", lambda g, tol: Report("skipped"))
+    report = verify_sm_twisted(tsm)
+    (rec,) = [
+        r for r in report.records if r.name == "doubling involution is a self-adjoint involution"
+    ]
+    assert not rec.passed
+    assert rec.residual == pytest.approx(3 * np.sqrt(128))  # ||4 I - I|| on C^128
+    assert 0.0 < rec.tol < np.inf
+
+
+@pytest.mark.parametrize("convention", ["flip", "display"])
+def test_each_convention_builds_one_pair_of_stacks(tsm, monkeypatch, convention):
+    seen = []
+    build = FiniteGeometry.image_stacks
+
+    def counted(g, twisted, gens):
+        seen.append(twisted)
+        return build(g, twisted, gens)
+
+    monkeypatch.setattr(FiniteGeometry, "image_stacks", counted)
+    sm_first_order_residuals(tsm, convention, lean_generators(tsm.algebra)[::10])
+    (twisted,) = seen
+    assert (twisted is tsm.twisted_rep) == (convention == "flip")
+    assert np.array_equal(twisted.stack, display_twist_rep().stack) == (convention == "display")
 
 
 def test_custom_yukawas_still_verify():
@@ -393,6 +426,6 @@ def test_simple_tensors_are_read_through_the_geometry(tsm, shown, f, seed):
     (c_r, q_r, m), (c_l, q_l, _) = sm_algebra().random_element(rng), sm_algebra().random_element(rng)
     a = (c_r, c_l, q_r, q_l, m)
     rows = np.repeat(np.asarray(f, np.complex128), 64)[:, None]
-    assert np.array_equal(rows * tsm.pi(a + a), simple_tensor(f, a))
-    assert np.array_equal(rows * tsm.pi_rho(a + a), simple_tensor(f, swapped_labels(a)))
+    assert np.array_equal(rows * tsm.geometry.rep(a + a), simple_tensor(f, a))
+    assert np.array_equal(rows * tsm.twisted_rep(a + a), simple_tensor(f, swapped_labels(a)))
     assert np.array_equal(rows * shown(a + a), displayed_simple_swap(f, a))

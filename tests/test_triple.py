@@ -67,7 +67,7 @@ def test_opposite_action_is_right_multiplication():
     b = (2.0 + 1.0j, 0.5 - 0.25j)
     tg = TwistedGeometry.untwisted(g)
     (pi_b,), _, (opp,), _ = tg.stacks([b])
-    assert fro(pi_b - g.pi(b)) == 0.0
+    assert fro(pi_b - g.rep(b)) == 0.0
     # right multiplication commutes with every left one
     for pi_a in tg.stacks()[0]:
         assert fro(pi_a @ opp - opp @ pi_a) < 1e-12

@@ -93,11 +93,8 @@ def test_twisted_geometry_accessors():
     tg = flip_toy()
     assert tg.algebra.ncomponents == 2
     z = (2.0 + 0j, -1.0 + 0j)
-    assert np.allclose(tg.pi(z), np.diag([2.0, -1.0]))
-    assert np.allclose(tg.pi_rho(z), np.diag([-1.0, 2.0]))
-    d = tg.geometry.dirac
-    expected = d @ tg.pi(z) - tg.pi_rho(z) @ d
-    assert fro(tg.twisted_commutator(z) - expected) == 0.0
+    assert np.allclose(tg.geometry.rep(z), np.diag([2.0, -1.0]))
+    assert np.allclose(tg.twisted_rep(z), np.diag([-1.0, 2.0]))
 
 
 def test_check_regular_on_flip_toy():
@@ -260,7 +257,7 @@ def test_complex_scale_on_quaternions_keeps_its_residuals():
 def per_pair_records(rho, g):
     """The generator loops of Representation.check and check_regular, written
     out with one pi call per generator and per pair."""
-    alg, pi = g.algebra, g.pi
+    alg, pi = g.algebra, g.rep
     gens = alg.generators()
     mats = [pi(a) for a in gens]
     rho_inv = rho.inverse()
@@ -368,6 +365,38 @@ def test_batched_records_equal_the_per_pair_loops(case):
     for name, value in want.items():
         # relative, with rounding-level residuals read against the record's scale
         assert abs(got[name] - value) <= 1e-13 * max(value, scale**2), name
+
+
+@st.composite
+def twisted_geometries(draw):
+    """A drawn automorphism on a drawn stack, or a twist by grading."""
+    if draw(st.booleans()):
+        rho, g = draw(twisted_cases())
+        return TwistedGeometry(g, rho)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_matrix_geometry(rng, draw(st.sampled_from([2, 3])), frame=draw(st.booleans()))
+    return twist_by_grading(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twisted_geometries(), st.integers(0, 2**32 - 1))
+def test_twisted_rep_is_pi_of_the_twisted_element(tg, seed):
+    g, rho, alg = tg.geometry, tg.rho, tg.algebra
+    # a block permutation moves whole images: generators match bit for bit
+    permutation = rho.inner is None and rho.scale is None
+    rng = np.random.default_rng(seed)
+    for k, e in enumerate(alg.generators() + [alg.random_element(rng) for _ in range(3)]):
+        got, want = tg.twisted_rep(e), g.rep(rho.apply(e))
+        if permutation and k < len(alg.generators()):
+            assert np.array_equal(got, want), k
+        assert fro(got - want) <= 1e-13 * max(1.0, fro(want)), k
+
+
+def test_check_regular_rejects_u_rho_of_the_wrong_shape():
+    # the same check as TwistedGeometry's, for a direct call on C^2
+    rho = Automorphism.flip(2, u_rho=np.eye(3))
+    with pytest.raises(ValueError, match=r"shape \(3, 3\), expected \(2, 2\)"):
+        check_regular(rho, flip_toy().geometry)
 
 
 def test_overlapping_units_fail_multiplicativity_on_a_cross_block_pair():
