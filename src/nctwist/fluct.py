@@ -133,7 +133,7 @@ def fluctuate_with_operator(
         raise ValueError(
             f"fluctuated operator is not self-adjoint: defect {defect:.3e}"
         )
-    return TwistedGeometry(g.with_dirac(d_new), tg.rho)
+    return tg.with_dirac(d_new)
 
 
 def fluctuate(
@@ -156,7 +156,9 @@ def verify_fluctuated(
     g = tg.geometry
     signs_before = measure_ko_signs(g, tol)
     try:
-        fluct = fluctuate(tg, f, tol)
+        fluct = fluctuate_with_operator(
+            tg, eval_one_form(f, tg), tol, signs_before.eps_prime
+        )
     except ValueError as exc:
         rep.add("fluctuation accepted (self-adjoint)", False, float("nan"), 0.0, str(exc))
         return rep
@@ -197,9 +199,8 @@ def one_form_basis(tg: TwistedGeometry) -> np.ndarray:
     real-bilinear in (a, b), so the real span of this grid is the whole
     evaluated one-form bimodule.
     """
-    g = tg.geometry
-    d, cg = g.dirac, g.algebra.coord_rows(g.algebra.generators())
-    pi_a, pi_rho_a = g.rep.images(cg), tg.twisted_rep.images(cg)
+    d = tg.geometry.dirac
+    pi_a, pi_rho_a, _, _ = tg.stacks()
     grid = pi_a[:, None] @ (d @ pi_a - pi_rho_a @ d)[None]
     return grid.reshape((-1,) + d.shape)
 

@@ -248,13 +248,6 @@ def uniqueness_engine(m: int, tol: Tolerance = DEFAULT_TOL) -> Report:
         tol,
         1.0,
     )
-    rep.add(
-        "twisting data = two exchanged scalars",
-        len(pairs) == 2 and tol.accepts(worst_block, 1.0),
-        0.0,
-        0.0,
-        note="doubled scalars with the flip automorphism",
-    )
     rep.info["dimension"] = len(pairs)
     rep.info["lambdas"] = [[complex(a), complex(b)] for a, b in lambdas]
     return rep

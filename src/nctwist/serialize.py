@@ -182,14 +182,19 @@ def geometry_from_json(obj: dict) -> FiniteGeometry:
     dim = _typed(obj["hilbert_dim"], int, "hilbert_dim")
     if dim < 1:
         raise ValueError(f"hilbert_dim must be positive, got {dim}")
+    dirac = matrix_from_json(obj["D"])
+    grading = matrix_from_json(obj["gamma"]) if "gamma" in obj else None
+    real = antilinear_from_json(obj["J"]) if "J" in obj else None
+    # the representation stack is allocated at hilbert_dim, so check it first
+    if dirac.shape != (dim, dim):
+        raise ValueError(
+            f"hilbert_dim {dim} does not match D of shape "
+            f"{dirac.shape[0]}x{dirac.shape[1]}"
+        )
     rep = Representation.from_placements(
         alg, dim, placements_from_json(obj["representation"])
     )
-    grading = matrix_from_json(obj["gamma"]) if "gamma" in obj else None
-    real = antilinear_from_json(obj["J"]) if "J" in obj else None
-    return FiniteGeometry(
-        rep=rep, dirac=matrix_from_json(obj["D"]), grading=grading, real_structure=real
-    )
+    return FiniteGeometry(rep=rep, dirac=dirac, grading=grading, real_structure=real)
 
 
 def automorphism_from_json(obj: dict) -> Automorphism:

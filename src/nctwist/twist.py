@@ -15,6 +15,7 @@ The opposite twist acts through the real structure:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -150,12 +151,16 @@ class TwistedGeometry:
     """A finite geometry together with an automorphism of its algebra.
 
     ``twisted_rep`` is pi o rho, built once from pi's stack S as R S, R the
-    real matrix of rho on coordinates: pi(rho(x)) = (coords(x) R) S.
+    real matrix of rho on coordinates: pi(rho(x)) = (coords(x) R) S.  The
+    generator images of ``stacks()`` are built on first read and kept
+    read-only.  Neither reads D, so ``with_dirac`` shares both with the
+    geometry it returns.
     """
 
     geometry: FiniteGeometry
     rho: Automorphism
     twisted_rep: Representation = field(init=False, repr=False, compare=False)
+    _built: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate(self.rho, self.geometry)
@@ -163,6 +168,7 @@ class TwistedGeometry:
         r = pi.algebra.linear_map(self.rho.apply)
         twisted = Representation(pi.algebra, pi.images(r))
         object.__setattr__(self, "twisted_rep", twisted)
+        object.__setattr__(self, "_built", [])
 
     @property
     def algebra(self) -> Algebra:
@@ -173,11 +179,28 @@ class TwistedGeometry:
         """``g`` with the identity twist."""
         return cls(g, Automorphism.identity(g.algebra.ncomponents))
 
+    def with_dirac(self, d: np.ndarray) -> "TwistedGeometry":
+        """The same twisted geometry with D replaced by ``d``."""
+        out = copy.copy(self)
+        object.__setattr__(out, "geometry", self.geometry.with_dirac(d))
+        return out
+
     def stacks(self, gens: list[tuple] | None = None) -> tuple:
-        """``image_stacks`` of pi and pi o rho; ``gens`` defaults to the generators."""
-        if gens is None:
-            gens = self.algebra.generators()
-        return self.geometry.image_stacks(self.twisted_rep, gens)
+        """``image_stacks`` of pi and pi o rho; ``gens`` defaults to the generators.
+
+        The default is built once and read-only; other ``gens`` are built per call.
+        """
+        if gens is not None:
+            return self.geometry.image_stacks(self.twisted_rep, gens)
+        if not self._built:
+            built = self.geometry.image_stacks(
+                self.twisted_rep, self.algebra.generators()
+            )
+            for s in built:
+                if s is not None:
+                    s.flags.writeable = False
+            self._built.append(built)
+        return self._built[0]
 
     def signs(self, tol: Tolerance = DEFAULT_TOL) -> SignTriple:
         return measure_ko_signs(self.geometry, tol)

@@ -16,6 +16,12 @@ coordinates through rho): nowhere else is ``rho.apply`` turned into a
 coordinate map or handed to a representation.  Generators and generator
 pairs are walked in one place, ``matlin.pair_max``: outside ``matlin.py``
 no loop over ``range`` calls the kernel.
+
+A twisted geometry's generator stacks are built once: outside ``triple.py``
+only ``TwistedGeometry.stacks`` and ``sm_first_order_residuals`` call
+``image_stacks``, and outside ``twist.py`` no twisted geometry is rebuilt
+from another's ``rho`` around a new D, which ``TwistedGeometry.with_dirac``
+does without building pi o rho or the stacks again.
 """
 
 import ast
@@ -338,3 +344,85 @@ def pair_loops() -> list[str]:
 def test_generator_pairs_are_walked_in_one_place():
     # matlin.pair_max is the one loop over generators and generator pairs
     assert pair_loops() == []
+
+
+# -- a twisted geometry's generator stacks are built once ------------------
+
+STACK_BUILDERS = {"TwistedGeometry.stacks", "sm_first_order_residuals"}
+
+
+def image_stacks_sites() -> list[str]:
+    """``file.py:line function`` of every ``image_stacks`` call outside its builders.
+
+    ``triple.py`` defines it and reads it for the untwisted residuals; the
+    builders are the cached default of a twisted geometry and the display
+    convention of the standard model, whose second representation is not
+    pi o rho.
+    """
+    found = []
+    for path in CALLERS:
+        if path == PACKAGE / "triple.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, node in functions(tree):
+            if qualname in STACK_BUILDERS:
+                continue
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and terminal_name(call) == "image_stacks":
+                    found.append((path.name, call.lineno, qualname))
+    return [f"{m}:{line} {where}" for m, line, where in sorted(found)]
+
+
+def test_generator_stacks_are_built_in_one_place():
+    # everything else reads TwistedGeometry.stacks(), which builds them once
+    assert image_stacks_sites() == []
+
+
+def new_dirac(node: ast.AST) -> bool:
+    """A ``with_dirac(...)`` call, or a ``replace(...)`` call that sets ``dirac``."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = terminal_name(node)
+    return name == "with_dirac" or (
+        name == "replace" and any(k.arg == "dirac" for k in node.keywords)
+    )
+
+
+def rebuilt_twist_sites() -> list[str]:
+    """``file.py:line function`` of every twisted geometry rebuilt around a new D.
+
+    That is a ``TwistedGeometry`` call whose rho is ``<...>.rho`` and whose
+    geometry is a ``new_dirac`` call or a name that the file binds to one.
+    ``twist.py`` is exempt: ``TwistedGeometry.with_dirac`` lives there.
+    """
+    found = []
+    for path in CALLERS:
+        if path == PACKAGE / "twist.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        rebuilt = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and new_dirac(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for qualname, node in functions(tree):
+            for call in ast.walk(node):
+                if not (isinstance(call, ast.Call) and terminal_name(call) == "TwistedGeometry"):
+                    continue
+                args = dict(zip(("geometry", "rho"), call.args))
+                args.update((k.arg, k.value) for k in call.keywords)
+                geom, rho = args.get("geometry"), args.get("rho")
+                from_rho = isinstance(rho, ast.Attribute) and rho.attr == "rho"
+                moved = new_dirac(geom) or (
+                    isinstance(geom, ast.Name) and geom.id in rebuilt
+                )
+                if from_rho and moved:
+                    found.append((path.name, call.lineno, qualname))
+    return [f"{m}:{line} {where}" for m, line, where in sorted(found)]
+
+
+def test_a_new_dirac_operator_keeps_the_twisted_build():
+    # TwistedGeometry.with_dirac shares pi o rho and the generator stacks
+    assert rebuilt_twist_sites() == []

@@ -24,7 +24,8 @@ from nctwist.samples import (
     random_graded_geometry,
     random_one_form,
 )
-from nctwist.triple import measure_ko_signs
+from nctwist.triple import FiniteGeometry, measure_ko_signs
+from nctwist.twist import TwistedGeometry
 
 RNG_SEED = 77
 
@@ -203,3 +204,48 @@ def test_fluctuated_random_geometries(seed):
     f = random_one_form(rng, tg)
     report = verify_fluctuated(tg, f)
     assert report.ok, report.format_text()
+
+
+def test_a_chain_of_fluctuations_builds_one_geometry_and_one_set_of_stacks(
+    monkeypatch,
+):
+    built, made = [], []
+    image_stacks, post_init = FiniteGeometry.image_stacks, TwistedGeometry.__post_init__
+
+    def counted_stacks(g, twisted, gens):
+        built.append(twisted)
+        return image_stacks(g, twisted, gens)
+
+    def counted_init(tg):
+        made.append(tg)
+        post_init(tg)
+
+    monkeypatch.setattr(FiniteGeometry, "image_stacks", counted_stacks)
+    monkeypatch.setattr(TwistedGeometry, "__post_init__", counted_init)
+    rng = np.random.default_rng(RNG_SEED + 12)
+    tg = tg0 = twist_by_grading(random_graded_geometry(rng))
+    forms = []
+    for _ in range(4):
+        forms.append(random_one_form(rng, tg))
+        report = verify_fluctuated(tg, forms[-1])
+        assert report.ok, report.format_text()
+        tg = fluctuate(tg, forms[-1])
+    report = compose_fluctuations(tg0, forms[0], forms[1])
+    assert report.ok, report.format_text()
+    assert [t is tg0 for t in made] == [True]
+    assert [t is tg0.twisted_rep for t in built] == [True]
+    assert tg.stacks() is tg0.stacks()
+
+
+def test_verify_fluctuated_measures_the_base_signs_once(tg, monkeypatch):
+    measured = []
+
+    def counted(g, tol):
+        measured.append(g)
+        return measure_ko_signs(g, tol)
+
+    monkeypatch.setattr("nctwist.fluct.measure_ko_signs", counted)
+    f = random_one_form(np.random.default_rng(RNG_SEED + 13), tg)
+    assert verify_fluctuated(tg, f).ok
+    # the base geometry, then the fluctuated one for the sign record
+    assert [g.dirac is tg.geometry.dirac for g in measured] == [True, False]

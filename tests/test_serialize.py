@@ -130,6 +130,18 @@ def test_geometry_without_optionals():
     assert back.grading is None and back.real_structure is None
 
 
+def test_geometry_shape_is_checked_before_the_stack_is_allocated(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("placement stack allocated before the shape check")
+
+    # at hilbert_dim 10^6 the placement stack would take 29 TiB
+    obj = geometry_to_json(toy_triple())
+    obj["hilbert_dim"] = 10**6
+    monkeypatch.setattr(Representation, "from_placements", allocate)
+    with pytest.raises(ValueError, match="^hilbert_dim 1000000 .* D of shape 2x2$"):
+        geometry_from_json(obj)
+
+
 def test_function_representation_not_serializable():
     tg = flip_toy()
     with pytest.raises(ValueError, match="placement"):

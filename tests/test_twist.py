@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctwist.algebra import Algebra, Placement, Representation
-from nctwist.matlin import Tolerance, dagger, fro
+from nctwist.matlin import AntilinearOperator, Tolerance, dagger, fro
 from nctwist.mintwist import twist_by_grading
 from nctwist.samples import (
     clifford_tensor,
     flip_toy,
     random_graded_geometry,
+    random_hermitian,
     random_matrix_geometry,
     random_unitary,
 )
@@ -492,6 +493,64 @@ def test_stacks_without_real_structure_have_no_opposite():
     assert opp_b is None and rho_opp_b is None
     assert np.array_equal(pi_a, tg.stacks()[0])
     assert np.array_equal(pi_rho_a, tg.stacks()[1])
+
+
+def counting_builds(monkeypatch) -> list:
+    """Record every ``FiniteGeometry.image_stacks`` call from now on."""
+    seen, build = [], FiniteGeometry.image_stacks
+
+    def counted(g, twisted, gens):
+        seen.append(twisted)
+        return build(g, twisted, gens)
+
+    monkeypatch.setattr(FiniteGeometry, "image_stacks", counted)
+    return seen
+
+
+def test_verify_twisted_builds_the_generator_stacks_once(monkeypatch):
+    tg = twist_by_grading(random_graded_geometry(np.random.default_rng(3)))
+    seen = counting_builds(monkeypatch)
+    report = verify_twisted(tg)
+    assert report.ok, report.format_text()
+    assert [t is tg.twisted_rep for t in seen] == [True]
+
+
+def test_built_stacks_are_read_only():
+    for stack in flip_toy().stacks():
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_with_dirac_shares_the_build_and_reports_as_a_fresh_geometry(
+    monkeypatch, seed
+):
+    rng = np.random.default_rng(seed)
+    tg = twist_by_grading(random_graded_geometry(rng))
+    built = tg.stacks()
+    # a grading-odd change of D keeps the geometry a twisted triple
+    gam = tg.geometry.grading
+    p = random_hermitian(rng, tg.geometry.hilbert_dim)
+    d = tg.geometry.dirac + (p - gam @ p @ gam) / 4.0
+    moved = tg.with_dirac(d)
+    assert np.array_equal(moved.geometry.dirac, d)
+    assert moved.twisted_rep is tg.twisted_rep
+    fresh = TwistedGeometry(tg.geometry.with_dirac(d), tg.rho)
+    seen = counting_builds(monkeypatch)
+    assert moved.stacks() is built and seen == []
+    assert verify_twisted(moved).to_json() == verify_twisted(fresh).to_json()
+    assert len(seen) == 1  # the fresh geometry's own build
+
+
+def test_a_replaced_real_structure_gets_its_own_stacks():
+    tg = twist_by_grading(random_graded_geometry(np.random.default_rng(5)))
+    j = AntilinearOperator(random_unitary(np.random.default_rng(6), tg.geometry.hilbert_dim))
+    other = replace(tg, geometry=replace(tg.geometry, real_structure=j))
+    built = tg.stacks()
+    want = other.geometry.image_stacks(other.twisted_rep, other.algebra.generators())
+    got = other.stacks()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert not np.allclose(got[2], built[2])
 
 
 @pytest.mark.parametrize("convention", ["flip", "display"])
