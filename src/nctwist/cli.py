@@ -33,10 +33,10 @@ from .matlin import (
     fro,
     generator_scale,
     pair_residual,
+    tightest,
     worst,
 )
 from .mintwist import (
-    UNIQUENESS_MAX_M,
     free_dirac_pointwise,
     gamma_tilde_diagnostics,
     twist_by_grading,
@@ -124,11 +124,12 @@ def _gamma_report(m: int, tol: Tolerance) -> Report:
     )
     if m <= 3:
         cc = charge_conjugation(m, tol)
+        r_sign, b_sign = tightest(cc.sign_residuals(tol))
         rep.add(
             "charge conjugation signs",
-            True,
-            0.0,
-            0.0,
+            r_sign <= b_sign,
+            r_sign,
+            b_sign,
             note=f"eps={cc.eps}, eps''={cc.eps_dblprime}, branch {cc.branch()}",
         )
     return rep
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         "uniqueness", parents=[common], help="dimension of the gamma intertwiner space"
     )
     p.add_argument(
-        "--m", type=int, required=True, help=f"half-dimension, 1..{UNIQUENESS_MAX_M}"
+        "--m", type=int, required=True, help=f"half-dimension, 1..{MAX_M}"
     )
     p.set_defaults(func=cmd_uniqueness)
 

@@ -87,6 +87,21 @@ class ChargeConjugation:
     eps_dblprime: int
     solution_dim: int
 
+    def sign_residuals(self, tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, float]]:
+        """``(residual, bound)`` of ``||J^2 - eps I||`` and ``||U conj(G) - eps'' G U||``.
+
+        G is the grading.  Each residual is that of the recorded sign,
+        against the bound ``match_sign`` decided that sign on.
+        """
+        u, grading = self.j.unitary, gamma(self.m).grading
+        signs = [
+            (self.j.square(), np.eye(len(u)), self.eps),
+            (u @ np.conj(grading), grading @ u, self.eps_dblprime),
+        ]
+        return [
+            (fro(x - s * y), tol.bound(max(fro(x), fro(y), 1.0))) for x, y, s in signs
+        ]
+
     def branch(self) -> str:
         """KO branch label determined by the grading sign."""
         return "{0,4}" if self.eps_dblprime == 1 else "{2,6}"

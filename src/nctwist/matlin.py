@@ -77,6 +77,15 @@ def worst(residuals, floor: float = 0.0) -> float:
     return float(np.max(np.fromiter(residuals, dtype=float), initial=floor))
 
 
+def tightest(checks) -> tuple[float, float]:
+    """The failing ``(residual, bound)`` of ``checks``, else the one nearest its bound.
+
+    A NaN residual fails.
+    """
+    failing = [c for c in checks if not c[0] <= c[1]]
+    return (failing or sorted(checks, key=lambda c: c[1] - c[0]))[0]
+
+
 def generator_scale(images) -> float:
     """``max(1, max_k ||images[k]||)``: the scale of a stack of generator images."""
     return worst((fro(m) for m in images), 1.0)

@@ -26,10 +26,8 @@ from .matlin import (
     dagger,
     fro,
     generator_scale,
-    intertwiner_space,
-    intertwiners,
     pair_residual,
-    polar_unitary,
+    tightest,
     worst,
 )
 from .report import Report
@@ -45,39 +43,71 @@ def _eigenbasis(grading: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nda
     return vecs[:, vals > 0], vecs[:, vals < 0]
 
 
+def _matrix_units(alg: Algebra, imgs: np.ndarray) -> list[np.ndarray]:
+    """Images of the matrix units of the simple components of the complexified algebra.
+
+    ``imgs`` are the images of ``alg.generators()``.  Each entry of the
+    result is a ``(d, d, n, n)`` stack whose ``[r, s]`` is the image of the
+    unit ``e_rs`` of one component.  C and M_n complexify to two copies,
+    split off as ``(g -+ i g')/2`` with ``g, g'`` the images of ``E_rs`` and
+    ``i E_rs`` (of 1 and i for C); H complexifies to the single M_2(C),
+    whose units combine the images of 1, i, j and k.  A conjugate placement
+    of H is equivalent to the fundamental one, so H is not split.
+    """
+    out, start = [], 0
+    for comp in alg.components:
+        g = imgs[start : start + len(comp.generators())]
+        start += len(g)
+        if comp.kind == "H":
+            one, qi, qj, qk = g
+            units = [[one - 1j * qi, qj - 1j * qk], [-qj - 1j * qk, one + 1j * qi]]
+            out.append(np.array(units) / 2)
+            continue
+        d = comp.dim
+        for sign in (1, -1):
+            units = (g[0::2] - sign * 1j * g[1::2]) / 2
+            out.append(units.reshape(d, d, *g.shape[1:]))
+    return out
+
+
 def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | None:
     """Unitary exchanging the eigenspace components, when one exists.
 
     Requires equal eigenspace dimensions and unitarily equivalent
-    restrictions of the representation; returns None otherwise.  For
-    *-representations the polar unitary of any invertible intertwiner
-    intertwines again, so candidates are drawn from the intertwiner basis
-    and a few fixed generic combinations of it.
+    restrictions pi+- of the representation; returns None otherwise.  The
+    intertwiners X with pi+(a) X = X pi-(a) are the image of the
+    conditional expectation ``E(Y) = sum_c sum_rs pi+(e_rs) Y pi-(e_sr) / d_c
+    + (1 - pi+(1)) Y (1 - pi-(1))`` over the matrix units of the components
+    (the last term is the unit of a non-unital representation).  For one
+    seeded random Y, E(Y) is invertible exactly when some intertwiner is,
+    and then its polar unitary intertwines again.
     """
     q_plus, q_minus = _eigenbasis(g.grading, tol)
     if q_plus.shape[1] != q_minus.shape[1]:
         return None
-    pi_a = g.rep.images(g.algebra.coord_rows(g.algebra.generators()))
+    alg = g.algebra
+    pi_a = g.rep.images(alg.coord_rows(alg.generators()))
     restr_plus = dagger(q_plus) @ pi_a @ q_plus
     restr_minus = dagger(q_minus) @ pi_a @ q_minus
-    space = intertwiners(restr_plus, restr_minus, tol)
-    if not space:
-        return None
-    scale = generator_scale(restr_plus)
+    units = list(zip(_matrix_units(alg, restr_plus), _matrix_units(alg, restr_minus)))
+    h = q_plus.shape[1]
     rng = np.random.default_rng(0)
-    candidates = list(space)
-    for _ in range(4):
-        coeff = rng.standard_normal(len(space)) + 1j * rng.standard_normal(len(space))
-        candidates.append(sum(c * x for c, x in zip(coeff, space)))
-    for cand in candidates:
-        sv = np.linalg.svd(cand, compute_uv=False)
-        if sv[0] <= tol.abs or sv[-1] <= 1e-8 * sv[0]:
-            continue
-        v = polar_unitary(cand)
-        if not tol.accepts(pair_residual([v], restr_minus, restr_plus), scale):
-            continue
-        return q_plus @ v @ dagger(q_minus) + q_minus @ dagger(v) @ dagger(q_plus)
-    return None
+    y = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    rest_plus = np.eye(h) - sum(np.trace(e_p) for e_p, _ in units)
+    rest_minus = np.eye(h) - sum(np.trace(e_m) for _, e_m in units)
+    e_y = rest_plus @ y @ rest_minus + sum(
+        (e_p @ y @ e_m.swapaxes(0, 1)).sum(axis=(0, 1)) / len(e_p)
+        for e_p, e_m in units
+    )
+    u, sv, vh = np.linalg.svd(e_y)
+    if sv[0] <= tol.abs or sv[-1] <= 1e-8 * sv[0]:
+        return None
+    v = u @ vh
+    if not tol.accepts(
+        pair_residual([v], restr_minus, restr_plus), generator_scale(restr_plus)
+    ):
+        return None
+    return q_plus @ v @ dagger(q_minus) + q_minus @ dagger(v) @ dagger(q_plus)
 
 
 def twist_by_grading(
@@ -164,20 +194,20 @@ def gamma_tilde_diagnostics(
         (fro(gt - dagger(gt)), tol.bound(max(1.0, fro(gt)))),
         (fro(gt @ gt - np.eye(n)), tol.bound(n)),
     ]
-    failing = [h for h in halves if not h[0] <= h[1]]
-    involution = (failing or sorted(halves, key=lambda h: h[1] - h[0]))[0]
+    involution = tightest(halves)
+    is_involution = involution[0] <= involution[1]
     pi_a = g.rep.images(g.algebra.coord_rows(g.algebra.generators()))
     r_comm = pair_residual([gt], pi_a)
     r_anti = fro(anticommutator(gt, g.dirac))
     commutes = tol.accepts(r_comm, max(1.0, fro(gt)) ** 2)
     anticommutes = tol.accepts(r_anti, max(1.0, fro(g.dirac)))
-    is_grading = not failing and commutes and anticommutes
+    is_grading = is_involution and commutes and anticommutes
     input_grading = (float("nan"), 0.0)
     if g.grading is not None:
         input_grading = (fro(gt - g.grading), tol.bound(n))
     return GammaTildeReport(
         gamma_tilde=gt,
-        is_selfadjoint_involution=not failing,
+        is_selfadjoint_involution=is_involution,
         involution=involution,
         commutes_with_rep=float(r_comm),
         anticommutator_with_dirac=float(r_anti),
@@ -187,9 +217,44 @@ def gamma_tilde_diagnostics(
     )
 
 
-# the intertwiner system of the gamma family in dimension n = 2^m is
-# 2m n^2 x 2n^2 complex: 335 MB at m = 5, 6.4 GB at m = 6
-UNIQUENESS_MAX_M = 5
+def _subset_products(hs: list[np.ndarray], n: int) -> np.ndarray:
+    """Products of the subsets of ``hs``, factors in list order: ``(2^k, n, n)``."""
+    out = np.eye(n, dtype=np.complex128)[None]
+    for h in hs:
+        out = np.concatenate([out, out @ h])
+    return out
+
+
+def _gamma_intertwiners(
+    gams: list[np.ndarray], tol: Tolerance
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """Character sum and a basis of the pairs (A, B) with gamma^mu A = B gamma^mu.
+
+    The pairs are ``B = gamma^1 A gamma^1`` with A in the commutant of the
+    even products g, which up to phase are the 2^(2m-1) products of the
+    subsets of the ``gamma^1 gamma^mu``, mu >= 2.  The commutant is the
+    image of the Reynolds average ``A -> mean_g g A g*`` (g is unitary),
+    and its dimension is the character sum ``mean_g |tr g|^2``.  Every g is a
+    product ``l r`` of a subset product of the first half of the
+    ``gamma^1 gamma^mu`` and one of the second half, so both means run over
+    two stacks of about 2^m matrices instead of one of 2^(2m-1).  The basis
+    spans the average of three seeded draws.
+    """
+    n = len(gams[0])
+    hs = [gams[0] @ g for g in gams[1:]]
+    left = _subset_products(hs[: len(hs) // 2], n)
+    right = _subset_products(hs[len(hs) // 2 :], n)
+    # tr(l r) = sum_ij l_ij r_ji
+    flat_r = right.swapaxes(1, 2).reshape(len(right), -1)
+    traces = left.reshape(len(left), -1) @ flat_r.T
+    chars = float(np.mean(np.abs(traces) ** 2))
+    rng = np.random.default_rng(0)
+    avg = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    for side in (right, left):
+        avg = (side @ avg[:, None] @ dagger(side)).mean(axis=1)
+    _, sv, vh = np.linalg.svd(avg.reshape(len(avg), -1), full_matrices=False)
+    basis = vh[sv > tol.rel * sv[0]].reshape(-1, n, n)
+    return chars, [(a, gams[0] @ a @ gams[0]) for a in basis]
 
 
 def uniqueness_engine(m: int, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -198,26 +263,19 @@ def uniqueness_engine(m: int, tol: Tolerance = DEFAULT_TOL) -> Report:
     Pairs (A, B) with gamma^mu A = B gamma^mu for all 2m generators form a
     two-dimensional space; in the chiral basis every solution is
     A = diag(l1 I, l2 I), B = diag(l2 I, l1 I).  This pins the twisting
-    data down to two scalars exchanged by the flip.  m above
-    ``UNIQUENESS_MAX_M`` is rejected before anything is allocated.
+    data down to two scalars exchanged by the flip.  The dimension is
+    decided on the character sum of the even gamma products, and the
+    solutions come from their Reynolds average (``_gamma_intertwiners``).
     """
-    if m > UNIQUENESS_MAX_M:
-        n = 2**m
-        raise ValueError(
-            f"uniqueness needs m <= {UNIQUENESS_MAX_M}: at m={m} the intertwiner "
-            f"system is {2 * m * n * n} x {2 * n * n} complex "
-            f"({64 * m * n**4 / 1e9:.1f} GB)"
-        )
     rep = Report(f"twist uniqueness for the gamma family, m={m}")
     data = gamma(m)
-    gams = list(data.gammas)
-    pairs = intertwiner_space(gams, gams, tol)
-    rep.add(
+    chars, pairs = _gamma_intertwiners(list(data.gammas), tol)
+    rep.check(
         "solution space dimension is exactly 2",
-        len(pairs) == 2,
-        float(abs(len(pairs) - 2)),
-        0.0,
-        note=f"dim = {len(pairs)}",
+        abs(chars - 2),
+        tol,
+        2.0,
+        note=f"character sum {chars:.12f}; the averaged draws span {len(pairs)}",
     )
     half = data.dim // 2
     blocks, swaps, lambdas = [], [], []
@@ -296,11 +354,12 @@ def free_dirac_pointwise(
     rep = Report(f"free Dirac twisted fluctuation at a point, m={m}")
     data = gamma(m)
     cc: ChargeConjugation = charge_conjugation(m, tol)
+    r_sign, b_sign = tightest(cc.sign_residuals(tol))
     rep.add(
         "conjugation branch",
-        True,
-        0.0,
-        0.0,
+        r_sign <= b_sign,
+        r_sign,
+        b_sign,
         note=f"(eps, eps'') = ({cc.eps}, {cc.eps_dblprime}), branch {cc.branch()}",
     )
     ys = [

@@ -108,6 +108,24 @@ class TestGamma:
         assert main(["gamma", "--m", "9"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sign_record_is_decided_on_its_residual(self, m):
+        report = cli._gamma_report(m, DEFAULT_TOL)
+        (rec,) = [r for r in report.records if r.name == "charge conjugation signs"]
+        assert rec.passed and rec.residual <= 1e-12 < rec.tol
+
+    def test_negated_eps_dblprime_fails_the_sign_record(self, monkeypatch):
+        solve = cli.charge_conjugation
+
+        def negated(m, tol):
+            cc = solve(m, tol)
+            return replace(cc, eps_dblprime=-cc.eps_dblprime)
+
+        monkeypatch.setattr(cli, "charge_conjugation", negated)
+        report = cli._gamma_report(2, DEFAULT_TOL)
+        (rec,) = [r for r in report.records if r.name == "charge conjugation signs"]
+        assert not rec.passed and rec.residual > rec.tol > 0.0
+
     def test_nan_in_a_later_gamma_fails(self, monkeypatch):
         data = gamma(2)
         gams = [g.copy() for g in data.gammas]
@@ -348,14 +366,14 @@ class TestEngines:
         assert code == 0
         assert payload["info"]["dimension"] == 2
 
-    def test_uniqueness_above_m5_is_rejected_before_allocating(self, capsys, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the m=6 intertwiner system was about to be built")
+    def test_uniqueness_runs_up_to_max_m(self, capsys):
+        code, payload = run_json(capsys, ["uniqueness", "--m", "6"])
+        assert code == 0
+        assert payload["info"]["dimension"] == 2
 
-        monkeypatch.setattr(mintwist, "intertwiner_space", unreachable)
-        assert main(["uniqueness", "--m", "6"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: uniqueness needs m <= 5") and "49152 x 8192" in err
+    def test_uniqueness_above_max_m_is_input_error(self, capsys):
+        assert main(["uniqueness", "--m", "7"]) == 2
+        assert capsys.readouterr().err.startswith("error: m must be in 1..6")
 
     def test_free_dirac_seeded(self, capsys):
         code, payload = run_json(capsys, ["free-dirac", "--m", "1", "--seed", "3"])

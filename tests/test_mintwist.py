@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nctwist import cli, mintwist
-from nctwist.algebra import Algebra
-from nctwist.clifford import charge_conjugation, gamma
-from nctwist.matlin import dagger, fro, intertwiners
+from nctwist.algebra import Algebra, Placement, Representation
+from nctwist.clifford import MAX_M, charge_conjugation, gamma
+from nctwist.matlin import DEFAULT_TOL, dagger, fro, intertwiner_space, intertwiners
 from nctwist.mintwist import (
     double_unit_element,
     free_dirac_pointwise,
@@ -17,10 +19,10 @@ from nctwist.mintwist import (
     twist_by_grading,
     uniqueness_engine,
 )
-from nctwist.samples import flip_toy, left_regular_geometry, toy_triple
+from nctwist.samples import flip_toy, left_regular_geometry, random_unitary, toy_triple
 from nctwist.serialize import dump_json, twisted_marker_to_json
 from nctwist.triple import FiniteGeometry
-from nctwist.twist import TwistedGeometry, verify_twisted
+from nctwist.twist import TwistedGeometry, check_regular, verify_twisted
 
 
 def block_geometry():
@@ -67,6 +69,123 @@ class TestTwistByGrading:
     def test_result_passes_twisted_axioms(self):
         report = verify_twisted(twist_by_grading(block_geometry()))
         assert report.ok, report.format_text()
+
+
+# the placement modes of each kind, with the modes of the blocks equivalent
+# to it: H is equivalent to its conjugate, C and M_n are not
+EQUIVALENT_MODES = {
+    "C": {"scalar": ("scalar",), "conj-scalar": ("conj-scalar",)},
+    "H": {"fund": ("fund", "conj-fund"), "conj-fund": ("fund", "conj-fund")},
+    "M": {"fund": ("fund",), "conj-fund": ("conj-fund",)},
+}
+
+
+@st.composite
+def graded_placements(draw):
+    """Blocks of C, H, M_2 and M_3 on the two grading eigenspaces.
+
+    A side is a list of (component, mode, mult) blocks and a trailing gap
+    on which the algebra acts by zero.  Half of the draws make the second
+    side an equivalent reshuffle of the first.
+    """
+    kinds = st.sampled_from(["C", "H", ("M", 2), ("M", 3)])
+    specs = draw(st.lists(kinds, min_size=1, max_size=3))
+    kinds = [spec[0] for spec in specs]
+
+    def block(c):
+        modes = list(EQUIVALENT_MODES[kinds[c]])
+        return (c, draw(st.sampled_from(modes)), draw(st.integers(1, 2)))
+
+    components = st.lists(st.integers(0, len(specs) - 1), min_size=1, max_size=3)
+    plus = [block(c) for c in draw(components)]
+    if draw(st.booleans()):
+        minus = [
+            (c, draw(st.sampled_from(EQUIVALENT_MODES[kinds[c]][mode])), mult)
+            for c, mode, mult in draw(st.permutations(plus))
+        ]
+    else:
+        minus = [block(c) for c in draw(components)]
+    gaps = draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    frame, seed = draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return specs, plus, minus, gaps, frame, seed
+
+
+def placed_geometry(specs, plus, minus, gaps, frame, seed):
+    alg = Algebra.of(*specs)
+    placements, start, signs = [], 0, []
+    for side, gap, sign in ((plus, gaps[0], 1.0), (minus, gaps[1], -1.0)):
+        first = start
+        for c, mode, mult in side:
+            p = Placement(component=c, start=start, mode=mode, mult=mult)
+            placements.append(p)
+            start += p.block_size(alg.components[c])
+        start += gap
+        signs += [sign] * (start - first)
+    rep = Representation.from_placements(alg, start, placements)
+    stack, gam = rep.stack, np.diag(signs).astype(np.complex128)
+    if frame:
+        w = random_unitary(np.random.default_rng(seed), start)
+        stack, gam = w @ stack @ dagger(w), w @ gam @ dagger(w)
+    return FiniteGeometry(
+        rep=Representation(alg, stack), dirac=np.zeros_like(gam), grading=gam
+    )
+
+
+def kronecker_unitary_exists(g):
+    """Reference decision: a generic element of the Kronecker solution is invertible."""
+    q_plus, q_minus = mintwist._eigenbasis(g.grading, DEFAULT_TOL)
+    if q_plus.shape[1] != q_minus.shape[1]:
+        return False
+    pi_a = g.rep.images(g.algebra.coord_rows(g.algebra.generators()))
+    restr_plus = dagger(q_plus) @ pi_a @ q_plus
+    space = intertwiners(restr_plus, dagger(q_minus) @ pi_a @ q_minus)
+    if not space:
+        return False
+    coeff = np.random.default_rng(1).standard_normal((len(space), 2)) @ [1, 1j]
+    sv = np.linalg.svd(sum(c * x for c, x in zip(coeff, space)), compute_uv=False)
+    return bool(sv[-1] > 1e-8 * sv[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_placements())
+# H fund + H fund + C against H fund + H conj-fund + C: a unitary exists,
+# because the conjugate placement of H is equivalent to the fundamental one
+@example(
+    (
+        ["H", "C"],
+        [(0, "fund", 1), (0, "fund", 1), (1, "scalar", 1)],
+        [(0, "fund", 1), (0, "conj-fund", 1), (1, "scalar", 1)],
+        (0, 0),
+        False,
+        0,
+    )
+)
+# C and M_2 next to their conjugates, in a frame: a unitary exists
+@example(
+    (
+        ["C"],
+        [(0, "scalar", 1), (0, "conj-scalar", 2)],
+        [(0, "conj-scalar", 2), (0, "scalar", 1)],
+        (0, 0),
+        True,
+        3,
+    )
+)
+@example(
+    (
+        [("M", 2)],
+        [(0, "fund", 1), (0, "conj-fund", 1)],
+        [(0, "conj-fund", 1), (0, "fund", 1)],
+        (0, 0),
+        True,
+        5,
+    )
+)
+def test_averaged_unitary_decides_as_the_kronecker_solve(case):
+    g = placed_geometry(*case)
+    tg = twist_by_grading(g)
+    assert (tg.rho.u_rho is not None) == kronecker_unitary_exists(g)
+    assert check_regular(tg.rho, tg.geometry).ok
 
 
 def test_double_unit_element():
@@ -132,6 +251,30 @@ class TestUniqueness:
         assert report.ok, report.format_text()
         assert report.info["dimension"] == 2
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_records_and_span_match_the_kronecker_solve(self, m):
+        report = uniqueness_engine(m)
+        assert [(r.name, r.passed) for r in report.records] == [
+            ("solution space dimension is exactly 2", True),
+            ("solutions are scalar on chiral blocks", True),
+            ("partner solution swaps the two scalars", True),
+        ]
+        gams = list(gamma(m).gammas)
+        solved = intertwiner_space(gams, gams)
+        reference = np.array([np.concatenate([a.ravel(), b.ravel()]) for a, b in solved])
+        assert report.info["dimension"] == len(reference) == 2
+        _, pairs = mintwist._gamma_intertwiners(gams, DEFAULT_TOL)
+        for a, b in pairs:
+            v = np.concatenate([a.ravel(), b.ravel()])
+            assert fro(v - reference.T @ (reference.conj() @ v)) < 1e-12
+
+    @pytest.mark.parametrize("m", range(1, MAX_M + 1))
+    def test_averaged_pairs_intertwine(self, m):
+        gams = list(gamma(m).gammas)
+        chars, pairs = mintwist._gamma_intertwiners(gams, DEFAULT_TOL)
+        assert abs(chars - 2) < 1e-12 and len(pairs) == 2
+        assert max(fro(g @ a - b @ g) for a, b in pairs for g in gams) < 1e-13
+
     def test_lambdas_swap_between_solutions(self):
         report = uniqueness_engine(2)
         (l1a, l1b), (l2a, l2b) = [tuple(v) for v in report.info["lambdas"]]
@@ -142,14 +285,15 @@ class TestUniqueness:
         assert abs(det) > 1e-6
 
     def test_nan_in_a_later_solution_fails(self, monkeypatch):
-        solve = mintwist.intertwiner_space
+        solve = mintwist._gamma_intertwiners
 
         def poisoned(*args, **kwargs):
-            pairs = [(a.copy(), b) for a, b in solve(*args, **kwargs)]
+            chars, pairs = solve(*args, **kwargs)
+            pairs = [(a.copy(), b) for a, b in pairs]
             pairs[1][0][0, -1] = np.nan  # off the chiral blocks
-            return pairs
+            return chars, pairs
 
-        monkeypatch.setattr(mintwist, "intertwiner_space", poisoned)
+        monkeypatch.setattr(mintwist, "_gamma_intertwiners", poisoned)
         report = uniqueness_engine(2)
         name = "solutions are scalar on chiral blocks"
         (rec,) = [r for r in report.records if r.name == name]
@@ -212,6 +356,22 @@ class TestFreeDiracPointwise:
             free_dirac_pointwise(2, np.zeros((3, 2)))
         with pytest.raises(ValueError):
             free_dirac_pointwise(4, np.zeros((8, 2)))
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_conjugation_branch_is_decided_on_its_residual(monkeypatch, negate):
+    solve = mintwist.charge_conjugation
+
+    def solved(m, tol):
+        cc = solve(m, tol)
+        return replace(cc, eps_dblprime=-cc.eps_dblprime) if negate else cc
+
+    monkeypatch.setattr(mintwist, "charge_conjugation", solved)
+    samples = np.random.default_rng(4).standard_normal((4, 2)).astype(np.complex128)
+    report = free_dirac_pointwise(2, samples)
+    (rec,) = [r for r in report.records if r.name == "conjugation branch"]
+    assert rec.passed != negate and rec.tol > 0.0
+    assert rec.residual > rec.tol if negate else rec.residual <= 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
