@@ -44,7 +44,7 @@ def _eigenbasis(grading: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.nda
 
 
 def _matrix_units(alg: Algebra, imgs: np.ndarray) -> list[np.ndarray]:
-    """Images of the matrix units of the simple components of the complexified algebra.
+    """The images of the matrix units of the complexified algebra's simple components.
 
     ``imgs`` are the images of ``alg.generators()``.  Each entry of the
     result is a ``(d, d, n, n)`` stack whose ``[r, s]`` is the image of the
@@ -75,12 +75,12 @@ def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | Non
 
     Requires equal eigenspace dimensions and unitarily equivalent
     restrictions pi+- of the representation; returns None otherwise.  The
-    intertwiners X with pi+(a) X = X pi-(a) are the image of the
+    solutions X of pi+(a) X = X pi-(a) are the image of the
     conditional expectation ``E(Y) = sum_c sum_rs pi+(e_rs) Y pi-(e_sr) / d_c
     + (1 - pi+(1)) Y (1 - pi-(1))`` over the matrix units of the components
     (the last term is the unit of a non-unital representation).  For one
-    seeded random Y, E(Y) is invertible exactly when some intertwiner is,
-    and then its polar unitary intertwines again.
+    seeded random Y, E(Y) is invertible exactly when some solution is, and
+    then its polar unitary is a solution again.
     """
     q_plus, q_minus = _eigenbasis(g.grading, tol)
     if q_plus.shape[1] != q_minus.shape[1]:
