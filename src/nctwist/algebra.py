@@ -371,6 +371,11 @@ class Placement:
             if comp.kind != "C":
                 raise ValueError("scalar modes require a C component")
             return self.mult
+        if comp.kind == "C":
+            raise ValueError(
+                f"placement of component {self.component} (C) in mode "
+                f"{self.mode!r}: C takes the scalar modes only"
+            )
         return comp.dim * self.mult
 
     def block(self, comp: Component, value) -> np.ndarray:
@@ -475,22 +480,19 @@ class Representation:
         cg = alg.coord_rows(gens)
         mats = self.images(cg)
         scale = generator_scale(mats)
-        count, n = len(gens), self.dim
+        n = self.dim
 
         r_unit = fro(self(alg.unit()) - np.eye(n))
         rep.check("unit maps to identity", r_unit, tol, 1.0)
 
         c_star = cg @ alg.linear_map(alg.star)
-        r_star = pair_max(
-            1, count, n, lambda _, s: self.images(c_star[s]) - dagger(mats[s])
-        )
+        eye = np.eye(n, dtype=np.complex128)[None]
+        r_star = pair_max(eye, dagger(mats), coords=c_star[None], stack=self.stack)
         rep.check("star preserved on generators", r_star, tol, scale)
 
         # every pair, cross-block ones included: pi(g_i g_j) - pi(g_i) pi(g_j)
         prod = alg.mul_coords(cg[:, None], cg[None])
-        r_mult = pair_max(
-            count, count, n, lambda i, s: self.images(prod[i, s]) - mats[i] @ mats[s]
-        )
+        r_mult = pair_max(mats, mats, coords=prod, stack=self.stack)
         rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
         return rep
 

@@ -1,10 +1,11 @@
-"""Dense complex linear algebra helpers.
+"""Complex linear algebra helpers: tolerances, the pair kernel, solvers.
 
 Everything in the package works with square ``numpy.ndarray`` matrices of
 dtype complex128.  This module collects the primitives the rest of the code
 is built on: the tolerance and its bound, ``pair_max``, the one walk over
 generators or generator pairs behind every order, regularity and
-multiplicativity check (``pair_residual`` is its commutator form),
+multiplicativity check (``pair_residual`` is its commutator form), which
+evaluates on dense slices or on the nonzero entries of its operands,
 antilinear operators in unitary-times-conjugation form, and SVD-based
 solvers for intertwiner spaces (the commutant of a set is its
 intertwiners with itself).
@@ -107,15 +108,58 @@ def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
 
 
-def pair_max(rows: int, cols: int, n: int, block) -> float:
-    """``max_{i,j} ||block(i, s)[j]||`` over ``i < rows``, ``j < cols``.
+# the sparse evaluator runs when the dense multiply-adds outnumber its
+# product terms by at least this factor
+_SPARSE_FACTOR = 256
 
-    The one walk over generators or generator pairs.  ``block(i, s)`` maps
-    row ``i`` and a slice ``s`` of the columns to the ``(len, n, n)``
-    differences it covers; the slices hold ``max(1, 32768 // n^2)`` of them,
-    which keeps the temporaries small on large n.  Rows run outer and
-    columns inner.  An empty side gives 0.0, and a NaN anywhere is the result.
+
+def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
+    """``max_{i,j} ||sum_b coords[i, j, b] stack[b] - xs[i] ys[j] + zs[j] xs[i]||``.
+
+    The one walk over generators or generator pairs.  Each part of the
+    difference is optional: ``xs`` and ``ys`` come together, ``zs`` needs
+    them, and ``coords`` (real, ``(rows, cols, B)``) needs ``stack``
+    (``(B, n, n)``).  An empty side gives 0.0, and a NaN or inf anywhere in
+    an operand makes the result NaN.
+
+    Two evaluators give the same maximum.  The dense one walks rows outer
+    and slices of ``max(1, 32768 // n^2)`` columns inner, which keeps its
+    temporaries small on large n.  The sparse one (``_sparse_pair_max``)
+    joins the nonzero entries of the operands on their shared index.  It
+    runs when its term count, read from the nonzero counts of each shared
+    index, is at least ``_SPARSE_FACTOR`` times below the dense
+    multiply-add count.
     """
+    rows = len(xs) if xs is not None else len(coords)
+    cols = len(ys) if ys is not None else coords.shape[1]
+    if rows == 0 or cols == 0:
+        return 0.0
+    # the join skips products with zero, so it cannot carry a NaN through
+    given = [a for a in (xs, ys, zs, coords, stack) if a is not None]
+    if not all(np.isfinite(a).all() for a in given):
+        return float("nan")
+    n = (xs if xs is not None else stack).shape[-1]
+    joins = _joins(xs, ys, zs, coords, stack, cols, n)
+    terms = sum(int(left[3] @ right[3]) for _, left, right in joins)
+    used = 0 if coords is None else np.count_nonzero(coords.any(axis=(0, 1)))
+    products = (xs is not None) + (zs is not None)
+    if terms * _SPARSE_FACTOR <= rows * cols * n * n * (products * n + used):
+        return _sparse_pair_max(joins, n)
+
+    flat = None if stack is None else stack.view(np.float64).reshape(len(stack), -1)
+
+    def block(i, s):
+        out = 0.0
+        if coords is not None:
+            c = coords[i, s]
+            col = np.flatnonzero((c != 0).any(axis=0))
+            out = (c[:, col] @ flat[col]).view(np.complex128).reshape(-1, n, n)
+        if xs is not None:
+            out = out - xs[i] @ ys[s]
+        if zs is not None:
+            out = out + zs[s] @ xs[i]
+        return out
+
     step = max(1, 32768 // n**2)
     return worst(
         np.linalg.norm(block(i, slice(j, j + step)), axis=(-2, -1)).max()
@@ -124,20 +168,77 @@ def pair_max(rows: int, cols: int, n: int, block) -> float:
     )
 
 
+def _joins(xs, ys, zs, coords, stack, cols, n):
+    """The products of a pair difference, as ``(sign, left, right)`` sides.
+
+    An entry's key weights its three indices, so that a term of pair (i, j)
+    at entry (r, c) has the key ``((i cols + j) n + r) n + c``, the sum of
+    the keys of its two factors.  The shared axis has weight 0.
+    """
+    pair, mat = cols * n * n, n * n
+    out = []
+    if coords is not None:  # coords[i, j, b] stack[b, r, c]
+        out.append((1.0, _side(coords, 2, (pair, mat, 0)), _side(stack, 0, (0, n, 1))))
+    if xs is not None:  # xs[i, r, k] ys[j, k, c]
+        out.append((-1.0, _side(xs, 2, (pair, n, 0)), _side(ys, 1, (mat, 0, 1))))
+    if zs is not None:  # zs[j, r, k] xs[i, k, c]
+        out.append((1.0, _side(zs, 2, (mat, n, 0)), _side(xs, 1, (pair, 0, 1))))
+    return out
+
+
+def _side(a: np.ndarray, shared: int, weights: tuple) -> tuple:
+    """``(a, shared, weights, count)``: ``count[k]`` nonzeros at shared index k."""
+    others = tuple(k for k in range(3) if k != shared)
+    return a, shared, weights, np.count_nonzero(a, axis=others)
+
+
+def _sparse_pair_max(joins, n: int) -> float:
+    """``pair_max`` from the nonzero entries of its operands.
+
+    Every term of every product is formed for all pairs at once, by joining
+    the entries of the two factors on their shared index (sort, then
+    ``repeat``): the textbook sparse product (Gustavson, ACM TOMS 4(3),
+    1978).  Terms of one key are summed, then the squared moduli of each
+    pair's keys.  Operands must be finite.
+    """
+    keys, values = [], []
+    for sign, left, right in joins:
+        (ls, lk, lv), (rs, rk, rv) = _entries(left), _entries(right)
+        rcount = right[3]
+        # the right entries of shared index k sit from start[k] in sorted order
+        order = np.argsort(rs, kind="stable")
+        start = np.cumsum(rcount) - rcount
+        count = rcount[ls]
+        li = np.repeat(np.arange(len(ls)), count)
+        offset = np.repeat(start[ls] - np.cumsum(count) + count, count)
+        ri = order[np.arange(len(li)) + offset]
+        keys.append(lk[li] + rk[ri])
+        values.append((sign * lv)[li] * rv[ri])
+    key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    value = np.concatenate(values)
+    square = np.bincount(inverse, value.real) ** 2 + np.bincount(inverse, value.imag) ** 2
+    per_pair = np.bincount(key // (n * n), square)
+    return float(np.sqrt(per_pair.max(initial=0.0)))
+
+
+def _entries(side):
+    """``(shared index, key, value)`` of the nonzero entries of one side."""
+    a, shared, weights, _ = side
+    idx = np.nonzero(a)
+    return idx[shared], sum(w * k for w, k in zip(weights, idx) if w), a[idx]
+
+
 def pair_residual(xs, ys, zs=None) -> float:
     """``max_{i,j} ||xs[i] ys[j] - zs[j] xs[i]||`` over ``(G, n, n)`` stacks.
 
     ``zs`` defaults to ``ys`` (plain commutators); passing the twisted
     images gives twisted ones, and ``xs = [I]`` a single-generator maximum
-    of ``||ys[j] - zs[j]||``.  Each ``xs[i]`` meets one batched product per
-    block of the ``j`` (``pair_max``).  A NaN anywhere is the result.
+    of ``||ys[j] - zs[j]||`` (``pair_max``).  A NaN anywhere is the result.
     """
     xs = np.asarray(xs, dtype=np.complex128)
     ys = np.asarray(ys, dtype=np.complex128)
     zs = ys if zs is None else np.asarray(zs, dtype=np.complex128)
-    return pair_max(
-        len(xs), len(ys), ys.shape[-1], lambda i, s: xs[i] @ ys[s] - zs[s] @ xs[i]
-    )
+    return pair_max(xs, ys, zs)
 
 
 @dataclass(frozen=True)

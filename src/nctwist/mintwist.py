@@ -36,9 +36,12 @@ from .twist import Automorphism, TwistedGeometry
 
 
 def _eigenbasis(grading: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (columns) of the +1 and -1 eigenspaces."""
+    """Orthonormal bases (columns) of the +1 and -1 eigenspaces.
+
+    Every eigenvalue must lie within ``tol.bound(1.0)`` of +1 or -1.
+    """
     vals, vecs = np.linalg.eigh(as_matrix(grading))
-    if not all(abs(abs(v) - 1.0) <= 1e-8 for v in vals):
+    if not all(abs(abs(v) - 1.0) <= tol.bound(1.0) for v in vals):
         raise ValueError("grading eigenvalues are not +-1")
     return vecs[:, vals > 0], vecs[:, vals < 0]
 

@@ -30,6 +30,9 @@ from .twist import Automorphism, TwistedGeometry
 
 MATRIX_KEYS = {"rows", "cols", "data"}
 
+# the pair checks hold (G, G, B) float64 product coordinates: 256 MiB at most
+_PAIR_COORDS_BOUND = 2**25
+
 _KIND_NAMES = {
     dict: "an object",
     list: "an array",
@@ -179,6 +182,15 @@ def geometry_to_json(g: FiniteGeometry) -> dict:
 
 def geometry_from_json(obj: dict) -> FiniteGeometry:
     alg = algebra_from_json(_typed(obj, dict, "geometry")["algebra"])
+    # H has 4 generators, C and M_n one per basis element
+    basis = sum(2 * c.dim**2 for c in alg.components)
+    count = sum(4 if c.kind == "H" else 2 * c.dim**2 for c in alg.components)
+    if count**2 * basis > _PAIR_COORDS_BOUND:
+        raise ValueError(
+            f"algebra has G = {count} generators and B = {basis} basis elements: "
+            f"the pair checks would hold G^2 B = {count**2 * basis} coordinates, "
+            f"above the bound of {_PAIR_COORDS_BOUND}"
+        )
     dim = _typed(obj["hilbert_dim"], int, "hilbert_dim")
     if dim < 1:
         raise ValueError(f"hilbert_dim must be positive, got {dim}")

@@ -222,33 +222,29 @@ def check_regular(
     cg = alg.coord_rows(gens)
     mats = pi.images(cg)
     scale = generator_scale(mats)
-    count, n = len(gens), pi.dim
+    n = pi.dim
     # coordinate rows move through rho, rho^-1 and the star as real matrices
     r = alg.linear_map(rho.apply)
     star = alg.linear_map(alg.star)
     cr = cg @ r
 
-    def gap(ca, cb):
-        """max_{i,j} ||pi(ca[i, j]) - pi(cb[i, j])||; both sides are evaluated."""
-        rows, cols = ca.shape[:2]
-        return pair_max(
-            rows, cols, n, lambda i, s: pi.images(ca[i, s]) - pi.images(cb[i, s])
-        )
+    def gap(diff):
+        """max_{i,j} ||pi(a_ij) - pi(b_ij)||, read as pi(diff[i, j]), diff = a - b."""
+        return pair_max(coords=diff, stack=pi.stack)
 
     # a single-generator record is one row of the pair grid: (1, G, B)
     r_reg = gap(
-        (cg @ star @ r)[None], (cg @ alg.linear_map(rho.inverse().apply) @ star)[None]
+        (cg @ star @ r - cg @ alg.linear_map(rho.inverse().apply) @ star)[None]
     )
     rep.check("regular: rho(a*) = (rho^-1(a))*", r_reg, tol, scale)
 
     # rho(a b) against rho(a) rho(b) on every pair, cross-block ones included
-    lhs = alg.mul_coords(cg[:, None], cg[None]) @ r
-    rhs = alg.mul_coords(cr[:, None], cr[None])
-    r_mult = gap(lhs, rhs)
-    rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
+    diff = alg.mul_coords(cg[:, None], cg[None]) @ r
+    diff -= alg.mul_coords(cr[:, None], cr[None])
+    rep.check("multiplicative on generator pairs", gap(diff), tol, scale**2)
 
     if rho.is_involutive_perm() and rho.inner is None and rho.scale is None:
-        rep.check("involutive", gap((cr @ r)[None], cg[None]), tol, scale)
+        rep.check("involutive", gap((cr @ r - cg)[None]), tol, scale)
 
     if rho.u_rho is not None:
         u = rho.u_rho
@@ -259,7 +255,10 @@ def check_regular(
             1.0,
         )
         r_impl = pair_max(
-            1, count, n, lambda _, s: pi.images(cr[s]) - u @ mats[s] @ dagger(u)
+            np.eye(n, dtype=np.complex128)[None],
+            u @ mats @ dagger(u),
+            coords=cr[None],
+            stack=pi.stack,
         )
         rep.check("pi(rho(a)) = U pi(a) U*", r_impl, tol, scale)
     return rep

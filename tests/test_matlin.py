@@ -131,8 +131,10 @@ def draw_differences(case):
 
 
 def kernel_max(diffs):
+    """``pair_max`` of pair (i, j) reading ``diffs[i, j]`` as its own basis image."""
     rows, cols, n = diffs.shape[:3]
-    return pair_max(rows, cols, n, lambda i, s: diffs[i, s])
+    coords = np.eye(rows * cols).reshape(rows, cols, rows * cols)
+    return pair_max(coords=coords, stack=diffs.reshape(-1, n, n))
 
 
 @settings(max_examples=80, deadline=None)
