@@ -245,6 +245,43 @@ class TestVerify:
         saved = json.loads(target.read_text())
         assert saved["ok"] is True
 
+    @staticmethod
+    def write_geometry(tmp_path, algebra, placements):
+        """A 2-dimensional geometry file with D = 0 and the given placements."""
+        obj = {
+            "algebra": algebra,
+            "hilbert_dim": 2,
+            "D": matrix_to_json(np.zeros((2, 2))),
+            "representation": placements,
+        }
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["fund", "conj-fund"])
+    def test_fundamental_placement_of_c_is_an_input_error(self, capsys, tmp_path, mode):
+        placement = {"component": 1, "start": 0, "mode": mode, "mult": 1}
+        path = self.write_geometry(tmp_path, [{"type": "C"}] * 2, [placement])
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert f"component 1 (C) in mode '{mode}'" in err
+
+    def test_pair_coordinates_over_the_bound_are_an_input_error(self, capsys, tmp_path):
+        # an unplaced M_40 has G = B = 3200: G^2 B coordinates would need 244 GiB
+        path = self.write_geometry(tmp_path, [{"type": "M", "n": 40}], [])
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert "G = 3200 generators" in err
+        assert f"bound of {2**25}" in err
+
+    def test_unplaced_m10_is_verified(self, capsys, tmp_path):
+        path = self.write_geometry(tmp_path, [{"type": "M", "n": 10}], [])
+        code, payload = run_json(capsys, ["verify", path])
+        # pi = 0 is multiplicative and *-preserving, but misses the unit
+        assert code == 1
+        failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+        assert failed == ["rep: unit maps to identity"]
+
 
 @pytest.mark.parametrize("command", ["verify", "fluctuate"])
 def test_u_rho_of_the_wrong_shape_is_an_input_error(tmp_path, block_file, command):

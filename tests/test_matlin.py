@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nctwist import matlin
 from nctwist.matlin import (
     DEFAULT_TOL,
     AntilinearOperator,
@@ -155,6 +156,117 @@ def test_pair_max_nan_at_any_pair_is_the_result(case):
     assume(diffs.size > 0)
     diffs[tuple(rng.integers(0, dim) for dim in diffs.shape)] = np.nan
     assert np.isnan(kernel_max(diffs))
+
+
+# -- the sparse evaluator ----------------------------------------------------
+#
+# pair_max joins the nonzero entries of sparse operands instead of
+# multiplying dense slices.  These draws put 1 to 3 nonzeros in each matrix,
+# on rows and columns taken from a random subset of a random permutation, so
+# that products meet and terms often share a key.  ``pinned`` fixes the
+# choice: a factor of 0 always joins, and 2**62 joins only when no term
+# exists.
+
+SPARSE_FORMS = ("commutator", "multiplicative", "regular")
+
+sparse_cases = st.tuples(
+    st.one_of(st.integers(1, 8), st.just(25)),
+    st.integers(1, 5),
+    st.integers(1, 12),
+    st.sampled_from(SPARSE_FORMS),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def pinned(path, **operands):
+    """``pair_max`` with its choice fixed to ``"sparse"`` or ``"dense"``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matlin, "_SPARSE_FACTOR", {"sparse": 0, "dense": 2**62}[path])
+        return pair_max(**operands)
+
+
+def draw_sparse(case):
+    """Operands of one caller's form, as ``pair_max`` keywords.
+
+    "commutator" is ``pair_residual`` (twisted or not), "multiplicative"
+    ``Representation.check`` (coordinates, stack and a product) and
+    "regular" ``check_regular`` (coordinates and stack).
+    """
+    n, rows, cols, form, twisted, seed = case
+    rng = np.random.default_rng(seed)
+    hot = rng.permutation(n)[: rng.integers(1, n + 1)]
+
+    def stack(count):
+        out = np.zeros((count, n, n), np.complex128)
+        for m in out:
+            for _ in range(rng.integers(1, 4)):
+                m[rng.choice(hot), rng.choice(hot)] = complex(*rng.standard_normal(2))
+        return out
+
+    if form == "commutator":
+        ys = stack(cols)
+        return {"xs": stack(rows), "ys": ys, "zs": stack(cols) if twisted else ys}
+    basis = int(rng.integers(1, 6))
+    coords = np.zeros((rows, cols, basis))
+    for i in range(rows):
+        for j in range(cols):
+            coords[i, j, rng.integers(basis, size=rng.integers(0, 3))] = rng.standard_normal()
+    operands = {"coords": coords, "stack": stack(basis)}
+    if form == "multiplicative":
+        operands.update(xs=stack(rows), ys=stack(cols))
+    return operands
+
+
+def explicit_difference_max(xs=None, ys=None, zs=None, coords=None, stack=None):
+    """The pair difference of ``pair_max``, formed densely pair by pair."""
+    lead = xs if xs is not None else coords
+    cols = len(ys) if ys is not None else coords.shape[1]
+    n = (xs if xs is not None else stack).shape[-1]
+    best = 0.0
+    for i in range(len(lead)):
+        for j in range(cols):
+            d = np.zeros((n, n), np.complex128)
+            if coords is not None:
+                d += np.tensordot(coords[i, j], stack, 1)
+            if xs is not None:
+                d -= xs[i] @ ys[j]
+            if zs is not None:
+                d += zs[j] @ xs[i]
+            best = max(best, fro(d))
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_cases)
+def test_sparse_evaluator_equals_the_explicit_double_loop(case):
+    operands = draw_sparse(case)
+    want = explicit_difference_max(**operands)
+    assert pinned("sparse", **operands) == pytest.approx(want, rel=1e-13, abs=1e-13)
+    assert pinned("dense", **operands) == pytest.approx(want, rel=1e-13, abs=1e-13)
+    assert pair_max(**operands) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_cases, st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_sparse_evaluator_nonfinite_anywhere_is_nan(case, bad, data):
+    operands = draw_sparse(case)
+    target = operands[data.draw(st.sampled_from(sorted(operands)))]
+    target[tuple(data.draw(st.integers(0, d - 1)) for d in target.shape)] = bad
+    assert np.isnan(pinned("sparse", **operands))
+    assert np.isnan(pinned("dense", **operands))
+
+
+def test_nan_on_a_row_of_ys_that_no_x_reaches_is_the_result():
+    # every x_i reads column 0 only, so the join never meets row 3 of a y_j
+    xs = np.zeros((2, 4, 4), np.complex128)
+    xs[:, :, 0] = 1.0
+    ys = np.zeros((3, 4, 4), np.complex128)
+    ys[:, 0, 1] = 2.0
+    assert pair_max(xs, ys) == pytest.approx(4.0)
+    ys[1, 3, 2] = np.nan
+    assert np.isnan(pair_max(xs, ys))
+    assert np.isnan(pinned("sparse", xs=xs, ys=ys))
 
 
 class TestAntilinear:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nctwist import cli, mintwist
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.clifford import MAX_M, charge_conjugation, gamma
-from nctwist.matlin import DEFAULT_TOL, dagger, fro, intertwiner_space, intertwiners
+from nctwist.matlin import DEFAULT_TOL, Tolerance, dagger, fro, intertwiner_space, intertwiners
 from nctwist.mintwist import (
     double_unit_element,
     free_dirac_pointwise,
@@ -392,3 +392,25 @@ def test_conjugation_lemma(m):
     got = {r.name: r for r in report.records}
     assert got[lemma].passed and got[lemma].residual <= 1e-12
     assert got[contrast].residual > 0.1 and got[contrast].tol == float("inf")
+
+
+# -- the grading eigenvalues are judged by the caller's tolerance ----------
+
+# a grading off +-1 by 3e-7: inside rel 1e-6, outside the default 1e-10
+NEAR_GRADING = np.diag([1.0 + 3e-7, -1.0]).astype(np.complex128)
+
+
+def test_grading_eigenvalues_are_judged_by_the_tolerance():
+    g = replace(toy_triple(), grading=NEAR_GRADING)
+    tol = Tolerance(rel=1e-6)
+    q_plus, q_minus = mintwist._eigenbasis(g.grading, tol)
+    assert q_plus.shape == q_minus.shape == (2, 1)
+    assert verify_twisted(twist_by_grading(g, tol), tol).ok
+
+
+def test_grading_eigenvalues_off_by_more_than_the_default_tolerance_raise():
+    g = replace(toy_triple(), grading=NEAR_GRADING)
+    with pytest.raises(ValueError, match="grading eigenvalues are not"):
+        mintwist._eigenbasis(g.grading, DEFAULT_TOL)
+    with pytest.raises(ValueError):
+        twist_by_grading(g)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctwist import matlin
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.matlin import AntilinearOperator, Tolerance, dagger, fro
 from nctwist.mintwist import twist_by_grading
@@ -567,3 +568,39 @@ def test_sm_stacks_equal_their_definitions_in_both_conventions(convention):
     primary, symmetric = first_order_residuals(g.dirac, *(np.stack(w[few]) for w in want))
     assert abs(got["primary"] - primary) <= 1e-13 * max(1.0, primary)
     assert abs(got["symmetric"] - symmetric) <= 1e-13 * max(1.0, symmetric)
+
+
+# -- the pair kernel's two evaluators on real stacks ----------------------
+#
+# A random unitary frame (catalogue entries 1 and 3) fills every image, so
+# the order-one products stay dense; the same draw without the frame keeps
+# its placement images sparse, and the kernel joins their nonzero entries.
+
+
+def drawn_with(frame):
+    """The same ``random_matrix_geometry(k=3)`` draw, with or without a frame, twisted."""
+    return twist_by_grading(random_matrix_geometry(np.random.default_rng(11), 3, frame=frame))
+
+
+@pytest.mark.parametrize("frame, joins", [(True, 0), (False, 2)])
+def test_order_one_goes_dense_on_a_frame_and_sparse_on_placements(monkeypatch, frame, joins):
+    tg = drawn_with(frame)
+    calls = []
+    sparse = matlin._sparse_pair_max
+    monkeypatch.setattr(matlin, "_sparse_pair_max", lambda *a: calls.append(a) or sparse(*a))
+    first_order_residuals(tg.geometry.dirac, *tg.stacks())
+    assert len(calls) == joins
+
+
+@pytest.mark.parametrize("frame", [True, False])
+def test_forced_evaluators_agree_on_every_record(monkeypatch, frame):
+    tg = drawn_with(frame)
+    reports = []
+    for factor in (0, 2**62):  # always join, then never (unless nothing is nonzero)
+        monkeypatch.setattr(matlin, "_SPARSE_FACTOR", factor)
+        reports.append(verify_twisted(tg))
+    sparse, dense = reports
+    assert [r.name for r in sparse.records] == [r.name for r in dense.records]
+    for a, b in zip(sparse.records, dense.records):
+        assert a.passed == b.passed, a.name
+        assert a.residual == pytest.approx(b.residual, rel=0.0, abs=1e-13), a.name
