@@ -1,13 +1,13 @@
 """Walk up the gamma-matrix ladder and measure the conjugation signs.
 
 For each m the script prints the worst deviation from the defining
-relations, then solves for the antilinear intertwiner J and reports the
+relations, then builds the antilinear intertwiner J and reports the
 measured (eps, eps'') pair together with the KO branch it selects.
 """
 
 import numpy as np
 
-from nctwist import charge_conjugation, dagger, fro, gamma, grading_product, intertwiner_space
+from nctwist import charge_conjugation, dagger, fro, gamma, grading_product
 
 
 def relation_residual(data):
@@ -28,20 +28,14 @@ def main():
         data = gamma(m)
         print(f"  m={m}: dim {data.dim}, relation residual {relation_residual(data):.2e}")
 
-    print("\nself-intertwiners of the generator family")
-    for m in (1, 2, 3):
-        data = gamma(m)
-        pairs = intertwiner_space(list(data.gammas), list(data.gammas))
-        print(f"  m={m}: commuting-pair solution space has dimension {len(pairs)}")
-    print("  (identity and grading: the family is irreducible on each chiral half)")
-
-    print("\nantilinear conjugation J gamma = -gamma J")
-    for m in (1, 2, 3):
+    print("\nantilinear conjugation J gamma = -gamma J, a product of gammas")
+    for m in range(1, 7):
         cc = charge_conjugation(m)
         print(
             f"  m={m}: eps={cc.eps:+d}, eps''={cc.eps_dblprime:+d},"
-            f" branch {cc.branch()}, solution dim {cc.solution_dim}"
+            f" branch {cc.branch()}, character sum {cc.character_sum:.1f}"
         )
+    print("  (character sum 1: the gammas act irreducibly, so J is unique up to phase)")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .fluct import (
     symmetrized,
     verify_fluctuated,
 )
-from .matlin import dagger, fro, intertwiner_space
+from .matlin import dagger, fro
 from .mintwist import free_dirac_pointwise, twist_by_grading
 from .samples import flip_toy, left_regular_geometry, random_one_form, toy_triple
 from .sm import (

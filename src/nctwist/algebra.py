@@ -276,6 +276,14 @@ class Algebra:
                 out.append(tuple(vals))
         return out
 
+    def basis_offsets(self) -> np.ndarray:
+        """Where each component's part of ``basis()`` starts, then its size B.
+
+        A component of matrix size d has the 2 d^2 real coordinates of its
+        complex entries.
+        """
+        return np.cumsum([0] + [2 * c.dim**2 for c in self.components])
+
     def coords(self, x: tuple) -> np.ndarray:
         """Real coordinates of an element in ``basis()``.
 
@@ -300,10 +308,10 @@ class Algebra:
         """
         cx = np.asarray(cx, dtype=np.float64)
         cy = np.asarray(cy, dtype=np.float64)
-        out, start = [], 0
-        for comp in self.components:
+        out, offsets = [], self.basis_offsets()
+        for comp, start, stop in zip(self.components, offsets, offsets[1:]):
             d = comp.dim
-            blk = slice(start, start + 2 * d * d)
+            blk = slice(start, stop)
             x, y = (
                 np.ascontiguousarray(c[..., blk])
                 .view(np.complex128)
@@ -312,7 +320,6 @@ class Algebra:
             )
             p = x @ y
             out.append(p.reshape(p.shape[:-2] + (d * d,)).view(np.float64))
-            start = blk.stop
         return np.concatenate(out, axis=-1)
 
     def linear_map(self, f: Callable[[tuple], tuple]) -> np.ndarray:
@@ -409,7 +416,7 @@ class Representation:
         stack = np.array(stack, dtype=np.complex128)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError(f"stack must hold square images, got shape {stack.shape}")
-        nbasis = len(algebra.basis())
+        nbasis = algebra.basis_offsets()[-1]
         if len(stack) != nbasis:
             raise ValueError(
                 f"stack holds {len(stack)} images, algebra basis has {nbasis}"
@@ -425,7 +432,7 @@ class Representation:
     ) -> "Representation":
         """Block-diagonal representation assembled from placements."""
         placements = tuple(placements)
-        offsets = np.cumsum([0] + [len(c.basis()) for c in algebra.components])
+        offsets = algebra.basis_offsets()
         stack = np.zeros((offsets[-1], dim, dim), np.complex128)
         covered = np.zeros(dim, dtype=bool)
         for p in placements:

@@ -122,16 +122,15 @@ def _gamma_report(m: int, tol: Tolerance) -> Report:
         tol,
         1.0,
     )
-    if m <= 3:
-        cc = charge_conjugation(m, tol)
-        r_sign, b_sign = tightest(cc.sign_residuals(tol))
-        rep.add(
-            "charge conjugation signs",
-            r_sign <= b_sign,
-            r_sign,
-            b_sign,
-            note=f"eps={cc.eps}, eps''={cc.eps_dblprime}, branch {cc.branch()}",
-        )
+    cc = charge_conjugation(m, tol)
+    r_sign, b_sign = tightest(cc.sign_residuals(tol))
+    rep.add(
+        "charge conjugation signs",
+        r_sign <= b_sign,
+        r_sign,
+        b_sign,
+        note=f"eps={cc.eps}, eps''={cc.eps_dblprime}, branch {cc.branch()}",
+    )
     return rep
 
 
@@ -370,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "free-dirac", parents=[common], help="pointwise free Dirac twist analysis"
     )
-    p.add_argument("--m", type=int, required=True, help="half-dimension, 1..3")
+    p.add_argument("--m", type=int, required=True, help=f"half-dimension, 1..{MAX_M}")
     p.add_argument("--samples", default=None, help="2m x 2 coefficient matrix JSON")
     p.add_argument("--seed", type=int, default=0, help="seed of drawn samples")
     p.set_defaults(func=cmd_free_dirac)

@@ -2,27 +2,21 @@
 
 The 2m generators in dimension 2^m are built recursively from the Pauli
 matrices; the grading is the normalised product of all generators and is
-diagonal (+1 block then -1 block) in this basis.  Charge conjugation is the
-antilinear operator anticommuting with every generator, found as an
-intertwiner-space solution and normalised canonically.
+diagonal (+1 block then -1 block) in this basis.  Every generator is real
+or imaginary.  Charge conjugation, the antilinear operator anticommuting
+with every generator, is conjugation followed by the product of the real
+generators when they are even in number, else of the imaginary ones; it is
+unique up to phase when the character sum of the generators is 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .matlin import (
-    DEFAULT_TOL,
-    AntilinearOperator,
-    Tolerance,
-    canonical_phase,
-    fro,
-    intertwiners,
-    match_sign,
-    polar_unitary,
-)
+from .matlin import DEFAULT_TOL, AntilinearOperator, Tolerance, fro, match_sign
 
 MAX_M = 6
 
@@ -85,7 +79,7 @@ class ChargeConjugation:
     j: AntilinearOperator
     eps: int
     eps_dblprime: int
-    solution_dim: int
+    character_sum: float
 
     def sign_residuals(self, tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, float]]:
         """``(residual, bound)`` of ``||J^2 - eps I||`` and ``||U conj(G) - eps'' G U||``.
@@ -107,36 +101,73 @@ class ChargeConjugation:
         return "{0,4}" if self.eps_dblprime == 1 else "{2,6}"
 
 
-def charge_conjugation(m: int, tol: Tolerance = DEFAULT_TOL) -> ChargeConjugation:
-    """Solve U conj(gamma^mu) = -gamma^mu U and package the result.
+def _subset_products(hs: list[np.ndarray], n: int) -> np.ndarray:
+    """Products of the subsets of ``hs``, factors in list order: ``(2^k, n, n)``."""
+    out = np.eye(n, dtype=np.complex128)[None]
+    for h in hs:
+        out = np.concatenate([out, out @ h])
+    return out
 
-    The linear unknown U satisfies gamma^mu U = U (-conj(gamma^mu)), an
-    intertwining system between the generator family and its negated
-    conjugate.  The solution space is one-dimensional here; the basis
-    vector is normalised to a unitary with a canonical phase.
+
+def _subset_halves(hs: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subset products of the first and of the second half of ``hs``.
+
+    Every subset product of ``hs`` is one ``l r``, l from the first stack
+    and r from the second, so a mean over the 2^k of them runs over two
+    stacks of about 2^(k/2).
     """
-    if not 1 <= m <= 3:
-        raise ValueError(f"charge conjugation supported for m in 1..3, got {m}")
+    half = len(hs) // 2
+    return _subset_products(hs[:half], n), _subset_products(hs[half:], n)
+
+
+def _character_sum(left: np.ndarray, right: np.ndarray) -> float:
+    """``mean |tr(l r)|^2`` over every l of ``left`` and r of ``right``.
+
+    Over the products of a set of anticommuting unitaries, which form a
+    group up to phases, this is the dimension of their commutant.
+    """
+    # tr(l r) = sum_ij l_ij r_ji
+    flat_r = right.swapaxes(1, 2).reshape(len(right), -1)
+    traces = left.reshape(len(left), -1) @ flat_r.T
+    return float(np.mean(np.abs(traces) ** 2))
+
+
+def _conjugation_unitary(gammas) -> np.ndarray:
+    """Product of the real generators if they are even in number, else of the imaginary ones.
+
+    ``U conj(gamma) = -gamma U`` asks U to anticommute with the real
+    generators and commute with the imaginary ones.  A product of k
+    anticommuting generators anticommutes with its own factors when k is
+    even and with the others when k is odd.  The real and the imaginary
+    counts add up to 2m, so they are both even or both odd.
+    """
+    real = [g for g in gammas if not g.imag.any()]
+    imaginary = [g for g in gammas if g.imag.any()]
+    factors = real if len(real) % 2 == 0 else imaginary
+    return reduce(np.matmul, factors, np.eye(len(gammas[0]), dtype=np.complex128))
+
+
+def charge_conjugation(m: int, tol: Tolerance = DEFAULT_TOL) -> ChargeConjugation:
+    """J = U conj with U conj(gamma^mu) = -gamma^mu U, its uniqueness and signs.
+
+    U is ``_conjugation_unitary``, checked against every generator.  Every
+    other solution is X U with X in the commutant of the generators, so J
+    is unique up to phase when the character sum ``mean |tr P|^2`` over the
+    2^(2m) subset products P of the generators is 1.  The mean runs over the
+    products of two stacks of 2^m (``_subset_halves``).
+    """
     data = gamma(m)
-    lhs = list(data.gammas)
-    rhs = [-np.conj(g) for g in data.gammas]
-    space = intertwiners(lhs, rhs, tol)
-    if not space:
-        raise ValueError(f"no antilinear intertwiner at m={m}")
-    # deterministic pick: the direction with the largest singular value of
-    # the nullspace ordering (last entry; ordering is most-null-first)
-    candidate = space[-1]
-    sv = np.linalg.svd(candidate, compute_uv=False)
-    if sv[0] <= 0 or (sv[0] - sv[-1]) > tol.rel * sv[0] * 1e3 + tol.abs:
-        raise ValueError("intertwiner is not proportional to a unitary")
-    u = canonical_phase(polar_unitary(candidate))
-    j = AntilinearOperator(u)
+    u = _conjugation_unitary(data.gammas)
     for g in data.gammas:
         res = fro(u @ np.conj(g) + g @ u)
         if not tol.accepts(res, max(1.0, fro(g))):
             raise ValueError(f"candidate fails anticommutation, residual {res:.3e}")
+    chars = _character_sum(*_subset_halves(list(data.gammas), data.dim))
+    if not tol.accepts(abs(chars - 1.0)):
+        raise ValueError(f"J is not unique up to phase: character sum {chars:.12f}")
+    j = AntilinearOperator(u)
     eps = j.sign_of_square(tol)
     eps_dbl = match_sign(
         u @ np.conj(data.grading), data.grading @ u, tol, what="J vs grading"
     )
-    return ChargeConjugation(m, j, eps, eps_dbl, len(space))
+    return ChargeConjugation(m, j, eps, eps_dbl, chars)

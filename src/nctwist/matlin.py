@@ -6,9 +6,8 @@ is built on: the tolerance and its bound, ``pair_max``, the one walk over
 generators or generator pairs behind every order, regularity and
 multiplicativity check (``pair_residual`` is its commutator form), which
 evaluates on dense slices or on the nonzero entries of its operands,
-antilinear operators in unitary-times-conjugation form, and SVD-based
-solvers for intertwiner spaces (the commutant of a set is its
-intertwiners with itself).
+antilinear operators in unitary-times-conjugation form, the SVD nullspace
+and the distance to a real span.
 """
 
 from __future__ import annotations
@@ -328,88 +327,6 @@ def nullspace(
     # ascending singular value: most null first
     order = np.argsort(sv_full[null_mask])
     return basis[:, order], sv_full[null_mask][order]
-
-
-def _stack(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    out = [as_matrix(m) for m in mats]
-    if not out:
-        raise ValueError("need at least one matrix")
-    n = out[0].shape[0]
-    if any(m.shape != (n, n) for m in out):
-        raise ValueError("all matrices must share one square shape")
-    return out
-
-
-def intertwiners(
-    lhs: Sequence[np.ndarray],
-    rhs: Sequence[np.ndarray],
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[np.ndarray]:
-    """Basis of ``{X : L_i X = X R_i for all i}``.
-
-    Row-major vectorisation turns each condition into
-    ``(L_i kron I - I kron R_i^T) vec(X) = 0``; the joint nullspace is
-    extracted by SVD.  The returned matrices are orthonormal for the
-    entrywise inner product.
-    """
-    lhs = _stack(lhs)
-    rhs = _stack(rhs)
-    if len(lhs) != len(rhs):
-        raise ValueError("lhs and rhs must pair up")
-    n = lhs[0].shape[0]
-    if rhs[0].shape[0] != n:
-        raise ValueError("lhs and rhs must act on the same dimension")
-    eye = np.eye(n)
-    rows = [np.kron(l, eye) - np.kron(eye, r.T) for l, r in zip(lhs, rhs)]
-    basis, _ = nullspace(np.vstack(rows), tol)
-    return [basis[:, k].reshape(n, n) for k in range(basis.shape[1])]
-
-
-def intertwiner_space(
-    lhs: Sequence[np.ndarray],
-    rhs: Sequence[np.ndarray],
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Basis of pairs ``(A, B)`` with ``L_i A = B R_i`` for all i.
-
-    The two unknowns are stacked into one vector; the pairs returned are
-    orthonormal with respect to the entrywise inner product on the stack.
-    """
-    lhs = _stack(lhs)
-    rhs = _stack(rhs)
-    if len(lhs) != len(rhs):
-        raise ValueError("lhs and rhs must pair up")
-    n = lhs[0].shape[0]
-    if rhs[0].shape[0] != n:
-        raise ValueError("lhs and rhs must act on the same dimension")
-    eye = np.eye(n)
-    rows = []
-    for l, r in zip(lhs, rhs):
-        block_a = np.kron(l, eye)
-        block_b = -np.kron(eye, r.T)
-        rows.append(np.hstack([block_a, block_b]))
-    basis, _ = nullspace(np.vstack(rows), tol)
-    out = []
-    for k in range(basis.shape[1]):
-        v = basis[:, k]
-        out.append((v[: n * n].reshape(n, n), v[n * n :].reshape(n, n)))
-    return out
-
-
-def polar_unitary(x: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition of an invertible matrix."""
-    u, _, vh = np.linalg.svd(as_matrix(x))
-    return u @ vh
-
-
-def canonical_phase(u: np.ndarray) -> np.ndarray:
-    """Fix the global phase: largest-magnitude entry made real positive."""
-    u = as_matrix(u)
-    idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-    pivot = u[idx]
-    if abs(pivot) == 0.0:
-        return u
-    return u * (np.conj(pivot) / abs(pivot))
 
 
 def residual_against_span(

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, join_double, projected_double
-from .clifford import ChargeConjugation, charge_conjugation, gamma
+from .clifford import (
+    ChargeConjugation,
+    _character_sum,
+    _subset_halves,
+    charge_conjugation,
+    gamma,
+)
 from .matlin import (
     DEFAULT_TOL,
     Tolerance,
@@ -220,14 +226,6 @@ def gamma_tilde_diagnostics(
     )
 
 
-def _subset_products(hs: list[np.ndarray], n: int) -> np.ndarray:
-    """Products of the subsets of ``hs``, factors in list order: ``(2^k, n, n)``."""
-    out = np.eye(n, dtype=np.complex128)[None]
-    for h in hs:
-        out = np.concatenate([out, out @ h])
-    return out
-
-
 def _gamma_intertwiners(
     gams: list[np.ndarray], tol: Tolerance
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
@@ -244,13 +242,8 @@ def _gamma_intertwiners(
     spans the average of three seeded draws.
     """
     n = len(gams[0])
-    hs = [gams[0] @ g for g in gams[1:]]
-    left = _subset_products(hs[: len(hs) // 2], n)
-    right = _subset_products(hs[len(hs) // 2 :], n)
-    # tr(l r) = sum_ij l_ij r_ji
-    flat_r = right.swapaxes(1, 2).reshape(len(right), -1)
-    traces = left.reshape(len(left), -1) @ flat_r.T
-    chars = float(np.mean(np.abs(traces) ** 2))
+    left, right = _subset_halves([gams[0] @ g for g in gams[1:]], n)
+    chars = _character_sum(left, right)
     rng = np.random.default_rng(0)
     avg = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
     for side in (right, left):
@@ -349,13 +342,11 @@ def free_dirac_pointwise(
     the self-adjointness gate on T, and the structure of what survives the
     gate.
     """
-    if not 1 <= m <= 3:
-        raise ValueError("pointwise free Dirac analysis supports m in 1..3")
+    data = gamma(m)
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.shape != (2 * m, 2):
         raise ValueError(f"expected samples of shape ({2 * m}, 2)")
     rep = Report(f"free Dirac twisted fluctuation at a point, m={m}")
-    data = gamma(m)
     cc: ChargeConjugation = charge_conjugation(m, tol)
     r_sign, b_sign = tightest(cc.sign_residuals(tol))
     rep.add(

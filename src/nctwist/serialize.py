@@ -183,7 +183,7 @@ def geometry_to_json(g: FiniteGeometry) -> dict:
 def geometry_from_json(obj: dict) -> FiniteGeometry:
     alg = algebra_from_json(_typed(obj, dict, "geometry")["algebra"])
     # H has 4 generators, C and M_n one per basis element
-    basis = sum(2 * c.dim**2 for c in alg.components)
+    basis = int(alg.basis_offsets()[-1])
     count = sum(4 if c.kind == "H" else 2 * c.dim**2 for c in alg.components)
     if count**2 * basis > _PAIR_COORDS_BOUND:
         raise ValueError(

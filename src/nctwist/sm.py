@@ -185,8 +185,8 @@ def _sector_rep(plus: tuple, minus: tuple) -> Representation:
     the sectors and slots it feeds, S the finite images of its kind.
     """
     alg = twisted_sm_algebra()
-    bounds = np.cumsum([0] + [len(c.basis()) for c in _SM_REP.algebra.components])
-    offsets = np.cumsum([0] + [len(c.basis()) for c in alg.components])
+    bounds = _SM_REP.algebra.basis_offsets()
+    offsets = alg.basis_offsets()
     stack = np.zeros((offsets[-1], 128, 128), np.complex128)
     for proj, reads in ((_P_PLUS, plus), (_P_MINUS, minus)):
         for comp, (kind, mask) in zip(reads, _SLOTS):

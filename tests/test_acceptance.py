@@ -10,7 +10,7 @@ import numpy as np
 
 from nctwist.clifford import charge_conjugation, gamma, grading_product
 from nctwist.fluct import compose_fluctuations, one_form_opposite_checks, verify_fluctuated
-from nctwist.matlin import Tolerance, dagger, fro, intertwiner_space
+from nctwist.matlin import Tolerance, dagger, fro
 from nctwist.mintwist import free_dirac_pointwise, twist_by_grading
 from nctwist.samples import random_graded_geometry, random_one_form
 from nctwist.sm import (
@@ -22,6 +22,8 @@ from nctwist.sm import (
 )
 from nctwist.triple import measure_ko_signs, order_one_residual, order_zero_residual
 from nctwist.twist import TwistedGeometry, Automorphism, verify_twisted, zero_order_conflict_check
+
+from kronecker import intertwiner_space
 
 
 def emit(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> None:

@@ -311,6 +311,25 @@ def test_coords_invert_basis(alg):
     assert np.array_equal(alg.coord_rows(basis), np.eye(len(basis)))
 
 
+def test_basis_offsets_delimit_each_component_of_the_basis(alg):
+    offsets = alg.basis_offsets()
+    assert offsets.tolist() == [0, 2, 10, 28]
+    basis = alg.basis()
+    assert len(basis) == offsets[-1]
+    for i, (start, stop) in enumerate(zip(offsets, offsets[1:])):
+        # the elements between two offsets are the ones of component i
+        assert all(np.any(e[i]) for e in basis[start:stop])
+
+
+def test_representations_are_built_without_the_basis_elements(alg, monkeypatch):
+    def unread(self):
+        raise AssertionError("basis elements built")
+
+    monkeypatch.setattr(Algebra, "basis", unread)
+    rep = _base_rep(alg)
+    assert len(Representation(alg, rep.stack).stack) == 28
+
+
 def _base_rep(alg):
     return Representation.from_placements(
         alg,

@@ -13,7 +13,7 @@ import nctwist
 from nctwist import cli, mintwist
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.cli import main
-from nctwist.clifford import gamma
+from nctwist.clifford import MAX_M, gamma
 from nctwist.matlin import DEFAULT_TOL, AntilinearOperator
 from nctwist.samples import left_regular_geometry, toy_triple
 from nctwist.serialize import (
@@ -108,7 +108,17 @@ class TestGamma:
         assert main(["gamma", "--m", "9"]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_signs_are_recorded_up_to_max_m(self, capsys):
+        code, payload = run_json(capsys, ["gamma", "--m", "6"])
+        assert code == 0
+        (rec,) = [c for c in payload["checks"] if c["name"] == "charge conjugation signs"]
+        assert rec["passed"] and "eps=-1, eps''=1" in rec["note"]
+
+    def test_above_max_m_is_input_error(self, capsys):
+        assert main(["gamma", "--m", "7"]) == 2
+        assert capsys.readouterr().err.startswith("error: m must be in 1..6")
+
+    @pytest.mark.parametrize("m", range(1, MAX_M + 1))
     def test_sign_record_is_decided_on_its_residual(self, m):
         report = cli._gamma_report(m, DEFAULT_TOL)
         (rec,) = [r for r in report.records if r.name == "charge conjugation signs"]
@@ -419,6 +429,15 @@ class TestEngines:
         assert payload["info"]["accepted"] is False
         names = [c["name"] for c in payload["checks"]]
         assert "J pi(a) J^-1 = pi(flip(a*))" in names
+
+    def test_free_dirac_runs_up_to_max_m(self, capsys):
+        code, payload = run_json(capsys, ["free-dirac", "--m", "6"])
+        assert code == 0
+        assert payload["info"]["branch"] == "{0,4}"
+
+    def test_free_dirac_above_max_m_is_input_error(self, capsys):
+        assert main(["free-dirac", "--m", "7"]) == 2
+        assert capsys.readouterr().err.startswith("error: m must be in 1..6")
 
     @pytest.mark.parametrize(
         "argv", [["uniqueness", "--m", "2"], ["gamma", "--m", "1"], ["sm"]]

@@ -16,7 +16,7 @@ from nctwist.fluct import (
     symmetrized,
     verify_fluctuated,
 )
-from nctwist.matlin import dagger, fro, residual_against_span
+from nctwist.matlin import DEFAULT_TOL, dagger, fro, residual_against_span
 from nctwist.mintwist import twist_by_grading
 from nctwist.samples import (
     flip_toy,
@@ -163,6 +163,33 @@ def test_verify_fluctuated_reports_rejection_not_crash(tg):
     report = verify_fluctuated(tg, f)
     assert not report.ok
     assert not report.records[0].passed
+
+
+def accepted_record(tg, f):
+    """The acceptance record of ``verify_fluctuated`` and the defect and bound it is due."""
+    report = verify_fluctuated(tg, f)
+    rec = report.records[0]
+    assert rec.name == "fluctuation accepted (self-adjoint)"
+    d_a = tg.geometry.dirac + fluctuation_operator(
+        tg, eval_one_form(f, tg), measure_ko_signs(tg.geometry).eps_prime
+    )
+    return rec, fro(d_a - dagger(d_a)) / 2.0, DEFAULT_TOL.bound(max(1.0, fro(d_a)))
+
+
+def test_accepted_fluctuation_prints_its_defect_against_the_bound(tg):
+    rng = np.random.default_rng(RNG_SEED + 8)
+    rec, defect, bound = accepted_record(tg, random_one_form(rng, tg))
+    assert rec.passed
+    assert rec.residual == defect and rec.tol == bound
+    assert 0.0 < rec.tol and rec.residual <= rec.tol
+
+
+def test_rejected_fluctuation_prints_its_defect_against_the_bound(tg):
+    rng = np.random.default_rng(RNG_SEED + 8)
+    rec, defect, bound = accepted_record(tg, random_one_form(rng, tg, symmetric=False))
+    assert not rec.passed
+    assert rec.residual == defect and rec.tol == bound
+    assert np.isfinite(rec.residual) and rec.residual > rec.tol
 
 
 def test_empty_form_is_a_no_op(tg):

@@ -1,4 +1,4 @@
-"""Dense-matrix helpers: norms, conjugations, nullspaces, intertwiners."""
+"""Dense-matrix helpers: norms, conjugations, nullspaces; the Kronecker reference solvers."""
 
 import numpy as np
 import pytest
@@ -12,19 +12,17 @@ from nctwist.matlin import (
     Tolerance,
     anticommutator,
     as_matrix,
-    canonical_phase,
     dagger,
     fro,
-    intertwiner_space,
-    intertwiners,
     kron,
     match_sign,
     nullspace,
     pair_max,
     pair_residual,
-    polar_unitary,
     residual_against_span,
 )
+
+from kronecker import intertwiner_space, intertwiners
 
 RNG_SEED = 1234
 
@@ -369,22 +367,6 @@ def test_intertwiner_space_pairs_satisfy_relation():
     # gamma^mu A = B gamma^mu with one anticommuting pair: A scalar forces
     # B = A on sz and B = A on sx only when both are the same scalar
     assert len(pairs) == 2
-
-
-def test_polar_unitary_and_canonical_phase():
-    rng = np.random.default_rng(RNG_SEED + 7)
-    x = rand_mat(rng, 4) + 4 * np.eye(4)
-    u = polar_unitary(x)
-    assert fro(u @ dagger(u) - np.eye(4)) < 1e-12
-    # polar factor of a unitary is itself
-    q, _ = np.linalg.qr(rand_mat(rng, 4))
-    assert fro(polar_unitary(q) - q) < 1e-10
-    v = canonical_phase(q)
-    idx = np.unravel_index(np.argmax(np.abs(v)), v.shape)
-    assert abs(v[idx].imag) < 1e-12
-    assert v[idx].real > 0
-    # phase multiples collapse to the same representative
-    assert fro(canonical_phase(np.exp(0.7j) * q) - v) < 1e-10
 
 
 def test_residual_against_span_real_coefficients_only():

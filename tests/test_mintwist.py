@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nctwist import cli, mintwist
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.clifford import MAX_M, charge_conjugation, gamma
-from nctwist.matlin import DEFAULT_TOL, Tolerance, dagger, fro, intertwiner_space, intertwiners
+from nctwist.matlin import DEFAULT_TOL, Tolerance, dagger, fro
 from nctwist.mintwist import (
     double_unit_element,
     free_dirac_pointwise,
@@ -23,6 +23,8 @@ from nctwist.samples import flip_toy, left_regular_geometry, random_unitary, toy
 from nctwist.serialize import dump_json, twisted_marker_to_json
 from nctwist.triple import FiniteGeometry
 from nctwist.twist import TwistedGeometry, check_regular, verify_twisted
+
+from kronecker import intertwiner_space, intertwiners
 
 
 def block_geometry():
@@ -354,8 +356,8 @@ class TestFreeDiracPointwise:
     def test_sample_shape_validated(self):
         with pytest.raises(ValueError):
             free_dirac_pointwise(2, np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            free_dirac_pointwise(4, np.zeros((8, 2)))
+        with pytest.raises(ValueError, match="m must be in 1..6"):
+            free_dirac_pointwise(7, np.zeros((14, 2)))
 
 
 @pytest.mark.parametrize("negate", [False, True])

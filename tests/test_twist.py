@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nctwist import matlin
@@ -604,3 +604,53 @@ def test_forced_evaluators_agree_on_every_record(monkeypatch, frame):
     for a, b in zip(sparse.records, dense.records):
         assert a.passed == b.passed, a.name
         assert a.residual == pytest.approx(b.residual, rel=0.0, abs=1e-13), a.name
+
+
+# -- verdicts do not depend on J's phase or on the frame --------------------
+
+
+def moved_to_frame(tg: TwistedGeometry, w: np.ndarray) -> TwistedGeometry:
+    """``tg`` in the frame W: ``W X W*`` for pi's stack, D, the grading and u_rho; ``W U W^T`` for J."""
+    g = tg.geometry
+    moved = FiniteGeometry(
+        rep=Representation(g.algebra, w @ g.rep.stack @ dagger(w)),
+        dirac=w @ g.dirac @ dagger(w),
+        grading=w @ g.grading @ dagger(w),
+        real_structure=AntilinearOperator(w @ g.real_structure.unitary @ w.T),
+    )
+    u_rho = tg.rho.u_rho
+    return TwistedGeometry(
+        moved, replace(tg.rho, u_rho=None if u_rho is None else w @ u_rho @ dagger(w))
+    )
+
+
+def assert_same_verdicts(before, after):
+    assert [(r.name, r.passed) for r in after.records] == [
+        (r.name, r.passed) for r in before.records
+    ]
+    for old, new in zip(before.records, after.records):
+        assert abs(new.residual - old.residual) <= 1e-13, old.name
+
+
+# the four Clifford entries of the catalogue: m = 1 on k = 2 and 3, m = 2, m = 3
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(5)
+@example(4)
+@example(0)
+@example(7)
+def test_verdicts_do_not_depend_on_the_phase_of_j_or_the_frame(seed):
+    rng = np.random.default_rng(seed)
+    tg = twist_by_grading(random_graded_geometry(rng))
+    g = tg.geometry
+    before = verify_twisted(tg)
+    assert before.ok, before.format_text()
+
+    phase = np.exp(2j * np.pi * rng.random())
+    j = AntilinearOperator(phase * g.real_structure.unitary)
+    assert_same_verdicts(
+        before, verify_twisted(TwistedGeometry(replace(g, real_structure=j), tg.rho))
+    )
+
+    w = random_unitary(rng, g.hilbert_dim)
+    assert_same_verdicts(before, verify_twisted(moved_to_frame(tg, w)))
