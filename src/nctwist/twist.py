@@ -151,16 +151,23 @@ class TwistedGeometry:
     """A finite geometry together with an automorphism of its algebra.
 
     ``twisted_rep`` is pi o rho, built once from pi's stack S as R S, R the
-    real matrix of rho on coordinates: pi(rho(x)) = (coords(x) R) S.  The
-    generator images of ``stacks()`` are built on first read and kept
-    read-only.  Neither reads D, so ``with_dirac`` shares both with the
-    geometry it returns.
+    real matrix of rho on coordinates: pi(rho(x)) = (coords(x) R) S.
+
+    ``_built`` holds what is built on first read and reads no D: the
+    generator images of ``stacks()``, kept read-only; per ``Tolerance``, the
+    reports of ``Representation.check`` and ``check_regular``; and the
+    order-zero and grading-commutes-with-algebra residuals over the stacks.
+    ``with_dirac`` shares ``twisted_rep`` and ``_built`` with the geometry it
+    returns, so a chain of fluctuations decides these verdicts once; every
+    verdict that reads D is measured afresh.  ``dataclasses.replace`` runs
+    ``__post_init__`` and starts a new holder, so a geometry with another
+    rho, grading or J runs its own checks.
     """
 
     geometry: FiniteGeometry
     rho: Automorphism
     twisted_rep: Representation = field(init=False, repr=False, compare=False)
-    _built: list = field(init=False, repr=False, compare=False)
+    _built: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate(self.rho, self.geometry)
@@ -168,7 +175,7 @@ class TwistedGeometry:
         r = pi.algebra.linear_map(self.rho.apply)
         twisted = Representation(pi.algebra, pi.images(r))
         object.__setattr__(self, "twisted_rep", twisted)
-        object.__setattr__(self, "_built", [])
+        object.__setattr__(self, "_built", {})
 
     @property
     def algebra(self) -> Algebra:
@@ -180,7 +187,10 @@ class TwistedGeometry:
         return cls(g, Automorphism.identity(g.algebra.ncomponents))
 
     def with_dirac(self, d: np.ndarray) -> "TwistedGeometry":
-        """The same twisted geometry with D replaced by ``d``."""
+        """The same twisted geometry with D replaced by ``d``.
+
+        It shares ``twisted_rep`` and the build of D-free verdicts with ``self``.
+        """
         out = copy.copy(self)
         object.__setattr__(out, "geometry", self.geometry.with_dirac(d))
         return out
@@ -192,15 +202,16 @@ class TwistedGeometry:
         """
         if gens is not None:
             return self.geometry.image_stacks(self.twisted_rep, gens)
-        if not self._built:
+        built = self._built.get("stacks")
+        if built is None:
             built = self.geometry.image_stacks(
                 self.twisted_rep, self.algebra.generators()
             )
             for s in built:
                 if s is not None:
                     s.flags.writeable = False
-            self._built.append(built)
-        return self._built[0]
+            self._built["stacks"] = built
+        return built
 
     def signs(self, tol: Tolerance = DEFAULT_TOL) -> SignTriple:
         return measure_ko_signs(self.geometry, tol)
@@ -375,29 +386,52 @@ def coexistence_first_order_check(
     return rep
 
 
+def _d_free_verdicts(tg: TwistedGeometry, tol: Tolerance) -> tuple:
+    """``(pi report, rho report, grading residual, order-zero residual)``.
+
+    None of the four reads D, so each is kept on ``tg._built``, which
+    ``with_dirac`` shares: the two reports per tolerance, and the two pair
+    residuals once (None without a grading or a J, respectively).
+    """
+    g, built = tg.geometry, tg._built
+    if tol not in built:
+        built[tol] = (g.rep.check(tol), check_regular(tg.rho, g, tol))
+    if "pairs" not in built:
+        pi_a, _, opp_b, _ = tg.stacks()
+        built["pairs"] = (
+            None if g.grading is None else pair_residual([g.grading], pi_a),
+            None if g.real_structure is None else pair_residual(pi_a, opp_b),
+        )
+    return built[tol] + built["pairs"]
+
+
 def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Aggregate run for a twisted geometry; rho = id gives the untwisted one.
 
     Representation axioms, regularity of the twist, self-adjointness of D,
     the grading and the real structure, measured signs, order zero, and
     the twisted order-one condition in both forms.
+
+    The representation and regularity reports and the two pair residuals
+    that read no D (grading commutes with the algebra, order zero) are
+    decided once per shared build (see ``TwistedGeometry``); every other
+    record is measured on each call.
     """
     g = tg.geometry
     eye = np.eye(g.hilbert_dim)
     rep = Report("twisted real spectral triple")
-    rep.merge(g.rep.check(tol), prefix="rep: ")
-    rep.merge(check_regular(tg.rho, g, tol), prefix="rho: ")
+    rep_pi, rep_rho, r_grading, r_zero = _d_free_verdicts(tg, tol)
+    rep.merge(rep_pi, prefix="rep: ")
+    rep.merge(rep_rho, prefix="rho: ")
     d = g.dirac
     scale_d = max(1.0, fro(d))
     rep.check("Dirac operator self-adjoint", fro(d - dagger(d)), tol, scale_d)
-    pi_a, _, opp_b, _ = tg.stacks()
-    scale_alg = generator_scale(pi_a)
+    scale_alg = generator_scale(tg.stacks()[0])
     if g.grading is not None:
         gam = g.grading
         rep.check("grading self-adjoint", fro(gam - dagger(gam)), tol, 1.0)
         rep.check("grading squares to identity", fro(gam @ gam - eye), tol, 1.0)
-        r = pair_residual([gam], pi_a)
-        rep.check("grading commutes with algebra", r, tol, scale_alg)
+        rep.check("grading commutes with algebra", r_grading, tol, scale_alg)
         rep.check("grading anticommutes with D", fro(gam @ d + d @ gam), tol, scale_d)
     if g.real_structure is not None:
         u = g.real_structure.unitary
@@ -416,7 +450,8 @@ def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
             rep.add("sign triple determinate", False, float("nan"), 0.0, note=str(exc))
         # order zero stays untwisted: imposing the twisted variant as well
         # would force a trivial twist (see zero_order_conflict_check)
-        r0 = pair_residual(pi_a, opp_b)
-        rep.check("order zero: algebra commutes with opposite", r0, tol, scale_alg**2)
+        rep.check(
+            "order zero: algebra commutes with opposite", r_zero, tol, scale_alg**2
+        )
         rep.merge(verify_twisted_first_order(tg, tol), prefix="order one: ")
     return rep

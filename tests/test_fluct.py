@@ -1,9 +1,14 @@
 """Twisted one-forms and inner fluctuations of the Dirac operator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nctwist.algebra import Algebra
+from nctwist import twist
+from nctwist.algebra import Algebra, Representation
 from nctwist.fluct import (
     TwistedOneForm,
     adjoint_one_form,
@@ -16,7 +21,14 @@ from nctwist.fluct import (
     symmetrized,
     verify_fluctuated,
 )
-from nctwist.matlin import DEFAULT_TOL, dagger, fro, residual_against_span
+from nctwist.matlin import (
+    DEFAULT_TOL,
+    AntilinearOperator,
+    Tolerance,
+    dagger,
+    fro,
+    residual_against_span,
+)
 from nctwist.mintwist import twist_by_grading
 from nctwist.samples import (
     flip_toy,
@@ -25,7 +37,7 @@ from nctwist.samples import (
     random_one_form,
 )
 from nctwist.triple import FiniteGeometry, measure_ko_signs
-from nctwist.twist import TwistedGeometry
+from nctwist.twist import TwistedGeometry, verify_twisted
 
 RNG_SEED = 77
 
@@ -233,11 +245,15 @@ def test_fluctuated_random_geometries(seed):
     assert report.ok, report.format_text()
 
 
+LOOSE_TOL = Tolerance(rel=1e-3, abs=1e-6)
+
+
 def test_a_chain_of_fluctuations_builds_one_geometry_and_one_set_of_stacks(
     monkeypatch,
 ):
-    built, made = [], []
+    built, made, checked, regular = [], [], [], []
     image_stacks, post_init = FiniteGeometry.image_stacks, TwistedGeometry.__post_init__
+    rep_check, check_regular = Representation.check, twist.check_regular
 
     def counted_stacks(g, twisted, gens):
         built.append(twisted)
@@ -247,8 +263,18 @@ def test_a_chain_of_fluctuations_builds_one_geometry_and_one_set_of_stacks(
         made.append(tg)
         post_init(tg)
 
+    def counted_check(rep, tol=DEFAULT_TOL):
+        checked.append(tol)
+        return rep_check(rep, tol)
+
+    def counted_regular(rho, g, tol=DEFAULT_TOL):
+        regular.append(tol)
+        return check_regular(rho, g, tol)
+
     monkeypatch.setattr(FiniteGeometry, "image_stacks", counted_stacks)
     monkeypatch.setattr(TwistedGeometry, "__post_init__", counted_init)
+    monkeypatch.setattr(Representation, "check", counted_check)
+    monkeypatch.setattr(twist, "check_regular", counted_regular)
     rng = np.random.default_rng(RNG_SEED + 12)
     tg = tg0 = twist_by_grading(random_graded_geometry(rng))
     forms = []
@@ -262,6 +288,27 @@ def test_a_chain_of_fluctuations_builds_one_geometry_and_one_set_of_stacks(
     assert [t is tg0 for t in made] == [True]
     assert [t is tg0.twisted_rep for t in built] == [True]
     assert tg.stacks() is tg0.stacks()
+    # four verify_twisted calls, one per step, decide the D-free reports once
+    assert checked == regular == [DEFAULT_TOL]
+
+    # a second tolerance is decided once more, on any geometry of the chain
+    assert verify_twisted(tg, LOOSE_TOL).ok
+    assert verify_twisted(tg0, LOOSE_TOL).ok
+    assert checked == regular == [DEFAULT_TOL, LOOSE_TOL]
+
+    # another J or grading is a new holder and runs its own checks
+    g = tg.geometry
+    j = AntilinearOperator(1j * g.real_structure.unitary)
+    for other in (
+        replace(tg, geometry=replace(g, real_structure=j)),
+        replace(tg, geometry=replace(g, grading=-g.grading)),
+    ):
+        before = len(checked)
+        for _ in range(2):
+            report = verify_twisted(other)
+            assert report.ok, report.format_text()
+        assert checked[before:] == regular[before:] == [DEFAULT_TOL]
+        assert other.stacks() is not tg.stacks()
 
 
 def test_verify_fluctuated_measures_the_base_signs_once(tg, monkeypatch):
@@ -276,3 +323,64 @@ def test_verify_fluctuated_measures_the_base_signs_once(tg, monkeypatch):
     assert verify_fluctuated(tg, f).ok
     # the base geometry, then the fluctuated one for the sign record
     assert [g.dirac is tg.geometry.dirac for g in measured] == [True, False]
+
+
+# -- a verdict on a shared build equals the verdict on a fresh one ------------
+
+
+def scaled_twist(tg: TwistedGeometry) -> TwistedGeometry:
+    """``tg`` with rho scaled by 2 on its first block: regularity fails."""
+    scale = (2.0,) + (1.0,) * (len(tg.rho.perm) - 1)
+    return TwistedGeometry(tg.geometry, replace(tg.rho, scale=scale))
+
+
+def poisoned(tg: TwistedGeometry) -> TwistedGeometry:
+    """``tg`` with a NaN in pi of its last generator, and only there."""
+    base = tg.geometry.rep
+    k = np.flatnonzero(base.algebra.coords(base.algebra.generators()[-1]))[0]
+    stack = base.stack.copy()
+    stack[k, 0, 0] = np.nan
+    rep = Representation(base.algebra, stack)
+    return TwistedGeometry(replace(tg.geometry, rep=rep), tg.rho)
+
+
+def chain_diracs(tg: TwistedGeometry, rng, steps: int = 4) -> list:
+    """The Dirac operators of a chain fluctuated by symmetrized random one-forms."""
+    diracs = [tg.geometry.dirac]
+    for _ in range(steps):
+        tg = fluctuate(tg, random_one_form(rng, tg))
+        diracs.append(tg.geometry.dirac)
+    return diracs
+
+
+# the four Clifford entries of the catalogue: m = 1 on k = 2 and 3, m = 2, m = 3
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(5)
+@example(4)
+@example(0)
+@example(7)
+def test_a_shared_verdict_equals_a_fresh_one(seed):
+    rng = np.random.default_rng(seed)
+    tg0 = twist_by_grading(random_graded_geometry(rng))
+    diracs = chain_diracs(tg0, rng)
+    nan_fails = {
+        "rep: multiplicative on generator pairs",
+        "grading commutes with algebra",
+        "order zero: algebra commutes with opposite",
+    }
+    for base, fails, nan in (
+        (tg0, set(), False),
+        (scaled_twist(tg0), {"rho: multiplicative on generator pairs"}, False),
+        (poisoned(tg0), nan_fails, True),
+    ):
+        step = base
+        for d in diracs:
+            step = step.with_dirac(d)
+            for tol in (DEFAULT_TOL, LOOSE_TOL):
+                fresh = TwistedGeometry(step.geometry, step.rho)
+                shared = verify_twisted(step, tol)
+                assert shared.to_json() == verify_twisted(fresh, tol).to_json()
+                failed = {r.name: r.residual for r in shared.failures()}
+                assert all(np.isnan(failed[name]) == nan for name in fails)
+        assert step._built is base._built
