@@ -158,10 +158,12 @@ class TwistedGeometry:
     reports of ``Representation.check`` and ``check_regular``; and the
     order-zero and grading-commutes-with-algebra residuals over the stacks.
     ``with_dirac`` shares ``twisted_rep`` and ``_built`` with the geometry it
-    returns, so a chain of fluctuations decides these verdicts once; every
-    verdict that reads D is measured afresh.  ``dataclasses.replace`` runs
-    ``__post_init__`` and starts a new holder, so a geometry with another
-    rho, grading or J runs its own checks.
+    returns, so a chain of fluctuations decides these verdicts once.
+    Nothing that reads D is kept: self-adjointness of D, the grading's
+    anticommutation with D, the signs and order one are measured on every
+    call.  ``dataclasses.replace`` runs ``__post_init__`` and starts a new
+    holder, so a geometry with another pi, rho, grading or J runs its own
+    checks.
     """
 
     geometry: FiniteGeometry
@@ -189,7 +191,9 @@ class TwistedGeometry:
     def with_dirac(self, d: np.ndarray) -> "TwistedGeometry":
         """The same twisted geometry with D replaced by ``d``.
 
-        It shares ``twisted_rep`` and the build of D-free verdicts with ``self``.
+        It shares ``twisted_rep`` and ``_built`` with ``self``: the generator
+        stacks and the ``verify_twisted`` verdicts that read no D.  Nothing
+        that reads D is shared.
         """
         out = copy.copy(self)
         object.__setattr__(out, "geometry", self.geometry.with_dirac(d))

@@ -381,6 +381,7 @@ def test_a_shared_verdict_equals_a_fresh_one(seed):
                 fresh = TwistedGeometry(step.geometry, step.rho)
                 shared = verify_twisted(step, tol)
                 assert shared.to_json() == verify_twisted(fresh, tol).to_json()
+                assert shared.ok == (not fails)
                 failed = {r.name: r.residual for r in shared.failures()}
                 assert all(np.isnan(failed[name]) == nan for name in fails)
         assert step._built is base._built
