@@ -394,19 +394,21 @@ def _d_free_verdicts(tg: TwistedGeometry, tol: Tolerance) -> tuple:
     """``(pi report, rho report, grading residual, order-zero residual)``.
 
     None of the four reads D, so each is kept on ``tg._built``, which
-    ``with_dirac`` shares: the two reports per tolerance, and the two pair
-    residuals once (None without a grading or a J, respectively).
+    ``with_dirac`` shares: the two reports under ``"reports"``, keyed by the
+    tolerance, and the two pair residuals under ``"pairs"`` (None without a
+    grading or a J, respectively).
     """
     g, built = tg.geometry, tg._built
-    if tol not in built:
-        built[tol] = (g.rep.check(tol), check_regular(tg.rho, g, tol))
+    reports = built.setdefault("reports", {})
+    if tol not in reports:
+        reports[tol] = (g.rep.check(tol), check_regular(tg.rho, g, tol))
     if "pairs" not in built:
         pi_a, _, opp_b, _ = tg.stacks()
         built["pairs"] = (
             None if g.grading is None else pair_residual([g.grading], pi_a),
             None if g.real_structure is None else pair_residual(pi_a, opp_b),
         )
-    return built[tol] + built["pairs"]
+    return reports[tol] + built["pairs"]
 
 
 def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:

@@ -594,11 +594,12 @@ def test_order_one_goes_dense_on_a_frame_and_sparse_on_placements(monkeypatch, f
 
 @pytest.mark.parametrize("frame", [True, False])
 def test_forced_evaluators_agree_on_every_record(monkeypatch, frame):
-    tg = drawn_with(frame)
     reports = []
     for factor in (0, 2**62):  # always join, then never (unless nothing is nonzero)
         monkeypatch.setattr(matlin, "_SPARSE_FACTOR", factor)
-        reports.append(verify_twisted(tg))
+        # a fresh draw per evaluator: a shared holder would hand the second
+        # run the first one's D-free residuals instead of recomputing them
+        reports.append(verify_twisted(drawn_with(frame)))
     sparse, dense = reports
     assert [r.name for r in sparse.records] == [r.name for r in dense.records]
     for a, b in zip(sparse.records, dense.records):
