@@ -19,7 +19,8 @@ images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +42,10 @@ from .report import Report
 
 @dataclass(frozen=True)
 class ScalarBlock:
-    """The complex numbers as a real *-algebra; values are python complex."""
+    """The complex numbers as a real *-algebra; values are python complex.
+
+    A stack of values, as ``Algebra.blocks`` gives it, is ``(..., 1, 1)``.
+    """
 
     kind = "C"
     dim = 1
@@ -55,10 +59,8 @@ class ScalarBlock:
     def generators(self) -> list[complex]:
         return [1.0 + 0.0j, 1.0j]
 
-    basis = generators
-
     def star(self, v):
-        return np.conj(complex(v))
+        return np.conj(v)
 
     def check_value(self, v) -> None:
         complex(v)
@@ -118,12 +120,8 @@ class QuaternionBlock:
     def generators(self) -> list[np.ndarray]:
         return [QUATERNION_UNITS[k].copy() for k in ("1", "i", "j", "k")]
 
-    def basis(self) -> list[np.ndarray]:
-        # all of M_2(C): a complex scale factor takes a quaternion outside H
-        return _matrix_units(2)
-
     def star(self, v):
-        return dagger(as_matrix(v))
+        return dagger(np.asarray(v))
 
     def check_value(self, v) -> None:
         if not is_quaternion(v):
@@ -156,10 +154,8 @@ class MatrixBlock:
     def generators(self) -> list[np.ndarray]:
         return _matrix_units(self.n)
 
-    basis = generators
-
     def star(self, v):
-        return dagger(as_matrix(v))
+        return dagger(np.asarray(v))
 
     def check_value(self, v) -> None:
         v = as_matrix(v)
@@ -258,73 +254,77 @@ class Algebra:
     def neg(self, x: tuple) -> tuple:
         return tuple(-a for a in x)
 
-    def star(self, x: tuple) -> tuple:
+    def star(self, x: Sequence) -> tuple:
+        """The star of an element, or of per-component stacks of values."""
         return tuple(c.star(v) for c, v in zip(self.components, x))
 
-    def basis(self) -> list[tuple]:
-        """Real basis whose coordinates ``coords`` returns, block by block.
-
-        C contributes 1, i; H and M_n the matrix units of M_2(C) and M_n(C)
-        and their i-multiples.  Unlike ``generators`` this spans values
-        outside the algebra, such as complex multiples of quaternions.
-        """
-        out = []
-        for i, comp in enumerate(self.components):
-            for v in comp.basis():
-                vals = list(self.zero())
-                vals[i] = v
-                out.append(tuple(vals))
-        return out
-
     def basis_offsets(self) -> np.ndarray:
-        """Where each component's part of ``basis()`` starts, then its size B.
+        """Where each component's coordinates start, then their count B.
 
         A component of matrix size d has the 2 d^2 real coordinates of its
         complex entries.
         """
         return np.cumsum([0] + [2 * c.dim**2 for c in self.components])
 
-    def coords(self, x: tuple) -> np.ndarray:
-        """Real coordinates of an element in ``basis()``.
+    def blocks(self, c: np.ndarray) -> list[np.ndarray]:
+        """One ``(..., d, d)`` complex stack per component of ``(..., B)`` rows.
 
-        Every value is read as its complex entries in row-major order, with
-        real and imaginary parts interleaved.
+        A component's coordinates are its complex entries in row-major
+        order, real and imaginary parts interleaved.  C is the case d = 1,
+        and H spans all of M_2(C): a complex scale factor takes a quaternion
+        outside H.  The stacks are views of a C-contiguous float64 ``c``.
         """
-        return np.concatenate(
-            [np.asarray(v, dtype=np.complex128).reshape(-1) for v in x]
-        ).view(np.float64)
+        z = np.ascontiguousarray(c, dtype=np.float64).view(np.complex128)
+        offsets = self.basis_offsets() // 2
+        return [
+            z[..., lo:hi].reshape(z.shape[:-1] + (comp.dim, comp.dim))
+            for comp, lo, hi in zip(self.components, offsets, offsets[1:])
+        ]
+
+    def from_blocks(self, blocks: Iterable) -> np.ndarray:
+        """Coordinate rows of per-component values or stacks; inverts ``blocks``."""
+        flat = [np.asarray(b, dtype=np.complex128) for b in blocks]
+        rows = [b.reshape(b.shape[:-2] + (-1,)) for b in flat]
+        return np.concatenate(rows, axis=-1).view(np.float64)
+
+    def coords(self, x: tuple) -> np.ndarray:
+        """Real coordinates of an element: ``from_blocks`` of its values."""
+        return self.from_blocks(x)
 
     def coord_rows(self, elems: Sequence[tuple]) -> np.ndarray:
         """``(len(elems), B)`` array whose rows are the ``coords`` of ``elems``."""
         return np.stack([self.coords(e) for e in elems])
 
+    @cached_property
+    def generator_rows(self) -> np.ndarray:
+        """Read-only coordinate rows of ``generators()``, built on first read."""
+        rows = self.coord_rows(self.generators())
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def star_matrix(self) -> np.ndarray:
+        """Read-only ``linear_map`` of the star, built on first read."""
+        star = self.linear_map(self.star)
+        star.flags.writeable = False
+        return star
+
     def mul_coords(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         """Coordinates of products ``x y``, computed from coordinates.
 
         ``cx`` and ``cy`` are ``(..., B)`` arrays that broadcast over their
-        leading axes.  Each block is read as its complex matrices and
-        multiplied in one batched product, which applies the structure
-        constants of ``basis()`` without a dense B x B x B tensor.
+        leading axes.  Their ``blocks`` are multiplied in one batched product
+        per component, without a dense B x B x B tensor of structure constants.
         """
-        cx = np.asarray(cx, dtype=np.float64)
-        cy = np.asarray(cy, dtype=np.float64)
-        out, offsets = [], self.basis_offsets()
-        for comp, start, stop in zip(self.components, offsets, offsets[1:]):
-            d = comp.dim
-            blk = slice(start, stop)
-            x, y = (
-                np.ascontiguousarray(c[..., blk])
-                .view(np.complex128)
-                .reshape(c.shape[:-1] + (d, d))
-                for c in (cx, cy)
-            )
-            p = x @ y
-            out.append(p.reshape(p.shape[:-2] + (d * d,)).view(np.float64))
-        return np.concatenate(out, axis=-1)
+        return self.from_blocks(map(np.matmul, self.blocks(cx), self.blocks(cy)))
 
-    def linear_map(self, f: Callable[[tuple], tuple]) -> np.ndarray:
-        """Real B x B matrix of a real-linear map: ``coords(f(x)) = coords(x) @ M``."""
-        return np.stack([self.coords(f(e)) for e in self.basis()])
+    def linear_map(self, f: Callable[[Sequence], Sequence]) -> np.ndarray:
+        """Real B x B matrix of a real-linear map: ``coords(f(x)) = coords(x) @ M``.
+
+        ``f`` is evaluated once, on the ``blocks`` of the B identity rows, so
+        it acts on each component's stack as on a single value.
+        """
+        return self.from_blocks(f(self.blocks(np.eye(self.basis_offsets()[-1]))))
 
     def random_element(self, rng: np.random.Generator) -> tuple:
         return tuple(c.random(rng) for c in self.components)
@@ -356,10 +356,10 @@ VALID_MODES = ("scalar", "conj-scalar", "fund", "conj-fund")
 class Placement:
     """One diagonal block of a representation.
 
-    ``mode`` selects how the component value lands in the block starting at
-    row/column ``start``: scalar modes put (conjugated) multiples of the
-    identity of size ``mult``; fundamental modes put ``value kron I_mult``
-    (optionally entrywise conjugated).
+    The component value lands in the block starting at row/column ``start``
+    as ``value kron I_mult``, entrywise conjugated in the conj modes.  A C
+    value is a 1 x 1 matrix, so the scalar modes are the fundamental ones
+    of d = 1, kept apart because C takes only them.
     """
 
     component: int
@@ -385,26 +385,22 @@ class Placement:
             )
         return comp.dim * self.mult
 
-    def block(self, comp: Component, value) -> np.ndarray:
-        if self.mode == "scalar":
-            return complex(value) * np.eye(self.mult, dtype=np.complex128)
-        if self.mode == "conj-scalar":
-            return np.conj(complex(value)) * np.eye(self.mult, dtype=np.complex128)
-        v = as_matrix(value)
-        if self.mode == "conj-fund":
+    def block(self, value) -> np.ndarray:
+        """The block of a value, or the ``(..., size, size)`` blocks of a stack."""
+        v = np.asarray(value, dtype=np.complex128)
+        if self.mode.startswith("conj"):
             v = np.conj(v)
-        if self.mult == 1:
-            return v
         return kron(v, np.eye(self.mult))
 
 
 class Representation:
     """Real-linear map from algebra elements to dim x dim matrices.
 
-    The map is its ``stack``: the images of ``algebra.basis()``, shape
-    (B, dim, dim), read-only.  Calling the instance combines the images of
-    the nonzero coordinates of the element.  ``placements`` is kept as the
-    serialisable source of the stack; it is not read to evaluate.
+    The map is its ``stack``: the images of the B identity coordinate rows
+    (see ``Algebra.blocks``), shape (B, dim, dim), read-only.  Calling the
+    instance combines the images of the nonzero coordinates of the element.
+    ``placements`` is kept as the serialisable source of the stack; it is
+    not read to evaluate.
     """
 
     def __init__(
@@ -433,6 +429,7 @@ class Representation:
         """Block-diagonal representation assembled from placements."""
         placements = tuple(placements)
         offsets = algebra.basis_offsets()
+        units = algebra.blocks(np.eye(offsets[-1]))
         stack = np.zeros((offsets[-1], dim, dim), np.complex128)
         covered = np.zeros(dim, dtype=bool)
         for p in placements:
@@ -448,8 +445,8 @@ class Representation:
             if covered[blk].any():
                 raise ValueError("placements overlap")
             covered[blk] = True
-            for k, v in enumerate(comp.basis()):
-                stack[offsets[p.component] + k, blk, blk] = p.block(comp, v)
+            rows = slice(offsets[p.component], offsets[p.component + 1])
+            stack[rows, blk, blk] = p.block(units[p.component][rows])
         return cls(algebra, stack, placements=placements)
 
     @property
@@ -483,8 +480,7 @@ class Representation:
         """Star-homomorphism property on generators."""
         rep = Report("representation")
         alg = self.algebra
-        gens = alg.generators()
-        cg = alg.coord_rows(gens)
+        cg = alg.generator_rows
         mats = self.images(cg)
         scale = generator_scale(mats)
         n = self.dim
@@ -492,7 +488,7 @@ class Representation:
         r_unit = fro(self(alg.unit()) - np.eye(n))
         rep.check("unit maps to identity", r_unit, tol, 1.0)
 
-        c_star = cg @ alg.linear_map(alg.star)
+        c_star = cg @ alg.star_matrix
         eye = np.eye(n, dtype=np.complex128)[None]
         r_star = pair_max(eye, dagger(mats), coords=c_star[None], stack=self.stack)
         rep.check("star preserved on generators", r_star, tol, scale)

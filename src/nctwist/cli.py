@@ -263,7 +263,7 @@ def cmd_gamma_tilde(args) -> int:
     side_b = [join_double(a, a) for a in first.generators()]
     side_b += [join_double(one, zero), join_double(zero, one)]
     pi = tg.geometry.rep
-    pi_a = pi.images(alg.coord_rows(alg.generators()))
+    pi_a = pi.images(alg.generator_rows)
     scale = generator_scale(pi_a) * max(1.0, fro(gam))
     holds_a = rep.check(
         "grading commutes with the doubled algebra",

@@ -179,20 +179,23 @@ def verify_fluctuated(
         r_gr = fro(g.grading @ added + added @ g.grading)
         rep.check("added term anticommutes with grading", r_gr, tol, scale)
 
-    try:
-        signs_after = measure_ko_signs(fluct.geometry, tol)
-        preserved = signs_after.as_tuple() == signs_before.as_tuple()
+    # the fluctuated signs are those verify_twisted measures
+    twisted = verify_twisted(fluct, tol)
+    if "signs" in twisted.info:
+        signs_after = tuple(twisted.info["signs"])
+        preserved = signs_after == signs_before.as_tuple()
         rep.add(
             "sign triple preserved",
             preserved,
             0.0 if preserved else 1.0,
             0.0,
-            note=f"{signs_before.as_tuple()} -> {signs_after.as_tuple()}",
+            note=f"{signs_before.as_tuple()} -> {signs_after}",
         )
-    except ValueError as exc:
-        rep.add("sign triple preserved", False, float("nan"), 0.0, note=str(exc))
+    else:
+        failed = next(r for r in twisted.records if r.name == "sign triple determinate")
+        rep.add("sign triple preserved", False, float("nan"), 0.0, note=failed.note)
 
-    rep.merge(verify_twisted(fluct, tol), prefix="fluctuated: ")
+    rep.merge(twisted, prefix="fluctuated: ")
     return rep
 
 

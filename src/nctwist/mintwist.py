@@ -95,7 +95,7 @@ def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | Non
     if q_plus.shape[1] != q_minus.shape[1]:
         return None
     alg = g.algebra
-    pi_a = g.rep.images(alg.coord_rows(alg.generators()))
+    pi_a = g.rep.images(alg.generator_rows)
     restr_plus = dagger(q_plus) @ pi_a @ q_plus
     restr_minus = dagger(q_minus) @ pi_a @ q_minus
     units = list(zip(_matrix_units(alg, restr_plus), _matrix_units(alg, restr_minus)))
@@ -205,7 +205,7 @@ def gamma_tilde_diagnostics(
     ]
     involution = tightest(halves)
     is_involution = involution[0] <= involution[1]
-    pi_a = g.rep.images(g.algebra.coord_rows(g.algebra.generators()))
+    pi_a = g.rep.images(g.algebra.generator_rows)
     r_comm = pair_residual([gt], pi_a)
     r_anti = fro(anticommutator(gt, g.dirac))
     commutes = tol.accepts(r_comm, max(1.0, fro(gt)) ** 2)

@@ -311,22 +311,18 @@ def twisted_sm_geometry(
     return TwistedGeometry(geom, sm_twist())
 
 
-def lean_generators(alg: Algebra) -> list[tuple]:
-    """Generator set with the i-multiples of matrix units dropped.
+def lean_generators(alg: Algebra) -> np.ndarray:
+    """``Algebra.generator_rows`` with the i-multiples of matrix units dropped.
 
     Every measured condition is complex-linear in the color slots (the
     color matrix is never conjugated by the representation, the twist, or
     the opposite action), so the matrix units alone span what matters and
     the loops shrink by the dropped elements.
     """
-    out = []
-    for i, comp in enumerate(alg.components):
-        gens = comp.generators()
-        if comp.kind == "M":
-            gens = [g for g in gens if np.isreal(g).all()]
-        for g in gens:
-            out.append(alg.basis_element(i, g))
-    return out
+    # the coordinates that are imaginary parts of matrix-block entries
+    imag = [np.tile([False, c.kind == "M"], c.dim**2) for c in alg.components]
+    rows = alg.generator_rows
+    return rows[~rows[:, np.concatenate(imag)].any(axis=1)]
 
 
 def sm_gamma_tilde_element() -> tuple:
@@ -384,9 +380,9 @@ def generalized_minimal_twist_check(
 
 
 def sm_order_zero_residual(
-    tg: TwistedGeometry, gens: list[tuple] | None = None
+    tg: TwistedGeometry, gens: np.ndarray | None = None
 ) -> float:
-    """Worst commutator of the represented algebra with its opposite."""
+    """Worst commutator of the algebra with its opposite over the rows ``gens``."""
     if gens is None:
         gens = lean_generators(tg.algebra)
     pi_a, _, opp_b, _ = tg.stacks(gens)
@@ -396,9 +392,9 @@ def sm_order_zero_residual(
 def sm_first_order_residuals(
     tg: TwistedGeometry,
     convention: str,
-    gens: list[tuple] | None = None,
+    gens: np.ndarray | None = None,
 ) -> dict:
-    """Twisted order-one residuals over generator pairs, both arrangements.
+    """Twisted order-one residuals over pairs of the rows ``gens``, both arrangements.
 
     The "flip" convention twists the abstract elements, so it reads pi o
     rho; "display" swaps the labels of the represented matrices instead,
@@ -418,8 +414,7 @@ def sm_first_order_residuals(
 
 def _lean_scale(tg: TwistedGeometry) -> float:
     """Squared generator scale of pi over the lean generators."""
-    alg = tg.algebra
-    pi_a = tg.geometry.rep.images(alg.coord_rows(lean_generators(alg)))
+    pi_a = tg.geometry.rep.images(lean_generators(tg.algebra))
     return generator_scale(pi_a) ** 2
 
 

@@ -78,22 +78,21 @@ class FiniteGeometry:
     def with_dirac(self, new_d: np.ndarray) -> "FiniteGeometry":
         return replace(self, dirac=as_matrix(new_d))
 
-    def image_stacks(self, twisted: Representation, gens: list[tuple]) -> tuple:
-        """pi(a), twisted(a), J pi(b*) J^-1 and J twisted(b*) J^-1 over ``gens``.
+    def image_stacks(self, twisted: Representation, rows: np.ndarray) -> tuple:
+        """pi(a), twisted(a), J pi(b*) J^-1 and J twisted(b*) J^-1 over ``rows``.
 
         ``twisted`` is a second representation of the algebra (pi, pi o rho
-        or a display swap); all four are images of the coordinate rows of
-        ``gens`` and of their stars, each ``(len(gens), n, n)``.  J
-        conjugates the last two in one batch; they are None without a J.
+        or a display swap); all four are images of the coordinate ``rows``
+        and of their stars, each ``(len(rows), n, n)``.  J conjugates the
+        last two in one batch; they are None without a J.
         """
         alg, pi, j = self.algebra, self.rep, self.real_structure
-        cg = alg.coord_rows(gens)
-        pi_a, twisted_a = pi.images(cg), twisted.images(cg)
+        pi_a, twisted_a = pi.images(rows), twisted.images(rows)
         if j is None:
             return pi_a, twisted_a, None, None
-        cs = cg @ alg.linear_map(alg.star)
+        cs = rows @ alg.star_matrix
         opp = j.conjugate(np.concatenate([pi.images(cs), twisted.images(cs)]))
-        return pi_a, twisted_a, opp[: len(cg)], opp[len(cg) :]
+        return pi_a, twisted_a, opp[: len(rows)], opp[len(rows) :]
 
 
 def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTriple:
@@ -121,7 +120,7 @@ def _opposite_stacks(g: FiniteGeometry) -> tuple[np.ndarray, np.ndarray]:
     """pi and the opposite action over the generators."""
     if g.real_structure is None:
         raise ValueError("geometry has no real structure")
-    pi_a, _, opp_b, _ = g.image_stacks(g.rep, g.algebra.generators())
+    pi_a, _, opp_b, _ = g.image_stacks(g.rep, g.algebra.generator_rows)
     return pi_a, opp_b
 
 

@@ -199,17 +199,18 @@ class TwistedGeometry:
         object.__setattr__(out, "geometry", self.geometry.with_dirac(d))
         return out
 
-    def stacks(self, gens: list[tuple] | None = None) -> tuple:
-        """``image_stacks`` of pi and pi o rho; ``gens`` defaults to the generators.
+    def stacks(self, rows: np.ndarray | None = None) -> tuple:
+        """``image_stacks`` of pi and pi o rho over coordinate ``rows``.
 
-        The default is built once and read-only; other ``gens`` are built per call.
+        The default, ``Algebra.generator_rows``, is built once and read-only;
+        other ``rows`` are built per call.
         """
-        if gens is not None:
-            return self.geometry.image_stacks(self.twisted_rep, gens)
+        if rows is not None:
+            return self.geometry.image_stacks(self.twisted_rep, rows)
         built = self._built.get("stacks")
         if built is None:
             built = self.geometry.image_stacks(
-                self.twisted_rep, self.algebra.generators()
+                self.twisted_rep, self.algebra.generator_rows
             )
             for s in built:
                 if s is not None:
@@ -233,14 +234,13 @@ def check_regular(
     alg = g.algebra
     _validate(rho, g)
     pi = g.rep
-    gens = alg.generators()
-    cg = alg.coord_rows(gens)
+    cg = alg.generator_rows
     mats = pi.images(cg)
     scale = generator_scale(mats)
     n = pi.dim
     # coordinate rows move through rho, rho^-1 and the star as real matrices
     r = alg.linear_map(rho.apply)
-    star = alg.linear_map(alg.star)
+    star = alg.star_matrix
     cr = cg @ r
 
     def gap(diff):

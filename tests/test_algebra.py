@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from coordinates import basis_tuples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,21 +125,27 @@ def test_doubled_split_join(alg):
 
 class TestPlacements:
     def test_scalar_and_conj_scalar_blocks(self):
-        alg = Algebra.of("C")
-        comp = alg.components[0]
         p = Placement(component=0, start=0, mode="scalar", mult=3)
-        assert np.allclose(p.block(comp, 2 + 1j), (2 + 1j) * np.eye(3))
+        assert np.allclose(p.block(2 + 1j), (2 + 1j) * np.eye(3))
         pc = Placement(component=0, start=0, mode="conj-scalar", mult=3)
-        assert np.allclose(pc.block(comp, 2 + 1j), (2 - 1j) * np.eye(3))
+        assert np.allclose(pc.block(2 + 1j), (2 - 1j) * np.eye(3))
 
     def test_fund_and_conj_fund_blocks(self):
-        alg = Algebra.of(("M", 2))
-        comp = alg.components[0]
         v = np.array([[0, 1], [0, 0]], dtype=np.complex128)
         p = Placement(component=0, start=0, mode="fund", mult=2)
-        assert np.allclose(p.block(comp, v), np.kron(v, np.eye(2)))
+        assert np.allclose(p.block(v), np.kron(v, np.eye(2)))
         pc = Placement(component=0, start=0, mode="conj-fund", mult=1)
-        assert np.allclose(pc.block(comp, v), np.conj(v))
+        assert np.allclose(pc.block(v), np.conj(v))
+
+    def test_a_stack_of_values_gives_the_stack_of_blocks(self):
+        rng = np.random.default_rng(RNG_SEED + 6)
+        values = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        for mode in ("fund", "conj-fund"):
+            p = Placement(component=0, start=0, mode=mode, mult=3)
+            assert np.array_equal(p.block(values), [p.block(v) for v in values])
+        scalars = values[:, :1, :1]
+        p = Placement(component=0, start=0, mode="conj-scalar", mult=2)
+        assert np.array_equal(p.block(scalars), [p.block(complex(z)) for z in scalars[:, 0, 0]])
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -195,7 +202,7 @@ def test_representation_action_and_check(alg):
 def assert_stack_transform(rep, formula, rng):
     """``rep`` equals ``formula``: exactly on the basis, closely elsewhere."""
     alg = rep.algebra
-    for e in alg.basis():
+    for e in basis_tuples(alg):
         assert np.array_equal(rep(e), formula(e))
     for _ in range(3):
         x = alg.random_element(rng)
@@ -252,7 +259,7 @@ def assemble(rep, x):
     for p in rep.placements:
         comp = rep.algebra.components[p.component]
         blk = slice(p.start, p.start + p.block_size(comp))
-        out[blk, blk] += p.block(comp, x[p.component])
+        out[blk, blk] += p.block(x[p.component])
     return out
 
 
@@ -303,7 +310,7 @@ def test_stack_constructor_checks_images(alg):
 
 
 def test_coords_invert_basis(alg):
-    basis = alg.basis()
+    basis = basis_tuples(alg)
     assert len(basis) == 2 + 8 + 18
     for k, e in enumerate(basis):
         c = alg.coords(e)
@@ -314,20 +321,39 @@ def test_coords_invert_basis(alg):
 def test_basis_offsets_delimit_each_component_of_the_basis(alg):
     offsets = alg.basis_offsets()
     assert offsets.tolist() == [0, 2, 10, 28]
-    basis = alg.basis()
+    basis = basis_tuples(alg)
     assert len(basis) == offsets[-1]
+    units = alg.blocks(np.eye(offsets[-1]))
     for i, (start, stop) in enumerate(zip(offsets, offsets[1:])):
         # the elements between two offsets are the ones of component i
         assert all(np.any(e[i]) for e in basis[start:stop])
+        # and so are the identity rows there, read as blocks
+        for j, u in enumerate(units):
+            assert np.count_nonzero(u[start:stop]) == (stop - start) * (i == j)
+
+
+def test_blocks_view_rows_and_from_blocks_inverts_them(alg):
+    rng = np.random.default_rng(RNG_SEED + 7)
+    rows = rng.standard_normal((2, 3, 28))
+    blocks = alg.blocks(rows)
+    assert [b.shape for b in blocks] == [(2, 3, d, d) for d in (1, 2, 3)]
+    assert all(np.shares_memory(b, rows) for b in blocks)
+    assert np.array_equal(alg.from_blocks(blocks), rows)
+    x = alg.random_element(rng)
+    assert np.array_equal(alg.coords(x), alg.from_blocks(x))
+    assert alg.blocks(alg.coords(x))[0][0, 0] == x[0]
+    assert np.array_equal(alg.blocks(alg.coords(x))[2], x[2])
 
 
 def test_representations_are_built_without_the_basis_elements(alg, monkeypatch):
-    def unread(self):
-        raise AssertionError("basis elements built")
+    def unread(*args):
+        raise AssertionError("element tuples read")
 
-    monkeypatch.setattr(Algebra, "basis", unread)
+    for name in ("coords", "coord_rows", "basis_element", "generators"):
+        monkeypatch.setattr(Algebra, name, unread)
     rep = _base_rep(alg)
     assert len(Representation(alg, rep.stack).stack) == 28
+    assert not hasattr(alg, "basis")
 
 
 def _base_rep(alg):

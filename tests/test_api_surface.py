@@ -17,6 +17,11 @@ coordinate map or handed to a representation.  Generators and generator
 pairs are walked in one place, ``matlin.pair_max``: outside ``matlin.py``
 no loop over ``range`` calls the kernel.
 
+An algebra's generator rows and star matrix are formed in one place,
+``Algebra.generator_rows`` and ``Algebra.star_matrix``, which build them once:
+outside ``algebra.py`` nothing calls ``coord_rows`` on a ``generators()``
+call or ``linear_map`` on a ``.star``.
+
 A twisted geometry's generator stacks are built once: outside ``triple.py``
 only ``TwistedGeometry.stacks`` and ``sm_first_order_residuals`` call
 ``image_stacks``, and outside ``twist.py`` no twisted geometry is rebuilt
@@ -426,3 +431,53 @@ def rebuilt_twist_sites() -> list[str]:
 def test_a_new_dirac_operator_keeps_the_twisted_build():
     # TwistedGeometry.with_dirac shares pi o rho and the generator stacks
     assert rebuilt_twist_sites() == []
+
+
+# -- generator rows and the star matrix are formed in one place -------------
+
+
+def coordinate_table_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, function)`` of every ``coord_rows(...generators())`` and
+    ``linear_map(<...>.star)`` call in ``tree``."""
+    found = []
+    for qualname, node in functions(tree):
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            name = terminal_name(call)
+            rows = name == "coord_rows" and any(
+                isinstance(a, ast.Call) and terminal_name(a) == "generators"
+                for a in call.args
+            )
+            star = name == "linear_map" and any(
+                isinstance(a, ast.Attribute) and a.attr == "star" for a in call.args
+            )
+            if rows or star:
+                found.append((call.lineno, qualname))
+    return found
+
+
+def coordinate_table_sites() -> list[str]:
+    """``file.py:line function`` of every generator-row or star-matrix build
+    outside ``algebra.py``, where the algebra builds both once."""
+    found = []
+    for path in CALLERS:
+        if path == PACKAGE / "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, line, q) for line, q in coordinate_table_calls(tree)]
+    return [f"{m}:{line} {where}" for m, line, where in sorted(found)]
+
+
+def test_coordinate_table_calls_are_seen():
+    tree = ast.parse(
+        "def f(alg):\n"
+        "    cg = alg.coord_rows(alg.generators())\n"
+        "    return cg @ alg.linear_map(alg.star)\n"
+    )
+    assert coordinate_table_calls(tree) == [(2, "f"), (3, "f")]
+
+
+def test_generator_rows_and_the_star_matrix_are_formed_in_one_place():
+    # everything else reads Algebra.generator_rows and Algebra.star_matrix
+    assert coordinate_table_sites() == []

@@ -36,7 +36,7 @@ from nctwist.samples import (
     random_graded_geometry,
     random_one_form,
 )
-from nctwist.triple import FiniteGeometry, measure_ko_signs
+from nctwist.triple import FiniteGeometry, SignTriple, measure_ko_signs
 from nctwist.twist import TwistedGeometry, verify_twisted
 
 RNG_SEED = 77
@@ -319,10 +319,41 @@ def test_verify_fluctuated_measures_the_base_signs_once(tg, monkeypatch):
         return measure_ko_signs(g, tol)
 
     monkeypatch.setattr("nctwist.fluct.measure_ko_signs", counted)
+    monkeypatch.setattr("nctwist.twist.measure_ko_signs", counted)
     f = random_one_form(np.random.default_rng(RNG_SEED + 13), tg)
     assert verify_fluctuated(tg, f).ok
-    # the base geometry, then the fluctuated one for the sign record
+    # the base geometry, then the fluctuated one, once, in verify_twisted
     assert [g.dirac is tg.geometry.dirac for g in measured] == [True, False]
+
+
+@pytest.mark.parametrize("undecided", [True, False])
+def test_the_preserved_record_reads_the_signs_verify_twisted_measured(
+    tg, monkeypatch, undecided
+):
+    def moved(g, tol):
+        signs = measure_ko_signs(g, tol)
+        if g.dirac is tg.geometry.dirac:
+            return signs
+        if undecided:
+            raise ValueError("J vs D: no sign fits")
+        return SignTriple(signs.eps, -signs.eps_prime, signs.eps_dblprime)
+
+    monkeypatch.setattr("nctwist.fluct.measure_ko_signs", moved)
+    monkeypatch.setattr("nctwist.twist.measure_ko_signs", moved)
+    f = random_one_form(np.random.default_rng(RNG_SEED + 13), tg)
+    report = verify_fluctuated(tg, f)
+    records = {r.name: r for r in report.records}
+    preserved = records["sign triple preserved"]
+    assert not preserved.passed
+    if undecided:
+        assert np.isnan(preserved.residual)
+        assert preserved.note == "J vs D: no sign fits"
+        assert records["fluctuated: sign triple determinate"].note == preserved.note
+    else:
+        before = measure_ko_signs(tg.geometry).as_tuple()
+        assert preserved.residual == 1.0
+        assert preserved.note == f"{before} -> {tuple(report.info['signs'])}"
+        assert report.info["signs"][1] == -before[1]
 
 
 # -- a verdict on a shared build equals the verdict on a fresh one ------------

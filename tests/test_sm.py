@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from coordinates import basis_tuples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,14 +167,18 @@ def test_lean_generators_drop_imaginary_color_units():
     # kept color slots are real matrix units; scalar and quaternion slots
     # keep their full generating sets (2 + 2 + 4 + 4 per copy, plus 9)
     for g in lean:
-        assert np.isreal(np.asarray(g[4])).all()
-        assert np.isreal(np.asarray(g[9])).all()
+        values = alg.blocks(g)
+        assert np.isreal(values[4]).all()
+        assert np.isreal(values[9]).all()
+    # the kept rows are generator rows, in their order
+    kept = [k for k, g in enumerate(alg.generator_rows) if any((g == lean).all(axis=1))]
+    assert np.array_equal(alg.generator_rows[kept], lean)
 
 
 def test_lean_generators_measure_the_same_first_order():
     # dropping i-multiples must not change the measured residuals
     tsm = twisted_sm_geometry()
-    full = tsm.algebra.generators()
+    full = tsm.algebra.generator_rows
     lean = lean_generators(tsm.algebra)
     r_full = sm_order_zero_residual(tsm, full)
     r_lean = sm_order_zero_residual(tsm, lean)
@@ -393,7 +398,7 @@ def displayed_simple_swap(f_point, a):
 def assert_matches_closure(rep, closure):
     """Exactly on every basis element, within 1e-13 on random elements."""
     alg = rep.algebra
-    for k, e in enumerate(alg.basis()):
+    for k, e in enumerate(basis_tuples(alg)):
         assert np.array_equal(rep.stack[k], closure(e)), k
     rng = np.random.default_rng(5)
     for _ in range(5):

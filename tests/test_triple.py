@@ -66,7 +66,7 @@ def test_opposite_action_is_right_multiplication():
     g = two_block_geometry()
     b = (2.0 + 1.0j, 0.5 - 0.25j)
     tg = TwistedGeometry.untwisted(g)
-    (pi_b,), _, (opp,), _ = tg.stacks([b])
+    (pi_b,), _, (opp,), _ = tg.stacks(g.algebra.coord_rows([b]))
     assert fro(pi_b - g.rep(b)) == 0.0
     # right multiplication commutes with every left one
     for pi_a in tg.stacks()[0]:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from coordinates import per_tuple_linear_map
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -318,7 +319,7 @@ def twisted_cases(draw):
         placements.append(p)
         start += p.block_size(comp)
     n = draw(st.sampled_from([start, 64]))
-    stack = np.zeros((len(alg.basis()), n, n), dtype=np.complex128)
+    stack = np.zeros((alg.basis_offsets()[-1], n, n), dtype=np.complex128)
     placed = Representation.from_placements(alg, start, placements)
     stack[:, :start, :start] = placed.stack
     kind = draw(st.sampled_from(["placed", "framed", "arbitrary"]))
@@ -378,6 +379,54 @@ def twisted_geometries(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_matrix_geometry(rng, draw(st.sampled_from([2, 3])), frame=draw(st.booleans()))
     return twist_by_grading(g)
+
+
+# -- coordinate maps: one batched evaluation against one tuple at a time ----
+
+
+@st.composite
+def twisted_algebras(draw):
+    """A mix of C, H and M_n blocks, repeats included, and a drawn rho on it."""
+    spec = st.sampled_from(["C", "H", ("M", 1), ("M", 2), ("M", 3)])
+    alg = Algebra.of(*draw(st.lists(spec, min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return alg, draw_automorphism(draw, alg, rng, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(twisted_algebras())
+def test_batched_coordinate_maps_equal_the_per_tuple_reference(case):
+    alg, rho = case
+    for f in (alg.star, rho.apply, rho.inverse().apply):
+        assert np.array_equal(alg.linear_map(f), per_tuple_linear_map(alg, f))
+    # the cached tables are the same maps, read-only
+    assert np.array_equal(alg.star_matrix, per_tuple_linear_map(alg, alg.star))
+    assert np.array_equal(alg.generator_rows, alg.coord_rows(alg.generators()))
+    for table in (alg.star_matrix, alg.generator_rows):
+        assert not table.flags.writeable
+    assert alg.star_matrix is alg.star_matrix
+
+
+def test_each_coordinate_map_is_evaluated_once(monkeypatch):
+    calls = {"apply": 0, "star": 0}
+    apply, star = Automorphism.apply, Algebra.star
+
+    def counted_apply(rho, x):
+        calls["apply"] += 1
+        return apply(rho, x)
+
+    def counted_star(alg, x):
+        calls["star"] += 1
+        return star(alg, x)
+
+    monkeypatch.setattr(Automorphism, "apply", counted_apply)
+    monkeypatch.setattr(Algebra, "star", counted_star)
+    tg = twist_by_grading(random_graded_geometry(np.random.default_rng(4)))
+    report = verify_twisted(tg)
+    assert report.ok, report.format_text()
+    # rho for pi o rho, rho and its inverse for regularity; the star once
+    # for the algebra, not once per basis direction and per check
+    assert calls == {"apply": 3, "star": 1}
 
 
 @settings(max_examples=80, deadline=None)
@@ -480,10 +529,13 @@ def assert_stacks_agree(got, want):
 @given(stack_cases())
 def test_stacks_equal_their_per_element_definitions(case):
     tg, gens = case
-    assert_stacks_agree(tg.stacks(gens), per_element_stacks(tg.geometry, tg.rho, gens))
+    alg = tg.algebra
+    assert_stacks_agree(
+        tg.stacks(alg.coord_rows(gens)), per_element_stacks(tg.geometry, tg.rho, gens)
+    )
     # the default is the generator set
     default = tg.stacks()
-    explicit = tg.stacks(tg.algebra.generators())
+    explicit = tg.stacks(alg.coord_rows(alg.generators()))
     assert all(np.array_equal(a, b) for a, b in zip(default, explicit))
 
 
@@ -548,7 +600,8 @@ def test_a_replaced_real_structure_gets_its_own_stacks():
     j = AntilinearOperator(random_unitary(np.random.default_rng(6), tg.geometry.hilbert_dim))
     other = replace(tg, geometry=replace(tg.geometry, real_structure=j))
     built = tg.stacks()
-    want = other.geometry.image_stacks(other.twisted_rep, other.algebra.generators())
+    alg = other.algebra
+    want = other.geometry.image_stacks(other.twisted_rep, alg.coord_rows(alg.generators()))
     got = other.stacks()
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert not np.allclose(got[2], built[2])
@@ -557,14 +610,22 @@ def test_a_replaced_real_structure_gets_its_own_stacks():
 @pytest.mark.parametrize("convention", ["flip", "display"])
 def test_sm_stacks_equal_their_definitions_in_both_conventions(convention):
     tg = twisted_sm_geometry()
-    g, gens = tg.geometry, lean_generators(tg.algebra)
+    g, alg = tg.geometry, tg.algebra
+    # the generators whose matrix-block values are real
+    gens = [
+        e
+        for e in alg.generators()
+        if all(np.isreal(v).all() for c, v in zip(alg.components, e) if c.kind == "M")
+    ]
+    rows = lean_generators(alg)
+    assert np.array_equal(rows, alg.coord_rows(gens))
     shown = display_twist_rep() if convention == "display" else None
     want = per_element_stacks(g, tg.rho, gens, shown)
     if convention == "flip":
-        assert_stacks_agree(tg.stacks(gens), want)
+        assert_stacks_agree(tg.stacks(rows), want)
     # the order-one residuals of the convention, on a spread of generators
     few = slice(None, None, 5)
-    got = sm_first_order_residuals(tg, convention, gens[few])
+    got = sm_first_order_residuals(tg, convention, rows[few])
     primary, symmetric = first_order_residuals(g.dirac, *(np.stack(w[few]) for w in want))
     assert abs(got["primary"] - primary) <= 1e-13 * max(1.0, primary)
     assert abs(got["symmetric"] - symmetric) <= 1e-13 * max(1.0, symmetric)
