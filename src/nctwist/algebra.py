@@ -248,9 +248,6 @@ class Algebra:
             vals.append(a * b if comp.kind == "C" else a @ b)
         return tuple(vals)
 
-    def add(self, x: tuple, y: tuple) -> tuple:
-        return tuple(a + b for a, b in zip(x, y))
-
     def neg(self, x: tuple) -> tuple:
         return tuple(-a for a in x)
 
@@ -328,12 +325,6 @@ class Algebra:
 
     def random_element(self, rng: np.random.Generator) -> tuple:
         return tuple(c.random(rng) for c in self.components)
-
-    def norm(self, x: tuple) -> float:
-        total = 0.0
-        for comp, v in zip(self.components, x):
-            total += abs(v) ** 2 if comp.kind == "C" else fro(v) ** 2
-        return float(np.sqrt(total))
 
 
 def doubled(alg: Algebra) -> Algebra:

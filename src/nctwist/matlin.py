@@ -257,9 +257,6 @@ class AntilinearOperator:
     def dim(self) -> int:
         return self.unitary.shape[0]
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.unitary @ np.conj(psi)
-
     def conjugate(self, t: np.ndarray) -> np.ndarray:
         """Return J T J^{-1} = U conj(T) U^dagger for linear T, or a stack of T."""
         t = np.asarray(t, dtype=np.complex128)

@@ -398,17 +398,22 @@ def sm_first_order_residuals(
 
     The "flip" convention twists the abstract elements, so it reads pi o
     rho; "display" swaps the labels of the represented matrices instead,
-    so it reads ``display_twist_rep`` in place of pi o rho.
+    so it reads ``display_twist_rep`` in place of pi o rho, and the
+    display's J-conjugate at the starred rows in place of the opposite twist.
     """
     if convention not in ("flip", "display"):
         raise ValueError(f"unknown convention {convention!r}")
     if gens is None:
         gens = lean_generators(tg.algebra)
-    twisted = tg.twisted_rep if convention == "flip" else display_twist_rep()
-    pi_a, pi_rho_a, opp_b, rho_opp_b = tg.geometry.image_stacks(twisted, gens)
-    primary, symmetric = first_order_residuals(
-        tg.geometry.dirac, pi_a, pi_rho_a, opp_b, rho_opp_b
-    )
+    g = tg.geometry
+    if convention == "flip":
+        pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks(gens)
+    else:
+        shown, cs = display_twist_rep(), gens @ tg.algebra.star_matrix
+        pi_a, pi_rho_a = g.rep.images(gens), shown.images(gens)
+        opp_b = tg.conjugated_rep.images(cs)
+        rho_opp_b = g.conjugated(shown).images(cs)
+    primary, symmetric = first_order_residuals(g.dirac, pi_a, pi_rho_a, opp_b, rho_opp_b)
     return {"primary": primary, "symmetric": symmetric}
 
 

@@ -78,21 +78,16 @@ class FiniteGeometry:
     def with_dirac(self, new_d: np.ndarray) -> "FiniteGeometry":
         return replace(self, dirac=as_matrix(new_d))
 
-    def image_stacks(self, twisted: Representation, rows: np.ndarray) -> tuple:
-        """pi(a), twisted(a), J pi(b*) J^-1 and J twisted(b*) J^-1 over ``rows``.
+    def conjugated(self, rep: Representation) -> Representation:
+        """The representation ``b -> J rep(b) J^-1``: J conjugates ``rep``'s stack.
 
-        ``twisted`` is a second representation of the algebra (pi, pi o rho
-        or a display swap); all four are images of the coordinate ``rows``
-        and of their stars, each ``(len(rows), n, n)``.  J conjugates the
-        last two in one batch; they are None without a J.
+        The coordinates are real, so J commutes with combining images; at
+        rows moved by ``Algebra.star_matrix`` its images are the opposite
+        action ``J rep(b*) J^-1``.
         """
-        alg, pi, j = self.algebra, self.rep, self.real_structure
-        pi_a, twisted_a = pi.images(rows), twisted.images(rows)
-        if j is None:
-            return pi_a, twisted_a, None, None
-        cs = rows @ alg.star_matrix
-        opp = j.conjugate(np.concatenate([pi.images(cs), twisted.images(cs)]))
-        return pi_a, twisted_a, opp[: len(rows)], opp[len(rows) :]
+        if self.real_structure is None:
+            raise ValueError("geometry has no real structure")
+        return Representation(rep.algebra, self.real_structure.conjugate(rep.stack))
 
 
 def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTriple:
@@ -118,10 +113,9 @@ def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTri
 
 def _opposite_stacks(g: FiniteGeometry) -> tuple[np.ndarray, np.ndarray]:
     """pi and the opposite action over the generators."""
-    if g.real_structure is None:
-        raise ValueError("geometry has no real structure")
-    pi_a, _, opp_b, _ = g.image_stacks(g.rep, g.algebra.generator_rows)
-    return pi_a, opp_b
+    rows = g.algebra.generator_rows
+    opposite = g.conjugated(g.rep).images(rows @ g.algebra.star_matrix)
+    return g.rep.images(rows), opposite
 
 
 def order_zero_residual(g: FiniteGeometry) -> float:

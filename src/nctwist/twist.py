@@ -5,12 +5,15 @@ The twisted commutator of an operator with a represented element is
 two representations, pi and pi o rho, and the second is built once per
 twisted geometry as a transform of pi's stack.  An automorphism here is
 structural: a permutation of the algebra blocks, optionally composed with
-inner unitaries; a per-block scalar factor is allowed so that maps that
-fail regularity can be expressed and reported rather than rejected at
+inner unitaries; a nonzero per-block scalar factor is allowed so that maps
+that fail regularity can be expressed and reported rather than rejected at
 construction.
 
 The opposite twist acts through the real structure:
-``rho^o(J b* J^{-1}) = J rho(b*) J^{-1}``.
+``rho^o(J b* J^{-1}) = J pi(rho(b*)) J^{-1}``.  Both it and the opposite
+action are images of J pi J^{-1}, whose stack J conjugates once, at
+coordinate rows moved by real matrices: the star, then R, rho on
+coordinates.  Regularity reads rho^{-1} on coordinates as the inverse of R.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ class Automorphism:
             raise ValueError("inner length must match perm")
         if self.scale is not None and len(self.scale) != n:
             raise ValueError("scale length must match perm")
+        for i, s in enumerate(() if self.scale is None else self.scale):
+            if s == 0:
+                raise ValueError(f"scale of block {i} is zero, which is not invertible")
         if self.u_rho is not None:
             object.__setattr__(self, "u_rho", as_matrix(self.u_rho))
 
@@ -108,32 +114,6 @@ class Automorphism:
             vals.append(v)
         return tuple(vals)
 
-    def inverse(self) -> "Automorphism":
-        n = len(self.perm)
-        inv_perm = [0] * n
-        for i, j in enumerate(self.perm):
-            inv_perm[j] = i
-        inner = None
-        if self.inner is not None:
-            inner = [None] * n
-            for i, j in enumerate(self.perm):
-                u = self.inner[i]
-                inner[j] = None if u is None else dagger(as_matrix(u))
-        scale = None
-        if self.scale is not None:
-            scale = [1.0 + 0j] * n
-            for i, j in enumerate(self.perm):
-                s = self.scale[i]
-                if s == 0:
-                    raise ValueError("zero scale factor is not invertible")
-                scale[j] = 1.0 / s
-        return Automorphism(
-            tuple(inv_perm),
-            None if inner is None else tuple(inner),
-            None if scale is None else tuple(scale),
-            None if self.u_rho is None else dagger(self.u_rho),
-        )
-
     def is_involutive_perm(self) -> bool:
         return all(self.perm[self.perm[i]] == i for i in range(len(self.perm)))
 
@@ -153,10 +133,14 @@ class TwistedGeometry:
     ``twisted_rep`` is pi o rho, built once from pi's stack S as R S, R the
     real matrix of rho on coordinates: pi(rho(x)) = (coords(x) R) S.
 
-    ``_built`` holds what is built on first read and reads no D: the
-    generator images of ``stacks()``, kept read-only; per ``Tolerance``, the
-    reports of ``Representation.check`` and ``check_regular``; and the
-    order-zero and grading-commutes-with-algebra residuals over the stacks.
+    ``_built`` holds what reads no D, all of it built on first read but R:
+    - ``"r"``: R, kept from ``__post_init__``;
+    - ``"conjugated"``: ``conjugated_rep``, the J-conjugate of pi's stack;
+    - ``"stacks"``: the generator images of ``stacks()``, kept read-only;
+    - ``"reports"``: per ``Tolerance``, the reports of
+      ``Representation.check`` and ``check_regular``;
+    - ``"pairs"``: the order-zero and grading-commutes-with-algebra
+      residuals over the stacks.
     ``with_dirac`` shares ``twisted_rep`` and ``_built`` with the geometry it
     returns, so a chain of fluctuations decides these verdicts once.
     Nothing that reads D is kept: self-adjointness of D, the grading's
@@ -177,7 +161,7 @@ class TwistedGeometry:
         r = pi.algebra.linear_map(self.rho.apply)
         twisted = Representation(pi.algebra, pi.images(r))
         object.__setattr__(self, "twisted_rep", twisted)
-        object.__setattr__(self, "_built", {})
+        object.__setattr__(self, "_built", {"r": r})
 
     @property
     def algebra(self) -> Algebra:
@@ -199,24 +183,37 @@ class TwistedGeometry:
         object.__setattr__(out, "geometry", self.geometry.with_dirac(d))
         return out
 
-    def stacks(self, rows: np.ndarray | None = None) -> tuple:
-        """``image_stacks`` of pi and pi o rho over coordinate ``rows``.
+    @property
+    def conjugated_rep(self) -> Representation:
+        """``FiniteGeometry.conjugated`` of pi, built on first read."""
+        built = self._built
+        if "conjugated" not in built:
+            built["conjugated"] = self.geometry.conjugated(self.geometry.rep)
+        return built["conjugated"]
 
-        The default, ``Algebra.generator_rows``, is built once and read-only;
-        other ``rows`` are built per call.
+    def stacks(self, rows: np.ndarray | None = None) -> tuple:
+        """pi(a), pi(rho(a)), J pi(b*) J^-1 and J pi(rho(b*)) J^-1 over ``rows``.
+
+        Each is ``(len(rows), n, n)``, the last two None without a J.  They
+        are the images of pi and pi o rho at the coordinate ``rows``, and of
+        ``conjugated_rep`` at ``rows @ star_matrix`` and ``rows @ star_matrix
+        @ R``.  The default, ``Algebra.generator_rows``, is built once and
+        read-only; other ``rows`` are built per call.
         """
-        if rows is not None:
-            return self.geometry.image_stacks(self.twisted_rep, rows)
-        built = self._built.get("stacks")
-        if built is None:
-            built = self.geometry.image_stacks(
-                self.twisted_rep, self.algebra.generator_rows
-            )
-            for s in built:
-                if s is not None:
-                    s.flags.writeable = False
-            self._built["stacks"] = built
-        return built
+        if rows is None:
+            if "stacks" not in self._built:
+                built = self.stacks(self.algebra.generator_rows)
+                for s in built:
+                    if s is not None:
+                        s.flags.writeable = False
+                self._built["stacks"] = built
+            return self._built["stacks"]
+        pi_a, pi_rho_a = self.geometry.rep.images(rows), self.twisted_rep.images(rows)
+        if self.geometry.real_structure is None:
+            return pi_a, pi_rho_a, None, None
+        cs = rows @ self.algebra.star_matrix
+        opp = self.conjugated_rep
+        return pi_a, pi_rho_a, opp.images(cs), opp.images(cs @ self._built["r"])
 
     def signs(self, tol: Tolerance = DEFAULT_TOL) -> SignTriple:
         return measure_ko_signs(self.geometry, tol)
@@ -249,7 +246,7 @@ def check_regular(
 
     # a single-generator record is one row of the pair grid: (1, G, B)
     r_reg = gap(
-        (cg @ star @ r - cg @ alg.linear_map(rho.inverse().apply) @ star)[None]
+        (cg @ star @ r - cg @ np.linalg.inv(r) @ star)[None]
     )
     rep.check("regular: rho(a*) = (rho^-1(a))*", r_reg, tol, scale)
 

@@ -3,10 +3,14 @@
 The package reads coordinate rows through ``Algebra.blocks`` and builds a
 coordinate map in one batched evaluation on the identity rows.  Here the
 basis is written out as one element tuple per coordinate, and a map is
-evaluated on one tuple at a time.
+evaluated on one tuple at a time.  The package reads rho^-1 as the inverse
+of rho's coordinate matrix; here it is an automorphism built block by block.
 """
 
 import numpy as np
+
+from nctwist.matlin import dagger
+from nctwist.twist import Automorphism
 
 
 def basis_tuples(alg) -> list[tuple]:
@@ -31,3 +35,25 @@ def basis_tuples(alg) -> list[tuple]:
 def per_tuple_linear_map(alg, f) -> np.ndarray:
     """Real B x B matrix of a real-linear ``f``, one basis tuple at a time."""
     return np.stack([alg.coords(f(e)) for e in basis_tuples(alg)])
+
+
+def inverse_automorphism(rho):
+    """rho^-1 written out block by block: the reference for ``inv(R)``.
+
+    Block ``perm[i]`` of the inverse's image is fed by block i, conjugated
+    back by u_i and divided by scale_i.
+    """
+    n = len(rho.perm)
+    perm, inner, scale = [0] * n, [None] * n, [1.0 + 0j] * n
+    for i, j in enumerate(rho.perm):
+        perm[j] = i
+        if rho.inner is not None and rho.inner[i] is not None:
+            inner[j] = dagger(np.asarray(rho.inner[i]))
+        if rho.scale is not None:
+            scale[j] = 1.0 / rho.scale[i]
+    return Automorphism(
+        tuple(perm),
+        None if rho.inner is None else tuple(inner),
+        None if rho.scale is None else tuple(scale),
+        None if rho.u_rho is None else dagger(rho.u_rho),
+    )

@@ -8,7 +8,7 @@ the acceptance checklist.  A name that only other tests reach is either
 deleted or routed into a report.  Methods are matched by attribute name
 alone, so a method shares its references with every same-named one.
 
-Generator images are built in one place, ``FiniteGeometry.image_stacks``: outside
+Generator images are read in batches from representations: outside
 ``algebra.py`` no module forms pi, pi o rho or a twisted commutator one
 generator at a time.  pi o rho is formed in one place,
 ``TwistedGeometry.__post_init__`` (and the regularity check, which moves
@@ -22,11 +22,15 @@ An algebra's generator rows and star matrix are formed in one place,
 outside ``algebra.py`` nothing calls ``coord_rows`` on a ``generators()``
 call or ``linear_map`` on a ``.star``.
 
-A twisted geometry's generator stacks are built once: outside ``triple.py``
-only ``TwistedGeometry.stacks`` and ``sm_first_order_residuals`` call
-``image_stacks``, and outside ``twist.py`` no twisted geometry is rebuilt
-from another's ``rho`` around a new D, which ``TwistedGeometry.with_dirac``
-does without building pi o rho or the stacks again.
+J conjugates a representation in one place, ``FiniteGeometry.conjugated``,
+which conjugates its stack once: outside it no ``.conjugate(...)`` call takes
+a ``.stack``, an ``.images(...)`` result or a concatenation of them.  The
+opposite action is read as images of the conjugated representation.
+
+A twisted geometry's generator stacks are built once: outside ``twist.py``
+no twisted geometry is rebuilt from another's ``rho`` around a new D, which
+``TwistedGeometry.with_dirac`` does without building pi o rho or the stacks
+again.
 """
 
 import ast
@@ -201,7 +205,7 @@ def per_element_images() -> list[str]:
 
 
 def test_generator_images_are_built_in_one_place():
-    # FiniteGeometry.image_stacks is the one place that forms them, in batches
+    # Representation.images forms them, in batches
     assert per_element_images() == []
 
 
@@ -351,36 +355,75 @@ def test_generator_pairs_are_walked_in_one_place():
     assert pair_loops() == []
 
 
-# -- a twisted geometry's generator stacks are built once ------------------
+# -- J conjugates a representation in one place ---------------------------
 
-STACK_BUILDERS = {"TwistedGeometry.stacks", "sm_first_order_residuals"}
+CONJUGATOR = "FiniteGeometry.conjugated"
+JOINS = {"concatenate", "stack", "vstack"}
 
 
-def image_stacks_sites() -> list[str]:
-    """``file.py:line function`` of every ``image_stacks`` call outside its builders.
+def is_image_operand(node: ast.AST) -> bool:
+    """A ``.stack``, an ``.images(...)`` result, or a concatenation of them."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "stack"
+    if not isinstance(node, ast.Call):
+        return False
+    name = terminal_name(node)
+    if name == "images":
+        return True
+    if name not in JOINS:
+        return False
+    parts = [e for a in node.args for e in getattr(a, "elts", [a])]
+    return any(is_image_operand(p) for p in parts)
 
-    ``triple.py`` defines it and reads it for the untwisted residuals; the
-    builders are the cached default of a twisted geometry and the display
-    convention of the standard model, whose second representation is not
-    pi o rho.
-    """
+
+def stack_conjugations(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, function)`` of every ``.conjugate(...)`` call on an image
+    operand in ``tree``, outside ``FiniteGeometry.conjugated``."""
+    found = []
+    for qualname, node in functions(tree):
+        if qualname == CONJUGATOR:
+            continue
+        for call in ast.walk(node):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "conjugate"
+                and any(is_image_operand(a) for a in call.args)
+            ):
+                found.append((call.lineno, qualname))
+    return found
+
+
+def stack_conjugation_sites() -> list[str]:
+    """``file.py:line function`` of every stack or image batch that J conjugates
+    outside ``FiniteGeometry.conjugated``."""
     found = []
     for path in CALLERS:
-        if path == PACKAGE / "triple.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        for qualname, node in functions(tree):
-            if qualname in STACK_BUILDERS:
-                continue
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call) and terminal_name(call) == "image_stacks":
-                    found.append((path.name, call.lineno, qualname))
+        found += [(path.name, line, q) for line, q in stack_conjugations(tree)]
     return [f"{m}:{line} {where}" for m, line, where in sorted(found)]
 
 
-def test_generator_stacks_are_built_in_one_place():
-    # everything else reads TwistedGeometry.stacks(), which builds them once
-    assert image_stacks_sites() == []
+def test_stack_conjugations_are_seen():
+    tree = ast.parse(
+        "class FiniteGeometry:\n"
+        "    def conjugated(self, rep):\n"
+        "        return self.real_structure.conjugate(rep.stack)\n"
+        "    def image_stacks(self, twisted, cs):\n"
+        "        j, pi = self.real_structure, self.rep\n"
+        "        return j.conjugate(np.concatenate([pi.images(cs), twisted.images(cs)]))\n"
+        "def f(j, pi, cs, a_mat):\n"
+        "    return j.conjugate(pi.images(cs)), j.conjugate(pi.stack), j.conjugate(a_mat)\n"
+    )
+    assert stack_conjugations(tree) == [(6, "FiniteGeometry.image_stacks"), (8, "f"), (8, "f")]
+
+
+def test_j_conjugates_representations_in_one_place():
+    # everything else reads images of FiniteGeometry.conjugated
+    assert stack_conjugation_sites() == []
+
+
+# -- a twisted geometry's generator stacks are built once ------------------
 
 
 def new_dirac(node: ast.AST) -> bool:

@@ -315,6 +315,19 @@ def test_u_rho_of_the_wrong_shape_is_an_input_error(tmp_path, block_file, comman
     assert "Traceback" not in proc.stderr
 
 
+def test_a_zero_scale_is_an_input_error(tmp_path, block_file):
+    rho = tmp_path / "rho.json"
+    dump_json({"permutation": [0, 1], "scale": [[1.0, 0.0], [0.0, 0.0]]}, str(rho))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nctwist.cli", "verify", block_file, "--rho", str(rho)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr == "error: scale of block 1 is zero, which is not invertible\n"
+
+
 class TestTolerances:
     def test_tol_flag_loosens_gate(self, capsys, bad_geometry_file):
         # the broken Dirac has residual ~1; an absurdly loose gate passes

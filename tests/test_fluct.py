@@ -252,12 +252,12 @@ def test_a_chain_of_fluctuations_builds_one_geometry_and_one_set_of_stacks(
     monkeypatch,
 ):
     built, made, checked, regular = [], [], [], []
-    image_stacks, post_init = FiniteGeometry.image_stacks, TwistedGeometry.__post_init__
+    conjugated, post_init = FiniteGeometry.conjugated, TwistedGeometry.__post_init__
     rep_check, check_regular = Representation.check, twist.check_regular
 
-    def counted_stacks(g, twisted, gens):
-        built.append(twisted)
-        return image_stacks(g, twisted, gens)
+    def counted_conjugated(g, rep):
+        built.append(rep)
+        return conjugated(g, rep)
 
     def counted_init(tg):
         made.append(tg)
@@ -271,7 +271,7 @@ def test_a_chain_of_fluctuations_builds_one_geometry_and_one_set_of_stacks(
         regular.append(tol)
         return check_regular(rho, g, tol)
 
-    monkeypatch.setattr(FiniteGeometry, "image_stacks", counted_stacks)
+    monkeypatch.setattr(FiniteGeometry, "conjugated", counted_conjugated)
     monkeypatch.setattr(TwistedGeometry, "__post_init__", counted_init)
     monkeypatch.setattr(Representation, "check", counted_check)
     monkeypatch.setattr(twist, "check_regular", counted_regular)
@@ -286,7 +286,7 @@ def test_a_chain_of_fluctuations_builds_one_geometry_and_one_set_of_stacks(
     report = compose_fluctuations(tg0, forms[0], forms[1])
     assert report.ok, report.format_text()
     assert [t is tg0 for t in made] == [True]
-    assert [t is tg0.twisted_rep for t in built] == [True]
+    assert [rep is tg0.geometry.rep for rep in built] == [True]
     assert tg.stacks() is tg0.stacks()
     # four verify_twisted calls, one per step, decide the D-free reports once
     assert checked == regular == [DEFAULT_TOL]

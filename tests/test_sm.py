@@ -1,6 +1,7 @@
 """Finite geometry of one fermion generation, untwisted and twisted."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from nctwist import sm
 from nctwist.algebra import QUATERNION_UNITS, quaternion
 from nctwist.cli import main
-from nctwist.matlin import Tolerance, anticommutator, dagger, fro, kron
+from nctwist.matlin import AntilinearOperator, Tolerance, anticommutator, dagger, fro, kron
 from nctwist.mintwist import gamma_tilde_diagnostics
 from nctwist.report import Report
 from nctwist.sm import (
@@ -305,17 +306,40 @@ def test_doubling_involution_record_reads_its_residual(tsm, monkeypatch):
 @pytest.mark.parametrize("convention", ["flip", "display"])
 def test_each_convention_builds_one_pair_of_stacks(tsm, monkeypatch, convention):
     seen = []
-    build = FiniteGeometry.image_stacks
+    build = FiniteGeometry.conjugated
 
-    def counted(g, twisted, gens):
-        seen.append(twisted)
-        return build(g, twisted, gens)
+    def counted(g, rep):
+        seen.append(rep)
+        return build(g, rep)
 
-    monkeypatch.setattr(FiniteGeometry, "image_stacks", counted)
-    sm_first_order_residuals(tsm, convention, lean_generators(tsm.algebra)[::10])
-    (twisted,) = seen
-    assert (twisted is tsm.twisted_rep) == (convention == "flip")
-    assert np.array_equal(twisted.stack, display_twist_rep().stack) == (convention == "display")
+    monkeypatch.setattr(FiniteGeometry, "conjugated", counted)
+    fresh = replace(tsm)  # a new build holder: pi is not conjugated yet
+    for _ in range(2):
+        sm_first_order_residuals(fresh, convention, lean_generators(tsm.algebra)[::10])
+    # pi is conjugated once per build; the display's own stack once per call
+    pi, *shown = seen
+    assert pi is fresh.geometry.rep
+    assert len(shown) == (2 if convention == "display" else 0)
+    for rep in shown:
+        assert np.array_equal(rep.stack, display_twist_rep().stack)
+
+
+def test_verify_sm_twisted_conjugates_two_stacks(monkeypatch):
+    seen = []
+    conjugate = AntilinearOperator.conjugate
+
+    def counted(j, t):
+        seen.append(t)
+        return conjugate(j, t)
+
+    monkeypatch.setattr(AntilinearOperator, "conjugate", counted)
+    tg = twisted_sm_geometry()
+    assert verify_sm_twisted(tg).ok
+    # the finite triple's stack for its own verdict, then pi's and the display's
+    finite, pi, shown = seen
+    assert np.array_equal(finite, sm_finite_geometry().rep.stack)
+    assert pi is tg.geometry.rep.stack
+    assert np.array_equal(shown, display_twist_rep().stack)
 
 
 def test_custom_yukawas_still_verify():

@@ -75,6 +75,31 @@ def test_opposite_action_is_right_multiplication():
     assert fro(opp - pi_b) > 0.1
 
 
+@pytest.mark.parametrize("residual", [order_zero_residual, order_one_residual])
+def test_the_untwisted_order_conditions_read_pi_once(monkeypatch, residual):
+    images, conjugate = Representation.images, AntilinearOperator.conjugate
+    evaluated, conjugated = [], []
+
+    def counted_images(rep, c):
+        evaluated.append((rep, c))
+        return images(rep, c)
+
+    def counted_conjugate(j, t):
+        conjugated.append(t)
+        return conjugate(j, t)
+
+    monkeypatch.setattr(Representation, "images", counted_images)
+    monkeypatch.setattr(AntilinearOperator, "conjugate", counted_conjugate)
+    g = two_block_geometry(frame=True)
+    assert residual(g) < 1e-12
+    # pi on the generator rows once, and J conjugates pi's (B, n, n) stack,
+    # not a batch of images
+    rows = g.algebra.generator_rows
+    assert [c is rows for rep, c in evaluated if rep is g.rep] == [True]
+    (t,) = conjugated
+    assert t is g.rep.stack
+
+
 def test_measured_signs_toy_and_blocks():
     assert measure_ko_signs(toy_triple()).as_tuple() == (1, 1, 1)
     assert measure_ko_signs(two_block_geometry()).as_tuple() == (1, 1, 1)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from coordinates import per_tuple_linear_map
+from coordinates import inverse_automorphism, per_tuple_linear_map
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -75,8 +75,8 @@ class TestAutomorphism:
             scale=(1.0, 1.0, 1.0, 1.0),
         )
         x = alg.random_element(rng)
-        back = rho.inverse().apply(rho.apply(x))
-        assert alg.norm(alg.add(x, alg.neg(back))) < 1e-12
+        back = inverse_automorphism(rho).apply(rho.apply(x))
+        assert np.linalg.norm(alg.coords(x) - alg.coords(back)) < 1e-12
 
     def test_validate_for_checks_component_kinds(self):
         # flipping C into M_2 is not an algebra map
@@ -263,7 +263,7 @@ def per_pair_records(rho, g):
     alg, pi = g.algebra, g.rep
     gens = alg.generators()
     mats = [pi(a) for a in gens]
-    rho_inv = rho.inverse()
+    rho_inv = inverse_automorphism(rho)
     out = {
         "rep: star preserved on generators": max(
             fro(pi(alg.star(a)) - dagger(m)) for a, m in zip(gens, mats)
@@ -397,7 +397,7 @@ def twisted_algebras(draw):
 @given(twisted_algebras())
 def test_batched_coordinate_maps_equal_the_per_tuple_reference(case):
     alg, rho = case
-    for f in (alg.star, rho.apply, rho.inverse().apply):
+    for f in (alg.star, rho.apply, inverse_automorphism(rho).apply):
         assert np.array_equal(alg.linear_map(f), per_tuple_linear_map(alg, f))
     # the cached tables are the same maps, read-only
     assert np.array_equal(alg.star_matrix, per_tuple_linear_map(alg, alg.star))
@@ -405,6 +405,18 @@ def test_batched_coordinate_maps_equal_the_per_tuple_reference(case):
     for table in (alg.star_matrix, alg.generator_rows):
         assert not table.flags.writeable
     assert alg.star_matrix is alg.star_matrix
+
+
+@settings(max_examples=100, deadline=None)
+@given(twisted_algebras())
+def test_the_inverse_coordinate_map_is_rho_inverse(case):
+    # check_regular reads rho^-1 on coordinates as inv(R)
+    alg, rho = case
+    got = np.linalg.inv(alg.linear_map(rho.apply))
+    want = alg.linear_map(inverse_automorphism(rho).apply)
+    if rho.inner is None and rho.scale is None:
+        assert np.array_equal(got, want)
+    assert np.abs(got - want).max() <= 1e-14
 
 
 def test_each_coordinate_map_is_evaluated_once(monkeypatch):
@@ -424,9 +436,10 @@ def test_each_coordinate_map_is_evaluated_once(monkeypatch):
     tg = twist_by_grading(random_graded_geometry(np.random.default_rng(4)))
     report = verify_twisted(tg)
     assert report.ok, report.format_text()
-    # rho for pi o rho, rho and its inverse for regularity; the star once
-    # for the algebra, not once per basis direction and per check
-    assert calls == {"apply": 3, "star": 1}
+    # rho once for pi o rho and once for regularity, which inverts its
+    # matrix; the star once for the algebra, not once per basis direction
+    # and per check
+    assert calls == {"apply": 2, "star": 1}
 
 
 @settings(max_examples=80, deadline=None)
@@ -549,14 +562,15 @@ def test_stacks_without_real_structure_have_no_opposite():
 
 
 def counting_builds(monkeypatch) -> list:
-    """Record every ``FiniteGeometry.image_stacks`` call from now on."""
-    seen, build = [], FiniteGeometry.image_stacks
+    """Record the representation of every ``FiniteGeometry.conjugated`` call
+    from now on: J conjugates a stack there and nowhere else."""
+    seen, build = [], FiniteGeometry.conjugated
 
-    def counted(g, twisted, gens):
-        seen.append(twisted)
-        return build(g, twisted, gens)
+    def counted(g, rep):
+        seen.append(rep)
+        return build(g, rep)
 
-    monkeypatch.setattr(FiniteGeometry, "image_stacks", counted)
+    monkeypatch.setattr(FiniteGeometry, "conjugated", counted)
     return seen
 
 
@@ -565,7 +579,7 @@ def test_verify_twisted_builds_the_generator_stacks_once(monkeypatch):
     seen = counting_builds(monkeypatch)
     report = verify_twisted(tg)
     assert report.ok, report.format_text()
-    assert [t is tg.twisted_rep for t in seen] == [True]
+    assert [rep is tg.geometry.rep for rep in seen] == [True]
 
 
 def test_built_stacks_are_read_only():
@@ -600,10 +614,8 @@ def test_a_replaced_real_structure_gets_its_own_stacks():
     j = AntilinearOperator(random_unitary(np.random.default_rng(6), tg.geometry.hilbert_dim))
     other = replace(tg, geometry=replace(tg.geometry, real_structure=j))
     built = tg.stacks()
-    alg = other.algebra
-    want = other.geometry.image_stacks(other.twisted_rep, alg.coord_rows(alg.generators()))
-    got = other.stacks()
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    got, gens = other.stacks(), other.algebra.generators()
+    assert_stacks_agree(got, per_element_stacks(other.geometry, other.rho, gens))
     assert not np.allclose(got[2], built[2])
 
 
