@@ -40,7 +40,7 @@ for convention, label in (("flip", "structural"), ("display", "displayed")):
 print("  (the gap lives entirely in the antiparticle scalar slots)")
 
 print("\nlabel swap on simple tensors")
-print(label_swap_check().format_text())
+print(label_swap_check(tsm).format_text())
 
 print("\nrecovery of the untwisted operator from the twisted data")
 print(generalized_minimal_twist_check(tsm).format_text())

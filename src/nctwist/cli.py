@@ -1,9 +1,15 @@
 """Command line driver.
 
 Loads geometry, automorphism, and one-form files, dispatches the checks,
-and emits reports.  Exit code 0 means every check passed, 1 means at
-least one failed, 2 means the input could not be used (unknown command,
-missing or malformed file, dimension mismatch).
+and emits reports.  Each subcommand's handler takes the parsed arguments
+and the tolerance and returns its report; ``main`` alone reads the
+tolerance, starts the clock and emits the report.  Exit code 0 means every
+check passed, 1 means at least one failed, 2 means the input could not be
+used (unknown command, missing or malformed file, dimension mismatch).
+
+``verify`` and ``fluctuate`` read their twist the same way: a
+twist-by-grading marker file carries its own, which ``--rho`` may not
+override; a plain geometry takes it from ``--rho``.
 
 Reports print as text by default; ``--report json`` emits the full
 precision record instead.  JSON output is deterministic for fixed inputs
@@ -75,15 +81,15 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(rel=rel, abs=DEFAULT_TOL.abs)
 
 
-def _emit(report: Report, args, started: float, artifact_out: bool = False) -> int:
+def _emit(report: Report, args, started: float) -> int:
     """Print the report and map it to an exit code.
 
-    ``artifact_out`` marks subcommands whose --out writes a constructed
-    object instead of the report file.
+    --out receives the report unless the handler wrote its own artifact
+    there and recorded it as ``info["written"]``.
     """
     report.info["command"] = " ".join(args.command_echo)
     payload = report.to_json()
-    if args.out and not artifact_out:
+    if args.out and "written" not in report.info:
         with open(args.out, "w") as fh:
             fh.write(payload)
             fh.write("\n")
@@ -134,9 +140,7 @@ def _gamma_report(m: int, tol: Tolerance) -> Report:
     return rep
 
 
-def cmd_gamma(args) -> int:
-    started = time.perf_counter()
-    tol = _tolerance(args)
+def cmd_gamma(args, tol: Tolerance) -> Report:
     data = gamma(args.m)
     rep = _gamma_report(args.m, tol)
     if args.report == "text":
@@ -155,29 +159,34 @@ def cmd_gamma(args) -> int:
             args.out,
         )
         rep.info["written"] = args.out
-    return _emit(rep, args, started, artifact_out=True)
+    return rep
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    tol = _tolerance(args)
-    obj = load_json(args.geometry)
+def _twisted(obj: dict, rho_path: str | None) -> TwistedGeometry | None:
+    """The twisted geometry of a loaded geometry file, or None without a twist.
+
+    A marker file carries its own twist; a plain geometry takes --rho.
+    """
     if obj.get("kind") == "twist-by-grading":
-        if args.rho:
+        if rho_path is not None:
             raise ValueError("twisted geometry files carry their own twist; drop --rho")
-        rep = verify_twisted(twisted_from_json(obj), tol)
-    elif args.rho is not None:
-        g = geometry_from_json(obj)
-        rho = automorphism_from_json(load_json(args.rho))
-        rep = verify_twisted(TwistedGeometry(g, rho), tol)
-    else:
-        rep = verify_spectral_triple(geometry_from_json(obj), tol)
-    return _emit(rep, args, started)
+        return twisted_from_json(obj)
+    if rho_path is None:
+        return None
+    return TwistedGeometry(
+        geometry_from_json(obj), automorphism_from_json(load_json(rho_path))
+    )
 
 
-def cmd_twist_by_grading(args) -> int:
-    started = time.perf_counter()
-    tol = _tolerance(args)
+def cmd_verify(args, tol: Tolerance) -> Report:
+    obj = load_json(args.geometry)
+    tg = _twisted(obj, args.rho)
+    if tg is None:
+        return verify_spectral_triple(geometry_from_json(obj), tol)
+    return verify_twisted(tg, tol)
+
+
+def cmd_twist_by_grading(args, tol: Tolerance) -> Report:
     g = geometry_from_json(load_json(args.geometry))
     tg = twist_by_grading(g, tol)
     rep = verify_twisted(tg, tol)
@@ -185,36 +194,22 @@ def cmd_twist_by_grading(args) -> int:
     if args.out:
         dump_json(twisted_marker_to_json(g), args.out)
         rep.info["written"] = args.out
-    return _emit(rep, args, started, artifact_out=True)
+    return rep
 
 
-def cmd_fluctuate(args) -> int:
-    started = time.perf_counter()
-    tol = _tolerance(args)
-    obj = load_json(args.geometry)
-    if obj.get("kind") == "twist-by-grading":
-        tg = twisted_from_json(obj)
-    else:
-        if args.rho is None:
-            raise ValueError("fluctuate needs --rho unless the file carries a twist")
-        tg = TwistedGeometry(
-            geometry_from_json(obj), automorphism_from_json(load_json(args.rho))
-        )
+def cmd_fluctuate(args, tol: Tolerance) -> Report:
+    tg = _twisted(load_json(args.geometry), args.rho)
+    if tg is None:
+        raise ValueError("fluctuate needs --rho unless the file carries a twist")
     terms = one_form_from_json(tg.algebra, load_json(args.form))
-    form = TwistedOneForm.of(*terms)
-    rep = verify_fluctuated(tg, form, tol)
-    return _emit(rep, args, started)
+    return verify_fluctuated(tg, TwistedOneForm.of(*terms), tol)
 
 
-def cmd_uniqueness(args) -> int:
-    started = time.perf_counter()
-    rep = uniqueness_engine(args.m, _tolerance(args))
-    return _emit(rep, args, started)
+def cmd_uniqueness(args, tol: Tolerance) -> Report:
+    return uniqueness_engine(args.m, tol)
 
 
-def cmd_free_dirac(args) -> int:
-    started = time.perf_counter()
-    tol = _tolerance(args)
+def cmd_free_dirac(args, tol: Tolerance) -> Report:
     if args.samples:
         mat = matrix_from_json(load_json(args.samples))
         if mat.shape != (2 * args.m, 2):
@@ -228,13 +223,10 @@ def cmd_free_dirac(args) -> int:
         samples = rng.standard_normal((2 * args.m, 2)) + 1j * rng.standard_normal(
             (2 * args.m, 2)
         )
-    rep = free_dirac_pointwise(args.m, samples, tol)
-    return _emit(rep, args, started)
+    return free_dirac_pointwise(args.m, samples, tol)
 
 
-def cmd_gamma_tilde(args) -> int:
-    started = time.perf_counter()
-    tol = _tolerance(args)
+def cmd_gamma_tilde(args, tol: Tolerance) -> Report:
     tg = twisted_from_json(load_json(args.twisted))
     diag = gamma_tilde_diagnostics(tg, tol=tol)
     rep = Report("doubling involution of a twisted geometry")
@@ -282,7 +274,7 @@ def cmd_gamma_tilde(args) -> int:
         holds_a.passed == holds_b.passed,
         note="commuting with the doubling = commuting with both",
     )
-    return _emit(rep, args, started)
+    return rep
 
 
 def _parse_complex_list(text: str, count: int, what: str) -> list[complex]:
@@ -298,9 +290,7 @@ def _parse_complex_list(text: str, count: int, what: str) -> list[complex]:
     return values
 
 
-def cmd_sm(args) -> int:
-    started = time.perf_counter()
-    tol = _tolerance(args)
+def cmd_sm(args, tol: Tolerance) -> Report:
     yukawas = dict(DEFAULT_YUKAWAS)
     if args.yukawa:
         y_nu, y_e, y_u, y_d = _parse_complex_list(args.yukawa, 4, "--yukawa")
@@ -311,15 +301,14 @@ def cmd_sm(args) -> int:
 
     tg = twisted_sm_geometry(yukawas, majorana)
     if args.check == "all":
-        rep = verify_sm_twisted(tg, tol)
-    elif args.check == "zero-order":
-        rep = sm_order_zero_report(tg, tol)
-    elif args.check == "first-order":
-        rep = sm_first_order_report(tg, tol)
-    else:  # recovery
-        rep = generalized_minimal_twist_check(tg, tol)
-        rep.merge(label_swap_check(tol), prefix="labels: ")
-    return _emit(rep, args, started)
+        return verify_sm_twisted(tg, tol)
+    if args.check == "zero-order":
+        return sm_order_zero_report(tg, tol)
+    if args.check == "first-order":
+        return sm_first_order_report(tg, tol)
+    rep = generalized_minimal_twist_check(tg, tol)  # recovery
+    rep.merge(label_swap_check(tg, tol), prefix="labels: ")
+    return rep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,7 +410,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.command_echo = ["nctwist"] + argv
     try:
-        return args.func(args)
+        started = time.perf_counter()
+        return _emit(args.func(args, _tolerance(args)), args, started)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2

@@ -215,16 +215,11 @@ def random_graded_geometry(rng: np.random.Generator) -> FiniteGeometry:
 
 
 def random_one_form(
-    rng: np.random.Generator,
-    tg: TwistedGeometry,
-    nterms: int = 2,
-    symmetric: bool = True,
+    rng: np.random.Generator, tg: TwistedGeometry, symmetric: bool = True
 ) -> TwistedOneForm:
-    """Random twisted one-form, symmetrised by default so it fluctuates."""
+    """Random two-term twisted one-form, symmetrised by default so it fluctuates."""
     alg = tg.algebra
-    pairs = [
-        (alg.random_element(rng), alg.random_element(rng)) for _ in range(nterms)
-    ]
+    pairs = [(alg.random_element(rng), alg.random_element(rng)) for _ in range(2)]
     form = TwistedOneForm.of(*pairs)
     return symmetrized(form, tg) if symmetric else form
 

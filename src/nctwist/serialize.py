@@ -12,7 +12,8 @@ reconstructed from it.
 
 Writers emit deterministic JSON (sorted keys, no whitespace) so identical
 inputs give byte-identical files.  Readers check the JSON type of every
-field they use and raise ValueError naming the field when it is wrong.
+field they use and raise ValueError naming the field when it is wrong or
+missing.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _field(obj: dict, key: str, what: str):
+    """``obj[key]``, or a ValueError naming the missing field."""
+    if key not in obj:
+        raise ValueError(f"{what} has no field {key!r}")
+    return obj[key]
+
+
 def _complex(value, what: str) -> complex:
     """A complex number from its [re, im] pair."""
     if not (isinstance(value, list) and len(value) == 2):
@@ -89,7 +97,8 @@ def antilinear_to_json(j: AntilinearOperator) -> dict:
 def antilinear_from_json(obj: dict) -> AntilinearOperator:
     if _typed(obj, dict, "antilinear operator").get("convention", "u-conj") != "u-conj":
         raise ValueError(f"unknown antilinear convention {obj.get('convention')!r}")
-    return AntilinearOperator(matrix_from_json(obj["unitary"]))
+    unitary = _field(obj, "unitary", "antilinear operator")
+    return AntilinearOperator(matrix_from_json(unitary))
 
 
 def algebra_to_json(alg: Algebra) -> list:
@@ -153,14 +162,12 @@ def placements_from_json(items: list) -> list[Placement]:
     out = []
     for it in _typed(items, list, "representation"):
         it = _typed(it, dict, "placement")
-        out.append(
-            Placement(
-                component=_typed(it["component"], int, "placement component"),
-                start=_typed(it["start"], int, "placement start"),
-                mode=_typed(it["mode"], str, "placement mode"),
-                mult=_typed(it.get("mult", 1), int, "placement mult"),
-            )
+        component, start, mode = (
+            _typed(_field(it, key, "placement"), kind, f"placement {key}")
+            for key, kind in (("component", int), ("start", int), ("mode", str))
         )
+        mult = _typed(it.get("mult", 1), int, "placement mult")
+        out.append(Placement(component, start, mode, mult))
     return out
 
 
@@ -181,7 +188,7 @@ def geometry_to_json(g: FiniteGeometry) -> dict:
 
 
 def geometry_from_json(obj: dict) -> FiniteGeometry:
-    alg = algebra_from_json(_typed(obj, dict, "geometry")["algebra"])
+    alg = algebra_from_json(_field(_typed(obj, dict, "geometry"), "algebra", "geometry"))
     # H has 4 generators, C and M_n one per basis element
     basis = int(alg.basis_offsets()[-1])
     count = sum(4 if c.kind == "H" else 2 * c.dim**2 for c in alg.components)
@@ -191,10 +198,10 @@ def geometry_from_json(obj: dict) -> FiniteGeometry:
             f"the pair checks would hold G^2 B = {count**2 * basis} coordinates, "
             f"above the bound of {_PAIR_COORDS_BOUND}"
         )
-    dim = _typed(obj["hilbert_dim"], int, "hilbert_dim")
+    dim = _typed(_field(obj, "hilbert_dim", "geometry"), int, "hilbert_dim")
     if dim < 1:
         raise ValueError(f"hilbert_dim must be positive, got {dim}")
-    dirac = matrix_from_json(obj["D"])
+    dirac = matrix_from_json(_field(obj, "D", "geometry"))
     grading = matrix_from_json(obj["gamma"]) if "gamma" in obj else None
     real = antilinear_from_json(obj["J"]) if "J" in obj else None
     # the representation stack is allocated at hilbert_dim, so check it first
@@ -204,13 +211,14 @@ def geometry_from_json(obj: dict) -> FiniteGeometry:
             f"{dirac.shape[0]}x{dirac.shape[1]}"
         )
     rep = Representation.from_placements(
-        alg, dim, placements_from_json(obj["representation"])
+        alg, dim, placements_from_json(_field(obj, "representation", "geometry"))
     )
     return FiniteGeometry(rep=rep, dirac=dirac, grading=grading, real_structure=real)
 
 
 def automorphism_from_json(obj: dict) -> Automorphism:
-    perm = _typed(_typed(obj, dict, "automorphism")["permutation"], list, "permutation")
+    obj = _typed(obj, dict, "automorphism")
+    perm = _typed(_field(obj, "permutation", "automorphism"), list, "permutation")
     perm = tuple(_typed(i, int, "permutation entry") for i in perm)
     inner = None
     if obj.get("inner") is not None:
@@ -238,9 +246,11 @@ def one_form_to_json(alg: Algebra, terms: list[tuple]) -> dict:
 
 def one_form_from_json(alg: Algebra, obj: dict) -> list[tuple]:
     out = []
-    for t in _typed(_typed(obj, dict, "one-form")["terms"], list, "terms"):
+    terms = _field(_typed(obj, dict, "one-form"), "terms", "one-form")
+    for t in _typed(terms, list, "terms"):
         t = _typed(t, dict, "one-form term")
-        out.append((element_from_json(alg, t["a"]), element_from_json(alg, t["b"])))
+        a, b = (_field(t, key, "one-form term") for key in ("a", "b"))
+        out.append((element_from_json(alg, a), element_from_json(alg, b)))
     return out
 
 
@@ -257,7 +267,8 @@ def twisted_marker_to_json(base: FiniteGeometry) -> dict:
 def twisted_from_json(obj: dict) -> TwistedGeometry:
     kind = obj.get("kind")
     if kind == "twist-by-grading":
-        return twist_by_grading(geometry_from_json(obj["base"]))
+        base = _field(obj, "base", "twisted geometry")
+        return twist_by_grading(geometry_from_json(base))
     raise ValueError(f"unknown twisted geometry kind {kind!r}")
 
 

@@ -21,6 +21,10 @@ one swaps the labels of the represented matrix, leaving the antiparticle
 scalar untouched, so pi' is built like pi with the sectors reading swapped
 components.  They differ exactly in which scalar the antiparticle sector
 sees, and the reports quantify both.
+
+Every check reads the twisted geometry it is given and builds no default
+model of its own, and the order-zero and order-one residuals always walk
+``lean_generators``.
 """
 
 from __future__ import annotations
@@ -217,8 +221,8 @@ def display_twist_rep() -> Representation:
     return _sector_rep(plus=(1, 3, 0, 4), minus=(5, 7, 5, 9))
 
 
-def label_swap_check(tol: Tolerance = DEFAULT_TOL) -> Report:
-    """Behaviour of the label swap on simple tensors f x A.
+def label_swap_check(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
+    """Behaviour of the label swap of ``tg`` on simple tensors f x A.
 
     A = (c_r, c_l, q_r, q_l, m) acts as the element A + A of the doubled
     algebra, whose copies are equal, and f through its chirality values:
@@ -227,10 +231,10 @@ def label_swap_check(tol: Tolerance = DEFAULT_TOL) -> Report:
     identities bitwise, that the swap is an involution, that right/left
     label differences live purely in the particle sector, and measures
     where representing the swapped labels departs from the displayed swap
-    (the antiparticle scalar).
+    (the antiparticle scalar).  Reads pi, pi o rho and rho of ``tg``, none
+    of which depends on the couplings.
     """
     rep = Report("label swap on simple tensors")
-    tg = twisted_sm_geometry()  # pi and the twist do not read the couplings
     pi, pi_rho, shown = tg.geometry.rep, tg.twisted_rep, display_twist_rep()
     alg = sm_algebra()
     rng = np.random.default_rng(7)
@@ -347,7 +351,7 @@ def sm_gamma_tilde_expected() -> np.ndarray:
 
 
 def generalized_minimal_twist_check(
-    tg: TwistedGeometry | None = None, tol: Tolerance = DEFAULT_TOL
+    tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL
 ) -> Report:
     """Equal right/left slots recover the untwisted action exactly.
 
@@ -356,8 +360,6 @@ def generalized_minimal_twist_check(
     floating-point residual: the projectors are exact 0/1 diagonals.
     """
     rep = Report("untwisted action recovered at equal labels")
-    if tg is None:
-        tg = twisted_sm_geometry()
     base, pi = _SM_REP, tg.geometry.rep
     rng = np.random.default_rng(11)
     elements = base.algebra.generators() + [
@@ -379,22 +381,14 @@ def generalized_minimal_twist_check(
     return rep
 
 
-def sm_order_zero_residual(
-    tg: TwistedGeometry, gens: np.ndarray | None = None
-) -> float:
-    """Worst commutator of the algebra with its opposite over the rows ``gens``."""
-    if gens is None:
-        gens = lean_generators(tg.algebra)
-    pi_a, _, opp_b, _ = tg.stacks(gens)
+def sm_order_zero_residual(tg: TwistedGeometry) -> float:
+    """Worst commutator of the algebra with its opposite over the lean generators."""
+    pi_a, _, opp_b, _ = tg.stacks(lean_generators(tg.algebra))
     return pair_residual(pi_a, opp_b)
 
 
-def sm_first_order_residuals(
-    tg: TwistedGeometry,
-    convention: str,
-    gens: np.ndarray | None = None,
-) -> dict:
-    """Twisted order-one residuals over pairs of the rows ``gens``, both arrangements.
+def sm_first_order_residuals(tg: TwistedGeometry, convention: str) -> dict:
+    """Twisted order-one residuals over pairs of the lean generators.
 
     The "flip" convention twists the abstract elements, so it reads pi o
     rho; "display" swaps the labels of the represented matrices instead,
@@ -403,8 +397,7 @@ def sm_first_order_residuals(
     """
     if convention not in ("flip", "display"):
         raise ValueError(f"unknown convention {convention!r}")
-    if gens is None:
-        gens = lean_generators(tg.algebra)
+    gens = lean_generators(tg.algebra)
     g = tg.geometry
     if convention == "flip":
         pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks(gens)
@@ -457,9 +450,7 @@ def sm_first_order_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> 
     return rep
 
 
-def verify_sm_twisted(
-    tg: TwistedGeometry | None = None, tol: Tolerance = DEFAULT_TOL
-) -> Report:
+def verify_sm_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Full measurement run on the twisted point model.
 
     Gates on the untwisted finite triple at the couplings of ``tg``, checks
@@ -469,8 +460,6 @@ def verify_sm_twisted(
     discrepancy.
     """
     rep = Report("twisted standard model point geometry")
-    if tg is None:
-        tg = twisted_sm_geometry()
 
     # D = grading_4 kron D_F and grading_4 starts with +1, so D_F is the
     # leading block of D: the finite triple at the couplings of tg
@@ -524,7 +513,7 @@ def verify_sm_twisted(
     )
     rep.info["gamma_tilde_anticommutator"] = diag.anticommutator_with_dirac
 
-    rep.merge(label_swap_check(tol), prefix="labels: ")
+    rep.merge(label_swap_check(tg, tol), prefix="labels: ")
     witness = tg.algebra.basis_element(1, 1.0 + 0.0j)  # left scalar, first copy
     diff = tg.twisted_rep(witness) - display_twist_rep()(witness)
     r_anti_sector = fro(diff * _ANTI_MASK)

@@ -42,9 +42,6 @@ class SignTriple:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.eps, self.eps_prime, self.eps_dblprime)
 
-    def branch(self) -> str:
-        return "{0,4}" if self.eps_dblprime == 1 else "{2,6}"
-
 
 @dataclass(frozen=True)
 class FiniteGeometry:

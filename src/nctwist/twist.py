@@ -101,6 +101,9 @@ class Automorphism:
                 u = as_matrix(u)
                 if u.shape != (comp.dim, comp.dim):
                     raise ValueError(f"inner unitary {i} has wrong shape")
+                # a non-finite inner is left to the reports, where it fails
+                if np.isfinite(u).all() and np.linalg.matrix_rank(u) < comp.dim:
+                    raise ValueError(f"inner unitary {i} is not invertible")
 
     def apply(self, elem: tuple) -> tuple:
         vals = []
@@ -255,7 +258,10 @@ def check_regular(
     diff -= alg.mul_coords(cr[:, None], cr[None])
     rep.check("multiplicative on generator pairs", gap(diff), tol, scale**2)
 
-    if rho.is_involutive_perm() and rho.inner is None and rho.scale is None:
+    # an involutive permutation that moves values without changing them
+    plain = all(u is None for u in rho.inner or ())
+    plain = plain and all(c == 1 for c in rho.scale or ())
+    if rho.is_involutive_perm() and plain:
         rep.check("involutive", gap((cr @ r - cg)[None]), tol, scale)
 
     if rho.u_rho is not None:

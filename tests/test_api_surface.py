@@ -31,6 +31,15 @@ A twisted geometry's generator stacks are built once: outside ``twist.py``
 no twisted geometry is rebuilt from another's ``rho`` around a new D, which
 ``TwistedGeometry.with_dirac`` does without building pi o rho or the stacks
 again.
+
+No option without a caller: every parameter with a default, of a public
+function or method or of a public class's ``__init__``, is passed, by
+keyword or by position, by some call in the package, the demos, the
+benchmark or the acceptance checklist.  An
+option that no caller sets is a constant.  Calls are matched by the name
+they call (``cls(...)`` inside a class calls that class), so a parameter
+shares its callers with every same-named function.  ``tol`` is exempt:
+every verifier takes one.
 """
 
 import ast
@@ -524,3 +533,139 @@ def test_coordinate_table_calls_are_seen():
 def test_generator_rows_and_the_star_matrix_are_formed_in_one_place():
     # everything else reads Algebra.generator_rows and Algebra.star_matrix
     assert coordinate_table_sites() == []
+
+
+# -- no option without a caller --------------------------------------------
+
+EXEMPT_OPTIONS = {"tol"}
+
+
+def signature_options(func: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:
+    """``(position, name)`` of each defaulted parameter of ``func``.
+
+    Positions count from the first argument a caller writes, past ``self`` or
+    ``cls`` for a method that is not a staticmethod; keyword-only parameters
+    have no position.
+    """
+    args = func.args.posonlyargs + func.args.args
+    static = any(terminal_name(d) == "staticmethod" for d in func.decorator_list)
+    skip = 1 if method and not static else 0
+    first_default = len(args) - len(func.args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(args) if i >= first_default]
+    out += [
+        (None, a.arg)
+        for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults)
+        if d is not None
+    ]
+    return out
+
+
+def defined_options(tree: ast.Module) -> list[tuple[str, str, int | None, str]]:
+    """``(callee, qualified name, position, parameter)`` of every option of a module."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            out += [(stmt.name, stmt.name, i, a) for i, a in signature_options(stmt, False)]
+        if not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_"):
+            continue
+        for m in stmt.body:
+            if not isinstance(m, ast.FunctionDef):
+                continue
+            if m.name == "__init__":
+                callee = stmt.name
+            elif m.name.startswith("_"):
+                continue
+            else:
+                callee = m.name
+            out += [
+                (callee, f"{stmt.name}.{m.name}", i, a)
+                for i, a in signature_options(m, True)
+            ]
+    return [o for o in out if o[3] not in EXEMPT_OPTIONS]
+
+
+def passed_options(tree: ast.Module) -> dict[str, tuple[float, set[str]]]:
+    """Callee name -> (most positional arguments, keywords) over the calls in ``tree``.
+
+    A ``*args`` argument passes every position and a ``**kwargs`` every
+    keyword, written as ``inf`` and ``"**"``.
+    """
+    calls = [(terminal_name(c), c) for c in ast.walk(tree) if isinstance(c, ast.Call)]
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            calls += [
+                (cls.name, c)
+                for c in ast.walk(cls)
+                if isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "cls"
+            ]
+    out = defaultdict(lambda: (0, set()))
+    for name, call in calls:
+        most, keywords = out[name]
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        most = max(most, float("inf") if starred else len(call.args))
+        keywords = keywords | {"**" if k.arg is None else k.arg for k in call.keywords}
+        out[name] = (most, keywords)
+    return out
+
+
+def unset_options(defined, passed) -> list[str]:
+    """``module.qualname(parameter)`` of every defined option no call passes."""
+    missing = []
+    for module, callee, qualname, position, param in defined:
+        most, keywords = passed.get(callee, (0, set()))
+        by_position = position is not None and position < most
+        if not (by_position or param in keywords or "**" in keywords):
+            missing.append(f"{module}.{qualname}({param})")
+    return sorted(missing)
+
+
+def options_without_a_caller() -> list[str]:
+    passed = defaultdict(lambda: (0, set()))
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, (most, keywords) in passed_options(tree).items():
+            prior_most, prior_keywords = passed[name]
+            passed[name] = (max(most, prior_most), prior_keywords | keywords)
+    defined = [
+        (module.stem, *option)
+        for module in sorted(PACKAGE.glob("*.py"))
+        for option in defined_options(ast.parse(module.read_text(), filename=str(module)))
+    ]
+    return unset_options(defined, passed)
+
+
+def test_options_are_seen():
+    tree = ast.parse(
+        "class Rep:\n"
+        "    def __init__(self, a, stack=None):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def build(cls, a, placements=None):\n"
+        "        return cls(a, placements)\n"
+        "    def images(self, rows=None, *, tol=DEFAULT_TOL):\n"
+        "        pass\n"
+        "def draw(rng, tg, nterms=2, symmetric=True):\n"
+        "    return Rep(rng)\n"
+        "def _private(x=1):\n"
+        "    pass\n"
+    )
+    defined = [("m", *option) for option in defined_options(tree)]
+    assert defined == [
+        ("m", "Rep", "Rep.__init__", 1, "stack"),
+        ("m", "build", "Rep.build", 1, "placements"),
+        ("m", "images", "Rep.images", 0, "rows"),
+        ("m", "draw", "draw", 2, "nterms"),
+        ("m", "draw", "draw", 3, "symmetric"),
+    ]
+    # cls(a, placements) passes Rep's stack by position; *rows passes every
+    # position; draw's caller sets symmetric by keyword
+    calls = ast.parse("r.images(*rows)\ndraw(rng, tg, symmetric=False)\n")
+    passed = passed_options(tree)
+    for name, (most, keywords) in passed_options(calls).items():
+        passed[name] = (max(most, passed[name][0]), passed[name][1] | keywords)
+    assert unset_options(defined, passed) == ["m.Rep.build(placements)", "m.draw(nterms)"]
+
+
+def test_every_option_has_a_caller():
+    # an option that no caller sets is a constant
+    assert options_without_a_caller() == []

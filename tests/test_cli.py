@@ -1,20 +1,26 @@
 """Command line interface: exit codes, report formats, artifact files."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nctwist
 from nctwist import cli, mintwist
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.cli import main
 from nctwist.clifford import MAX_M, gamma
-from nctwist.matlin import DEFAULT_TOL, AntilinearOperator
+from nctwist.fluct import TwistedOneForm, symmetrized
+from nctwist.matlin import DEFAULT_TOL, AntilinearOperator, kron
 from nctwist.samples import left_regular_geometry, toy_triple
 from nctwist.serialize import (
     dump_json,
@@ -25,6 +31,7 @@ from nctwist.serialize import (
     twisted_marker_to_json,
 )
 from nctwist.triple import FiniteGeometry
+from nctwist.twist import Automorphism, TwistedGeometry
 
 # the directory holding the imported package, for CLI subprocesses
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(nctwist.__file__))
@@ -328,6 +335,177 @@ def test_a_zero_scale_is_an_input_error(tmp_path, block_file):
     assert proc.stderr == "error: scale of block 1 is zero, which is not invertible\n"
 
 
+def test_a_singular_inner_unitary_is_an_input_error(capsys, tmp_path):
+    # M_2 on C^2; a zero inner "unitary" would make rho^-1 a singular solve
+    alg = Algebra.of(("M", 2))
+    rep = Representation.from_placements(alg, 2, [Placement(0, 0, "fund", 1)])
+    geometry, rho = tmp_path / "m2.json", tmp_path / "rho.json"
+    dump_json(geometry_to_json(FiniteGeometry(rep=rep, dirac=np.zeros((2, 2)))), str(geometry))
+    dump_json({"permutation": [0], "inner": [matrix_to_json(np.zeros((2, 2)))]}, str(rho))
+    assert main(["verify", str(geometry), "--rho", str(rho)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: inner unitary 0 is not invertible\n"
+
+
+# -- malformed input, generated ---------------------------------------------
+#
+# Valid geometry, automorphism and one-form files for C + M_2 on M_3 (an
+# inner twist of the matrix block, implemented on the Hilbert space), each
+# then broken in one place.  Whatever breaks, ``fluctuate`` reads all three
+# files and must exit 2 with one ``error:`` line.
+
+# keys the readers let a file leave out, and those whose value may be null
+OPTIONAL_KEYS = {"gamma", "J", "mult", "convention", "inner", "scale", "u_rho"}
+NULLABLE_KEYS = {"inner", "scale", "u_rho"}
+JSON_SAMPLES = {"null": None, "boolean": True, "number": 3, "string": "x", "array": [], "object": {}}
+NONFINITE = "__NONFINITE__"
+
+
+def valid_inputs() -> dict:
+    alg = Algebra.of("C", ("M", 2))
+    m_small = np.array([[0, 1 + 0.5j, 0.25], [1 - 0.5j, 0, 0], [0.25, 0, 0]])
+    g = left_regular_geometry(alg, [1, -1], m_small)
+    u = np.array([[0.6, 0.8], [0.8, -0.6]])  # an involution, so rho is regular
+    rho = Automorphism(
+        (0, 1),
+        inner=(None, u),
+        scale=(1.0, 1.0),
+        u_rho=kron(np.diag([1.0, 0.0, 0.0]) + np.pad(u, ((1, 0), (1, 0))), np.eye(3)),
+    )
+    tg = TwistedGeometry(g, rho)
+    rng = np.random.default_rng(3)
+    form = symmetrized(TwistedOneForm.of((alg.random_element(rng), alg.random_element(rng))), tg)
+    return {
+        "geometry": geometry_to_json(g),
+        "rho": {
+            "permutation": [0, 1],
+            "inner": [None, matrix_to_json(u)],
+            "scale": [[1.0, 0.0], [1.0, 0.0]],
+            "u_rho": matrix_to_json(rho.u_rho),
+        },
+        "form": one_form_to_json(alg, list(form.terms)),
+    }
+
+
+VALID = valid_inputs()
+
+
+def json_nodes(value, path=()):
+    """``(path, value)`` of every node of a decoded JSON value, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_nodes(child, path + (key,))
+
+
+def json_kind(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def edited(obj, path, change):
+    """A copy of ``obj`` with ``change(parent, key)`` applied at ``path``."""
+    out = json.loads(json.dumps(obj))
+    if not path:
+        holder = [out]
+        change(holder, 0)
+        return holder[0]
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    change(parent, path[-1])
+    return out
+
+
+@st.composite
+def malformed(draw):
+    """(file name, its broken text, what was broken) for one of the three files."""
+    name = draw(st.sampled_from(sorted(VALID)))
+    obj = VALID[name]
+    nodes = list(json_nodes(obj))
+    how = draw(st.sampled_from(["drop", "retype", "reshape", "nonfinite"]))
+    if how == "drop":
+        path = draw(st.sampled_from([
+            p for p, _ in nodes
+            if p and isinstance(p[-1], str) and p[-1] not in OPTIONAL_KEYS
+        ]))
+        obj = edited(obj, path, lambda parent, key: parent.pop(key))
+    elif how == "retype":
+        path, value = draw(st.sampled_from(nodes))
+        nullable = path and (path[-1] in NULLABLE_KEYS or (len(path) > 1 and path[-2] == "inner"))
+        kinds = [k for k in JSON_SAMPLES if k != json_kind(value) and not (nullable and k == "null")]
+        new = JSON_SAMPLES[draw(st.sampled_from(kinds))]
+        obj = edited(obj, path, lambda parent, key: parent.__setitem__(key, new))
+    elif how == "reshape":
+        path, value = draw(st.sampled_from([
+            (p, v) for p, v in nodes if isinstance(v, dict) and "data" in v
+        ]))
+        shape = draw(
+            st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(
+                lambda rc: rc != (value["rows"], value["cols"])
+            )
+        )
+        data = (value["data"] * 16)[: shape[0] * shape[1]]
+        new = {"rows": shape[0], "cols": shape[1], "data": data}
+        obj = edited(obj, path, lambda parent, key: parent.__setitem__(key, new))
+    else:
+        path = draw(st.sampled_from([p for p, v in nodes if json_kind(v) == "number"]))
+        obj = edited(obj, path, lambda parent, key: parent.__setitem__(key, NONFINITE))
+    token = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"]))
+    return name, json.dumps(obj).replace(f'"{NONFINITE}"', token), f"{how} at {name}{list(path)}"
+
+
+def fluctuate_files(tmp_path, broken=None):
+    """Write the three valid files, one replaced by ``(name, text)``; return the argv."""
+    paths = {}
+    for name, obj in VALID.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    if broken is not None:
+        paths[broken[0]].write_text(broken[1])
+    return ["fluctuate", str(paths["geometry"]), "--rho", str(paths["rho"]),
+            "--form", str(paths["form"]), "--report", "json"]
+
+
+def test_the_valid_files_are_read(capsys, tmp_path):
+    # every record is measured; only the twisted order one fails, since D
+    # is untwisted first order
+    assert main(fluctuate_files(tmp_path)) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = {c["name"] for c in checks if not c["passed"]}
+    assert failed == {
+        "fluctuated: order one: primary form on generator pairs",
+        "fluctuated: order one: symmetric form on generator pairs",
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(broken=malformed())
+def test_a_malformed_file_is_an_input_error(tmp_path_factory, broken):
+    name, text, what = broken
+    argv = fluctuate_files(tmp_path_factory.mktemp("malformed"), (name, text))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, what
+    assert out.getvalue() == "", what
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (what, lines)
+    # a message that is only a key (a KeyError's) would not say what lacks it
+    assert not re.fullmatch(r"error: '[^']*'", lines[0]), (what, lines)
+
+
 class TestTolerances:
     def test_tol_flag_loosens_gate(self, capsys, bad_geometry_file):
         # the broken Dirac has residual ~1; an absurdly loose gate passes
@@ -413,6 +591,17 @@ class TestFluctuate:
         )
         assert code == 0
         assert payload["ok"] is True
+
+    def test_marker_with_rho_is_an_error(self, capsys, marker_file, tmp_path):
+        # as for verify: a marker carries its own twist, which --rho may not replace
+        rho, form = tmp_path / "rho.json", tmp_path / "form.json"
+        rho.write_text('{"permutation":[1,0]}')
+        form.write_text('{"terms":[]}')
+        argv = ["fluctuate", marker_file, "--form", str(form), "--rho", str(rho)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: twisted geometry files carry their own twist; drop --rho\n"
 
     def test_requires_rho_or_marker(self, capsys, toy_file, tmp_path):
         form = tmp_path / "form.json"

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from nctwist import sm
 from nctwist.algebra import QUATERNION_UNITS, quaternion
 from nctwist.cli import main
-from nctwist.matlin import AntilinearOperator, Tolerance, anticommutator, dagger, fro, kron
+from nctwist.matlin import (
+    AntilinearOperator,
+    Tolerance,
+    anticommutator,
+    dagger,
+    fro,
+    kron,
+    pair_residual,
+)
 from nctwist.mintwist import gamma_tilde_diagnostics
 from nctwist.report import Report
 from nctwist.sm import (
@@ -39,6 +47,7 @@ from nctwist.sm import (
     verify_sm_twisted,
 )
 from nctwist.triple import FiniteGeometry, measure_ko_signs, order_one_residual, order_zero_residual, verify_spectral_triple
+from nctwist.twist import first_order_residuals
 
 # frozen measurements for the default Yukawa/Majorana values
 FLIP_FIRST_ORDER = 3.668569203381614
@@ -156,8 +165,7 @@ class TestTwist:
         assert measure_ko_signs(tsm.geometry).as_tuple() == (-1, 1, -1)
 
     def test_order_zero(self, tsm):
-        gens = lean_generators(tsm.algebra)
-        assert sm_order_zero_residual(tsm, gens) <= 1e-12
+        assert sm_order_zero_residual(tsm) <= 1e-12
 
 
 def test_lean_generators_drop_imaginary_color_units():
@@ -177,25 +185,26 @@ def test_lean_generators_drop_imaginary_color_units():
 
 
 def test_lean_generators_measure_the_same_first_order():
-    # dropping i-multiples must not change the measured residuals
+    # dropping i-multiples must not change the measured residuals: the
+    # reference walks every generator row with the same kernels
     tsm = twisted_sm_geometry()
-    full = tsm.algebra.generator_rows
-    lean = lean_generators(tsm.algebra)
-    r_full = sm_order_zero_residual(tsm, full)
-    r_lean = sm_order_zero_residual(tsm, lean)
-    assert abs(r_full - r_lean) <= 1e-12
+    pi_a, pi_rho_a, opp_b, rho_opp_b = tsm.stacks()
+    assert len(pi_a) == 60
+    r_full = pair_residual(pi_a, opp_b)
+    assert abs(r_full - sm_order_zero_residual(tsm)) <= 1e-12
+    full = first_order_residuals(tsm.geometry.dirac, pi_a, pi_rho_a, opp_b, rho_opp_b)
+    lean = sm_first_order_residuals(tsm, "flip")
+    assert full == pytest.approx((lean["primary"], lean["symmetric"]), rel=1e-12)
 
 
 class TestFirstOrderConventions:
     def test_structural_flip_fails(self, tsm):
-        gens = lean_generators(tsm.algebra)
-        res = sm_first_order_residuals(tsm, "flip", gens)
+        res = sm_first_order_residuals(tsm, "flip")
         assert res["primary"] == pytest.approx(FLIP_FIRST_ORDER, rel=1e-12)
         assert res["symmetric"] == pytest.approx(FLIP_FIRST_ORDER, rel=1e-12)
 
     def test_display_convention_passes(self, tsm):
-        gens = lean_generators(tsm.algebra)
-        res = sm_first_order_residuals(tsm, "display", gens)
+        res = sm_first_order_residuals(tsm, "display")
         assert res["primary"] <= 1e-12
         assert res["symmetric"] <= 1e-12
 
@@ -203,8 +212,7 @@ class TestFirstOrderConventions:
         # halving the Majorana coupling moves the obstruction; the failure
         # is tied to couplings, not to a fixed numerical artefact
         small = twisted_sm_geometry(majorana=0.1 * DEFAULT_MAJORANA)
-        gens = lean_generators(small.algebra)
-        res = sm_first_order_residuals(small, "flip", gens)
+        res = sm_first_order_residuals(small, "flip")
         assert 0.0 < res["primary"] < FLIP_FIRST_ORDER
 
 
@@ -237,8 +245,8 @@ class TestSimpleTensors:
         assert swap(a + a)[0] == a[1]
         assert swap(a + a)[4] is a[4]
 
-    def test_swap_discrepancy_lives_on_antiparticle_scalars(self):
-        report = label_swap_check()
+    def test_swap_discrepancy_lives_on_antiparticle_scalars(self, tsm):
+        report = label_swap_check(tsm)
         assert report.ok, report.format_text()
         assert report.info["display_antiparticle_residual"] == pytest.approx(
             DISPLAY_ANTIPARTICLE_GAP, rel=1e-12
@@ -315,13 +323,21 @@ def test_each_convention_builds_one_pair_of_stacks(tsm, monkeypatch, convention)
     monkeypatch.setattr(FiniteGeometry, "conjugated", counted)
     fresh = replace(tsm)  # a new build holder: pi is not conjugated yet
     for _ in range(2):
-        sm_first_order_residuals(fresh, convention, lean_generators(tsm.algebra)[::10])
+        sm_first_order_residuals(fresh, convention)
     # pi is conjugated once per build; the display's own stack once per call
     pi, *shown = seen
     assert pi is fresh.geometry.rep
     assert len(shown) == (2 if convention == "display" else 0)
     for rep in shown:
         assert np.array_equal(rep.stack, display_twist_rep().stack)
+
+
+def test_verify_sm_twisted_reads_the_geometry_it_is_given(tsm, monkeypatch):
+    # no check of the run builds a default twisted model of its own
+    built = []
+    monkeypatch.setattr(sm, "twisted_sm_geometry", lambda *a: built.append(a))
+    assert verify_sm_twisted(tsm).ok
+    assert built == []
 
 
 def test_verify_sm_twisted_conjugates_two_stacks(monkeypatch):
@@ -347,8 +363,7 @@ def test_custom_yukawas_still_verify():
     fin = sm_finite_geometry(yukawas=yuk)
     assert verify_spectral_triple(fin).ok
     tsm = twisted_sm_geometry(yukawas=yuk)
-    gens = lean_generators(tsm.algebra)
-    res = sm_first_order_residuals(tsm, "display", gens)
+    res = sm_first_order_residuals(tsm, "display")
     assert res["primary"] <= 1e-12
 
 

@@ -8,7 +8,6 @@ from nctwist.matlin import AntilinearOperator, fro
 from nctwist.samples import left_regular_geometry, random_hermitian, toy_triple
 from nctwist.triple import (
     FiniteGeometry,
-    SignTriple,
     measure_ko_signs,
     order_one_residual,
     order_zero_residual,
@@ -27,12 +26,6 @@ def two_block_geometry(seed=0, frame=False):
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         w, _ = np.linalg.qr(x)
     return left_regular_geometry(alg, [1, -1], m_small, frame=w)
-
-
-def test_sign_triple_branch():
-    assert SignTriple(1, 1, 1).branch() == "{0,4}"
-    assert SignTriple(1, 1, -1).branch() == "{2,6}"
-    assert SignTriple(-1, 1, -1).as_tuple() == (-1, 1, -1)
 
 
 def test_geometry_dimension_validation():

@@ -109,6 +109,20 @@ def test_check_regular_on_flip_toy():
     assert any("involutive" in n for n in names)
 
 
+def test_the_involutive_record_reads_the_map_not_its_spelling():
+    # the label swap written bare, with explicit trivial inner unitaries,
+    # and with explicit unit scales is one map, checked alike
+    g = flip_toy().geometry
+    spellings = [
+        Automorphism((1, 0)),
+        Automorphism((1, 0), inner=(None, None)),
+        Automorphism((1, 0), scale=(1, 1)),
+    ]
+    reports = [check_regular(rho, g) for rho in spellings]
+    assert len({r.to_json() for r in reports}) == 1
+    assert [r.name for r in reports[0].records][-1] == "involutive"
+
+
 def test_check_regular_rejects_scaling_twist():
     # nontrivial scaling fails regularity (and multiplicativity); the class
     # admits it on purpose so the failure is reported, not hidden
@@ -463,6 +477,24 @@ def test_check_regular_rejects_u_rho_of_the_wrong_shape():
         check_regular(rho, flip_toy().geometry)
 
 
+def test_a_singular_inner_is_rejected_and_a_nan_inner_is_measured():
+    # M_2 on C^2: a rank-one inner has no inverse; a NaN one fails its records
+    alg = Algebra.of(("M", 2))
+    g = FiniteGeometry(
+        rep=Representation.from_placements(alg, 2, [Placement(0, 0, "fund", 1)]),
+        dirac=np.zeros((2, 2)),
+    )
+    with pytest.raises(ValueError, match="inner unitary 0 is not invertible"):
+        TwistedGeometry(g, Automorphism((0,), inner=(np.ones((2, 2)),)))
+    nan = TwistedGeometry(g, Automorphism((0,), inner=(np.diag([np.nan, 1.0]),)))
+    failed = [r for r in verify_twisted(nan).records if not r.passed]
+    assert [r.name for r in failed] == [
+        "rho: regular: rho(a*) = (rho^-1(a))*",
+        "rho: multiplicative on generator pairs",
+    ]
+    assert all(np.isnan(r.residual) for r in failed)
+
+
 def test_overlapping_units_fail_multiplicativity_on_a_cross_block_pair():
     # pi(z, w) = z E11 + w I: each block alone is a homomorphism, but
     # pi(1, 0) pi(0, 1) = E11 while (1, 0)(0, 1) = 0
@@ -635,10 +667,9 @@ def test_sm_stacks_equal_their_definitions_in_both_conventions(convention):
     want = per_element_stacks(g, tg.rho, gens, shown)
     if convention == "flip":
         assert_stacks_agree(tg.stacks(rows), want)
-    # the order-one residuals of the convention, on a spread of generators
-    few = slice(None, None, 5)
-    got = sm_first_order_residuals(tg, convention, rows[few])
-    primary, symmetric = first_order_residuals(g.dirac, *(np.stack(w[few]) for w in want))
+    # the order-one residuals of the convention, over the lean generators
+    got = sm_first_order_residuals(tg, convention)
+    primary, symmetric = first_order_residuals(g.dirac, *(np.stack(w) for w in want))
     assert abs(got["primary"] - primary) <= 1e-13 * max(1.0, primary)
     assert abs(got["symmetric"] - symmetric) <= 1e-13 * max(1.0, symmetric)
 
