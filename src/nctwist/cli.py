@@ -415,6 +415,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # a directory or an unwritable path given to --out, or read as input
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -335,12 +335,33 @@ def residual_against_span(
     Real coefficients keep quaternionic blocks honest: the spanning sets
     used by callers are real bases of the algebras involved.  Stacking real
     and imaginary parts turns the least-squares problem into a real one.
+
+    The problem is solved on its structural support: the real and imaginary
+    positions that are nonzero in some spanning matrix or in the target, and
+    the spanning matrices that are nonzero there.  Both drops are exact: a
+    dropped position is zero in every column and in the right-hand side, so
+    it adds nothing to the residual, and a dropped matrix adds nothing to
+    the span.  The target's own positions stay, so a target off the support
+    keeps its distance.  A NaN or inf in an operand gives NaN, decided
+    before LAPACK sees it.
     """
-    t = as_matrix(target).reshape(-1)
+    t = as_matrix(target)
+    if not np.isfinite(t).all():
+        return float("nan")
     if len(span) == 0:
-        return fro(target)
-    cols = np.stack([as_matrix(s).reshape(-1) for s in span], axis=1)
-    a = np.vstack([cols.real, cols.imag])
-    b = np.concatenate([t.real, t.imag])
+        return fro(t)
+    cols = np.asarray(span, dtype=np.complex128)
+    if cols.shape[1:] != t.shape:
+        raise ValueError(f"span of shape {cols.shape} does not fit target {t.shape}")
+    if not np.isfinite(cols).all():
+        return float("nan")
+    flat, t = cols.reshape(len(cols), -1), t.reshape(-1)
+    parts = [(flat.real, t.real), (flat.imag, t.imag)]
+    rows = [(m != 0).any(axis=0) | (v != 0) for m, v in parts]
+    a = np.concatenate([m[:, r] for (m, _), r in zip(parts, rows)], axis=1)
+    b = np.concatenate([v[r] for (_, v), r in zip(parts, rows)])
+    a = a[(a != 0).any(axis=1)].T
+    if a.size == 0:
+        return float(np.linalg.norm(b))
     coeff = np.linalg.lstsq(a, b, rcond=None)[0]
     return float(np.linalg.norm(b - a @ coeff))

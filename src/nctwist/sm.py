@@ -382,8 +382,13 @@ def generalized_minimal_twist_check(
 
 
 def sm_order_zero_residual(tg: TwistedGeometry) -> float:
-    """Worst commutator of the algebra with its opposite over the lean generators."""
-    pi_a, _, opp_b, _ = tg.stacks(lean_generators(tg.algebra))
+    """Worst commutator of the algebra with its opposite over the lean generators.
+
+    It reads pi and the opposite action alone, not the twisted stacks.
+    """
+    gens = lean_generators(tg.algebra)
+    pi_a = tg.geometry.rep.images(gens)
+    opp_b = tg.conjugated_rep.images(gens @ tg.algebra.star_matrix)
     return pair_residual(pi_a, opp_b)
 
 

@@ -111,6 +111,20 @@ class TestGamma:
         assert len(data["gammas"]) == 4
         assert data["grading"]["rows"] == 4
 
+    @pytest.mark.parametrize("argv", [["gamma", "--m", "2"], ["uniqueness", "--m", "2"]])
+    @pytest.mark.parametrize("kind", ["directory", "under a file"])
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path, argv, kind):
+        # gamma writes its artifact there, uniqueness its report
+        if kind == "directory":
+            target = tmp_path
+        else:
+            (tmp_path / "plain").write_text("")
+            target = tmp_path / "plain" / "out.json"
+        assert main(argv + ["--report", "json", "--out", str(target)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and str(target) in err[0]
+
     def test_bad_m_is_input_error(self, capsys):
         assert main(["gamma", "--m", "9"]) == 2
         assert "error" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nctwist import matlin
+from nctwist.fluct import compose_fluctuations
 from nctwist.matlin import (
     DEFAULT_TOL,
     AntilinearOperator,
@@ -21,6 +22,9 @@ from nctwist.matlin import (
     pair_residual,
     residual_against_span,
 )
+from nctwist.mintwist import twist_by_grading
+from nctwist.report import Report
+from nctwist.samples import random_matrix_geometry, random_one_form
 
 from kronecker import intertwiner_space, intertwiners
 
@@ -371,3 +375,109 @@ def test_residual_against_span_real_coefficients_only():
     assert r == pytest.approx(1.0, rel=1e-10)
     off = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     assert residual_against_span(off, [e1, e2]) == pytest.approx(1.0, rel=1e-10)
+
+
+def uncompressed_residual(target, span) -> float:
+    """The span test on the full real form: every position, every matrix."""
+    t = as_matrix(target).reshape(-1)
+    cols = np.stack([as_matrix(s).reshape(-1) for s in span], axis=1)
+    a = np.vstack([cols.real, cols.imag])
+    b = np.concatenate([t.real, t.imag])
+    coeff = np.linalg.lstsq(a, b, rcond=None)[0]
+    return float(np.linalg.norm(b - a @ coeff))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 3),
+    pad=st.integers(0, 3),
+    rank=st.integers(1, 3),
+    extra=st.integers(0, 4),
+    off=st.sampled_from(["none", "off-support", "anywhere"]),
+)
+def test_span_residual_equals_the_uncompressed_solve(seed, m, pad, rank, extra, off):
+    # a low-rank real span of m x m blocks, zero-padded into n x n matrices
+    rng = np.random.default_rng(seed)
+    n = m + pad
+    base = rng.standard_normal((rank, m, m)) + 1j * rng.standard_normal((rank, m, m))
+    small = np.einsum("kr,rij->kij", rng.standard_normal((rank + extra, rank)), base)
+    i0, j0 = rng.integers(0, pad + 1, size=2)
+    span = np.zeros((rank + extra, n, n), dtype=np.complex128)
+    span[:, i0 : i0 + m, j0 : j0 + m] = small
+    target = np.einsum("k,kij->ij", rng.standard_normal(len(span)), span)
+    if off == "off-support":
+        target = target + rand_mat(rng, n) * ~span.any(axis=0)
+    elif off == "anywhere":
+        target = target + rand_mat(rng, n)
+    expected = uncompressed_residual(target, span)
+    got = residual_against_span(target, span)
+    assert abs(got - expected) <= 1e-12 * max(1.0, fro(target))
+    if off == "none":
+        assert got <= 1e-12 * max(1.0, fro(target))
+
+
+def test_span_residual_keeps_a_target_entry_where_the_span_is_zero():
+    rng = np.random.default_rng(RNG_SEED)
+    span = np.zeros((5, 4, 4), dtype=np.complex128)
+    span[:, :2, :2] = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    target = np.zeros((4, 4), dtype=np.complex128)
+    target[3, 1] = 3.0 - 4.0j
+    # the entry's rows are zero in every column: the solve fits nothing there
+    assert residual_against_span(target, span) == 5.0
+    assert residual_against_span(target, list(span)) == 5.0
+
+
+def test_span_residual_of_an_all_zero_span_is_the_target_norm():
+    target = np.array([[1.0, 2.0j], [0.0, -2.0]], dtype=np.complex128)
+    assert residual_against_span(target, np.zeros((3, 2, 2))) == fro(target) == 3.0
+    assert residual_against_span(target, []) == 3.0
+    assert residual_against_span(np.zeros((2, 2)), np.zeros((3, 2, 2))) == 0.0
+
+
+def test_span_residual_rejects_a_span_of_another_shape():
+    with pytest.raises(ValueError):
+        residual_against_span(np.eye(2), np.zeros((3, 3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("where", ["target", "span"])
+def test_span_residual_of_a_nonfinite_operand_is_nan(capfd, bad, where):
+    e1 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    target, span = 2 * e1, np.stack([e1, np.eye(2, dtype=np.complex128)])
+    if where == "target":
+        target[1, 0] = bad
+    else:
+        span[1, 0, 1] = bad
+    r = residual_against_span(target, span)
+    assert np.isnan(r)
+    # decided before LAPACK, which would print to stderr or fail to converge
+    assert capfd.readouterr().err == ""
+    rep = Report("span")
+    rec = rep.check("lies in the span", r, Tolerance(rel=1e-8, abs=1e-8), 1.0)
+    assert not rec.passed and not rep.ok
+
+
+@pytest.mark.parametrize("seed", [7, 29])
+def test_compose_solves_the_span_test_on_the_grid_support(monkeypatch, seed):
+    # a twisted M3 (+) C geometry on M_4 (catalogue entry 4): the one-form
+    # grid is 2 n^2 = 512 real positions by G^2 = 1600 matrices (G = 40
+    # generators of the doubled algebra)
+    rng = np.random.default_rng(seed)
+    g = random_matrix_geometry(rng, 4)
+    while g.algebra.signature() != (("M", 3), ("C", None)):
+        g = random_matrix_geometry(rng, 4)
+    tg = twist_by_grading(g)
+    forms = [random_one_form(rng, tg) for _ in range(2)]
+    shapes, lstsq = [], np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        shapes.append(a.shape)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    report = compose_fluctuations(tg, *forms)
+    assert report.ok, report.format_text()
+    ((rows, cols),) = shapes
+    assert rows == 48 < 2 * g.hilbert_dim**2
+    assert cols < len(tg.algebra.generator_rows) ** 2

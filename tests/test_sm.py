@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctwist import sm
-from nctwist.algebra import QUATERNION_UNITS, quaternion
+from nctwist.algebra import QUATERNION_UNITS, Representation, quaternion
 from nctwist.cli import main
 from nctwist.matlin import (
     AntilinearOperator,
@@ -330,6 +330,23 @@ def test_each_convention_builds_one_pair_of_stacks(tsm, monkeypatch, convention)
     assert len(shown) == (2 if convention == "display" else 0)
     for rep in shown:
         assert np.array_equal(rep.stack, display_twist_rep().stack)
+
+
+def test_order_zero_reads_pi_and_the_opposite_action_alone(tsm, monkeypatch):
+    fresh = replace(tsm)  # a new build holder: nothing is cached yet
+    read = []
+    images = Representation.images
+
+    def counted(rep, rows):
+        read.append(rep)
+        return images(rep, rows)
+
+    monkeypatch.setattr(Representation, "images", counted)
+    assert sm_order_zero_residual(fresh) <= 1e-12
+    # no pi o rho and no twisted opposite images
+    assert all(rep is not fresh.twisted_rep for rep in read)
+    assert [rep is fresh.geometry.rep for rep in read] == [True, False]
+    assert read[1] is fresh.conjugated_rep
 
 
 def test_verify_sm_twisted_reads_the_geometry_it_is_given(tsm, monkeypatch):
