@@ -447,19 +447,18 @@ class Representation:
     def __call__(self, elem: tuple) -> np.ndarray:
         if len(elem) != self.algebra.ncomponents:
             raise ValueError("element does not match algebra")
-        c = self.algebra.coords(elem)
-        if c.size != len(self.stack):
-            raise ValueError("element does not match algebra")
-        return self.images(c[None])[0]
+        return self.images(self.algebra.coords(elem)[None])[0]
 
     def images(self, c: np.ndarray) -> np.ndarray:
         """Images of a ``(P, B)`` batch of coordinate rows, shape ``(P, dim, dim)``.
 
         Only the basis images whose column some row uses are combined: a
         generator reads one image.  The coefficients are real, so the images
-        combine as float rows.
+        combine as float rows.  Rows of a width other than B raise ValueError.
         """
         s = self.stack
+        if c.shape[-1] != len(s):
+            raise ValueError(f"rows of width {c.shape[-1]} for {len(s)} basis images")
         used = np.flatnonzero((c != 0).any(axis=0))
         rows = s.view(np.float64).reshape(len(s), -1)
         out = (c[:, used] @ rows[used]).view(np.complex128)

@@ -13,16 +13,14 @@ override; a plain geometry takes it from ``--rho``.
 
 Reports print as text by default; ``--report json`` emits the full
 precision record instead.  JSON output is deterministic for fixed inputs
-(the wall time appears only in the text form).  The default relative
-tolerance can be overridden by the NCT_TOL environment variable, and per
-run by ``--tol``.
+(the wall time appears only in the text form).  ``--tol`` sets the
+relative tolerance of a run; without it the default applies.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -39,6 +37,7 @@ from .matlin import (
     fro,
     generator_scale,
     pair_residual,
+    sign_fits,
     tightest,
     worst,
 )
@@ -72,13 +71,6 @@ from .sm import (
 )
 from .triple import verify_spectral_triple
 from .twist import TwistedGeometry, verify_twisted
-
-
-def _tolerance(args) -> Tolerance:
-    rel = args.tol
-    if rel is None:
-        rel = float(os.environ.get("NCT_TOL", DEFAULT_TOL.rel))
-    return Tolerance(rel=rel, abs=DEFAULT_TOL.abs)
 
 
 def _emit(report: Report, args, started: float) -> int:
@@ -129,7 +121,7 @@ def _gamma_report(m: int, tol: Tolerance) -> Report:
         1.0,
     )
     cc = charge_conjugation(m, tol)
-    r_sign, b_sign = tightest(cc.sign_residuals(tol))
+    r_sign, b_sign = tightest(sign_fits((cc.eps, cc.eps_dblprime), cc.evidence))
     rep.add(
         "charge conjugation signs",
         r_sign <= b_sign,
@@ -313,7 +305,9 @@ def cmd_sm(args, tol: Tolerance) -> Report:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="relative tolerance")
+    common.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL.rel, help="relative tolerance"
+    )
     common.add_argument(
         "--report", choices=("text", "json"), default="text", help="output format"
     )
@@ -411,7 +405,8 @@ def main(argv=None) -> int:
     args.command_echo = ["nctwist"] + argv
     try:
         started = time.perf_counter()
-        return _emit(args.func(args, _tolerance(args)), args, started)
+        tol = Tolerance(rel=args.tol, abs=DEFAULT_TOL.abs)
+        return _emit(args.func(args, tol), args, started)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2

@@ -80,21 +80,7 @@ class ChargeConjugation:
     eps: int
     eps_dblprime: int
     character_sum: float
-
-    def sign_residuals(self, tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, float]]:
-        """``(residual, bound)`` of ``||J^2 - eps I||`` and ``||U conj(G) - eps'' G U||``.
-
-        G is the grading.  Each residual is that of the recorded sign,
-        against the bound ``match_sign`` decided that sign on.
-        """
-        u, grading = self.j.unitary, gamma(self.m).grading
-        signs = [
-            (self.j.square(), np.eye(len(u)), self.eps),
-            (u @ np.conj(grading), grading @ u, self.eps_dblprime),
-        ]
-        return [
-            (fro(x - s * y), tol.bound(max(fro(x), fro(y), 1.0))) for x, y, s in signs
-        ]
+    evidence: tuple  # the match_sign evidence of eps and eps''
 
     def branch(self) -> str:
         """KO branch label determined by the grading sign."""
@@ -166,8 +152,8 @@ def charge_conjugation(m: int, tol: Tolerance = DEFAULT_TOL) -> ChargeConjugatio
     if not tol.accepts(abs(chars - 1.0)):
         raise ValueError(f"J is not unique up to phase: character sum {chars:.12f}")
     j = AntilinearOperator(u)
-    eps = j.sign_of_square(tol)
-    eps_dbl = match_sign(
+    eps, ev_eps = match_sign(j.square(), np.eye(j.dim), tol, what="J^2")
+    eps_dbl, ev_dbl = match_sign(
         u @ np.conj(data.grading), data.grading @ u, tol, what="J vs grading"
     )
-    return ChargeConjugation(m, j, eps, eps_dbl, chars)
+    return ChargeConjugation(m, j, eps, eps_dbl, chars, (ev_eps, ev_dbl))

@@ -173,27 +173,28 @@ def verify_fluctuated(
 
     u = g.real_structure.unitary
     r_jd = fro(u @ np.conj(d_new) - signs_before.eps_prime * d_new @ u)
-    rep.check("J D_A = eps' D_A J with base eps'", r_jd, tol, scale)
+    jd = rep.check("J D_A = eps' D_A J with base eps'", r_jd, tol, scale)
 
     if g.grading is not None:
         r_gr = fro(g.grading @ added + added @ g.grading)
         rep.check("added term anticommutes with grading", r_gr, tol, scale)
 
-    # the fluctuated signs are those verify_twisted measures
+    # J and the grading are the base's, so eps' is the one sign that can
+    # move: the record prints J D_A = eps' D_A J and reads the fluctuated
+    # signs that verify_twisted measures
     twisted = verify_twisted(fluct, tol)
     if "signs" in twisted.info:
         signs_after = tuple(twisted.info["signs"])
-        preserved = signs_after == signs_before.as_tuple()
         rep.add(
             "sign triple preserved",
-            preserved,
-            0.0 if preserved else 1.0,
-            0.0,
+            signs_after == signs_before.as_tuple(),
+            jd.residual,
+            jd.tol,
             note=f"{signs_before.as_tuple()} -> {signs_after}",
         )
     else:
         failed = next(r for r in twisted.records if r.name == "sign triple determinate")
-        rep.add("sign triple preserved", False, float("nan"), 0.0, note=failed.note)
+        rep.add("sign triple preserved", False, failed.residual, failed.tol, failed.note)
 
     rep.merge(twisted, prefix="fluctuated: ")
     return rep

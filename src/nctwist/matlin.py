@@ -266,36 +266,34 @@ class AntilinearOperator:
         """The linear operator J^2 = U conj(U)."""
         return self.unitary @ np.conj(self.unitary)
 
-    def sign_of_square(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        """Return +1 or -1 such that J^2 = sign * id, else raise."""
-        return match_sign(self.square(), np.eye(self.dim), tol, what="J^2")
-
 
 def match_sign(
     x: np.ndarray,
     y: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
     what: str = "operator pair",
-) -> int:
-    """Decide the sign s in x = s*y with s in {+1, -1}.
+) -> tuple[int, tuple[float, float, float]]:
+    """Decide the sign s in x = s*y with s in {+1, -1}; return ``(s, evidence)``.
 
-    Raises ValueError when neither or both signs fit within tolerance (the
-    degenerate case x = y = 0 is reported as ambiguous rather than guessed).
+    The evidence is ``(||x - y||, ||x + y||, bound)``: the residuals of both
+    candidates and the bound at the scale ``max(||x||, ||y||, 1)``.  Raises
+    ValueError when neither sign fits (a NaN fits neither) or both do (x = y
+    = 0 is reported as ambiguous rather than guessed).
     """
-    scale = max(fro(x), fro(y), 1.0)
-    r_plus = fro(x - y)
-    r_minus = fro(x + y)
-    ok_plus = tol.accepts(r_plus, scale)
-    ok_minus = tol.accepts(r_minus, scale)
-    if ok_plus and not ok_minus:
-        return 1
-    if ok_minus and not ok_plus:
-        return -1
-    if ok_plus and ok_minus:
+    bound = tol.bound(max(fro(x), fro(y), 1.0))
+    r_plus, r_minus = fro(x - y), fro(x + y)
+    if r_plus <= bound and r_minus <= bound:
         raise ValueError(f"ambiguous sign for {what}: both signs fit")
-    raise ValueError(
-        f"no sign fits {what}: residuals +:{r_plus:.3e} -:{r_minus:.3e}"
-    )
+    if not (r_plus <= bound or r_minus <= bound):
+        raise ValueError(
+            f"no sign fits {what}: residuals +:{r_plus:.3e} -:{r_minus:.3e}"
+        )
+    return (1 if r_plus <= bound else -1), (r_plus, r_minus, bound)
+
+
+def sign_fits(signs, evidence) -> list[tuple[float, float]]:
+    """``(residual, bound)`` of each of ``signs`` in its ``match_sign`` evidence."""
+    return [(e[0] if s == 1 else e[1], e[2]) for s, e in zip(signs, evidence)]
 
 
 def nullspace(

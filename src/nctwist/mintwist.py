@@ -33,6 +33,7 @@ from .matlin import (
     fro,
     generator_scale,
     pair_residual,
+    sign_fits,
     tightest,
     worst,
 )
@@ -348,7 +349,7 @@ def free_dirac_pointwise(
         raise ValueError(f"expected samples of shape ({2 * m}, 2)")
     rep = Report(f"free Dirac twisted fluctuation at a point, m={m}")
     cc: ChargeConjugation = charge_conjugation(m, tol)
-    r_sign, b_sign = tightest(cc.sign_residuals(tol))
+    r_sign, b_sign = tightest(sign_fits((cc.eps, cc.eps_dblprime), cc.evidence))
     rep.add(
         "conjugation branch",
         r_sign <= b_sign,
@@ -359,38 +360,38 @@ def free_dirac_pointwise(
     ys = [
         _coefficient_blocks(m, samples[mu, 0], samples[mu, 1]) for mu in range(2 * m)
     ]
+    # each list holds the {0,4} branch's entry, then the {2,6} branch's; this
+    # branch's is checked and the other's recorded for contrast
+    this, other = (0, 1) if cc.eps_dblprime == 1 else (1, 0)
     # the lemma at a = (z, w) = samples[0], whose image pi(a) is ys[0]
     z_bar, w_bar = np.conj(samples[0])
     jpj = cc.j.conjugate(ys[0])
-    r_plain = fro(jpj - _coefficient_blocks(m, z_bar, w_bar))
-    r_flip = fro(jpj - _coefficient_blocks(m, w_bar, z_bar))
+    forms = [
+        ("pi(a*)", "plain", (z_bar, w_bar)),
+        ("pi(flip(a*))", "flipped", (w_bar, z_bar)),
+    ]
+    r_forms = [fro(jpj - _coefficient_blocks(m, *blocks)) for _, _, blocks in forms]
     pi_scale = max(1.0, fro(ys[0]))
-    if cc.eps_dblprime == 1:
-        rep.check("J pi(a) J^-1 = pi(a*)", r_plain, tol, pi_scale)
-        rep.record("flipped form differs", r_flip, "recorded")
-    else:
-        rep.check("J pi(a) J^-1 = pi(flip(a*))", r_flip, tol, pi_scale)
-        rep.record("plain form differs", r_plain, "recorded")
+    rep.check(f"J pi(a) J^-1 = {forms[this][0]}", r_forms[this], tol, pi_scale)
+    rep.record(f"{forms[other][1]} form differs", r_forms[other], "recorded")
 
     a_mat = sum(-1j * g @ y for g, y in zip(data.gammas, ys))
-    a_dag = dagger(a_mat)
     # rho undoes the flip that taking the adjoint applies to the blocks
     rho_a_dag = sum(1j * g @ np.conj(y) for g, y in zip(data.gammas, ys))
     jaj = cc.j.conjugate(a_mat)
     scale = max(1.0, fro(a_mat))
-
-    if cc.eps_dblprime == 1:
-        r_branch = fro(jaj + rho_a_dag)
-        r_other = fro(jaj + a_dag)
-        note = "J A J^-1 = -rho(A*)"
-    else:
-        r_branch = fro(jaj + a_dag)
-        r_other = fro(jaj + rho_a_dag)
-        note = "J A J^-1 = -A*"
+    notes = ["J A J^-1 = -rho(A*)", "J A J^-1 = -A*"]
+    r_branches = [fro(jaj + rho_a_dag), fro(jaj + dagger(a_mat))]
     rep.check(
-        "conjugated one-form formula for this branch", r_branch, tol, scale, note=note
+        "conjugated one-form formula for this branch",
+        r_branches[this],
+        tol,
+        scale,
+        note=notes[this],
     )
-    rep.record("other branch formula differs", r_other, "recorded for contrast")
+    rep.record(
+        "other branch formula differs", r_branches[other], "recorded for contrast"
+    )
 
     term = a_mat + jaj
     defect = fro(term - dagger(term)) / 2.0

@@ -14,7 +14,7 @@ whole algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -33,11 +33,16 @@ from .report import Report
 
 @dataclass(frozen=True)
 class SignTriple:
-    """Measured signs: J^2 = eps, J D = eps' D J, J Gamma = eps'' Gamma J."""
+    """Measured signs: J^2 = eps, J D = eps' D J, J Gamma = eps'' Gamma J.
+
+    ``evidence`` holds the ``match_sign`` evidence of eps, eps' and, with a
+    grading, eps'', in that order; it takes no part in comparisons.
+    """
 
     eps: int
     eps_prime: int
     eps_dblprime: int
+    evidence: tuple = field(compare=False)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.eps, self.eps_prime, self.eps_dblprime)
@@ -94,18 +99,22 @@ def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTri
     degenerate inputs (e.g. D = 0) raise instead of guessing.  Without a
     grading, eps'' is reported as +1 by convention and noted by callers.
     """
-    if g.real_structure is None:
+    j = g.real_structure
+    if j is None:
         raise ValueError("geometry has no real structure")
-    u = g.real_structure.unitary
-    eps = g.real_structure.sign_of_square(tol)
-    eps_prime = match_sign(u @ np.conj(g.dirac), g.dirac @ u, tol, what="J vs D")
-    if g.grading is None:
-        eps_dbl = 1
-    else:
-        eps_dbl = match_sign(
+    u = j.unitary
+    eps, ev_eps = match_sign(j.square(), np.eye(j.dim), tol, what="J^2")
+    eps_prime, ev_prime = match_sign(
+        u @ np.conj(g.dirac), g.dirac @ u, tol, what="J vs D"
+    )
+    evidence = (ev_eps, ev_prime)
+    eps_dbl = 1
+    if g.grading is not None:
+        eps_dbl, ev_dbl = match_sign(
             u @ np.conj(g.grading), g.grading @ u, tol, what="J vs grading"
         )
-    return SignTriple(eps, eps_prime, eps_dbl)
+        evidence += (ev_dbl,)
+    return SignTriple(eps, eps_prime, eps_dbl, evidence)
 
 
 def _opposite_stacks(g: FiniteGeometry) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,8 @@ from .matlin import (
     generator_scale,
     pair_max,
     pair_residual,
+    sign_fits,
+    tightest,
     worst,
 )
 from .report import Report
@@ -329,7 +331,9 @@ def zero_order_conflict_check(
     Demanding both conditions for all pairs forces pi(rho(b)) = pi(b) for
     every b; the obstruction norm ||pi(b - rho(b))|| per generator measures
     how far the twist is from the identity.  The report records the two
-    order-zero residuals and the largest obstruction.
+    order-zero residuals, and checks the largest obstruction against ``tol``
+    when both conditions hold; otherwise the premise fails and the
+    obstruction is only recorded.
     """
     rep = Report("order-zero conflict")
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks()
@@ -340,15 +344,12 @@ def zero_order_conflict_check(
     obstruction = pair_residual([np.eye(tg.geometry.hilbert_dim)], pi_a, pi_rho_a)
     rep.record("untwisted order zero residual", worst_plain, "recorded")
     rep.record("twisted order zero residual", worst_twisted, "recorded")
-    both_hold = tol.accepts(worst_plain, scale) and tol.accepts(worst_twisted, scale)
-    trivial = tol.accepts(obstruction, scale)
-    rep.add(
-        "coexistence forces trivial twist",
-        (not both_hold) or trivial,
-        obstruction,
-        tol.bound(scale),
-        note=f"obstruction ||pi(b - rho(b))|| = {obstruction:.3e}",
-    )
+    name = "coexistence forces trivial twist"
+    note = f"obstruction ||pi(b - rho(b))|| = {obstruction:.3e}"
+    if tol.accepts(worst_plain, scale) and tol.accepts(worst_twisted, scale):
+        rep.check(name, obstruction, tol, scale, note)
+    else:
+        rep.record(name, obstruction, note + "; premise fails")
     rep.info["obstruction"] = obstruction
     rep.info["untwisted_residual"] = worst_plain
     rep.info["twisted_residual"] = worst_twisted
@@ -447,11 +448,12 @@ def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
         rep.check("real structure antiunitary", fro(u @ dagger(u) - eye), tol, 1.0)
         try:
             signs = measure_ko_signs(g, tol)
+            r_sign, b_sign = tightest(sign_fits(signs.as_tuple(), signs.evidence))
             rep.add(
                 "sign triple determinate",
-                True,
-                0.0,
-                0.0,
+                r_sign <= b_sign,
+                r_sign,
+                b_sign,
                 note=f"(eps, eps', eps'') = {signs.as_tuple()}",
             )
             rep.info["signs"] = list(signs.as_tuple())

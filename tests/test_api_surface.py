@@ -32,6 +32,10 @@ no twisted geometry is rebuilt from another's ``rho`` around a new D, which
 ``TwistedGeometry.with_dirac`` does without building pi o rho or the stacks
 again.
 
+The package reads no environment variable: nothing in ``src/nctwist``
+names ``os.environ``, ``os.environb`` or ``getenv``, so a tolerance is set by
+``--tol`` or the default and by nothing else.
+
 No option without a caller: every parameter with a default, of a public
 function or method or of a public class's ``__init__``, is passed, by
 keyword or by position, by some call in the package, the demos, the
@@ -533,6 +537,49 @@ def test_coordinate_table_calls_are_seen():
 def test_generator_rows_and_the_star_matrix_are_formed_in_one_place():
     # everything else reads Algebra.generator_rows and Algebra.star_matrix
     assert coordinate_table_sites() == []
+
+
+# -- the package reads no environment variable -----------------------------
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree: ast.Module) -> list[int]:
+    """Lines of ``tree`` that name the process environment or import a reader of it."""
+    found = set()
+    for node in ast.walk(tree):
+        named = (
+            (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT)
+            or (isinstance(node, ast.Name) and node.id in ENVIRONMENT)
+            or (
+                isinstance(node, ast.ImportFrom)
+                and any(a.name in ENVIRONMENT for a in node.names)
+            )
+        )
+        if named:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_environment_reads_are_seen():
+    tree = ast.parse(
+        "import os\n"
+        "from os import getenv\n"
+        "def f(args):\n"
+        "    rel = os.environ.get('NCT_TOL')\n"
+        "    return getenv('X') or args.environ_tol\n"
+        "HOME = os.environ['HOME']\n"
+    )
+    assert environment_reads(tree) == [2, 4, 5, 6]
+
+
+def test_the_package_reads_no_environment_variable():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in environment_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
 
 
 # -- no option without a caller --------------------------------------------

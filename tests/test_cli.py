@@ -525,27 +525,10 @@ class TestTolerances:
         # the broken Dirac has residual ~1; an absurdly loose gate passes
         assert main(["verify", bad_geometry_file, "--tol", "10.0"]) == 0
 
-    def test_env_variable_default(self, capsys, bad_geometry_file, monkeypatch):
-        monkeypatch.setenv("NCT_TOL", "10.0")
-        assert main(["verify", bad_geometry_file]) == 0
-
-    def test_flag_beats_env(self, capsys, bad_geometry_file, monkeypatch):
-        monkeypatch.setenv("NCT_TOL", "10.0")
-        assert main(["verify", bad_geometry_file, "--tol", "1e-10"]) == 1
-
-    @pytest.mark.parametrize(
-        "flag, env",
-        [(["--tol", "inf"], None), (["--tol", "nan"], None), (["--tol", "-1"], None),
-         ([], "inf")],
-        ids=["inf", "nan", "negative", "env-inf"],
-    )
-    def test_unusable_tolerance_is_an_input_error(
-        self, capsys, bad_geometry_file, monkeypatch, flag, env
-    ):
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"], ids=["inf", "nan", "negative"])
+    def test_unusable_tolerance_is_an_input_error(self, capsys, bad_geometry_file, value):
         # inf would pass the broken Dirac; nan and -1 would fail every record
-        if env is not None:
-            monkeypatch.setenv("NCT_TOL", env)
-        assert main(["verify", bad_geometry_file] + flag) == 2
+        assert main(["verify", bad_geometry_file, "--tol", value]) == 2
         assert capsys.readouterr().err.startswith("error: tolerance rel ")
 
 

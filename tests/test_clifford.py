@@ -13,7 +13,7 @@ from nctwist.clifford import (
     gamma,
     grading_product,
 )
-from nctwist.matlin import anticommutator, dagger, fro
+from nctwist.matlin import DEFAULT_TOL, anticommutator, dagger, fro, sign_fits
 
 from kronecker import intertwiners
 
@@ -122,3 +122,17 @@ class TestChargeConjugation:
         monkeypatch.setattr(clifford, "_subset_halves", even_only)
         with pytest.raises(ValueError, match="character sum 2.0"):
             charge_conjugation(m)
+
+    @pytest.mark.parametrize("m", range(1, MAX_M + 1))
+    def test_carried_evidence_is_the_residual_of_each_sign(self, m):
+        # the residual-and-bound formula a sign used to be recomputed with
+        cc, tol = charge_conjugation(m), DEFAULT_TOL
+        u, grading = cc.j.unitary, gamma(m).grading
+        signs = [
+            (cc.j.square(), np.eye(len(u)), cc.eps),
+            (u @ np.conj(grading), grading @ u, cc.eps_dblprime),
+        ]
+        reference = [
+            (fro(x - s * y), tol.bound(max(fro(x), fro(y), 1.0))) for x, y, s in signs
+        ]
+        assert sign_fits((cc.eps, cc.eps_dblprime), cc.evidence) == reference

@@ -36,7 +36,7 @@ from nctwist.samples import (
     random_graded_geometry,
     random_one_form,
 )
-from nctwist.triple import FiniteGeometry, SignTriple, measure_ko_signs
+from nctwist.triple import FiniteGeometry, measure_ko_signs
 from nctwist.twist import TwistedGeometry, verify_twisted
 
 RNG_SEED = 77
@@ -79,6 +79,19 @@ def test_eval_one_form_matches_direct_formula(tg):
     expected = pi(a) @ (d @ pi(b) - pi(tg.rho.apply(b)) @ d)
     assert fro(eval_one_form(f, tg) - expected) < 1e-14
     assert fro(expected) > 0.1  # nondegenerate sample
+
+
+@pytest.mark.parametrize(
+    "form",
+    [TwistedOneForm.of(((1,), (2,))), TwistedOneForm.of(((1, 2), (3, 4)))],
+    ids=["C", "C+C"],
+)
+def test_a_one_form_over_another_algebra_is_rejected(tg, form):
+    # tg's algebra is C+C doubled: four components, B = 8 coordinates
+    with pytest.raises(ValueError, match="width [24] for 8 basis images"):
+        eval_one_form(form, tg)
+    with pytest.raises(ValueError, match="width [24] for 8 basis images"):
+        verify_fluctuated(tg, form)
 
 
 def test_eval_is_additive_in_terms(tg):
@@ -336,7 +349,7 @@ def test_the_preserved_record_reads_the_signs_verify_twisted_measured(
             return signs
         if undecided:
             raise ValueError("J vs D: no sign fits")
-        return SignTriple(signs.eps, -signs.eps_prime, signs.eps_dblprime)
+        return replace(signs, eps_prime=-signs.eps_prime)
 
     monkeypatch.setattr("nctwist.fluct.measure_ko_signs", moved)
     monkeypatch.setattr("nctwist.twist.measure_ko_signs", moved)
@@ -351,7 +364,9 @@ def test_the_preserved_record_reads_the_signs_verify_twisted_measured(
         assert records["fluctuated: sign triple determinate"].note == preserved.note
     else:
         before = measure_ko_signs(tg.geometry).as_tuple()
-        assert preserved.residual == 1.0
+        # the residual and bound are those of J D_A = eps' D_A J with base eps'
+        jd = records["J D_A = eps' D_A J with base eps'"]
+        assert (preserved.residual, preserved.tol) == (jd.residual, jd.tol)
         assert preserved.note == f"{before} -> {tuple(report.info['signs'])}"
         assert report.info["signs"][1] == -before[1]
 

@@ -21,6 +21,7 @@ from nctwist.matlin import (
     pair_max,
     pair_residual,
     residual_against_span,
+    sign_fits,
 )
 from nctwist.mintwist import twist_by_grading
 from nctwist.report import Report
@@ -285,27 +286,52 @@ class TestAntilinear:
         assert np.allclose(j.conjugate(t) @ psi, u @ np.conj(t @ x))
 
     def test_square_signs(self):
-        assert AntilinearOperator(np.eye(3)).sign_of_square() == 1
+        j = AntilinearOperator(np.eye(3))
+        assert match_sign(j.square(), np.eye(3))[0] == 1
         # sigma_y style square: J^2 = -1
-        u = np.array([[0.0, -1.0], [1.0, 0.0]])
-        assert AntilinearOperator(u).sign_of_square() == -1
+        j = AntilinearOperator(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        assert match_sign(j.square(), np.eye(2))[0] == -1
 
     def test_square_ambiguous_raises(self):
         # U conj(U) = diag(-i, i), which matches neither +id nor -id
-        u = np.array([[0.0, 1.0], [1j, 0.0]])
+        j = AntilinearOperator(np.array([[0.0, 1.0], [1j, 0.0]]))
         with pytest.raises(ValueError):
-            AntilinearOperator(u).sign_of_square()
+            match_sign(j.square(), np.eye(2))
 
 
 def test_match_sign_plus_minus_and_failures():
     rng = np.random.default_rng(RNG_SEED + 5)
     x = rand_mat(rng, 3)
-    assert match_sign(x, x) == 1
-    assert match_sign(x, -x) == -1
+    assert match_sign(x, x)[0] == 1
+    assert match_sign(x, -x)[0] == -1
     with pytest.raises(ValueError):
         match_sign(np.zeros((2, 2)), np.zeros((2, 2)))  # ambiguous
     with pytest.raises(ValueError):
         match_sign(x, 1j * x)  # neither sign fits
+
+
+def test_match_sign_evidence_is_exact():
+    rng = np.random.default_rng(RNG_SEED + 6)
+    x = rand_mat(rng, 3)
+    y = -x + 1e-12 * rand_mat(rng, 3)
+    tol = Tolerance(rel=1e-9, abs=1e-11)
+    sign, evidence = match_sign(x, y, tol)
+    bound = tol.bound(max(fro(x), fro(y), 1.0))
+    assert sign == -1
+    assert evidence == (fro(x - y), fro(x + y), bound)
+    assert sign_fits([1, -1], [evidence, evidence]) == [
+        (fro(x - y), bound),
+        (fro(x + y), bound),
+    ]
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_match_sign_of_a_nan_operand_fits_no_sign(side):
+    x = np.eye(2, dtype=np.complex128)
+    y = x.copy()
+    (x if side == "x" else y)[0, 1] = np.nan
+    with pytest.raises(ValueError, match="no sign fits"):
+        match_sign(x, y)
 
 
 def test_nullspace_known_kernel():

@@ -21,7 +21,8 @@ from nctwist.matlin import (
     kron,
     pair_residual,
 )
-from nctwist.mintwist import gamma_tilde_diagnostics
+from nctwist.fluct import verify_fluctuated
+from nctwist.mintwist import gamma_tilde_diagnostics, twist_by_grading
 from nctwist.report import Report
 from nctwist.sm import (
     DEFAULT_MAJORANA,
@@ -47,7 +48,8 @@ from nctwist.sm import (
     verify_sm_twisted,
 )
 from nctwist.triple import FiniteGeometry, measure_ko_signs, order_one_residual, order_zero_residual, verify_spectral_triple
-from nctwist.twist import first_order_residuals
+from nctwist.samples import flip_toy, random_matrix_geometry, random_one_form
+from nctwist.twist import first_order_residuals, verify_twisted
 
 # frozen measurements for the default Yukawa/Majorana values
 FLIP_FIRST_ORDER = 3.668569203381614
@@ -373,6 +375,59 @@ def test_verify_sm_twisted_conjugates_two_stacks(monkeypatch):
     assert np.array_equal(finite, sm_finite_geometry().rep.stack)
     assert pi is tg.geometry.rep.stack
     assert np.array_equal(shown, display_twist_rep().stack)
+
+
+SIGN_RECORDS = (
+    "sign triple determinate",
+    "sign triple of the twisted model",
+    "sign triple preserved",
+)
+
+
+def sign_records(report: Report) -> list:
+    return [r for r in report.records if r.name.endswith(SIGN_RECORDS)]
+
+
+@pytest.fixture(scope="module")
+def flipped_sm_report(tsm):
+    # D -> iD flips eps'
+    return verify_sm_twisted(tsm.with_dirac(1j * tsm.geometry.dirac))
+
+
+def test_a_flipped_sign_of_the_twisted_model_fails_on_its_residual(flipped_sm_report):
+    # the record is judged at the expected (-1, 1, -1)
+    records = flipped_sm_report.records
+    (rec,) = [r for r in records if r.name == "sign triple of the twisted model"]
+    assert rec.note == "(eps, eps', eps'') = (-1, -1, -1)"
+    assert not rec.passed
+    assert rec.residual > rec.tol > 0.0
+    assert rec.residual > 1.0
+
+
+def sign_record_reports(case: str, tsm, flipped_sm_report) -> list[Report]:
+    if case == "sm":
+        return [verify_sm_twisted(tsm), flipped_sm_report]
+    rng = np.random.default_rng(11)
+    if case == "flip_toy":
+        tg = flip_toy()
+    else:
+        tg = twist_by_grading(random_matrix_geometry(rng, 3, frame=True))
+    return [verify_twisted(tg), verify_fluctuated(tg, random_one_form(rng, tg))]
+
+
+@pytest.mark.parametrize("case", ["flip_toy", "framed", "sm"])
+def test_each_sign_record_is_decided_on_the_residual_it_prints(
+    case, tsm, flipped_sm_report
+):
+    seen = set()
+    for report in sign_record_reports(case, tsm, flipped_sm_report):
+        for rec in sign_records(report):
+            seen.add(rec.name.rsplit(": ", 1)[-1])
+            assert rec.passed == (rec.residual <= rec.tol), rec.format_line()
+            # a bound a sign was decided on, not a placeholder
+            assert 0.0 < rec.tol < np.inf, rec.format_line()
+    # the standard-model run fluctuates nothing; the others have no model record
+    assert seen == {SIGN_RECORDS[0], SIGN_RECORDS[1] if case == "sm" else SIGN_RECORDS[2]}
 
 
 def test_custom_yukawas_still_verify():

@@ -158,6 +158,26 @@ def test_identity_twist_has_no_obstruction():
     assert report.info["twisted_residual"] == report.info["untwisted_residual"]
 
 
+def coexistence_record(tg):
+    report = zero_order_conflict_check(tg)
+    (rec,) = [r for r in report.records if r.name == "coexistence forces trivial twist"]
+    return rec
+
+
+def test_coexistence_is_checked_only_when_both_order_zero_conditions_hold():
+    tg = flip_toy()
+    # the twisted condition fails on the flip toy: the obstruction is recorded
+    rec = coexistence_record(tg)
+    assert rec.passed and rec.tol == float("inf")
+    assert rec.residual == pytest.approx(FLIP_TOY_OBSTRUCTION)
+    assert "premise fails" in rec.note
+    # under the identity twist both hold, and the obstruction is checked
+    rec = coexistence_record(TwistedGeometry(tg.geometry, Automorphism.identity(2)))
+    assert rec.passed and rec.residual == 0.0
+    assert 0.0 < rec.tol < float("inf")
+    assert "premise fails" not in rec.note
+
+
 def test_coexistence_first_order_on_flip_toy():
     tg = flip_toy()
     report = coexistence_first_order_check(tg)
