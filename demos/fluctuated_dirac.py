@@ -15,6 +15,7 @@ from nctwist import (
     eval_one_form,
     fluctuate,
     left_regular_geometry,
+    measure_ko_signs,
     random_one_form,
     symmetrized,
     twist_by_grading,
@@ -27,7 +28,7 @@ alg = Algebra.of("C", "C")
 m_small = np.array([[0.0, 1.0 + 0.5j], [1.0 - 0.5j, 0.0]])
 base = left_regular_geometry(alg, [1, -1], m_small)
 tg = twist_by_grading(base)
-print(f"twisted block geometry on dim {tg.geometry.hilbert_dim}, signs {tg.signs().as_tuple()}")
+print(f"twisted block geometry on dim {tg.geometry.hilbert_dim}, signs {measure_ko_signs(tg.geometry).as_tuple()}")
 
 form = symmetrized(random_one_form(rng, tg, symmetric=False), tg)
 a_mat = eval_one_form(form, tg)

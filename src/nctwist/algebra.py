@@ -26,9 +26,11 @@ import numpy as np
 
 from .matlin import (
     DEFAULT_TOL,
+    PairCoords,
     Tolerance,
     as_matrix,
     dagger,
+    distinct,
     fro,
     generator_scale,
     kron,
@@ -306,14 +308,68 @@ class Algebra:
         star.flags.writeable = False
         return star
 
-    def mul_coords(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        """Coordinates of products ``x y``, computed from coordinates.
+    @cached_property
+    def structure_constants(self) -> PairCoords:
+        """``products`` of the generator rows with themselves, built on first read.
 
-        ``cx`` and ``cy`` are ``(..., B)`` arrays that broadcast over their
-        leading axes.  Their ``blocks`` are multiplied in one batched product
-        per component, without a dense B x B x B tensor of structure constants.
+        The product of two generators is a multiple of one matrix unit (or of
+        a quaternion unit), so M_d holds 4 d^3 entries and C is the case d = 1.
         """
-        return self.from_blocks(map(np.matmul, self.blocks(cx), self.blocks(cy)))
+        table = self.products(self.generator_rows, self.generator_rows)
+        table.key.flags.writeable = table.value.flags.writeable = False
+        return table
+
+    @cached_property
+    def _places(self) -> tuple:
+        """Row and column of each complex coordinate in the block-diagonal
+        matrix of an element, and the coordinate at each position (-1 off
+        the blocks)."""
+        dims = np.array([c.dim for c in self.components])
+        sizes = dims**2
+        d = np.repeat(dims, sizes)
+        local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        first = np.repeat(np.cumsum(dims) - dims, sizes)
+        row, col = first + local // d, first + local % d
+        coord = np.full((dims.sum(), dims.sum()), -1)
+        coord[row, col] = np.arange(len(row))
+        return row, col, coord
+
+    def products(self, cx: np.ndarray, cy: np.ndarray) -> PairCoords:
+        """``PairCoords`` of every product ``x_p y_q`` of rows of ``cx`` and ``cy``.
+
+        An element is a block-diagonal matrix.  The rows of those matrices
+        that some ``x_p`` fills are packed into one matrix, the columns that
+        some ``y_q`` fills into another, and one complex product of the two
+        gives every entry ``(x_p y_q)[r, u]``.  A generator fills one or two
+        rows and columns, so for generators the packed product holds at most
+        4 G^2 values, not G^2 B; a product of blocks of different components
+        is zero.
+        """
+        row, col, coord = self._places
+        width = len(coord)
+
+        def packed(c, lines, along):
+            """The lines of ``c``'s matrices with an entry, as the rows of one matrix."""
+            z = np.ascontiguousarray(c, dtype=np.float64).view(np.complex128)
+            p, k = np.nonzero(z)
+            ids, at = distinct(p * width + lines[k])
+            out = np.zeros((len(ids), width), np.complex128)
+            out[at, along[k]] = z[p, k]
+            return divmod(ids, width), out
+
+        (p, r), xrows = packed(cx, row, col)  # xrows[(p, r), s] = x_p[r, s]
+        (q, u), ycols = packed(cy, col, row)  # ycols[(q, u), s] = y_q[s, u]
+        prod = xrows @ ycols.T
+        i, j = np.nonzero(prod)
+        k = coord[r[i], u[j]]
+        same = k >= 0  # a non-finite value also fills other components
+        key = 2 * ((p[i] * len(cy) + q[j]) * len(row) + k)[same]
+        value = prod[i, j][same]
+        return PairCoords.summed(
+            (len(cx), len(cy), 2 * len(row)),
+            np.concatenate([key, key + 1]),
+            np.concatenate([value.real, value.imag]),
+        )
 
     def linear_map(self, f: Callable[[Sequence], Sequence]) -> np.ndarray:
         """Real B x B matrix of a real-linear map: ``coords(f(x)) = coords(x) @ M``.
@@ -480,11 +536,12 @@ class Representation:
 
         c_star = cg @ alg.star_matrix
         eye = np.eye(n, dtype=np.complex128)[None]
-        r_star = pair_max(eye, dagger(mats), coords=c_star[None], stack=self.stack)
+        star = PairCoords.of(c_star[None])
+        r_star = pair_max(eye, dagger(mats), coords=star, stack=self.stack)
         rep.check("star preserved on generators", r_star, tol, scale)
 
         # every pair, cross-block ones included: pi(g_i g_j) - pi(g_i) pi(g_j)
-        prod = alg.mul_coords(cg[:, None], cg[None])
+        prod = alg.structure_constants
         r_mult = pair_max(mats, mats, coords=prod, stack=self.stack)
         rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
         return rep

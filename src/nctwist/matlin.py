@@ -5,8 +5,8 @@ dtype complex128.  This module collects the primitives the rest of the code
 is built on: the tolerance and its bound, ``pair_max``, the one walk over
 generators or generator pairs behind every order, regularity and
 multiplicativity check (``pair_residual`` is its commutator form), which
-evaluates on dense slices or on the nonzero entries of its operands,
-antilinear operators in unitary-times-conjugation form, the SVD nullspace
+evaluates on dense slices or on the nonzero entries of its operands and
+reads coordinates over pairs as the entry list ``PairCoords``, antilinear operators in unitary-times-conjugation form, the SVD nullspace
 and the distance to a real span.
 """
 
@@ -112,45 +112,113 @@ def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _SPARSE_FACTOR = 256
 
 
+def distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct values of an integer ``key`` and where each entry went.
+
+    ``np.unique(key, return_inverse=True)`` by a stable sort.
+    """
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.diff(ordered, prepend=ordered[:1] - 1) != 0
+    at = np.empty_like(order)
+    at[order] = np.cumsum(new) - 1
+    return ordered[new], at
+
+
+@dataclass(frozen=True)
+class PairCoords:
+    """Real ``(rows, cols, B)`` coordinates over pairs, as their nonzero entries.
+
+    Entry (i, j, b) has the key ``(i cols + j) B + b``, its index in the dense
+    array read in C order.  Keys are unique and ascending and no value is
+    zero: the list is what ``np.flatnonzero`` reads off the dense array.
+    """
+
+    shape: tuple[int, int, int]
+    key: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> "PairCoords":
+        """The entries of a dense ``(rows, cols, B)`` array."""
+        key = np.flatnonzero(a)
+        return cls(a.shape, key, a.reshape(-1)[key])
+
+    @classmethod
+    def summed(cls, shape: tuple, key: np.ndarray, value: np.ndarray) -> "PairCoords":
+        """Entries of ``shape`` whose values sum ``value`` over equal ``key``s.
+
+        Sums that are exactly zero are dropped.
+        """
+        key, at = distinct(key)
+        value = np.bincount(at, value, len(key))
+        keep = value != 0
+        return cls(tuple(shape), key[keep], value[keep])
+
+    def __sub__(self, other: "PairCoords") -> "PairCoords":
+        key = np.concatenate([self.key, other.key])
+        return PairCoords.summed(self.shape, key, np.concatenate([self.value, -other.value]))
+
+    def __matmul__(self, m: np.ndarray) -> "PairCoords":
+        """The entries of ``dense @ m`` for a real ``(B, B')`` matrix ``m``."""
+        rows, cols, basis = self.shape
+        mb, mc = np.nonzero(m)
+        left = (self.key % basis, self.key // basis * m.shape[1], self.value)
+        count = np.bincount(mb, minlength=basis)
+        key, value = _join(left, (mb, mc, m[mb, mc]), count)
+        return PairCoords.summed((rows, cols, m.shape[1]), key, value)
+
+
 def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
     """``max_{i,j} ||sum_b coords[i, j, b] stack[b] - xs[i] ys[j] + zs[j] xs[i]||``.
 
     The one walk over generators or generator pairs.  Each part of the
     difference is optional: ``xs`` and ``ys`` come together, ``zs`` needs
-    them, and ``coords`` (real, ``(rows, cols, B)``) needs ``stack``
-    (``(B, n, n)``).  An empty side gives 0.0, and a NaN or inf anywhere in
-    an operand makes the result NaN.
+    them, and ``coords`` (a ``PairCoords`` of shape ``(rows, cols, B)``)
+    needs ``stack`` (``(B, n, n)``).  An empty side gives 0.0, and a NaN or
+    inf anywhere in an operand makes the result NaN.
 
     Two evaluators give the same maximum.  The dense one walks rows outer
     and slices of ``max(1, 32768 // n^2)`` columns inner, which keeps its
-    temporaries small on large n.  The sparse one (``_sparse_pair_max``)
-    joins the nonzero entries of the operands on their shared index.  It
-    runs when its term count, read from the nonzero counts of each shared
-    index, is at least ``_SPARSE_FACTOR`` times below the dense
-    multiply-add count.
+    temporaries small on large n; it fills each slice's ``(columns, B)``
+    coordinates from the entries.  The sparse one (``_sparse_pair_max``)
+    joins the nonzero entries of the operands on their shared index, and
+    reads the entries of ``coords`` as they are.  It runs when its term
+    count, read from the nonzero counts of each shared index, is at least
+    ``_SPARSE_FACTOR`` times below the dense multiply-add count.
     """
-    rows = len(xs) if xs is not None else len(coords)
+    rows = len(xs) if xs is not None else coords.shape[0]
     cols = len(ys) if ys is not None else coords.shape[1]
     if rows == 0 or cols == 0:
         return 0.0
     # the join skips products with zero, so it cannot carry a NaN through
-    given = [a for a in (xs, ys, zs, coords, stack) if a is not None]
+    values = None if coords is None else coords.value
+    given = [a for a in (xs, ys, zs, values, stack) if a is not None]
     if not all(np.isfinite(a).all() for a in given):
         return float("nan")
     n = (xs if xs is not None else stack).shape[-1]
     joins = _joins(xs, ys, zs, coords, stack, cols, n)
-    terms = sum(int(left[3] @ right[3]) for _, left, right in joins)
-    used = 0 if coords is None else np.count_nonzero(coords.any(axis=(0, 1)))
+    terms = sum(int(left[0] @ right[0]) for _, left, right in joins)
+    # the coords join comes first; its left count is per basis image
+    used = 0 if coords is None else np.count_nonzero(joins[0][1][0])
     products = (xs is not None) + (zs is not None)
     if terms * _SPARSE_FACTOR <= rows * cols * n * n * (products * n + used):
         return _sparse_pair_max(joins, n)
 
-    flat = None if stack is None else stack.view(np.float64).reshape(len(stack), -1)
+    step = max(1, 32768 // n**2)
+    if coords is not None:
+        basis = coords.shape[2]
+        flat = stack.view(np.float64).reshape(basis, -1)
+        # where the entries of pair (i, j), in key order, start
+        first = np.searchsorted(coords.key, np.arange(rows * cols + 1) * basis)
 
-    def block(i, s):
+    def block(i, j):
+        s = slice(j, min(j + step, cols))
         out = 0.0
         if coords is not None:
-            c = coords[i, s]
+            lo, hi = first[i * cols + s.start], first[i * cols + s.stop]
+            c = np.zeros((s.stop - s.start, basis))
+            c.flat[coords.key[lo:hi] - (i * cols + j) * basis] = coords.value[lo:hi]
             col = np.flatnonzero((c != 0).any(axis=0))
             out = (c[:, col] @ flat[col]).view(np.complex128).reshape(-1, n, n)
         if xs is not None:
@@ -159,9 +227,8 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
             out = out + zs[s] @ xs[i]
         return out
 
-    step = max(1, 32768 // n**2)
     return worst(
-        np.linalg.norm(block(i, slice(j, j + step)), axis=(-2, -1)).max()
+        np.linalg.norm(block(i, j), axis=(-2, -1)).max()
         for i in range(rows)
         for j in range(0, cols, step)
     )
@@ -177,7 +244,11 @@ def _joins(xs, ys, zs, coords, stack, cols, n):
     pair, mat = cols * n * n, n * n
     out = []
     if coords is not None:  # coords[i, j, b] stack[b, r, c]
-        out.append((1.0, _side(coords, 2, (pair, mat, 0)), _side(stack, 0, (0, n, 1))))
+        basis = coords.shape[2]
+        b = coords.key % basis
+        entries = (b, coords.key // basis * mat, coords.value)
+        side = (np.bincount(b, minlength=basis), lambda: entries)
+        out.append((1.0, side, _side(stack, 0, (0, n, 1))))
     if xs is not None:  # xs[i, r, k] ys[j, k, c]
         out.append((-1.0, _side(xs, 2, (pair, n, 0)), _side(ys, 1, (mat, 0, 1))))
     if zs is not None:  # zs[j, r, k] xs[i, k, c]
@@ -186,45 +257,57 @@ def _joins(xs, ys, zs, coords, stack, cols, n):
 
 
 def _side(a: np.ndarray, shared: int, weights: tuple) -> tuple:
-    """``(a, shared, weights, count)``: ``count[k]`` nonzeros at shared index k."""
+    """``(count, entries)`` of a dense ``(., ., .)`` operand.
+
+    ``count[k]`` is the number of nonzeros at shared index k, and
+    ``entries()`` lists them as ``(shared index, key, value)``.
+    """
     others = tuple(k for k in range(3) if k != shared)
-    return a, shared, weights, np.count_nonzero(a, axis=others)
+
+    def entries():
+        idx = np.nonzero(a)
+        return idx[shared], sum(w * k for w, k in zip(weights, idx) if w), a[idx]
+
+    return np.count_nonzero(a, axis=others), entries
+
+
+def _join(left, right, rcount):
+    """Every product of a left and a right entry that share an index.
+
+    Each side is ``(shared index, key, value)``, and ``rcount[k]`` counts the
+    right entries at shared index k.  A product's key is the sum of the keys
+    of its factors.  The right entries are sorted by shared index, and each
+    left entry is repeated once per right entry it meets: the textbook
+    sparse product (Gustavson, ACM TOMS 4(3), 1978).
+    """
+    (ls, lk, lv), (rs, rk, rv) = left, right
+    # the right entries of shared index k sit from start[k] in sorted order
+    order = np.argsort(rs, kind="stable")
+    start = np.cumsum(rcount) - rcount
+    count = rcount[ls]
+    li = np.repeat(np.arange(len(ls)), count)
+    offset = np.repeat(start[ls] - np.cumsum(count) + count, count)
+    ri = order[np.arange(len(li)) + offset]
+    return lk[li] + rk[ri], lv[li] * rv[ri]
 
 
 def _sparse_pair_max(joins, n: int) -> float:
     """``pair_max`` from the nonzero entries of its operands.
 
-    Every term of every product is formed for all pairs at once, by joining
-    the entries of the two factors on their shared index (sort, then
-    ``repeat``): the textbook sparse product (Gustavson, ACM TOMS 4(3),
-    1978).  Terms of one key are summed, then the squared moduli of each
+    Every term of every product is formed for all pairs at once by
+    ``_join``.  Terms of one key are summed, then the squared moduli of each
     pair's keys.  Operands must be finite.
     """
     keys, values = [], []
-    for sign, left, right in joins:
-        (ls, lk, lv), (rs, rk, rv) = _entries(left), _entries(right)
-        rcount = right[3]
-        # the right entries of shared index k sit from start[k] in sorted order
-        order = np.argsort(rs, kind="stable")
-        start = np.cumsum(rcount) - rcount
-        count = rcount[ls]
-        li = np.repeat(np.arange(len(ls)), count)
-        offset = np.repeat(start[ls] - np.cumsum(count) + count, count)
-        ri = order[np.arange(len(li)) + offset]
-        keys.append(lk[li] + rk[ri])
-        values.append((sign * lv)[li] * rv[ri])
-    key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    for sign, (_, left), (rcount, right) in joins:
+        key, value = _join(left(), right(), rcount)
+        keys.append(key)
+        values.append(sign * value)
+    key, inverse = distinct(np.concatenate(keys))
     value = np.concatenate(values)
     square = np.bincount(inverse, value.real) ** 2 + np.bincount(inverse, value.imag) ** 2
     per_pair = np.bincount(key // (n * n), square)
     return float(np.sqrt(per_pair.max(initial=0.0)))
-
-
-def _entries(side):
-    """``(shared index, key, value)`` of the nonzero entries of one side."""
-    a, shared, weights, _ = side
-    idx = np.nonzero(a)
-    return idx[shared], sum(w * k for w, k in zip(weights, idx) if w), a[idx]
 
 
 def pair_residual(xs, ys, zs=None) -> float:

@@ -117,22 +117,22 @@ def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTri
     return SignTriple(eps, eps_prime, eps_dbl, evidence)
 
 
-def _opposite_stacks(g: FiniteGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """pi and the opposite action over the generators."""
-    rows = g.algebra.generator_rows
-    opposite = g.conjugated(g.rep).images(rows @ g.algebra.star_matrix)
-    return g.rep.images(rows), opposite
-
-
 def order_zero_residual(g: FiniteGeometry) -> float:
     """max ||[pi(a), J pi(b*) J^{-1}]|| over generator pairs."""
-    return pair_residual(*_opposite_stacks(g))
+    from .twist import TwistedGeometry  # twist imports us
+
+    pi_a, _, opp_b, _ = TwistedGeometry.untwisted(g).stacks()
+    return pair_residual(pi_a, opp_b)
 
 
 def order_one_residual(g: FiniteGeometry) -> float:
-    """max ||[[D, pi(a)], J pi(b*) J^{-1}]|| over generator pairs."""
-    pi_a, opp_b = _opposite_stacks(g)
-    return pair_residual(g.dirac @ pi_a - pi_a @ g.dirac, opp_b)
+    """max ||[[D, pi(a)], J pi(b*) J^{-1}]|| over generator pairs.
+
+    The primary form of ``first_order_residuals`` with the identity twist.
+    """
+    from .twist import TwistedGeometry, first_order_residuals  # twist imports us
+
+    return first_order_residuals(g.dirac, *TwistedGeometry.untwisted(g).stacks())[0]
 
 
 def verify_spectral_triple(

@@ -27,6 +27,7 @@ import numpy as np
 from .algebra import Algebra, Representation
 from .matlin import (
     DEFAULT_TOL,
+    PairCoords,
     Tolerance,
     as_matrix,
     dagger,
@@ -39,7 +40,7 @@ from .matlin import (
     worst,
 )
 from .report import Report
-from .triple import FiniteGeometry, SignTriple, measure_ko_signs
+from .triple import FiniteGeometry, measure_ko_signs
 
 
 @dataclass(frozen=True)
@@ -220,9 +221,6 @@ class TwistedGeometry:
         opp = self.conjugated_rep
         return pi_a, pi_rho_a, opp.images(cs), opp.images(cs @ self._built["r"])
 
-    def signs(self, tol: Tolerance = DEFAULT_TOL) -> SignTriple:
-        return measure_ko_signs(self.geometry, tol)
-
 
 def check_regular(
     rho: Automorphism, g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL
@@ -250,21 +248,18 @@ def check_regular(
         return pair_max(coords=diff, stack=pi.stack)
 
     # a single-generator record is one row of the pair grid: (1, G, B)
-    r_reg = gap(
-        (cg @ star @ r - cg @ np.linalg.inv(r) @ star)[None]
-    )
+    r_reg = gap(PairCoords.of((cg @ star @ r - cg @ np.linalg.inv(r) @ star)[None]))
     rep.check("regular: rho(a*) = (rho^-1(a))*", r_reg, tol, scale)
 
     # rho(a b) against rho(a) rho(b) on every pair, cross-block ones included
-    diff = alg.mul_coords(cg[:, None], cg[None]) @ r
-    diff -= alg.mul_coords(cr[:, None], cr[None])
+    diff = alg.structure_constants @ r - alg.products(cr, cr)
     rep.check("multiplicative on generator pairs", gap(diff), tol, scale**2)
 
     # an involutive permutation that moves values without changing them
     plain = all(u is None for u in rho.inner or ())
     plain = plain and all(c == 1 for c in rho.scale or ())
     if rho.is_involutive_perm() and plain:
-        rep.check("involutive", gap((cr @ r - cg)[None]), tol, scale)
+        rep.check("involutive", gap(PairCoords.of((cr @ r - cg)[None])), tol, scale)
 
     if rho.u_rho is not None:
         u = rho.u_rho
@@ -277,7 +272,7 @@ def check_regular(
         r_impl = pair_max(
             np.eye(n, dtype=np.complex128)[None],
             u @ mats @ dagger(u),
-            coords=cr[None],
+            coords=PairCoords.of(cr[None]),
             stack=pi.stack,
         )
         rep.check("pi(rho(a)) = U pi(a) U*", r_impl, tol, scale)

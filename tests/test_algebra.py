@@ -1,5 +1,7 @@
 """Finite direct sums of C, H, M_n(C) and their matrix representations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from coordinates import basis_tuples
@@ -19,6 +21,8 @@ from nctwist.algebra import (
 )
 from nctwist.matlin import dagger, fro
 from nctwist.samples import clifford_tensor, left_regular_geometry, random_unitary
+from nctwist.triple import FiniteGeometry
+from nctwist.twist import Automorphism, check_regular
 
 RNG_SEED = 20
 
@@ -91,20 +95,89 @@ def test_random_element_is_reproducible(alg):
     assert np.linalg.norm(alg.coords(a) - alg.coords(b)) == 0.0
 
 
+def entry_reference(alg, xs, ys):
+    """Dense ``(len(xs), len(ys), B)`` coordinates of the products ``Algebra.mul``."""
+    return np.array([[alg.coords(alg.mul(x, y)) for y in ys] for x in xs])
+
+
+def assert_entries_of(coords, want):
+    """``coords`` lists exactly the nonzeros of ``want``: ascending unique keys, no zero."""
+    assert coords.shape == want.shape
+    assert np.array_equal(coords.key, np.flatnonzero(want))
+    assert np.array_equal(coords.value, want.reshape(-1)[coords.key])
+    assert np.all(np.diff(coords.key) > 0)
+    assert np.all(coords.value != 0)
+
+
+STRUCTURE = {
+    "C": (Algebra.of("C"), 4),
+    "H": (Algebra.of("H"), 32),
+    "M2": (Algebra.of(("M", 2)), 32),
+    "M3": (Algebra.of(("M", 3)), 108),
+    "doubled M3+C+C": (doubled(Algebra.of(("M", 3), "C", "C")), 2 * (108 + 4 + 4)),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURE)
+def test_structure_constants_are_the_nonzero_generator_products(name):
+    alg, count = STRUCTURE[name]
+    gens = alg.generators()
+    sc = alg.structure_constants
+    assert_entries_of(sc, entry_reference(alg, gens, gens))
+    # one real entry per product of matrix units: 4 d^3 for M_d, 2 per H product
+    assert len(sc.key) == count
+    assert alg.structure_constants is sc
+
+
+def test_products_of_twisted_rows_are_the_nonzero_products():
+    # rho = flip composed with monomial inner unitaries: exact entries
+    alg = doubled(Algebra.of(("M", 3), "C", "H"))
+    u3 = np.array([[0, 1j, 0], [0, 0, -1], [1, 0, 0]])
+    uh = np.array([[0, 1], [1j, 0]])
+    inner = (u3, None, uh, None, None, None)
+    rho = Automorphism((3, 4, 5, 0, 1, 2), inner=inner)
+    gens = alg.generators()
+    cr = alg.generator_rows @ alg.linear_map(rho.apply)
+    twisted = [rho.apply(g) for g in gens]
+    assert_entries_of(alg.products(cr, cr), entry_reference(alg, twisted, twisted))
+
+
+def test_products_carry_a_non_finite_row(alg):
+    # a NaN in the M_3 block of x meets the zeros of the other blocks as well
+    rows = alg.coord_rows([alg.random_element(np.random.default_rng(RNG_SEED))])
+    rows[0, -1] = np.nan
+    got = alg.products(rows, alg.generator_rows)
+    assert 0 <= got.key.min() and got.key.max() < np.prod(got.shape)
+    nan_pairs = set(got.key[np.isnan(got.value)] // got.shape[2])
+    # the last 18 generators are those of M_3
+    assert nan_pairs and nan_pairs <= set(range(len(alg.generator_rows) - 18, len(alg.generator_rows)))
+
+
+def test_the_pair_checks_hold_no_dense_product_table():
+    # an unplaced M_10 (G = B = 200): a (G, G, B) float64 table is 64 MB
+    alg = Algebra.of(("M", 10))
+    g = FiniteGeometry(Representation.from_placements(alg, 2, []), np.zeros((2, 2)))
+    tracemalloc.start()
+    try:
+        assert g.rep.check().ok is False  # pi = 0 misses the unit
+        assert check_regular(Automorphism.identity(1), g).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_coordinate_products_and_linear_maps(alg):
     gens = alg.generators()
-    cg = np.stack([alg.coords(g) for g in gens])
-    # structure constants: products of generators are exact
-    assert np.array_equal(
-        alg.mul_coords(cg[:, None], cg[None]),
-        [[alg.coords(alg.mul(a, b)) for b in gens] for a in gens],
-    )
+    cg = alg.generator_rows
     rng = np.random.default_rng(RNG_SEED + 5)
     xs = [alg.random_element(rng) for _ in range(3)]
-    cx = np.stack([alg.coords(x) for x in xs])
-    prod = alg.mul_coords(cx, cx[::-1])
-    for x, y, p in zip(xs, xs[::-1], prod):
-        assert np.allclose(p, alg.coords(alg.mul(x, y)), rtol=0, atol=1e-12)
+    cx = alg.coord_rows(xs)
+    # products of general rows, which fill every block
+    got = alg.products(cx, cx[::-1])
+    dense = np.zeros(got.shape)
+    dense.reshape(-1)[got.key] = got.value
+    assert np.allclose(dense, entry_reference(alg, xs, xs[::-1]), rtol=0, atol=1e-12)
     star = alg.linear_map(alg.star)
     assert np.array_equal(cg @ star, [alg.coords(alg.star(g)) for g in gens])
     want = [alg.coords(alg.star(x)) for x in xs]

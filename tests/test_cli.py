@@ -298,7 +298,7 @@ class TestVerify:
         assert f"component 1 (C) in mode '{mode}'" in err
 
     def test_pair_coordinates_over_the_bound_are_an_input_error(self, capsys, tmp_path):
-        # an unplaced M_40 has G = B = 3200: G^2 B coordinates would need 244 GiB
+        # an unplaced M_40 has G = B = 3200: G^2 B = 3.3e10 pair coordinates to walk
         path = self.write_geometry(tmp_path, [{"type": "M", "n": 40}], [])
         assert main(["verify", path]) == 2
         err = capsys.readouterr().err

@@ -10,6 +10,7 @@ from nctwist.fluct import compose_fluctuations
 from nctwist.matlin import (
     DEFAULT_TOL,
     AntilinearOperator,
+    PairCoords,
     Tolerance,
     anticommutator,
     as_matrix,
@@ -138,7 +139,7 @@ def kernel_max(diffs):
     """``pair_max`` of pair (i, j) reading ``diffs[i, j]`` as its own basis image."""
     rows, cols, n = diffs.shape[:3]
     coords = np.eye(rows * cols).reshape(rows, cols, rows * cols)
-    return pair_max(coords=coords, stack=diffs.reshape(-1, n, n))
+    return pair_max(coords=PairCoords.of(coords), stack=diffs.reshape(-1, n, n))
 
 
 @settings(max_examples=80, deadline=None)
@@ -182,15 +183,22 @@ sparse_cases = st.tuples(
 )
 
 
+def entry_form(operands):
+    """``operands`` with dense ``coords`` passed as ``PairCoords``."""
+    if "coords" in operands:
+        operands = dict(operands, coords=PairCoords.of(operands["coords"]))
+    return operands
+
+
 def pinned(path, **operands):
     """``pair_max`` with its choice fixed to ``"sparse"`` or ``"dense"``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matlin, "_SPARSE_FACTOR", {"sparse": 0, "dense": 2**62}[path])
-        return pair_max(**operands)
+        return pair_max(**entry_form(operands))
 
 
 def draw_sparse(case):
-    """Operands of one caller's form, as ``pair_max`` keywords.
+    """Operands of one caller's form, as ``pair_max`` keywords (dense ``coords``).
 
     "commutator" is ``pair_residual`` (twisted or not), "multiplicative"
     ``Representation.check`` (coordinates, stack and a product) and
@@ -247,7 +255,7 @@ def test_sparse_evaluator_equals_the_explicit_double_loop(case):
     want = explicit_difference_max(**operands)
     assert pinned("sparse", **operands) == pytest.approx(want, rel=1e-13, abs=1e-13)
     assert pinned("dense", **operands) == pytest.approx(want, rel=1e-13, abs=1e-13)
-    assert pair_max(**operands) == pytest.approx(want, rel=1e-13, abs=1e-13)
+    assert pair_max(**entry_form(operands)) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 @settings(max_examples=80, deadline=None)
@@ -258,6 +266,42 @@ def test_sparse_evaluator_nonfinite_anywhere_is_nan(case, bad, data):
     target[tuple(data.draw(st.integers(0, d - 1)) for d in target.shape)] = bad
     assert np.isnan(pinned("sparse", **operands))
     assert np.isnan(pinned("dense", **operands))
+
+
+def dense(coords):
+    """The dense array of a ``PairCoords``."""
+    out = np.zeros(coords.shape)
+    out.reshape(-1)[coords.key] = coords.value
+    return out
+
+
+def assert_entry_list(coords):
+    """Keys ascending and unique, no zero value."""
+    assert np.all(np.diff(coords.key) > 0)
+    assert np.all(coords.value != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pair_coords_differences_and_products_are_the_dense_ones(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols, basis, width = rng.integers(1, 6, 4)
+
+    def sparse(*shape):
+        return rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+
+    a, b, m = sparse(rows, cols, basis), sparse(rows, cols, basis), sparse(basis, width)
+    same = rng.random(a.shape) < 0.3
+    b[same] = a[same]  # equal entries cancel to no entry
+    diff = PairCoords.of(a) - PairCoords.of(b)
+    assert_entry_list(diff)
+    assert diff.shape == a.shape
+    assert np.array_equal(diff.key, np.flatnonzero(a - b))
+    assert np.array_equal(diff.value, (a - b).reshape(-1)[diff.key])
+    moved = PairCoords.of(a) @ m
+    assert_entry_list(moved)
+    assert moved.shape == (rows, cols, width)
+    assert np.allclose(dense(moved), a @ m, rtol=0, atol=1e-13)
 
 
 def test_nan_on_a_row_of_ys_that_no_x_reaches_is_the_result():

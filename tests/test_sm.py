@@ -163,7 +163,6 @@ class TestTwist:
         rho.validate_for(twisted_sm_algebra())
 
     def test_signs(self, tsm):
-        assert tsm.signs().as_tuple() == (-1, 1, -1)
         assert measure_ko_signs(tsm.geometry).as_tuple() == (-1, 1, -1)
 
     def test_order_zero(self, tsm):
