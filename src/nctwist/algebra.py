@@ -19,13 +19,14 @@ images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .matlin import (
     DEFAULT_TOL,
+    Operand,
     PairCoords,
     Tolerance,
     as_matrix,
@@ -296,25 +297,31 @@ class Algebra:
 
     @cached_property
     def generator_rows(self) -> np.ndarray:
-        """Read-only coordinate rows of ``generators()``, built on first read."""
+        """Read-only coordinate rows of ``generators()``, shared (``_first_equal``)."""
+        if (first := _first_equal(self)) is not self:
+            return first.generator_rows
         rows = self.coord_rows(self.generators())
         rows.flags.writeable = False
         return rows
 
     @cached_property
     def star_matrix(self) -> np.ndarray:
-        """Read-only ``linear_map`` of the star, built on first read."""
+        """Read-only ``linear_map`` of the star, shared (``_first_equal``)."""
+        if (first := _first_equal(self)) is not self:
+            return first.star_matrix
         star = self.linear_map(self.star)
         star.flags.writeable = False
         return star
 
     @cached_property
     def structure_constants(self) -> PairCoords:
-        """``products`` of the generator rows with themselves, built on first read.
+        """``products`` of the generator rows with themselves, shared (``_first_equal``).
 
         The product of two generators is a multiple of one matrix unit (or of
         a quaternion unit), so M_d holds 4 d^3 entries and C is the case d = 1.
         """
+        if (first := _first_equal(self)) is not self:
+            return first.structure_constants
         table = self.products(self.generator_rows, self.generator_rows)
         table.key.flags.writeable = table.value.flags.writeable = False
         return table
@@ -363,13 +370,16 @@ class Algebra:
         i, j = np.nonzero(prod)
         k = coord[r[i], u[j]]
         same = k >= 0  # a non-finite value also fills other components
+        # each (p, r) and (q, u) is one packed line, so every key is new
         key = 2 * ((p[i] * len(cy) + q[j]) * len(row) + k)[same]
         value = prod[i, j][same]
-        return PairCoords.summed(
-            (len(cx), len(cy), 2 * len(row)),
-            np.concatenate([key, key + 1]),
-            np.concatenate([value.real, value.imag]),
-        )
+        key = np.concatenate([key, key + 1])
+        value = np.concatenate([value.real, value.imag])
+        keep = value != 0
+        key, value = key[keep], value[keep]
+        # stable, the sort of ``distinct``: no second sort's code is paged in
+        order = np.argsort(key, kind="stable")
+        return PairCoords((len(cx), len(cy), 2 * len(row)), key[order], value[order])
 
     def linear_map(self, f: Callable[[Sequence], Sequence]) -> np.ndarray:
         """Real B x B matrix of a real-linear map: ``coords(f(x)) = coords(x) @ M``.
@@ -381,6 +391,19 @@ class Algebra:
 
     def random_element(self, rng: np.random.Generator) -> tuple:
         return tuple(c.random(rng) for c in self.components)
+
+
+@lru_cache(maxsize=32)
+def _first_equal(alg: Algebra) -> Algebra:
+    """The first algebra equal to ``alg`` whose tables were asked for.
+
+    ``generator_rows``, ``star_matrix`` and ``structure_constants`` are pure
+    functions of ``Algebra.components``, so an algebra equal to an earlier
+    one (every ``doubled`` algebra of one signature, say) reads that one's
+    tables instead of building its own.  The lookup is by value, and the
+    last 32 distinct algebras are remembered.
+    """
+    return alg
 
 
 def doubled(alg: Algebra) -> Algebra:
@@ -447,7 +470,9 @@ class Representation:
     (see ``Algebra.blocks``), shape (B, dim, dim), read-only.  Calling the
     instance combines the images of the nonzero coordinates of the element.
     ``placements`` is kept as the serialisable source of the stack; it is
-    not read to evaluate.
+    not read to evaluate.  ``operand`` is the stack and ``generator_images``
+    the images of the generator rows as the pair kernel reads them
+    (``matlin.Operand``): each is scanned once, however many checks read it.
     """
 
     def __init__(
@@ -464,9 +489,9 @@ class Representation:
             raise ValueError(
                 f"stack holds {len(stack)} images, algebra basis has {nbasis}"
             )
-        stack.flags.writeable = False  # shared by every evaluation
         self.algebra = algebra
-        self.stack = stack
+        self.operand = Operand(stack)  # shared by every evaluation and check
+        self.stack = self.operand.array
         self.placements = tuple(placements) if placements is not None else None
 
     @classmethod
@@ -500,6 +525,16 @@ class Representation:
     def dim(self) -> int:
         return self.stack.shape[1]
 
+    @cached_property
+    def generator_images(self) -> Operand:
+        """The images of ``Algebra.generator_rows``, built on first read."""
+        return Operand(self.images(self.algebra.generator_rows))
+
+    @cached_property
+    def generator_scale(self) -> float:
+        """``matlin.generator_scale`` of ``generator_images``."""
+        return generator_scale(self.generator_images.array)
+
     def __call__(self, elem: tuple) -> np.ndarray:
         if len(elem) != self.algebra.ncomponents:
             raise ValueError("element does not match algebra")
@@ -526,23 +561,20 @@ class Representation:
         """Star-homomorphism property on generators."""
         rep = Report("representation")
         alg = self.algebra
-        cg = alg.generator_rows
-        mats = self.images(cg)
-        scale = generator_scale(mats)
+        mats, scale = self.generator_images, self.generator_scale
         n = self.dim
 
         r_unit = fro(self(alg.unit()) - np.eye(n))
         rep.check("unit maps to identity", r_unit, tol, 1.0)
 
-        c_star = cg @ alg.star_matrix
+        star = PairCoords.of((alg.generator_rows @ alg.star_matrix)[None])
         eye = np.eye(n, dtype=np.complex128)[None]
-        star = PairCoords.of(c_star[None])
-        r_star = pair_max(eye, dagger(mats), coords=star, stack=self.stack)
+        r_star = pair_max(eye, dagger(mats.array), coords=star, stack=self.operand)
         rep.check("star preserved on generators", r_star, tol, scale)
 
         # every pair, cross-block ones included: pi(g_i g_j) - pi(g_i) pi(g_j)
         prod = alg.structure_constants
-        r_mult = pair_max(mats, mats, coords=prod, stack=self.stack)
+        r_mult = pair_max(mats, mats, coords=prod, stack=self.operand)
         rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
         return rep
 

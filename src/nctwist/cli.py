@@ -35,7 +35,6 @@ from .matlin import (
     anticommutator,
     dagger,
     fro,
-    generator_scale,
     pair_residual,
     sign_fits,
     tightest,
@@ -247,11 +246,10 @@ def cmd_gamma_tilde(args, tol: Tolerance) -> Report:
     side_b = [join_double(a, a) for a in first.generators()]
     side_b += [join_double(one, zero), join_double(zero, one)]
     pi = tg.geometry.rep
-    pi_a = pi.images(alg.generator_rows)
-    scale = generator_scale(pi_a) * max(1.0, fro(gam))
+    scale = pi.generator_scale * max(1.0, fro(gam))
     holds_a = rep.check(
         "grading commutes with the doubled algebra",
-        pair_residual([gam], pi_a),
+        pair_residual([gam], pi.generator_images),
         tol,
         scale,
     )

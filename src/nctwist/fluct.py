@@ -18,7 +18,6 @@ from .matlin import (
     as_matrix,
     dagger,
     fro,
-    generator_scale,
     pair_residual,
     residual_against_span,
 )
@@ -69,7 +68,7 @@ def one_form_opposite_checks(
     a_mat = eval_one_form(f, tg)
     ja_mat = g.real_structure.conjugate(a_mat)
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks()
-    scale = max(1.0, fro(a_mat)) * generator_scale(pi_a)
+    scale = max(1.0, fro(a_mat)) * g.rep.generator_scale
     worst_right = pair_residual([a_mat], opp_b, rho_opp_b)
     worst_left = pair_residual([ja_mat], pi_a, pi_rho_a)
     rep.check("[A, J b* J^-1]_rho-opposite vanishes", worst_right, tol, scale)
@@ -208,7 +207,7 @@ def one_form_basis(tg: TwistedGeometry) -> np.ndarray:
     evaluated one-form bimodule.
     """
     d = tg.geometry.dirac
-    pi_a, pi_rho_a, _, _ = tg.stacks()
+    pi_a, pi_rho_a = (s.array for s in tg.stacks()[:2])
     grid = pi_a[:, None] @ (d @ pi_a - pi_rho_a @ d)[None]
     return grid.reshape((-1,) + d.shape)
 

@@ -5,14 +5,17 @@ dtype complex128.  This module collects the primitives the rest of the code
 is built on: the tolerance and its bound, ``pair_max``, the one walk over
 generators or generator pairs behind every order, regularity and
 multiplicativity check (``pair_residual`` is its commutator form), which
-evaluates on dense slices or on the nonzero entries of its operands and
-reads coordinates over pairs as the entry list ``PairCoords``, antilinear operators in unitary-times-conjugation form, the SVD nullspace
-and the distance to a real span.
+evaluates on dense slices or on the nonzero entries of its operands (each
+an ``Operand``, which keeps what the kernel reads off its stack) and reads
+coordinates over pairs as the entry list ``PairCoords``; antilinear
+operators in unitary-times-conjugation form, the SVD nullspace and the
+distance to a real span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -125,6 +128,47 @@ def distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], at
 
 
+class Operand:
+    """A ``(k, n, n)`` complex stack, with what the pair kernel reads off it.
+
+    ``pair_max`` reads three facts off each stack: whether it is finite, how
+    many nonzeros sit in each matrix, at each row and at each column, and
+    the nonzero entries themselves.  Each is found on first read and kept, so a
+    stack that is built once and shared (a representation's basis or
+    generator images, a twisted geometry's generator stacks) is scanned once
+    however many checks read it.  ``array`` is a read-only view of the stack;
+    the stack must not change through another reference once read.
+    """
+
+    def __init__(self, stack):
+        array = np.asarray(stack, dtype=np.complex128).view()
+        array.flags.writeable = False
+        self.array = array
+
+    @classmethod
+    def of(cls, stack) -> "Operand":
+        """``stack`` itself if it is an ``Operand``, else an ``Operand`` of it."""
+        return stack if isinstance(stack, cls) else cls(stack)
+
+    @cached_property
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.array).all())
+
+    @cached_property
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The number of nonzeros in each matrix, at each row and at each column."""
+        nonzero = self.array != 0
+        rows = nonzero.sum(axis=2, dtype=np.intp)
+        cols = nonzero.sum(axis=1, dtype=np.intp)
+        return rows.sum(axis=1), rows.sum(axis=0), cols.sum(axis=0)
+
+    @cached_property
+    def entries(self) -> tuple[tuple, np.ndarray]:
+        """``(indices, values)`` of the nonzeros, as ``np.nonzero`` orders them."""
+        idx = np.nonzero(self.array)
+        return idx, self.array[idx]
+
+
 @dataclass(frozen=True)
 class PairCoords:
     """Real ``(rows, cols, B)`` coordinates over pairs, as their nonzero entries.
@@ -175,8 +219,10 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
     The one walk over generators or generator pairs.  Each part of the
     difference is optional: ``xs`` and ``ys`` come together, ``zs`` needs
     them, and ``coords`` (a ``PairCoords`` of shape ``(rows, cols, B)``)
-    needs ``stack`` (``(B, n, n)``).  An empty side gives 0.0, and a NaN or
-    inf anywhere in an operand makes the result NaN.
+    needs ``stack`` (``(B, n, n)``).  The stacks are ``Operand``s, or arrays
+    that this call wraps in one (once, if one array is passed twice).  An
+    empty side gives 0.0, and a NaN or inf anywhere in an operand makes the
+    result NaN.
 
     Two evaluators give the same maximum.  The dense one walks rows outer
     and slices of ``max(1, 32768 // n^2)`` columns inner, which keeps its
@@ -187,16 +233,18 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
     count, read from the nonzero counts of each shared index, is at least
     ``_SPARSE_FACTOR`` times below the dense multiply-add count.
     """
-    rows = len(xs) if xs is not None else coords.shape[0]
-    cols = len(ys) if ys is not None else coords.shape[1]
+    xs, ys, zs, stack = _operands(xs, ys, zs, stack)
+    rows = len(xs.array) if xs is not None else coords.shape[0]
+    cols = len(ys.array) if ys is not None else coords.shape[1]
     if rows == 0 or cols == 0:
         return 0.0
     # the join skips products with zero, so it cannot carry a NaN through
-    values = None if coords is None else coords.value
-    given = [a for a in (xs, ys, zs, values, stack) if a is not None]
-    if not all(np.isfinite(a).all() for a in given):
+    given = [a for a in (xs, ys, zs, stack) if a is not None]
+    if not all(a.finite for a in given) or (
+        coords is not None and not np.isfinite(coords.value).all()
+    ):
         return float("nan")
-    n = (xs if xs is not None else stack).shape[-1]
+    n = (xs if xs is not None else stack).array.shape[-1]
     joins = _joins(xs, ys, zs, coords, stack, cols, n)
     terms = sum(int(left[0] @ right[0]) for _, left, right in joins)
     # the coords join comes first; its left count is per basis image
@@ -205,10 +253,11 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
     if terms * _SPARSE_FACTOR <= rows * cols * n * n * (products * n + used):
         return _sparse_pair_max(joins, n)
 
+    xs, ys, zs = (None if a is None else a.array for a in (xs, ys, zs))
     step = max(1, 32768 // n**2)
     if coords is not None:
         basis = coords.shape[2]
-        flat = stack.view(np.float64).reshape(basis, -1)
+        flat = stack.array.view(np.float64).reshape(basis, -1)
         # where the entries of pair (i, j), in key order, start
         first = np.searchsorted(coords.key, np.arange(rows * cols + 1) * basis)
 
@@ -234,6 +283,15 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
     )
 
 
+def _operands(*stacks) -> list:
+    """``stacks`` as ``Operand``s; an array passed twice is wrapped once."""
+    wrapped = {}
+    for s in stacks:
+        if s is not None and id(s) not in wrapped:
+            wrapped[id(s)] = Operand.of(s)
+    return [None if s is None else wrapped[id(s)] for s in stacks]
+
+
 def _joins(xs, ys, zs, coords, stack, cols, n):
     """The products of a pair difference, as ``(sign, left, right)`` sides.
 
@@ -256,19 +314,18 @@ def _joins(xs, ys, zs, coords, stack, cols, n):
     return out
 
 
-def _side(a: np.ndarray, shared: int, weights: tuple) -> tuple:
-    """``(count, entries)`` of a dense ``(., ., .)`` operand.
+def _side(a: Operand, shared: int, weights: tuple) -> tuple:
+    """``(count, entries)`` of an operand, joined on its axis ``shared``.
 
     ``count[k]`` is the number of nonzeros at shared index k, and
     ``entries()`` lists them as ``(shared index, key, value)``.
     """
-    others = tuple(k for k in range(3) if k != shared)
 
     def entries():
-        idx = np.nonzero(a)
-        return idx[shared], sum(w * k for w, k in zip(weights, idx) if w), a[idx]
+        idx, values = a.entries
+        return idx[shared], sum(w * k for w, k in zip(weights, idx) if w), values
 
-    return np.count_nonzero(a, axis=others), entries
+    return a.counts[shared], entries
 
 
 def _join(left, right, rcount):
@@ -317,10 +374,7 @@ def pair_residual(xs, ys, zs=None) -> float:
     images gives twisted ones, and ``xs = [I]`` a single-generator maximum
     of ``||ys[j] - zs[j]||`` (``pair_max``).  A NaN anywhere is the result.
     """
-    xs = np.asarray(xs, dtype=np.complex128)
-    ys = np.asarray(ys, dtype=np.complex128)
-    zs = ys if zs is None else np.asarray(zs, dtype=np.complex128)
-    return pair_max(xs, ys, zs)
+    return pair_max(xs, ys, ys if zs is None else zs)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | Non
     if q_plus.shape[1] != q_minus.shape[1]:
         return None
     alg = g.algebra
-    pi_a = g.rep.images(alg.generator_rows)
+    pi_a = g.rep.generator_images.array
     restr_plus = dagger(q_plus) @ pi_a @ q_plus
     restr_minus = dagger(q_minus) @ pi_a @ q_minus
     units = list(zip(_matrix_units(alg, restr_plus), _matrix_units(alg, restr_minus)))
@@ -206,8 +206,7 @@ def gamma_tilde_diagnostics(
     ]
     involution = tightest(halves)
     is_involution = involution[0] <= involution[1]
-    pi_a = g.rep.images(g.algebra.generator_rows)
-    r_comm = pair_residual([gt], pi_a)
+    r_comm = pair_residual([gt], g.rep.generator_images)
     r_anti = fro(anticommutator(gt, g.dirac))
     commutes = tol.accepts(r_comm, max(1.0, fro(gt)) ** 2)
     anticommutes = tol.accepts(r_anti, max(1.0, fro(g.dirac)))

@@ -27,12 +27,12 @@ import numpy as np
 from .algebra import Algebra, Representation
 from .matlin import (
     DEFAULT_TOL,
+    Operand,
     PairCoords,
     Tolerance,
     as_matrix,
     dagger,
     fro,
-    generator_scale,
     pair_max,
     pair_residual,
     sign_fits,
@@ -142,7 +142,7 @@ class TwistedGeometry:
     ``_built`` holds what reads no D, all of it built on first read but R:
     - ``"r"``: R, kept from ``__post_init__``;
     - ``"conjugated"``: ``conjugated_rep``, the J-conjugate of pi's stack;
-    - ``"stacks"``: the generator images of ``stacks()``, kept read-only;
+    - ``"stacks"``: the generator stacks of ``stacks()``, kept as operands;
     - ``"reports"``: per ``Tolerance``, the reports of
       ``Representation.check`` and ``check_regular``;
     - ``"pairs"``: the order-zero and grading-commutes-with-algebra
@@ -200,26 +200,33 @@ class TwistedGeometry:
     def stacks(self, rows: np.ndarray | None = None) -> tuple:
         """pi(a), pi(rho(a)), J pi(b*) J^-1 and J pi(rho(b*)) J^-1 over ``rows``.
 
-        Each is ``(len(rows), n, n)``, the last two None without a J.  They
-        are the images of pi and pi o rho at the coordinate ``rows``, and of
-        ``conjugated_rep`` at ``rows @ star_matrix`` and ``rows @ star_matrix
-        @ R``.  The default, ``Algebra.generator_rows``, is built once and
-        read-only; other ``rows`` are built per call.
+        Each is an ``Operand`` of ``(len(rows), n, n)``, the last two None
+        without a J.  They are the images of pi and pi o rho at the
+        coordinate ``rows``, and of ``conjugated_rep`` at ``rows @
+        star_matrix`` and ``rows @ star_matrix @ R``.  The default,
+        ``Algebra.generator_rows``, is built once: the first two are the
+        ``generator_images`` of pi and pi o rho, and the four are kept, so
+        each is scanned once however many checks read it.  Other ``rows``
+        are built per call.
         """
         if rows is None:
-            if "stacks" not in self._built:
-                built = self.stacks(self.algebra.generator_rows)
-                for s in built:
-                    if s is not None:
-                        s.flags.writeable = False
-                self._built["stacks"] = built
-            return self._built["stacks"]
+            built = self._built
+            if "stacks" not in built:
+                pi, twisted = self.geometry.rep, self.twisted_rep
+                opposite = self._opposite(self.algebra.generator_rows)
+                own = (pi.generator_images, twisted.generator_images)
+                built["stacks"] = own + opposite
+            return built["stacks"]
         pi_a, pi_rho_a = self.geometry.rep.images(rows), self.twisted_rep.images(rows)
+        return (Operand(pi_a), Operand(pi_rho_a)) + self._opposite(rows)
+
+    def _opposite(self, rows: np.ndarray) -> tuple:
+        """The last two ``stacks`` over ``rows``."""
         if self.geometry.real_structure is None:
-            return pi_a, pi_rho_a, None, None
+            return None, None
         cs = rows @ self.algebra.star_matrix
         opp = self.conjugated_rep
-        return pi_a, pi_rho_a, opp.images(cs), opp.images(cs @ self._built["r"])
+        return Operand(opp.images(cs)), Operand(opp.images(cs @ self._built["r"]))
 
 
 def check_regular(
@@ -235,8 +242,7 @@ def check_regular(
     _validate(rho, g)
     pi = g.rep
     cg = alg.generator_rows
-    mats = pi.images(cg)
-    scale = generator_scale(mats)
+    scale = pi.generator_scale
     n = pi.dim
     # coordinate rows move through rho, rho^-1 and the star as real matrices
     r = alg.linear_map(rho.apply)
@@ -245,7 +251,7 @@ def check_regular(
 
     def gap(diff):
         """max_{i,j} ||pi(a_ij) - pi(b_ij)||, read as pi(diff[i, j]), diff = a - b."""
-        return pair_max(coords=diff, stack=pi.stack)
+        return pair_max(coords=diff, stack=pi.operand)
 
     # a single-generator record is one row of the pair grid: (1, G, B)
     r_reg = gap(PairCoords.of((cg @ star @ r - cg @ np.linalg.inv(r) @ star)[None]))
@@ -271,9 +277,9 @@ def check_regular(
         )
         r_impl = pair_max(
             np.eye(n, dtype=np.complex128)[None],
-            u @ mats @ dagger(u),
+            u @ pi.generator_images.array @ dagger(u),
             coords=PairCoords.of(cr[None]),
-            stack=pi.stack,
+            stack=pi.operand,
         )
         rep.check("pi(rho(a)) = U pi(a) U*", r_impl, tol, scale)
     return rep
@@ -291,9 +297,12 @@ def first_order_residuals(
     Primary form:   max ||[[D, a]_rho, J b* J^{-1}]_rho^o||
     Symmetric form: max ||[[D, J b* J^{-1}]_rho^o, a]_rho||
     With ``pi_rho_a = pi_a`` and ``rho_opp_b = opp_b`` both are untwisted.
+    The stacks are ``Operand``s or arrays.
     """
-    primary = pair_residual(d @ pi_a - pi_rho_a @ d, opp_b, rho_opp_b)
-    symmetric = pair_residual(d @ opp_b - rho_opp_b @ d, pi_a, pi_rho_a)
+    pi_a, pi_rho_a = Operand.of(pi_a), Operand.of(pi_rho_a)
+    opp_b, rho_opp_b = Operand.of(opp_b), Operand.of(rho_opp_b)
+    primary = pair_residual(d @ pi_a.array - pi_rho_a.array @ d, opp_b, rho_opp_b)
+    symmetric = pair_residual(d @ opp_b.array - rho_opp_b.array @ d, pi_a, pi_rho_a)
     return primary, symmetric
 
 
@@ -310,7 +319,7 @@ def verify_twisted_first_order(
     d = tg.geometry.dirac
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks()
     primary, symmetric = first_order_residuals(d, pi_a, pi_rho_a, opp_b, rho_opp_b)
-    scale = generator_scale(pi_a) ** 2 * max(1.0, fro(d))
+    scale = tg.geometry.rep.generator_scale**2 * max(1.0, fro(d))
     rep.check("primary form on generator pairs", primary, tol, scale)
     rep.check("symmetric form on generator pairs", symmetric, tol, scale)
     rep.info["primary_residual"] = primary
@@ -332,7 +341,7 @@ def zero_order_conflict_check(
     """
     rep = Report("order-zero conflict")
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks()
-    scale = generator_scale(pi_a) ** 2
+    scale = tg.geometry.rep.generator_scale**2
 
     worst_plain = pair_residual(pi_a, opp_b)
     worst_twisted = pair_residual(pi_a, opp_b, rho_opp_b)
@@ -364,12 +373,12 @@ def coexistence_first_order_check(
     rep = Report("order-one coexistence")
     d = tg.geometry.dirac
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks()
-    plain = d @ pi_a - pi_a @ d
-    twisted = d @ pi_a - pi_rho_a @ d
+    plain = d @ pi_a.array - pi_a.array @ d
+    twisted = d @ pi_a.array - pi_rho_a.array @ d
     # a generator its twist cannot be told apart from (NaN included) is fixed
     fixed = [
         not fro(ma - mra) > tol.bound(max(1.0, fro(ma)))
-        for ma, mra in zip(pi_a, pi_rho_a)
+        for ma, mra in zip(pi_a.array, pi_rho_a.array)
     ]
     worst_plain = pair_residual(plain, opp_b)
     worst_twisted = pair_residual(twisted, opp_b, rho_opp_b)
@@ -381,7 +390,7 @@ def coexistence_first_order_check(
     )
     rep.record("untwisted order one residual", worst_plain, "recorded")
     rep.record("twisted order one residual", worst_twisted, "recorded")
-    scale = generator_scale(pi_a) ** 2 * max(1.0, fro(d))
+    scale = tg.geometry.rep.generator_scale**2 * max(1.0, fro(d))
     rep.check("both conditions on twist-fixed elements", worst_fixed, tol, scale)
     rep.info["untwisted_residual"] = worst_plain
     rep.info["twisted_residual"] = worst_twisted
@@ -431,7 +440,7 @@ def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
     d = g.dirac
     scale_d = max(1.0, fro(d))
     rep.check("Dirac operator self-adjoint", fro(d - dagger(d)), tol, scale_d)
-    scale_alg = generator_scale(tg.stacks()[0])
+    scale_alg = g.rep.generator_scale
     if g.grading is not None:
         gam = g.grading
         rep.check("grading self-adjoint", fro(gam - dagger(gam)), tol, 1.0)

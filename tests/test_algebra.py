@@ -129,6 +129,24 @@ def test_structure_constants_are_the_nonzero_generator_products(name):
     assert alg.structure_constants is sc
 
 
+def test_equal_algebras_share_their_read_only_tables():
+    # every doubling builds a new algebra; equal ones read one set of tables
+    base = Algebra.of("H", ("M", 2), "C")
+    first, second = doubled(base), doubled(Algebra.of("H", ("M", 2), "C"))
+    spelled = Algebra.of("H", ("M", 2), "C", "H", ("M", 2), "C")
+    assert first is not second and first == second == spelled
+    for name in ("generator_rows", "star_matrix", "structure_constants"):
+        table = getattr(first, name)
+        assert getattr(second, name) is table and getattr(spelled, name) is table
+        arrays = (table.key, table.value) if name == "structure_constants" else (table,)
+        assert not any(a.flags.writeable for a in arrays), name
+    # another signature, or the same blocks in another order, has its own
+    for other in (base, Algebra.of(("M", 2), "H", "C", "H", ("M", 2), "C")):
+        assert other != first
+        assert other.generator_rows is not first.generator_rows
+        assert other.structure_constants is not first.structure_constants
+
+
 def test_products_of_twisted_rows_are_the_nonzero_products():
     # rho = flip composed with monomial inner unitaries: exact entries
     alg = doubled(Algebra.of(("M", 3), "C", "H"))

@@ -190,7 +190,7 @@ def test_lean_generators_measure_the_same_first_order():
     # reference walks every generator row with the same kernels
     tsm = twisted_sm_geometry()
     pi_a, pi_rho_a, opp_b, rho_opp_b = tsm.stacks()
-    assert len(pi_a) == 60
+    assert len(pi_a.array) == 60
     r_full = pair_residual(pi_a, opp_b)
     assert abs(r_full - sm_order_zero_residual(tsm)) <= 1e-12
     full = first_order_residuals(tsm.geometry.dirac, pi_a, pi_rho_a, opp_b, rho_opp_b)

@@ -59,10 +59,10 @@ def test_opposite_action_is_right_multiplication():
     g = two_block_geometry()
     b = (2.0 + 1.0j, 0.5 - 0.25j)
     tg = TwistedGeometry.untwisted(g)
-    (pi_b,), _, (opp,), _ = tg.stacks(g.algebra.coord_rows([b]))
+    (pi_b,), _, (opp,), _ = (s.array for s in tg.stacks(g.algebra.coord_rows([b])))
     assert fro(pi_b - g.rep(b)) == 0.0
     # right multiplication commutes with every left one
-    for pi_a in tg.stacks()[0]:
+    for pi_a in tg.stacks()[0].array:
         assert fro(pi_a @ opp - opp @ pi_a) < 1e-12
     # and is genuinely different from the left action here
     assert fro(opp - pi_b) > 0.1

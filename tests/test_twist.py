@@ -1,6 +1,7 @@
 """Algebra automorphisms, twisted commutators, and the twisted axioms."""
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from nctwist import matlin
 from nctwist.algebra import Algebra, Placement, Representation
-from nctwist.matlin import AntilinearOperator, Tolerance, dagger, fro
+from nctwist.matlin import AntilinearOperator, Operand, Tolerance, dagger, fro
 from nctwist.mintwist import twist_by_grading
 from nctwist.samples import (
     clifford_tensor,
@@ -467,13 +468,19 @@ def test_each_coordinate_map_is_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(Automorphism, "apply", counted_apply)
     monkeypatch.setattr(Algebra, "star", counted_star)
-    tg = twist_by_grading(random_graded_geometry(np.random.default_rng(4)))
-    report = verify_twisted(tg)
+    g = random_graded_geometry(np.random.default_rng(4))
+    report = verify_twisted(twist_by_grading(g))
     assert report.ok, report.format_text()
     # rho once for pi o rho and once for regularity, which inverts its
-    # matrix; the star once for the algebra, not once per basis direction
+    # matrix; the star at most once per algebra signature in a process (an
+    # earlier test may have built this one's), not once per basis direction
     # and per check
-    assert calls == {"apply": 2, "star": 1}
+    assert calls["apply"] == 2 and calls["star"] <= 1
+    # a second doubling is a new but equal algebra: it reads the same table
+    before = calls["star"]
+    report = verify_twisted(twist_by_grading(g))
+    assert report.ok, report.format_text()
+    assert calls == {"apply": 4, "star": before}
 
 
 @settings(max_examples=80, deadline=None)
@@ -585,6 +592,7 @@ def stack_cases(draw):
 
 def assert_stacks_agree(got, want):
     for name, s, w in zip(("pi", "pi o rho", "opposite", "twisted opposite"), got, want):
+        s = s.array
         assert s.shape == (len(w),) + w[0].shape, name
         for k, m in enumerate(w):
             assert fro(s[k] - m) <= 1e-13 * max(1.0, fro(m)), (name, k)
@@ -601,7 +609,7 @@ def test_stacks_equal_their_per_element_definitions(case):
     # the default is the generator set
     default = tg.stacks()
     explicit = tg.stacks(alg.coord_rows(alg.generators()))
-    assert all(np.array_equal(a, b) for a, b in zip(default, explicit))
+    assert all(np.array_equal(a.array, b.array) for a, b in zip(default, explicit))
 
 
 def test_stacks_without_real_structure_have_no_opposite():
@@ -609,8 +617,8 @@ def test_stacks_without_real_structure_have_no_opposite():
     bare = TwistedGeometry(replace(tg.geometry, real_structure=None), tg.rho)
     pi_a, pi_rho_a, opp_b, rho_opp_b = bare.stacks()
     assert opp_b is None and rho_opp_b is None
-    assert np.array_equal(pi_a, tg.stacks()[0])
-    assert np.array_equal(pi_rho_a, tg.stacks()[1])
+    assert np.array_equal(pi_a.array, tg.stacks()[0].array)
+    assert np.array_equal(pi_rho_a.array, tg.stacks()[1].array)
 
 
 def counting_builds(monkeypatch) -> list:
@@ -637,7 +645,7 @@ def test_verify_twisted_builds_the_generator_stacks_once(monkeypatch):
 def test_built_stacks_are_read_only():
     for stack in flip_toy().stacks():
         with pytest.raises(ValueError, match="read-only"):
-            stack[0, 0, 0] = 1.0
+            stack.array[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8])
@@ -668,7 +676,7 @@ def test_a_replaced_real_structure_gets_its_own_stacks():
     built = tg.stacks()
     got, gens = other.stacks(), other.algebra.generators()
     assert_stacks_agree(got, per_element_stacks(other.geometry, other.rho, gens))
-    assert not np.allclose(got[2], built[2])
+    assert not np.allclose(got[2].array, built[2].array)
 
 
 @pytest.mark.parametrize("convention", ["flip", "display"])
@@ -714,6 +722,86 @@ def test_order_one_goes_dense_on_a_frame_and_sparse_on_placements(monkeypatch, f
     monkeypatch.setattr(matlin, "_sparse_pair_max", lambda *a: calls.append(a) or sparse(*a))
     first_order_residuals(tg.geometry.dirac, *tg.stacks())
     assert len(calls) == joins
+
+
+def counting_scans(monkeypatch) -> dict:
+    """Record the operand of every ``Operand.counts`` and ``Operand.entries``
+    derivation from now on: the kernel scans a stack there and nowhere else."""
+    seen = {"counts": [], "entries": []}
+    for name, operands in seen.items():
+        derive = getattr(Operand, name).func
+
+        def counted(op, derive=derive, operands=operands):
+            operands.append(op)
+            return derive(op)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Operand, name)
+        monkeypatch.setattr(Operand, name, prop)
+    return seen
+
+
+@pytest.mark.parametrize("frame", [True, False])
+def test_verify_twisted_scans_each_shared_stack_once(monkeypatch, frame):
+    tg = drawn_with(frame)
+    seen = counting_scans(monkeypatch)
+    report = verify_twisted(tg)
+    assert report.ok, report.format_text()
+    pi = tg.geometry.rep
+    shared = [pi.operand, *tg.stacks()]
+    assert tg.stacks()[0] is pi.generator_images
+    assert tg.stacks()[1] is tg.twisted_rep.generator_images
+    # a stack is scanned by its own kept operand, never by a per-call wrapper
+    for name, operands in seen.items():
+        for s in shared:
+            scans = [op for op in operands if np.shares_memory(op.array, s.array)]
+            assert scans in ([], [s]), name
+    # each is counted; the basis stack is joined on the sparse coordinate
+    # side, and on placements the generator stacks are joined too
+    assert all(any(op is s for op in seen["counts"]) for s in shared)
+    joined = [k for k, s in enumerate(shared) if any(op is s for op in seen["entries"])]
+    assert joined == ([0] if frame else [0, 1, 2, 3, 4])
+    # a second call reads what the first kept
+    for operands in seen.values():
+        operands.clear()
+    assert verify_twisted(tg).to_json() == report.to_json()
+    fresh = [op.array for op in seen["counts"]]
+    assert not any(np.shares_memory(a, s.array) for a in fresh for s in shared)
+
+
+def test_a_plain_array_is_scanned_once_per_call(monkeypatch):
+    rng = np.random.default_rng(2)
+    xs, ys = (rng.standard_normal((3, 4, 4)) + 0j for _ in range(2))
+    seen = counting_scans(monkeypatch)
+    # xs on both sides of [xs, ys]_zs, and ys = zs in a plain commutator
+    matlin.pair_max(xs, ys, xs)
+    matlin.pair_residual(xs, ys)
+    scanned = [op.array.base for op in seen["counts"]]
+    assert len(scanned) == 4 and all(b is a for b, a in zip(scanned, (xs, ys, xs, ys)))
+
+
+@pytest.mark.parametrize("where", ["pi", "J"])
+def test_a_stack_built_from_a_non_finite_input_gives_nan(where):
+    # the NaN sits in the last row and column of one image, which no
+    # generator image reaches with a nonzero (the doubled toy is diagonal)
+    tg = flip_toy()
+    g = tg.geometry
+    assert verify_twisted(tg).ok
+    if where == "pi":
+        stack = g.rep.stack.copy()
+        stack[0, -1, -1] = np.nan
+        g = replace(g, rep=Representation(g.algebra, stack))
+    else:
+        u = g.real_structure.unitary.copy()
+        u[-1, -1] = np.nan
+        g = replace(g, real_structure=AntilinearOperator(u))
+    bad = TwistedGeometry(g, tg.rho)
+    assert not all(s.finite for s in bad.stacks())
+    report = verify_twisted(bad)
+    records = {r.name: r for r in report.records}
+    zero = records["order zero: algebra commutes with opposite"]
+    assert np.isnan(zero.residual) and not zero.passed
+    assert not report.ok
 
 
 @pytest.mark.parametrize("frame", [True, False])
