@@ -330,7 +330,9 @@ class Algebra:
     def _places(self) -> tuple:
         """Row and column of each complex coordinate in the block-diagonal
         matrix of an element, and the coordinate at each position (-1 off
-        the blocks)."""
+        the blocks); read-only and shared (``_first_equal``)."""
+        if (first := _first_equal(self)) is not self:
+            return first._places
         dims = np.array([c.dim for c in self.components])
         sizes = dims**2
         d = np.repeat(dims, sizes)
@@ -339,6 +341,8 @@ class Algebra:
         row, col = first + local // d, first + local % d
         coord = np.full((dims.sum(), dims.sum()), -1)
         coord[row, col] = np.arange(len(row))
+        for table in (row, col, coord):
+            table.flags.writeable = False
         return row, col, coord
 
     def products(self, cx: np.ndarray, cy: np.ndarray) -> PairCoords:
@@ -397,10 +401,10 @@ class Algebra:
 def _first_equal(alg: Algebra) -> Algebra:
     """The first algebra equal to ``alg`` whose tables were asked for.
 
-    ``generator_rows``, ``star_matrix`` and ``structure_constants`` are pure
-    functions of ``Algebra.components``, so an algebra equal to an earlier
-    one (every ``doubled`` algebra of one signature, say) reads that one's
-    tables instead of building its own.  The lookup is by value, and the
+    ``generator_rows``, ``star_matrix``, ``structure_constants`` and
+    ``_places`` are pure functions of ``Algebra.components``, so an algebra
+    equal to an earlier one (every ``doubled`` algebra of one signature,
+    say) reads that one's tables instead of building its own.  The lookup is by value, and the
     last 32 distinct algebras are remembered.
     """
     return alg

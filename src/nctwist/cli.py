@@ -120,12 +120,9 @@ def _gamma_report(m: int, tol: Tolerance) -> Report:
         1.0,
     )
     cc = charge_conjugation(m, tol)
-    r_sign, b_sign = tightest(sign_fits((cc.eps, cc.eps_dblprime), cc.evidence))
     rep.add(
         "charge conjugation signs",
-        r_sign <= b_sign,
-        r_sign,
-        b_sign,
+        *tightest(sign_fits((cc.eps, cc.eps_dblprime), cc.evidence)),
         note=f"eps={cc.eps}, eps''={cc.eps_dblprime}, branch {cc.branch()}",
     )
     return rep
@@ -221,7 +218,7 @@ def cmd_gamma_tilde(args, tol: Tolerance) -> Report:
     tg = twisted_from_json(load_json(args.twisted))
     diag = gamma_tilde_diagnostics(tg, tol=tol)
     rep = Report("doubling involution of a twisted geometry")
-    rep.add("self-adjoint involution", diag.is_selfadjoint_involution, *diag.involution)
+    rep.add("self-adjoint involution", *diag.involution)
     scale = max(1.0, fro(diag.gamma_tilde)) ** 2
     rep.check(
         "commutes with the represented algebra", diag.commutes_with_rep, tol, scale
@@ -234,7 +231,6 @@ def cmd_gamma_tilde(args, tol: Tolerance) -> Report:
     )
     rep.add(
         "equals the grading of the input geometry",
-        diag.equals_input_grading,
         *diag.input_grading,
         note="exact for a twist by grading",
     )
@@ -247,22 +243,17 @@ def cmd_gamma_tilde(args, tol: Tolerance) -> Report:
     side_b += [join_double(one, zero), join_double(zero, one)]
     pi = tg.geometry.rep
     scale = pi.generator_scale * max(1.0, fro(gam))
-    holds_a = rep.check(
+    rep.check(
         "grading commutes with the doubled algebra",
         pair_residual([gam], pi.generator_images),
         tol,
         scale,
     )
-    holds_b = rep.check(
+    rep.check(
         "grading commutes with the first copy and the projectors",
         pair_residual([gam], pi.images(alg.coord_rows(side_b))),
         tol,
         scale,
-    )
-    rep.add(
-        "the two sides agree",
-        holds_a.passed == holds_b.passed,
-        note="commuting with the doubling = commuting with both",
     )
     return rep
 

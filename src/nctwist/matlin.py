@@ -413,19 +413,24 @@ def match_sign(
     """Decide the sign s in x = s*y with s in {+1, -1}; return ``(s, evidence)``.
 
     The evidence is ``(||x - y||, ||x + y||, bound)``: the residuals of both
-    candidates and the bound at the scale ``max(||x||, ||y||, 1)``.  Raises
-    ValueError when neither sign fits (a NaN fits neither) or both do (x = y
-    = 0 is reported as ambiguous rather than guessed).
+    candidates and the bound at the scale ``max(1, ||x||, ||y||)``, in which
+    a NaN norm is passed over, so the bound stays finite.  Raises ValueError,
+    with the evidence as its ``evidence`` attribute, when neither sign fits
+    (a NaN fits neither) or both do (x = y = 0 is reported as ambiguous
+    rather than guessed).
     """
-    bound = tol.bound(max(fro(x), fro(y), 1.0))
+    bound = tol.bound(max(1.0, fro(x), fro(y)))
     r_plus, r_minus = fro(x - y), fro(x + y)
-    if r_plus <= bound and r_minus <= bound:
-        raise ValueError(f"ambiguous sign for {what}: both signs fit")
-    if not (r_plus <= bound or r_minus <= bound):
-        raise ValueError(
-            f"no sign fits {what}: residuals +:{r_plus:.3e} -:{r_minus:.3e}"
+    evidence = (r_plus, r_minus, bound)
+    if (r_plus <= bound) == (r_minus <= bound):
+        exc = ValueError(
+            f"ambiguous sign for {what}: both signs fit"
+            if r_plus <= bound
+            else f"no sign fits {what}: residuals +:{r_plus:.3e} -:{r_minus:.3e}"
         )
-    return (1 if r_plus <= bound else -1), (r_plus, r_minus, bound)
+        exc.evidence = evidence
+        raise exc
+    return (1 if r_plus <= bound else -1), evidence
 
 
 def sign_fits(signs, evidence) -> list[tuple[float, float]]:

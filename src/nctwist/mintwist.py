@@ -168,19 +168,15 @@ def double_unit_element(alg: Algebra) -> tuple:
 class GammaTildeReport:
     """Diagnostics of the involution carried by the doubling.
 
-    ``involution`` and ``input_grading`` are the (residual, bound) pairs
-    the verdicts before them were decided on: the failing one of
-    ||g - g*|| and ||g^2 - 1|| or else the one nearer its bound, and
-    (nan, 0.0) without an input grading.
+    ``involution`` and ``input_grading`` are ``(residual, bound)`` pairs:
+    the failing one of ||g - g*|| and ||g^2 - 1|| or else the one nearer
+    its bound, and ||g - grading|| ((nan, 0.0) without an input grading).
     """
 
     gamma_tilde: np.ndarray
-    is_selfadjoint_involution: bool
     involution: tuple[float, float]
     commutes_with_rep: float
     anticommutator_with_dirac: float
-    is_grading: bool
-    equals_input_grading: bool
     input_grading: tuple[float, float]
 
 
@@ -189,12 +185,13 @@ def gamma_tilde_diagnostics(
     element: tuple | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> GammaTildeReport:
-    """Represent the (1, -1) element of the doubling and test its behaviour.
+    """Represent the (1, -1) element of the doubling and measure its behaviour.
 
     For a twist by grading this reproduces the grading exactly.  For other
     twisted geometries the caller may pass the distinguished element; the
-    report states whether it is a self-adjoint involution, commutes with
-    the represented algebra, and anticommutes with D (i.e. is a grading).
+    diagnostics measure whether it is a self-adjoint involution, commutes
+    with the represented algebra, and anticommutes with D (i.e. is a
+    grading).
     """
     if element is None:
         element = double_unit_element(tg.algebra)
@@ -204,24 +201,14 @@ def gamma_tilde_diagnostics(
         (fro(gt - dagger(gt)), tol.bound(max(1.0, fro(gt)))),
         (fro(gt @ gt - np.eye(n)), tol.bound(n)),
     ]
-    involution = tightest(halves)
-    is_involution = involution[0] <= involution[1]
-    r_comm = pair_residual([gt], g.rep.generator_images)
-    r_anti = fro(anticommutator(gt, g.dirac))
-    commutes = tol.accepts(r_comm, max(1.0, fro(gt)) ** 2)
-    anticommutes = tol.accepts(r_anti, max(1.0, fro(g.dirac)))
-    is_grading = is_involution and commutes and anticommutes
     input_grading = (float("nan"), 0.0)
     if g.grading is not None:
         input_grading = (fro(gt - g.grading), tol.bound(n))
     return GammaTildeReport(
         gamma_tilde=gt,
-        is_selfadjoint_involution=is_involution,
-        involution=involution,
-        commutes_with_rep=float(r_comm),
-        anticommutator_with_dirac=float(r_anti),
-        is_grading=bool(is_grading),
-        equals_input_grading=bool(input_grading[0] <= input_grading[1]),
+        involution=tightest(halves),
+        commutes_with_rep=pair_residual([gt], g.rep.generator_images),
+        anticommutator_with_dirac=fro(anticommutator(gt, g.dirac)),
         input_grading=input_grading,
     )
 
@@ -311,10 +298,6 @@ def uniqueness_engine(m: int, tol: Tolerance = DEFAULT_TOL) -> Report:
 # free Dirac operator at a point
 
 
-# the gate on max |Re f + Re g|; fixed, independent of the run's tolerance
-COEFF_TOL = 1e-10
-
-
 def _coefficient_blocks(m: int, f: complex, g_val: complex) -> np.ndarray:
     half = 2 ** (m - 1)
     out = np.zeros((2 * half, 2 * half), dtype=np.complex128)
@@ -348,12 +331,9 @@ def free_dirac_pointwise(
         raise ValueError(f"expected samples of shape ({2 * m}, 2)")
     rep = Report(f"free Dirac twisted fluctuation at a point, m={m}")
     cc: ChargeConjugation = charge_conjugation(m, tol)
-    r_sign, b_sign = tightest(sign_fits((cc.eps, cc.eps_dblprime), cc.evidence))
     rep.add(
         "conjugation branch",
-        r_sign <= b_sign,
-        r_sign,
-        b_sign,
+        *tightest(sign_fits((cc.eps, cc.eps_dblprime), cc.evidence)),
         note=f"(eps, eps'') = ({cc.eps}, {cc.eps_dblprime}), branch {cc.branch()}",
     )
     ys = [
@@ -433,7 +413,7 @@ def free_dirac_pointwise(
         scale,
         note="acceptance is equivalent to Re g = -Re f",
     )
-    accepted = coeff_defect <= COEFF_TOL
+    accepted = tol.accepts(coeff_defect)
     rep.record(
         "self-adjointness gate",
         defect,
@@ -447,7 +427,7 @@ def free_dirac_pointwise(
         rep.check(
             "accepted term = -2i sum Re(f_mu) gamma^mu grading",
             fro(term - expected),
-            Tolerance(rel=1e-10, abs=1e-10),
+            tol,
             scale,
         )
         rep.check(

@@ -1,16 +1,21 @@
 """Pass/fail records shared by every verification routine.
 
 A verifier returns a :class:`Report`: an ordered list of named checks, each
-carrying the measured residual and the tolerance it was judged against.
+carrying the measured residual and the bound it was judged against.
 Reports render to one line per check (text) or to a deterministic JSON
 payload.
+
+The verdict is decided here and nowhere else, from the two numbers the
+record prints: a check passes when ``residual <= tol``, and a floor record
+(:meth:`Report.exceeds`) when ``residual > tol``.  A non-finite residual
+fails either kind.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .matlin import worst
 
@@ -22,6 +27,7 @@ class CheckRecord:
     residual: float
     tol: float
     note: str = ""
+    floor: bool = False
 
     def to_dict(self) -> dict:
         """Strict JSON form: a non-finite residual is null plus a note."""
@@ -36,11 +42,14 @@ class CheckRecord:
         }
         if note:
             d["note"] = note
+        if self.floor:
+            d["floor"] = True
         return d
 
     def format_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        line = f"{status}  {self.name}  residual={self.residual:.3e} (tol {self.tol:.1e})"
+        kind = "floor" if self.floor else "tol"
+        line = f"{status}  {self.name}  residual={self.residual:.3e} ({kind} {self.tol:.1e})"
         if self.note:
             line += f"  [{self.note}]"
         return line
@@ -52,20 +61,15 @@ class Report:
     records: list[CheckRecord] = field(default_factory=list)
     info: dict = field(default_factory=dict)
 
-    def add(
-        self,
-        name: str,
-        passed: bool,
-        residual: float = 0.0,
-        tol: float = 0.0,
-        note: str = "",
+    def add(self, name: str, residual: float, tol: float, note: str = "") -> CheckRecord:
+        """Record ``residual`` against the bound ``tol``: it passes when ``residual <= tol``."""
+        return self._decide(name, residual, tol, note, floor=False)
+
+    def exceeds(
+        self, name: str, residual: float, floor: float, note: str = ""
     ) -> CheckRecord:
-        """Record a verdict; a non-finite residual fails whatever it says."""
-        residual = float(residual)
-        passed = bool(passed) and math.isfinite(residual)
-        rec = CheckRecord(name, passed, residual, float(tol), note)
-        self.records.append(rec)
-        return rec
+        """Record a lower bound: it passes when ``residual > floor``."""
+        return self._decide(name, residual, floor, note, floor=True)
 
     def check(
         self,
@@ -76,19 +80,25 @@ class Report:
         note: str = "",
     ) -> CheckRecord:
         """Record a residual judged by a Tolerance against a scale."""
-        bound = tol.bound(scale)
-        return self.add(name, residual <= bound, residual, bound, note)
+        return self.add(name, residual, tol.bound(scale), note)
 
     def record(self, name: str, residual: float, note: str = "") -> CheckRecord:
         """Record a measured-only residual (tol inf): it fails only if non-finite."""
-        return self.add(name, True, residual, float("inf"), note)
+        return self.add(name, residual, float("inf"), note)
+
+    def _decide(
+        self, name: str, residual: float, bound: float, note: str, floor: bool
+    ) -> CheckRecord:
+        """The one verdict rule; a non-finite residual fails either kind."""
+        r, bound = float(residual), float(bound)
+        passed = math.isfinite(r) and (r > bound if floor else r <= bound)
+        rec = CheckRecord(name, passed, r, bound, note, floor)
+        self.records.append(rec)
+        return rec
 
     def merge(self, other: "Report", prefix: str = "") -> None:
         for rec in other.records:
-            name = f"{prefix}{rec.name}" if prefix else rec.name
-            self.records.append(
-                CheckRecord(name, rec.passed, rec.residual, rec.tol, rec.note)
-            )
+            self.records.append(replace(rec, name=f"{prefix}{rec.name}"))
         for key, val in other.info.items():
             self.info.setdefault(key, val)
 

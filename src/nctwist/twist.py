@@ -452,17 +452,20 @@ def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
         rep.check("real structure antiunitary", fro(u @ dagger(u) - eye), tol, 1.0)
         try:
             signs = measure_ko_signs(g, tol)
-            r_sign, b_sign = tightest(sign_fits(signs.as_tuple(), signs.evidence))
             rep.add(
                 "sign triple determinate",
-                r_sign <= b_sign,
-                r_sign,
-                b_sign,
+                *tightest(sign_fits(signs.as_tuple(), signs.evidence)),
                 note=f"(eps, eps', eps'') = {signs.as_tuple()}",
             )
             rep.info["signs"] = list(signs.as_tuple())
         except ValueError as exc:
-            rep.add("sign triple determinate", False, float("nan"), 0.0, note=str(exc))
+            # both signs fit: the larger residual is at or below the bound;
+            # neither fits: the smaller one is above it (NaN stays NaN)
+            *fits, bound = exc.evidence
+            if np.max(fits) <= bound:
+                rep.exceeds("sign triple determinate", np.max(fits), bound, str(exc))
+            else:
+                rep.add("sign triple determinate", np.min(fits), bound, str(exc))
         # order zero stays untwisted: imposing the twisted variant as well
         # would force a trivial twist (see zero_order_conflict_check)
         rep.check(

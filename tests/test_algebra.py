@@ -135,16 +135,20 @@ def test_equal_algebras_share_their_read_only_tables():
     first, second = doubled(base), doubled(Algebra.of("H", ("M", 2), "C"))
     spelled = Algebra.of("H", ("M", 2), "C", "H", ("M", 2), "C")
     assert first is not second and first == second == spelled
-    for name in ("generator_rows", "star_matrix", "structure_constants"):
+    for name in ("generator_rows", "star_matrix", "structure_constants", "_places"):
         table = getattr(first, name)
         assert getattr(second, name) is table and getattr(spelled, name) is table
-        arrays = (table.key, table.value) if name == "structure_constants" else (table,)
+        if name == "structure_constants":
+            arrays = (table.key, table.value)
+        else:
+            arrays = table if name == "_places" else (table,)
         assert not any(a.flags.writeable for a in arrays), name
     # another signature, or the same blocks in another order, has its own
     for other in (base, Algebra.of(("M", 2), "H", "C", "H", ("M", 2), "C")):
         assert other != first
         assert other.generator_rows is not first.generator_rows
         assert other.structure_constants is not first.structure_constants
+        assert other._places is not first._places
 
 
 def test_products_of_twisted_rows_are_the_nonzero_products():

@@ -32,6 +32,11 @@ no twisted geometry is rebuilt from another's ``rho`` around a new D, which
 ``TwistedGeometry.with_dirac`` does without building pi o rho or the stacks
 again.
 
+A verdict is decided in one place, ``report.py``: outside it nothing in
+``src/nctwist`` names ``CheckRecord``, assigns or deletes a ``.passed``,
+passes a ``passed=`` keyword or sets ``"passed"`` through ``setattr``.  A
+verifier hands ``Report`` a residual and a bound, never a boolean.
+
 The package reads no environment variable: nothing in ``src/nctwist``
 names ``os.environ``, ``os.environb`` or ``getenv``, so a tolerance is set by
 ``--tol`` or the default and by nothing else.
@@ -537,6 +542,61 @@ def test_coordinate_table_calls_are_seen():
 def test_generator_rows_and_the_star_matrix_are_formed_in_one_place():
     # everything else reads Algebra.generator_rows and Algebra.star_matrix
     assert coordinate_table_sites() == []
+
+
+# -- report.py alone decides a verdict -------------------------------------
+
+
+def verdict_sites(tree: ast.Module) -> list[int]:
+    """Lines of ``tree`` that name ``CheckRecord`` or set a ``passed``."""
+    found = set()
+    for node in ast.walk(tree):
+        named = (
+            (isinstance(node, ast.Name) and node.id == "CheckRecord")
+            or (isinstance(node, ast.Attribute) and node.attr == "CheckRecord")
+            or (isinstance(node, ast.alias) and node.name.endswith("CheckRecord"))
+        )
+        sets = (
+            (
+                isinstance(node, ast.Attribute)
+                and node.attr == "passed"
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+            )
+            or (isinstance(node, ast.keyword) and node.arg == "passed")
+            or (
+                isinstance(node, ast.Call)
+                and terminal_name(node.func) == "setattr"
+                and any(isinstance(a, ast.Constant) and a.value == "passed" for a in node.args)
+            )
+        )
+        if named or sets:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_verdict_sites_are_seen():
+    tree = ast.parse(
+        "from .report import CheckRecord as Rec, Report\n"
+        "def f(rep, rec, report):\n"
+        "    rec.passed = rec.residual < 1.0\n"
+        "    rep.records[0].passed &= False\n"
+        "    rep.records.append(report.CheckRecord('x', True, 0.0, 1.0))\n"
+        "    setattr(rec, 'passed', False)\n"
+        "    rep.merge(replace(rec, passed=True))\n"
+        "    for rec.passed in (True,): pass\n"
+        "    return rec.passed, rep.add('y', 0.0, 1.0).passed, rep.check(rec.name, 0.0, tol)\n"
+    )
+    assert verdict_sites(tree) == [1, 3, 4, 5, 6, 7, 8]
+
+
+def test_only_the_report_module_decides_a_verdict():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "report.py"
+        for line in verdict_sites(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
 
 
 # -- the package reads no environment variable -----------------------------

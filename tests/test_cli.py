@@ -234,21 +234,42 @@ class TestVerify:
         assert proc.stderr.startswith(f"error: {field} ")
         assert "Traceback" not in proc.stderr
 
-    def test_nan_residual_report_reads_back(self, capsys, tmp_path):
-        # D = 0 fits both signs of J D = eps' D J: "sign triple determinate" is NaN
-        path = tmp_path / "d0.json"
-        zero_dirac = replace(toy_triple(), dirac=np.zeros((2, 2)))
-        dump_json(geometry_to_json(zero_dirac), str(path))
+    def test_nan_residual_report_reads_back(self, capsys, tmp_path, toy_file, monkeypatch):
+        # a file cannot carry a NaN, so the reader puts one in D: it fits no
+        # sign of J D = eps' D J, and "sign triple determinate" is NaN
+        read = cli.geometry_from_json
+
+        def nan_dirac(obj):
+            g = read(obj)
+            d = g.dirac.copy()
+            d[0, 1] = np.nan
+            return replace(g, dirac=d)
+
+        monkeypatch.setattr(cli, "geometry_from_json", nan_dirac)
         out = tmp_path / "report.json"
         runs = []
         for _ in range(2):
-            assert main(["verify", str(path), "--out", str(out)]) == 1
+            assert main(["verify", toy_file, "--out", str(out)]) == 1
             runs.append(out.read_bytes())
         assert runs[0] == runs[1]
         saved = load_json(str(out))
         (rec,) = [c for c in saved["checks"] if c["name"] == "sign triple determinate"]
         assert rec["residual"] is None and not rec["passed"]
         assert "residual is nan" in rec["note"]
+        assert 0.0 < rec["tol"] < np.inf and "floor" not in rec
+
+    def test_an_ambiguous_sign_reads_back_as_a_failed_floor(self, capsys, tmp_path):
+        # D = 0 fits both signs of J D = eps' D J: the larger residual, 0.0,
+        # is at or below the bound, so the sign is not determinate
+        path = tmp_path / "d0.json"
+        zero_dirac = replace(toy_triple(), dirac=np.zeros((2, 2)))
+        dump_json(geometry_to_json(zero_dirac), str(path))
+        code, payload = run_json(capsys, ["verify", str(path)])
+        assert code == 1
+        (rec,) = [c for c in payload["checks"] if c["name"] == "sign triple determinate"]
+        assert rec["floor"] is True and not rec["passed"]
+        assert rec["residual"] == 0.0 and rec["tol"] > 0.0
+        assert rec["note"] == "ambiguous sign for J vs D: both signs fit"
 
     def test_twisted_marker_runs_twisted_checks(self, capsys, marker_file):
         code, payload = run_json(capsys, ["verify", marker_file])
@@ -665,7 +686,6 @@ class TestEngines:
         out = capsys.readouterr().out
         assert code == 0
         assert "involution" in out
-        assert "PASS  the two sides agree" in out
 
     def test_gamma_tilde_records_carry_their_residual_and_bound(self, capsys, marker_file):
         code, payload = run_json(capsys, ["gamma-tilde", marker_file])

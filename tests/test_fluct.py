@@ -28,6 +28,8 @@ from nctwist.matlin import (
     dagger,
     fro,
     residual_against_span,
+    sign_fits,
+    tightest,
 )
 from nctwist.mintwist import twist_by_grading
 from nctwist.samples import (
@@ -348,7 +350,9 @@ def test_the_preserved_record_reads_the_signs_verify_twisted_measured(
         if g.dirac is tg.geometry.dirac:
             return signs
         if undecided:
-            raise ValueError("J vs D: no sign fits")
+            exc = ValueError("J vs D: no sign fits")
+            exc.evidence = (1.0, 1.0, signs.evidence[1][2])
+            raise exc
         return replace(signs, eps_prime=-signs.eps_prime)
 
     monkeypatch.setattr("nctwist.fluct.measure_ko_signs", moved)
@@ -356,19 +360,27 @@ def test_the_preserved_record_reads_the_signs_verify_twisted_measured(
     f = random_one_form(np.random.default_rng(RNG_SEED + 13), tg)
     report = verify_fluctuated(tg, f)
     records = {r.name: r for r in report.records}
+    # the forged sign fails where verify_twisted decides it, on its residual
+    determinate = records["fluctuated: sign triple determinate"]
+    assert not report.ok and not determinate.passed
+    assert determinate.residual > determinate.tol > 0.0
+    # the preserved record is decided on the base fits of eps and eps'' and
+    # on J D_A = eps' D_A J, which the forgery does not touch; its note
+    # shows what verify_twisted measured
+    before = measure_ko_signs(tg.geometry)
+    fits = sign_fits(before.as_tuple(), before.evidence)
+    jd = records["J D_A = eps' D_A J with base eps'"]
     preserved = records["sign triple preserved"]
-    assert not preserved.passed
+    assert (preserved.residual, preserved.tol) == tightest(
+        [fits[0], fits[2], (jd.residual, jd.tol)]
+    )
+    assert preserved.passed
     if undecided:
-        assert np.isnan(preserved.residual)
-        assert preserved.note == "J vs D: no sign fits"
-        assert records["fluctuated: sign triple determinate"].note == preserved.note
+        assert preserved.note == f"{before.as_tuple()} -> undecided"
+        assert determinate.note == "J vs D: no sign fits"
     else:
-        before = measure_ko_signs(tg.geometry).as_tuple()
-        # the residual and bound are those of J D_A = eps' D_A J with base eps'
-        jd = records["J D_A = eps' D_A J with base eps'"]
-        assert (preserved.residual, preserved.tol) == (jd.residual, jd.tol)
-        assert preserved.note == f"{before} -> {tuple(report.info['signs'])}"
-        assert report.info["signs"][1] == -before[1]
+        assert preserved.note == f"{before.as_tuple()} -> {tuple(report.info['signs'])}"
+        assert report.info["signs"][1] == -before.as_tuple()[1]
 
 
 # -- a verdict on a shared build equals the verdict on a fresh one ------------

@@ -367,10 +367,14 @@ def test_match_sign_plus_minus_and_failures():
     x = rand_mat(rng, 3)
     assert match_sign(x, x)[0] == 1
     assert match_sign(x, -x)[0] == -1
-    with pytest.raises(ValueError):
+    # an undecided sign raises with the evidence it was decided on
+    with pytest.raises(ValueError) as info:
         match_sign(np.zeros((2, 2)), np.zeros((2, 2)))  # ambiguous
-    with pytest.raises(ValueError):
+    assert info.value.evidence == (0.0, 0.0, DEFAULT_TOL.bound(1.0))
+    with pytest.raises(ValueError) as info:
         match_sign(x, 1j * x)  # neither sign fits
+    bound = DEFAULT_TOL.bound(max(1.0, fro(x)))
+    assert info.value.evidence == (fro(x - 1j * x), fro(x + 1j * x), bound)
 
 
 def test_match_sign_evidence_is_exact():
@@ -393,8 +397,12 @@ def test_match_sign_of_a_nan_operand_fits_no_sign(side):
     x = np.eye(2, dtype=np.complex128)
     y = x.copy()
     (x if side == "x" else y)[0, 1] = np.nan
-    with pytest.raises(ValueError, match="no sign fits"):
+    with pytest.raises(ValueError, match="no sign fits") as info:
         match_sign(x, y)
+    # the NaN norm is passed over: the bound is at the other side's scale
+    r_plus, r_minus, bound = info.value.evidence
+    assert np.isnan(r_plus) and np.isnan(r_minus)
+    assert bound == DEFAULT_TOL.bound(np.sqrt(2))
 
 
 def test_nullspace_known_kernel():

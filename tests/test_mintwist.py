@@ -203,18 +203,21 @@ def test_double_unit_element():
 def test_gamma_tilde_reproduces_grading_for_grading_twist():
     tg = flip_toy()
     d = gamma_tilde_diagnostics(tg)
-    assert d.is_selfadjoint_involution
+    assert d.involution[0] <= d.involution[1]
     assert d.commutes_with_rep <= 1e-12
     assert d.anticommutator_with_dirac <= 1e-12
-    assert d.is_grading
-    assert d.equals_input_grading
+    assert d.input_grading[0] == 0.0 < d.input_grading[1]
     assert fro(d.gamma_tilde - tg.geometry.grading) == 0.0
 
 
 def test_gamma_tilde_on_block_geometry():
     tg = twist_by_grading(block_geometry())
     d = gamma_tilde_diagnostics(tg)
-    assert d.is_grading and d.equals_input_grading
+    n, scale_d = tg.geometry.hilbert_dim, max(1.0, fro(tg.geometry.dirac))
+    assert d.involution[0] <= d.involution[1]
+    assert DEFAULT_TOL.accepts(d.commutes_with_rep, max(1.0, fro(d.gamma_tilde)) ** 2)
+    assert DEFAULT_TOL.accepts(d.anticommutator_with_dirac, scale_d)
+    assert d.input_grading[0] <= d.input_grading[1] == DEFAULT_TOL.bound(n)
 
 
 def test_grading_compat_two_sided_criterion(tmp_path, capsys, monkeypatch):
@@ -235,7 +238,6 @@ def test_grading_compat_two_sided_criterion(tmp_path, capsys, monkeypatch):
 
     got = records()
     assert all(got[name]["passed"] and got[name]["residual"] <= 1e-12 for name in sides)
-    assert got["the two sides agree"]["passed"]
     # an off-diagonal grading fails both sides coherently
     tg = flip_toy()
     off = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -243,7 +245,6 @@ def test_grading_compat_two_sided_criterion(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "twisted_from_json", lambda obj: bent)
     got = records()
     assert not any(got[name]["passed"] or got[name]["residual"] < 0.1 for name in sides)
-    assert got["the two sides agree"]["passed"]  # agreement, not smallness
 
 
 class TestUniqueness:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nctwist.matlin import Tolerance
@@ -22,21 +23,66 @@ def test_check_gates_on_tolerance():
 
 def test_add_records_verbatim():
     rep = Report("demo")
-    rep.add("informational", True, 3.5, float("inf"), note="recorded")
+    rep.add("informational", 3.5, float("inf"), note="recorded")
     assert rep.ok
     rec = rep.records[0]
     assert rec.residual == 3.5
     assert rec.note == "recorded"
 
 
+def test_the_verdict_at_the_bound():
+    # add passes at residual == tol; exceeds fails at residual == floor
+    rep = Report("demo")
+    at, above = rep.add("at", 1.0, 1.0), rep.add("above", np.nextafter(1.0, 2.0), 1.0)
+    assert at.passed and not above.passed
+    low, high = rep.exceeds("at", 1.0, 1.0), rep.exceeds("above", np.nextafter(1.0, 2.0), 1.0)
+    assert not low.passed and high.passed
+    assert (low.residual, low.tol, low.floor) == (1.0, 1.0, True)
+    assert rep.check("scaled", 3e-10, Tolerance(rel=1e-10, abs=0.0), 3.0).passed
+
+
+@pytest.mark.parametrize("residual", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_residual_fails_every_kind(residual):
+    rep = Report("demo")
+    records = [
+        rep.add("add", residual, 1.0),
+        rep.add("add at an infinite bound", residual, np.inf),
+        rep.exceeds("exceeds", residual, 1.0),
+        rep.exceeds("exceeds below -inf", residual, -np.inf),
+        rep.check("check", residual, Tolerance(), 1.0),
+        rep.record("record", residual),
+    ]
+    assert not any(r.passed for r in records)
+    assert not rep.ok
+
+
+def test_a_floor_record_says_so_in_text_and_json():
+    rep = Report("demo")
+    rep.exceeds("moves", 2.5, 1e-10, note="lower bound")
+    rep.add("holds", 0.0, 1e-10)
+    floor, plain = rep.to_dict()["checks"]
+    assert floor == {
+        "name": "moves", "passed": True, "residual": 2.5, "tol": 1e-10,
+        "note": "lower bound", "floor": True,
+    }
+    assert "floor" not in plain
+    text = rep.format_text().splitlines()
+    assert text[1] == "  PASS  moves  residual=2.500e+00 (floor 1.0e-10)  [lower bound]"
+    assert text[2] == "  PASS  holds  residual=0.000e+00 (tol 1.0e-10)"
+
+
 def test_merge_prefixes_names():
     inner = Report("inner")
     inner.check("sub check", 0.0, Tolerance(), 1.0)
+    inner.exceeds("lower bound", 0.0, 1e-10)
     inner.info["key"] = 7
     outer = Report("outer")
     outer.merge(inner, prefix="inner: ")
     assert outer.records[0].name == "inner: sub check"
     assert outer.info["key"] == 7
+    # a floor record keeps its kind and verdict
+    floor = outer.records[1]
+    assert floor.name == "inner: lower bound" and floor.floor and not floor.passed
 
 
 def test_merge_propagates_failure():
@@ -62,10 +108,8 @@ def test_to_dict_and_json_roundtrip():
 
 
 def test_json_handles_numpy_scalars():
-    import numpy as np
-
     rep = Report("demo")
-    rep.add("numpy residual", True, float(np.float64(0.5)), float("inf"))
+    rep.add("numpy residual", float(np.float64(0.5)), float("inf"))
     rep.info["value"] = np.float64(1.25)
     rep.info["flag"] = np.bool_(True)
     parsed = json.loads(rep.to_json())
@@ -76,7 +120,7 @@ def test_json_handles_numpy_scalars():
 def test_format_text_one_line_per_record():
     rep = Report("demo")
     rep.check("alpha", 0.0, Tolerance(), 1.0)
-    rep.add("beta", False, 2.0, 1.0, note="too big")
+    rep.add("beta", 2.0, 1.0, note="too big")
     text = rep.format_text()
     lines = text.splitlines()
     assert lines[0].startswith("demo")

@@ -267,13 +267,12 @@ class TestGammaTilde:
 
     def test_involution_commutes_but_is_no_grading(self, tsm):
         d = gamma_tilde_diagnostics(tsm, sm_gamma_tilde_element())
-        assert d.is_selfadjoint_involution
+        assert d.involution[0] <= d.involution[1]
         assert d.commutes_with_rep <= 1e-12
         assert d.anticommutator_with_dirac == pytest.approx(
             GAMMA_TILDE_ANTICOMM, rel=1e-12
         )
-        assert not d.is_grading
-        assert not d.equals_input_grading
+        assert d.input_grading[0] > d.input_grading[1]
 
 
 def test_verify_sm_twisted_full_run(tsm, capsys):
