@@ -113,23 +113,18 @@ def fluctuation_operator(
 
 
 def _fluctuated_dirac(
-    tg: TwistedGeometry, a_mat: np.ndarray, tol: Tolerance, eps_prime: int | None
+    tg: TwistedGeometry, a_mat: np.ndarray, tol: Tolerance, eps_prime: int
 ) -> tuple[np.ndarray, float, float]:
     """``(D_A, defect, bound)``: the defect ``||D_A - D_A*|| / 2`` is accepted up to bound."""
-    if eps_prime is None:
-        eps_prime = measure_ko_signs(tg.geometry, tol).eps_prime
     d_new = tg.geometry.dirac + fluctuation_operator(tg, as_matrix(a_mat), eps_prime)
     defect = fro(d_new - dagger(d_new)) / 2.0
     return d_new, defect, tol.bound(max(1.0, fro(d_new)))
 
 
 def fluctuate_with_operator(
-    tg: TwistedGeometry,
-    a_mat: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-    eps_prime: int | None = None,
+    tg: TwistedGeometry, a_mat: np.ndarray, tol: Tolerance, eps_prime: int
 ) -> TwistedGeometry:
-    """Fluctuate by an already-evaluated one-form matrix.
+    """Fluctuate by an already-evaluated one-form matrix, with the sign ``eps_prime``.
 
     Raises ValueError when the resulting operator is not self-adjoint; the
     defect (norm of the anti-Hermitian part) is included in the message.
@@ -146,7 +141,8 @@ def fluctuate(
     tg: TwistedGeometry, f: TwistedOneForm, tol: Tolerance = DEFAULT_TOL
 ) -> TwistedGeometry:
     """Fluctuate by a twisted one-form: D -> D + A + eps' J A J^{-1}."""
-    return fluctuate_with_operator(tg, eval_one_form(f, tg), tol)
+    eps_prime = measure_ko_signs(tg.geometry, tol).eps_prime
+    return fluctuate_with_operator(tg, eval_one_form(f, tg), tol, eps_prime)
 
 
 def verify_fluctuated(

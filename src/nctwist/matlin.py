@@ -71,13 +71,13 @@ def fro(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def worst(residuals, floor: float = 0.0) -> float:
-    """Largest of ``residuals`` and ``floor``; a NaN anywhere is the result.
+def worst(residuals) -> float:
+    """Largest of ``residuals``, 0 when there are none; a NaN anywhere is the result.
 
     The builtin ``max`` keeps its running value when compared with NaN, so
     a non-finite residual after the first would silently pass.
     """
-    return float(np.max(np.fromiter(residuals, dtype=float), initial=floor))
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
 
 
 def tightest(checks) -> tuple[float, float]:
@@ -90,8 +90,10 @@ def tightest(checks) -> tuple[float, float]:
 
 
 def generator_scale(images) -> float:
-    """``max(1, max_k ||images[k]||)``: the scale of a stack of generator images."""
-    return worst((fro(m) for m in images), 1.0)
+    """``max(1, max_k ||images[k]||)`` over the finite norms (``match_sign`` also
+    passes over a NaN norm): the scale of a stack of generator images."""
+    norms = np.fromiter((fro(m) for m in images), dtype=float)
+    return float(np.max(norms[np.isfinite(norms)], initial=1.0))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -39,17 +39,16 @@ from .matlin import (
     Tolerance,
     dagger,
     fro,
-    generator_scale,
     kron,
     pair_residual,
-    sign_fits,
-    tightest,
     worst,
 )
 from .mintwist import gamma_tilde_diagnostics
 from .report import Report
-from .triple import FiniteGeometry, measure_ko_signs, verify_spectral_triple
-from .twist import Automorphism, TwistedGeometry, check_regular, first_order_residuals
+from .triple import FiniteGeometry, verify_spectral_triple
+from .twist import (
+    Automorphism, TwistedGeometry, check_regular, first_order_residuals, record_signs
+)
 
 DEFAULT_YUKAWAS = {
     "nu": 1.1 + 0.3j,
@@ -414,12 +413,6 @@ def sm_first_order_residuals(tg: TwistedGeometry, convention: str) -> dict:
     return {"primary": primary, "symmetric": symmetric}
 
 
-def _lean_scale(tg: TwistedGeometry) -> float:
-    """Squared generator scale of pi over the lean generators."""
-    pi_a = tg.geometry.rep.images(lean_generators(tg.algebra))
-    return generator_scale(pi_a) ** 2
-
-
 def sm_order_zero_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
     """The order-zero record of the twisted point model."""
     rep = Report("twisted standard model: order zero")
@@ -427,7 +420,7 @@ def sm_order_zero_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> R
         "order zero: algebra commutes with opposite",
         sm_order_zero_residual(tg),
         tol,
-        _lean_scale(tg),
+        tg.geometry.rep.generator_scale**2,
     )
     return rep
 
@@ -435,7 +428,7 @@ def sm_order_zero_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> R
 def sm_first_order_report(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Order-one records of both conventions; only "display" is gated."""
     rep = Report("twisted standard model: order one")
-    d_scale = _lean_scale(tg) * max(1.0, fro(tg.geometry.dirac))
+    d_scale = tg.geometry.rep.generator_scale**2 * max(1.0, fro(tg.geometry.dirac))
     for convention in ("flip", "display"):
         res = sm_first_order_residuals(tg, convention)
         for form in ("primary", "symmetric"):
@@ -473,14 +466,7 @@ def verify_sm_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Repo
     rep.merge(tg.geometry.rep.check(tol), prefix="twisted rep: ")
     rep.merge(check_regular(tg.rho, tg.geometry, tol), prefix="twist: ")
 
-    signs = measure_ko_signs(tg.geometry, tol)
-    # judged at the expected signs, so a flipped sign fails on its residual
-    rep.add(
-        "sign triple of the twisted model",
-        *tightest(sign_fits((-1, 1, -1), signs.evidence)),
-        note=f"(eps, eps', eps'') = {signs.as_tuple()}",
-    )
-    rep.info["signs"] = list(signs.as_tuple())
+    record_signs(rep, "sign triple of the twisted model", tg.geometry, tol, (-1, 1, -1))
 
     rep.merge(sm_order_zero_report(tg, tol))
     rep.merge(generalized_minimal_twist_check(tg, tol), prefix="recovery: ")
@@ -493,7 +479,7 @@ def verify_sm_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Repo
         "doubling involution commutes with the algebra",
         diag.commutes_with_rep,
         tol,
-        _lean_scale(tg),
+        tg.geometry.rep.generator_scale**2,
     )
     r_formula = fro(diag.gamma_tilde - sm_gamma_tilde_expected())
     rep.add(

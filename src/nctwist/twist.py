@@ -419,6 +419,34 @@ def _d_free_verdicts(tg: TwistedGeometry, tol: Tolerance) -> tuple:
     return reports[tol] + built["pairs"]
 
 
+def record_signs(
+    rep: Report, name: str, g: FiniteGeometry, tol: Tolerance, expected: tuple | None
+) -> None:
+    """Record on ``rep`` the sign triple of ``g``, judged at ``expected`` (None: as measured).
+
+    A flipped sign fails on its residual; the note and ``rep.info["signs"]``
+    hold the measured signs.  An undecided one is decided on its
+    ``match_sign`` evidence: when both fit, a floor record of the larger
+    residual; when neither fits, the smaller one (a NaN stays NaN).
+    """
+    try:
+        signs = measure_ko_signs(g, tol)
+    except ValueError as exc:
+        if not hasattr(exc, "evidence"):  # no J: not a sign to decide
+            raise
+        rep.info.pop("signs", None)  # drop the signs of a merged report
+        *fits, bound = exc.evidence
+        if np.max(fits) <= bound:
+            rep.exceeds(name, np.max(fits), bound, str(exc))
+        else:
+            rep.add(name, np.min(fits), bound, str(exc))
+        return
+    measured = signs.as_tuple()
+    fit = tightest(sign_fits(expected or measured, signs.evidence))
+    rep.add(name, *fit, note=f"(eps, eps', eps'') = {measured}")
+    rep.info["signs"] = list(measured)
+
+
 def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Aggregate run for a twisted geometry; rho = id gives the untwisted one.
 
@@ -450,22 +478,7 @@ def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
     if g.real_structure is not None:
         u = g.real_structure.unitary
         rep.check("real structure antiunitary", fro(u @ dagger(u) - eye), tol, 1.0)
-        try:
-            signs = measure_ko_signs(g, tol)
-            rep.add(
-                "sign triple determinate",
-                *tightest(sign_fits(signs.as_tuple(), signs.evidence)),
-                note=f"(eps, eps', eps'') = {signs.as_tuple()}",
-            )
-            rep.info["signs"] = list(signs.as_tuple())
-        except ValueError as exc:
-            # both signs fit: the larger residual is at or below the bound;
-            # neither fits: the smaller one is above it (NaN stays NaN)
-            *fits, bound = exc.evidence
-            if np.max(fits) <= bound:
-                rep.exceeds("sign triple determinate", np.max(fits), bound, str(exc))
-            else:
-                rep.add("sign triple determinate", np.min(fits), bound, str(exc))
+        record_signs(rep, "sign triple determinate", g, tol, None)
         # order zero stays untwisted: imposing the twisted variant as well
         # would force a trivial twist (see zero_order_conflict_check)
         rep.check(

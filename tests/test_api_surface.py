@@ -37,6 +37,11 @@ A verdict is decided in one place, ``report.py``: outside it nothing in
 passes a ``passed=`` keyword or sets ``"passed"`` through ``setattr``.  A
 verifier hands ``Report`` a residual and a bound, never a boolean.
 
+The sign triple is recorded in one place, ``twist.record_signs``, which
+decides and prints it for ``verify_twisted`` and the twisted standard model:
+in ``src/nctwist`` nothing else calls ``measure_ko_signs`` but ``fluct.py``,
+which reads eps' to form D_A.
+
 The package reads no environment variable: nothing in ``src/nctwist``
 names ``os.environ``, ``os.environb`` or ``getenv``, so a tolerance is set by
 ``--tol`` or the default and by nothing else.
@@ -595,6 +600,49 @@ def test_only_the_report_module_decides_a_verdict():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "report.py"
         for line in verdict_sites(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+# -- the sign triple is recorded in one place ------------------------------
+
+SIGN_RECORDER = ("twist.py", "record_signs")
+SIGN_READERS = {"fluct.py"}  # eps' of D_A = D + A + eps' J A J^-1
+
+
+def sign_measurements(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, function)`` of every ``measure_ko_signs`` call in ``tree``."""
+    return [
+        (call.lineno, qualname)
+        for qualname, node in functions(tree)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and terminal_name(call) == "measure_ko_signs"
+    ]
+
+
+def test_sign_measurements_are_seen():
+    tree = ast.parse(
+        "def record_signs(rep, name, g, tol):\n"
+        "    signs = measure_ko_signs(g, tol)\n"
+        "class Model:\n"
+        "    def signs(self, tol):\n"
+        "        return triple.measure_ko_signs(self.geometry, tol).as_tuple()\n"
+        "EPS = measure_ko_signs(toy()).eps\n"
+        "def measured(g):\n"
+        "    return [s for s in measure_ko_signs(g).as_tuple()]\n"
+    )
+    assert sign_measurements(tree) == [
+        (2, "record_signs"), (5, "Model.signs"), (6, "<module>"), (8, "measured")
+    ]
+
+
+def test_the_sign_triple_is_recorded_in_one_place():
+    found = [
+        f"{path.name}:{line} {where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in SIGN_READERS
+        for line, where in sign_measurements(ast.parse(path.read_text(), filename=str(path)))
+        if (path.name, where) != SIGN_RECORDER
     ]
     assert found == []
 

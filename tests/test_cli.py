@@ -760,6 +760,21 @@ class TestSM:
         assert seen[0] == seen[1]
         assert seen[0][0]["nu"] == -0.5 and seen[0][1] == -1.0 - 0.2j
 
+    def test_zero_couplings_are_a_failed_report(self, capsys):
+        # D = 0 is valid input that fits both signs of J D = eps' D J: a
+        # report whose sign records fail as floor records (exit 1), not an
+        # input error (exit 2)
+        zero = ["sm", "--yukawa", "0,0,0,0", "--majorana", "0"]
+        name = "sign triple of the twisted model"
+        assert main(zero) == 1
+        assert f"FAIL  {name}  residual=0.000e+00 (floor" in capsys.readouterr().out
+        code, payload = run_json(capsys, zero)
+        assert code == 1 and payload["ok"] is False
+        (rec,) = [c for c in payload["checks"] if c["name"] == name]
+        assert rec["floor"] is True and not rec["passed"]
+        assert rec["residual"] <= rec["tol"]
+        assert rec["note"] == "ambiguous sign for J vs D: both signs fit"
+
     def test_malformed_yukawa_is_input_error(self, capsys):
         assert main(["sm", "--check", "recovery", "--yukawa", "1.0,2.0"]) == 2
 

@@ -18,6 +18,7 @@ from nctwist.matlin import (
     anticommutator,
     dagger,
     fro,
+    generator_scale,
     kron,
     pair_residual,
 )
@@ -49,7 +50,7 @@ from nctwist.sm import (
 )
 from nctwist.triple import FiniteGeometry, measure_ko_signs, order_one_residual, order_zero_residual, verify_spectral_triple
 from nctwist.samples import flip_toy, random_matrix_geometry, random_one_form
-from nctwist.twist import first_order_residuals, verify_twisted
+from nctwist.twist import TwistedGeometry, first_order_residuals, verify_twisted
 
 # frozen measurements for the default Yukawa/Majorana values
 FLIP_FIRST_ORDER = 3.668569203381614
@@ -183,6 +184,14 @@ def test_lean_generators_drop_imaginary_color_units():
     # the kept rows are generator rows, in their order
     kept = [k for k, g in enumerate(alg.generator_rows) if any((g == lean).all(axis=1))]
     assert np.array_equal(alg.generator_rows[kept], lean)
+
+
+def test_the_lean_generators_have_the_scale_of_all_generators():
+    # the dropped rows are i-multiples of kept ones, whose images have the
+    # same norms, so the checks read the cached scale of all generators
+    rep = twisted_sm_rep()
+    lean = rep.images(lean_generators(rep.algebra))
+    assert generator_scale(lean) == rep.generator_scale
 
 
 def test_lean_generators_measure_the_same_first_order():
@@ -400,6 +409,26 @@ def test_a_flipped_sign_of_the_twisted_model_fails_on_its_residual(flipped_sm_re
     assert not rec.passed
     assert rec.residual > rec.tol > 0.0
     assert rec.residual > 1.0
+
+
+def test_an_undecided_sign_of_the_twisted_model_is_a_failed_record(tsm):
+    # one NaN in D fits neither sign of J D = eps' D J: a report, not an error
+    d = tsm.geometry.dirac.copy()
+    d[0, 64] = np.nan
+    report = verify_sm_twisted(tsm.with_dirac(d))
+    (rec,) = [r for r in report.records if r.name == "sign triple of the twisted model"]
+    assert not rec.passed and not rec.floor and np.isnan(rec.residual)
+    assert rec.note.startswith("no sign fits J vs D")
+    assert 0.0 < rec.tol < np.inf
+    # the finite triple's signs, merged before, are not the model's
+    assert "signs" not in report.info
+
+
+def test_a_model_without_j_is_an_error_not_a_sign_record(tsm):
+    # without J there is no sign to decide: measure_ko_signs' error stands
+    bare = TwistedGeometry(replace(tsm.geometry, real_structure=None), tsm.rho)
+    with pytest.raises(ValueError, match="geometry has no real structure"):
+        verify_sm_twisted(bare)
 
 
 def sign_record_reports(case: str, tsm, flipped_sm_report) -> list[Report]:

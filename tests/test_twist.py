@@ -1,5 +1,6 @@
 """Algebra automorphisms, twisted commutators, and the twisted axioms."""
 
+import json
 from dataclasses import replace
 from functools import cached_property
 
@@ -21,6 +22,7 @@ from nctwist.samples import (
     random_matrix_geometry,
     random_unitary,
 )
+from nctwist.serialize import _finite_number
 from nctwist.sm import (
     display_twist_rep,
     lean_generators,
@@ -248,6 +250,9 @@ def assert_nan_fails_what_reads_it(report):
     assert not report.ok
     assert np.isnan(report.max_residual)
     for rec in report.records:
+        # a NaN image leaves every bound a number: finite, or inf when only
+        # measured
+        assert not np.isnan(rec.tol), rec.format_line()
         if rec.name in NAN_FREE_RECORDS:
             assert rec.passed, rec.name
         else:
@@ -259,6 +264,15 @@ def test_nan_image_fails_every_record_that_reads_it():
     report = verify_twisted(poisoned_flip_toy())
     assert NAN_FREE_RECORDS <= {r.name for r in report.records}
     assert_nan_fails_what_reads_it(report)
+
+
+def test_a_nan_image_report_is_strict_json():
+    # a NaN residual is written as null; no bound is NaN, so none is written
+    # as the bare NaN token that strict JSON refuses
+    payload = verify_twisted(poisoned_flip_toy()).to_json()
+    saved = json.loads(payload, parse_float=_finite_number, parse_constant=_finite_number)
+    assert all(0.0 < c["tol"] < np.inf for c in saved["checks"])
+    assert any(c["residual"] is None for c in saved["checks"])
 
 
 @pytest.mark.parametrize(
