@@ -8,12 +8,13 @@ quaternionic blocks make sense; generating sets are real-spanning, which
 makes checks of (bi)linear conditions on generators exhaustive.
 
 A representation is real-linear, so it is fixed by its images of a real
-basis, and it is stored as exactly that stack of images.  The stack is
-either assembled from a table of block placements (serialisable) or
-transformed from the stack of a parent representation (projector doubling,
-unitary frames, tensor factors, the chirality sectors of the twisted
-standard model); every evaluation is then a real combination of the
-images.
+basis, and it is stored as exactly that stack of images, one
+``matlin.Operand``: the nonzero entries of a placed stack and of the
+transforms built from them, else a dense array.  The stack is either
+assembled from a table of block placements (serialisable) or transformed
+from the stack of a parent representation (projector doubling, unitary
+frames, tensor factors, the chirality sectors of the twisted standard
+model); every evaluation is then a real combination of the images.
 """
 
 from __future__ import annotations
@@ -29,13 +30,16 @@ from .matlin import (
     Operand,
     PairCoords,
     Tolerance,
+    adjoint,
     as_matrix,
+    built,
     dagger,
     distinct,
     fro,
     generator_scale,
     kron,
     pair_max,
+    stacked,
 )
 from .report import Report
 
@@ -470,32 +474,34 @@ class Placement:
 class Representation:
     """Real-linear map from algebra elements to dim x dim matrices.
 
-    The map is its ``stack``: the images of the B identity coordinate rows
-    (see ``Algebra.blocks``), shape (B, dim, dim), read-only.  Calling the
+    The map is stored as one ``matlin.Operand``, ``operand``: the images of
+    the B identity coordinate rows (see ``Algebra.blocks``), shape (B, dim,
+    dim), given densely or, when derived from a parent's entries, as its
+    nonzero entries.  ``stack`` is its read-only dense view.  Calling the
     instance combines the images of the nonzero coordinates of the element.
     ``placements`` is kept as the serialisable source of the stack; it is
-    not read to evaluate.  ``operand`` is the stack and ``generator_images``
-    the images of the generator rows as the pair kernel reads them
-    (``matlin.Operand``): each is scanned once, however many checks read it.
+    not read to evaluate.  ``operand`` and ``generator_images`` are what the
+    pair kernel reads: each is scanned once, however many checks read it.
     """
 
     def __init__(
         self,
         algebra: Algebra,
-        stack: np.ndarray,
+        stack,
         placements: tuple[Placement, ...] | None = None,
     ):
-        stack = np.array(stack, dtype=np.complex128)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise ValueError(f"stack must hold square images, got shape {stack.shape}")
+        if not isinstance(stack, Operand):
+            stack = Operand(np.array(stack, dtype=np.complex128))
+        shape = stack.shape
+        if len(shape) != 3 or shape[1] != shape[2]:
+            raise ValueError(f"stack must hold square images, got shape {shape}")
         nbasis = algebra.basis_offsets()[-1]
-        if len(stack) != nbasis:
+        if shape[0] != nbasis:
             raise ValueError(
-                f"stack holds {len(stack)} images, algebra basis has {nbasis}"
+                f"stack holds {shape[0]} images, algebra basis has {nbasis}"
             )
         self.algebra = algebra
-        self.operand = Operand(stack)  # shared by every evaluation and check
-        self.stack = self.operand.array
+        self.operand = stack  # shared by every evaluation and check
         self.placements = tuple(placements) if placements is not None else None
 
     @classmethod
@@ -506,7 +512,8 @@ class Representation:
         placements = tuple(placements)
         offsets = algebra.basis_offsets()
         units = algebra.blocks(np.eye(offsets[-1]))
-        stack = np.zeros((offsets[-1], dim, dim), np.complex128)
+        # the entries of every block: keys in C order, and values
+        keys, values = [np.empty(0, np.intp)], [np.empty(0, np.complex128)]
         covered = np.zeros(dim, dtype=bool)
         for p in placements:
             if not 0 <= p.component < algebra.ncomponents:
@@ -522,17 +529,32 @@ class Representation:
                 raise ValueError("placements overlap")
             covered[blk] = True
             rows = slice(offsets[p.component], offsets[p.component + 1])
-            stack[rows, blk, blk] = p.block(units[p.component][rows])
+            block = p.block(units[p.component][rows])
+            k, r, c = np.nonzero(block)
+            keys.append(((k + rows.start) * dim + r + p.start) * dim + c + p.start)
+            values.append(block[k, r, c])
+        shape = (offsets[-1], dim, dim)
+        stack = Operand.of_keys(shape, np.concatenate(keys), np.concatenate(values))
         return cls(algebra, stack, placements=placements)
 
     @property
+    def stack(self) -> np.ndarray:
+        """The images of the basis as a read-only dense ``(B, dim, dim)`` array."""
+        return self.operand.array
+
+    @property
     def dim(self) -> int:
-        return self.stack.shape[1]
+        return self.operand.shape[1]
+
+    def image_operand(self, c: np.ndarray) -> Operand:
+        """``images(c)`` as an ``Operand``, from the entries where that is exact
+        and cheaper (``matlin.built``)."""
+        return built(lambda: self.images(c), self.operand, [(c, 0)], False)
 
     @cached_property
     def generator_images(self) -> Operand:
         """The images of ``Algebra.generator_rows``, built on first read."""
-        return Operand(self.images(self.algebra.generator_rows))
+        return self.image_operand(self.algebra.generator_rows)
 
     @cached_property
     def generator_scale(self) -> float:
@@ -573,7 +595,7 @@ class Representation:
 
         star = PairCoords.of((alg.generator_rows @ alg.star_matrix)[None])
         eye = np.eye(n, dtype=np.complex128)[None]
-        r_star = pair_max(eye, dagger(mats.array), coords=star, stack=self.operand)
+        r_star = pair_max(eye, adjoint(mats), coords=star, stack=self.operand)
         rep.check("star preserved on generators", r_star, tol, scale)
 
         # every pair, cross-block ones included: pi(g_i g_j) - pi(g_i) pi(g_j)
@@ -596,10 +618,10 @@ def projected_double(
     n = grading.shape[0]
     if n != rep0.dim:
         raise ValueError("grading dimension does not match representation")
-    p_plus = (np.eye(n) + grading) / 2.0
-    p_minus = (np.eye(n) - grading) / 2.0
-    s = rep0.stack
+    s = rep0.operand
+    halves = [
+        built(lambda p=p: p @ s.array, s, [(p, 1)], False)
+        for p in ((np.eye(n) + grading) / 2.0, (np.eye(n) - grading) / 2.0)
+    ]
     # (a, 0) and (0, a') run over the basis of the doubled algebra
-    return Representation(
-        doubled(rep0.algebra), np.concatenate([p_plus @ s, p_minus @ s])
-    )
+    return Representation(doubled(rep0.algebra), stacked(halves))

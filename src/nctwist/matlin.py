@@ -6,8 +6,10 @@ is built on: the tolerance and its bound, ``pair_max``, the one walk over
 generators or generator pairs behind every order, regularity and
 multiplicativity check (``pair_residual`` is its commutator form), which
 evaluates on dense slices or on the nonzero entries of its operands (each
-an ``Operand``, which keeps what the kernel reads off its stack) and reads
-coordinates over pairs as the entry list ``PairCoords``; antilinear
+an ``Operand``, a stack given densely or as its entries, which keeps what
+the kernel reads off it) and reads coordinates over pairs as the entry list
+``PairCoords``; ``built``, which derives a stack from a parent's entries
+where that gives the dense formula's bits; antilinear
 operators in unitary-times-conjugation form, the SVD nullspace and the
 distance to a real span.
 """
@@ -116,6 +118,13 @@ def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # product terms by at least this factor
 _SPARSE_FACTOR = 256
 
+# the fixed cost, in dense multiply-adds, of a join in a product by U, D or a
+# projection (``built``): its few dozen numpy calls took 35-50 us on small
+# stacks (one OpenBLAS thread), about what BLAS takes for this many
+# multiply-adds on small matrices.  Tuned on its own, not from _SPARSE_FACTOR:
+# without it the n <= 9 products joined and ran 5-10% slower
+_JOIN_OVERHEAD = 65536
+
 
 def distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ascending distinct values of an integer ``key`` and where each entry went.
@@ -138,19 +147,59 @@ class Operand:
     the nonzero entries themselves.  Each is found on first read and kept, so a
     stack that is built once and shared (a representation's basis or
     generator images, a twisted geometry's generator stacks) is scanned once
-    however many checks read it.  ``array`` is a read-only view of the stack;
-    the stack must not change through another reference once read.
+    however many checks read it.
+
+    A stack is given either densely (``Operand(stack)``) or as its nonzero
+    entries (``Operand.of_entries``, which ``built`` uses).  An entry-built
+    operand reads its counts off the entries and forms ``array``, the dense
+    view, only when something reads it.  ``array`` is read-only; a dense
+    stack must not change through another reference once read.
     """
 
     def __init__(self, stack):
         array = np.asarray(stack, dtype=np.complex128).view()
         array.flags.writeable = False
+        self.shape = array.shape
         self.array = array
+        self.dense = True
 
     @classmethod
     def of(cls, stack) -> "Operand":
         """``stack`` itself if it is an ``Operand``, else an ``Operand`` of it."""
         return stack if isinstance(stack, cls) else cls(stack)
+
+    @classmethod
+    def of_entries(cls, shape: tuple, idx: tuple, values: np.ndarray) -> "Operand":
+        """The stack of ``shape`` whose nonzeros are ``values`` at ``idx``.
+
+        The entries must be finite and nonzero and come in ``np.nonzero`` order.
+        """
+        out = cls.__new__(cls)
+        out.shape, out.dense, out.finite = tuple(map(int, shape)), False, True
+        out.entries = idx, values
+        return out
+
+    @classmethod
+    def of_keys(cls, shape: tuple, key: np.ndarray, values: np.ndarray) -> "Operand":
+        """``of_entries`` with each entry's index given by its C-order flat key.
+
+        The keys must be distinct; they are sorted here unless they come in
+        order already.
+        """
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            key, values = key[order], values[order]
+        k, rc = np.divmod(key, shape[1] * shape[2])
+        return cls.of_entries(shape, (k, *np.divmod(rc, shape[2])), values)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The dense stack, formed from the entries on first read."""
+        out = np.zeros(self.shape, np.complex128)
+        idx, values = self.entries
+        out[idx] = values
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def finite(self) -> bool:
@@ -159,6 +208,9 @@ class Operand:
     @cached_property
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The number of nonzeros in each matrix, at each row and at each column."""
+        if not self.dense:
+            idx, _ = self.entries
+            return tuple(np.bincount(i, minlength=m) for i, m in zip(idx, self.shape))
         nonzero = self.array != 0
         rows = nonzero.sum(axis=2, dtype=np.intp)
         cols = nonzero.sum(axis=1, dtype=np.intp)
@@ -169,6 +221,166 @@ class Operand:
         """``(indices, values)`` of the nonzeros, as ``np.nonzero`` orders them."""
         idx = np.nonzero(self.array)
         return idx, self.array[idx]
+
+    @cached_property
+    def _orders(self) -> dict:
+        return {}
+
+    def ordered(self, axis: int) -> tuple[tuple, np.ndarray]:
+        """``entries`` stably sorted by their index on ``axis``; sorted once per axis.
+
+        ``np.nonzero`` order is already sorted on axis 0.
+        """
+        if axis not in self._orders:
+            self._orders[axis] = _sorted_by(self.entries, axis)
+        return self._orders[axis]
+
+
+def _sorted_by(entries: tuple, axis: int) -> tuple[tuple, np.ndarray]:
+    """``entries`` stably sorted by their index on ``axis``."""
+    idx, values = entries
+    if axis == 0:
+        return entries
+    order = np.argsort(idx[axis], kind="stable")
+    return tuple(i[order] for i in idx), values[order]
+
+
+def built(dense, a: Operand, steps, conj: bool) -> Operand:
+    """A stack derived from ``a``, from its nonzero entries when that is exact.
+
+    ``steps`` apply in turn to ``a`` (to ``conj(a)`` when ``conj``), each a
+    ``(m, axis)`` with a 2-d ``m``: axis 0 gives ``sum_b m[p, b] a[b]`` (the
+    images of coordinate rows), axis 1 ``m @ a[k]`` and axis 2 ``a[k] @ m``.
+    ``dense()`` is the same stack by the dense BLAS formula.
+
+    A stack given densely, or a non-finite ``a`` or ``m``, takes the dense
+    formula: ``Operand(dense())``.  Otherwise each step is the sparse
+    product of the nonzero entries (``_join``) when that is cheaper by the
+    measure of ``pair_max``: a join costs ``_SPARSE_FACTOR`` dense
+    multiply-adds per term, its terms read from the nonzero counts of each
+    shared index.  A product by U, D or a projection (axes 1 and 2) adds
+    ``_JOIN_OVERHEAD`` for the join's fixed cost; images at coordinate rows
+    (axis 0) add none, since their real coefficients need no purity check
+    and their dense formula would first form ``a``'s dense view.  A product is kept only when it gives the bits of the dense
+    formula: every entry is a single product, and one factor of each product
+    is purely real or purely imaginary, so that every rounding order of BLAS
+    rounds it alike.  A step that is not kept ends in the dense formula.
+    """
+    if a.dense or not all(np.isfinite(m).all() for m, _ in steps):
+        return Operand(dense())
+    for m, axis in steps:
+        a = _product(m, a, axis, conj)
+        conj = False
+        if a is None:
+            return Operand(dense())
+    return a
+
+
+def _product(m: np.ndarray, a: Operand, axis: int, conj: bool) -> Operand | None:
+    """One step of ``built`` on the entries of finite ``m`` and entry-built
+    ``a``, or None where the dense formula is cheaper or not exactly met."""
+    n = a.shape[-1]
+    if axis:  # a product by U, D or a projection, and the join's fixed cost
+        cost, fixed = a.shape[0] * n**3, _JOIN_OVERHEAD
+        if fixed > cost:
+            return None
+    # m, transposed for axis 1, so that for axes 1 and 2 its rows run over
+    # the shared index (for axis 0, m[p, b] shares its columns)
+    mt = m.T if axis == 1 else m
+    mcount = np.count_nonzero(mt, axis=0 if axis == 0 else 1)
+    if axis == 0:  # real multiply-adds, four to a complex one
+        cost, fixed = len(m) * int(np.count_nonzero(mcount)) * n * n // 2, 0
+    if int(mcount @ a.counts[axis]) * _SPARSE_FACTOR + fixed > cost:
+        return None
+    mi, mj = np.nonzero(mt)
+    mv = mt[mi, mj]
+    idx, av = a.entries
+    av = np.conj(av) if conj else av
+    if axis == 0:  # m[p, b] a[b, r, c]; a's entries come sorted by b
+        left, lv = (mj, mi * (n * n)), mv
+        rkey, rv, rcount = idx[1] * n + idx[2], av, a.counts[0]
+        shape = (len(m), n, n)
+    else:  # a[k, r, s] m[s, c], or a[k, s, c] m.T[s, r]; m's entries sorted by s
+        kept = idx[1] * n if axis == 2 else idx[2]
+        left, lv = (idx[axis], idx[0] * (n * n) + kept), av
+        rkey, rv, rcount = (mj if axis == 2 else mj * n), mv, mcount
+        shape = a.shape
+    key, li, ri = _join(left, rkey, rcount)
+    pure, mpure = _pure(av), True
+    if pure is not True and (mpure := _pure(mv)) is not True:
+        lp, rp = (mpure, pure) if axis == 0 else (pure, mpure)
+        if not (lp[li] | rp[ri]).all():
+            return None
+    value = lv[li] * rv[ri]
+    keep = value != 0  # an underflow
+    if not keep.all():
+        key, value = key[keep], value[keep]
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, value = key[order], value[order]
+        if not (key[1:] > key[:-1]).all():  # a sum of products
+            return None
+    return Operand.of_keys(shape, key, value)
+
+
+def _pure(v: np.ndarray):
+    """True if every value of ``v`` is purely real or purely imaginary, else which are."""
+    if not np.iscomplexobj(v):
+        return True
+    pure = (v.real == 0) | (v.imag == 0)
+    return True if pure.all() else pure
+
+
+def identity_kron(d: int, a: Operand) -> Operand:
+    """The stack of ``I_d kron a[k]``, entry-built when ``a`` is."""
+    if a.dense:
+        return Operand(kron(np.eye(d)[None], a.array))
+    (k, r, c), values = a.entries
+    n = a.shape[-1]
+    shift = np.arange(d)[:, None] * n  # block i moves each entry by i n
+    key = ((k * d * n + shift + r) * d * n + shift + c).ravel()
+    return Operand.of_keys((a.shape[0], d * n, d * n), key, np.tile(values, d))
+
+
+def stacked(parts: Sequence[Operand]) -> Operand:
+    """The concatenation of operand stacks of equal ``(n, n)``, entry-built when all are."""
+    if any(p.dense for p in parts):
+        return Operand(np.concatenate([p.array for p in parts]))
+    start = np.cumsum([0] + [p.shape[0] for p in parts])
+    idx = [p.entries[0] for p in parts]
+    k = np.concatenate([i[0] + s for i, s in zip(idx, start)])
+    rest = (np.concatenate([i[axis] for i in idx]) for axis in (1, 2))
+    values = np.concatenate([p.entries[1] for p in parts])
+    return Operand.of_entries((start[-1],) + parts[0].shape[1:], (k, *rest), values)
+
+
+def adjoint(a: Operand) -> Operand:
+    """The stack of conjugate transposes of ``a``'s matrices."""
+    if a.dense:
+        return Operand(dagger(a.array))
+    (k, r, c), values = a.entries
+    n = a.shape[-1]
+    return Operand.of_keys(a.shape, (k * n + c) * n + r, np.conj(values))
+
+
+def difference(x: Operand, y: Operand) -> Operand:
+    """``x - y`` of operands of one shape, entry-built when both are.
+
+    Each value is ``x - y`` at a shared entry, ``x`` or ``-y`` elsewhere: the
+    bits of the dense subtraction.  Exact zeros are dropped.
+    """
+    if x.dense or y.dense:
+        return Operand(x.array - y.array)
+    n = x.shape[-1]
+    (xi, xv), (yi, yv) = x.entries, y.entries
+    keys = [(i[0] * n + i[1]) * n + i[2] for i in (xi, yi)]
+    key, at = distinct(np.concatenate(keys))
+    both = np.concatenate([xv, -yv])  # summed in order: x + (-y) is x - y
+    value = np.empty(len(key), np.complex128)
+    value.real = np.bincount(at, both.real, len(key))
+    value.imag = np.bincount(at, both.imag, len(key))
+    keep = value != 0
+    return Operand.of_keys(x.shape, key[keep], value[keep])
 
 
 @dataclass(frozen=True)
@@ -211,7 +423,8 @@ class PairCoords:
         mb, mc = np.nonzero(m)
         left = (self.key % basis, self.key // basis * m.shape[1], self.value)
         count = np.bincount(mb, minlength=basis)
-        key, value = _join(left, (mb, mc, m[mb, mc]), count)
+        key, li, ri = _join(left[:2], mc, count)
+        value = left[2][li] * m[mb, mc][ri]
         return PairCoords.summed((rows, cols, m.shape[1]), key, value)
 
 
@@ -236,8 +449,8 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
     ``_SPARSE_FACTOR`` times below the dense multiply-add count.
     """
     xs, ys, zs, stack = _operands(xs, ys, zs, stack)
-    rows = len(xs.array) if xs is not None else coords.shape[0]
-    cols = len(ys.array) if ys is not None else coords.shape[1]
+    rows = xs.shape[0] if xs is not None else coords.shape[0]
+    cols = ys.shape[0] if ys is not None else coords.shape[1]
     if rows == 0 or cols == 0:
         return 0.0
     # the join skips products with zero, so it cannot carry a NaN through
@@ -246,7 +459,7 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
         coords is not None and not np.isfinite(coords.value).all()
     ):
         return float("nan")
-    n = (xs if xs is not None else stack).array.shape[-1]
+    n = (xs if xs is not None else stack).shape[-1]
     joins = _joins(xs, ys, zs, coords, stack, cols, n)
     terms = sum(int(left[0] @ right[0]) for _, left, right in joins)
     # the coords join comes first; its left count is per basis image
@@ -320,34 +533,35 @@ def _side(a: Operand, shared: int, weights: tuple) -> tuple:
     """``(count, entries)`` of an operand, joined on its axis ``shared``.
 
     ``count[k]`` is the number of nonzeros at shared index k, and
-    ``entries()`` lists them as ``(shared index, key, value)``.
+    ``entries()`` lists them as ``(shared index, key, value)``.  A right side
+    (joined on its axis 0 or 1) lists them sorted by shared index
+    (``Operand.ordered``); a left side (axis 2) in ``np.nonzero`` order.
     """
 
     def entries():
-        idx, values = a.entries
+        idx, values = a.ordered(shared) if shared < 2 else a.entries
         return idx[shared], sum(w * k for w, k in zip(weights, idx) if w), values
 
     return a.counts[shared], entries
 
 
-def _join(left, right, rcount):
-    """Every product of a left and a right entry that share an index.
+def _join(left, rk, rcount):
+    """Every pair of a left and a right entry that share an index.
 
-    Each side is ``(shared index, key, value)``, and ``rcount[k]`` counts the
-    right entries at shared index k.  A product's key is the sum of the keys
-    of its factors.  The right entries are sorted by shared index, and each
-    left entry is repeated once per right entry it meets: the textbook
-    sparse product (Gustavson, ACM TOMS 4(3), 1978).
+    The left side is ``(shared index, key)``; the right entries are given by
+    their keys ``rk``, sorted by shared index, and ``rcount[k]`` counts them
+    at shared index k.  Returns the key of each product, the sum of the keys
+    of its factors, and the positions ``li`` and ``ri`` of its factors; a
+    left entry's products come together, in the order of the right entries.
+    This is the textbook sparse product (Gustavson, ACM TOMS 4(3), 1978).
     """
-    (ls, lk, lv), (rs, rk, rv) = left, right
-    # the right entries of shared index k sit from start[k] in sorted order
-    order = np.argsort(rs, kind="stable")
+    ls, lk = left
+    # the right entries of shared index k sit from start[k]
     start = np.cumsum(rcount) - rcount
     count = rcount[ls]
     li = np.repeat(np.arange(len(ls)), count)
-    offset = np.repeat(start[ls] - np.cumsum(count) + count, count)
-    ri = order[np.arange(len(li)) + offset]
-    return lk[li] + rk[ri], lv[li] * rv[ri]
+    ri = np.arange(len(li)) + np.repeat(start[ls] - np.cumsum(count) + count, count)
+    return lk[li] + rk[ri], li, ri
 
 
 def _sparse_pair_max(joins, n: int) -> float:
@@ -359,9 +573,10 @@ def _sparse_pair_max(joins, n: int) -> float:
     """
     keys, values = [], []
     for sign, (_, left), (rcount, right) in joins:
-        key, value = _join(left(), right(), rcount)
+        (ls, lk, lv), (_, rk, rv) = left(), right()
+        key, li, ri = _join((ls, lk), rk, rcount)
         keys.append(key)
-        values.append(sign * value)
+        values.append(sign * (lv[li] * rv[ri]))
     key, inverse = distinct(np.concatenate(keys))
     value = np.concatenate(values)
     square = np.bincount(inverse, value.real) ** 2 + np.bincount(inverse, value.imag) ** 2

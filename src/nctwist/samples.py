@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import Algebra, Placement, Representation
 from .clifford import charge_conjugation, gamma
 from .fluct import TwistedOneForm, symmetrized
-from .matlin import AntilinearOperator, as_matrix, dagger, fro, kron
+from .matlin import AntilinearOperator, as_matrix, dagger, fro, identity_kron, kron
 from .mintwist import twist_by_grading
 from .triple import FiniteGeometry
 from .twist import TwistedGeometry
@@ -126,8 +126,8 @@ def clifford_tensor(m: int, fin: FiniteGeometry) -> FiniteGeometry:
         raise ValueError("finite factor needs grading and real structure")
     data = gamma(m)
     cc = charge_conjugation(m)
-    # kron over the stack axis too: image b becomes I_m kron S[b]
-    stack = kron(np.eye(data.dim)[None], fin.rep.stack)
+    # image b becomes I_m kron S[b]
+    stack = identity_kron(data.dim, fin.rep.operand)
     return FiniteGeometry(
         rep=Representation(fin.rep.algebra, stack),
         dirac=kron(data.grading, fin.dirac),

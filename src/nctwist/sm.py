@@ -36,6 +36,7 @@ from .clifford import charge_conjugation, gamma
 from .matlin import (
     DEFAULT_TOL,
     AntilinearOperator,
+    Operand,
     Tolerance,
     dagger,
     fro,
@@ -187,16 +188,26 @@ def _sector_rep(plus: tuple, minus: tuple) -> Representation:
     ``plus`` and ``minus`` name, for each slot of ``_SLOTS``, the component
     of the doubled algebra the sector reads there.  The stack is the finite
     one transformed: a component's images sum ``kron(P, S * mask)`` over
-    the sectors and slots it feeds, S the finite images of its kind.
+    the sectors and slots it feeds, S the finite images of its kind.  The
+    sectors and slots fill disjoint entries, so the stack is built from
+    the finite stack's entries, each moved to its row and column.
     """
     alg = twisted_sm_algebra()
     bounds = _SM_REP.algebra.basis_offsets()
     offsets = alg.basis_offsets()
-    stack = np.zeros((offsets[-1], 128, 128), np.complex128)
+    (k, r, c), values = _SM_REP.operand.entries
+    keys, moved = [], []
     for proj, reads in ((_P_PLUS, plus), (_P_MINUS, minus)):
         for comp, (kind, mask) in zip(reads, _SLOTS):
-            images = _SM_REP.stack[bounds[kind] : bounds[kind + 1]] * mask
-            stack[offsets[comp] : offsets[comp + 1]] += kron(proj, images)
+            at = (bounds[kind] <= k) & (k < bounds[kind + 1])
+            at &= np.broadcast_to(mask, (32, 32))[r, c] != 0
+            for block in np.flatnonzero(np.diag(proj)):
+                rows, cols = 32 * block + r[at], 32 * block + c[at]
+                image = k[at] - bounds[kind] + offsets[comp]
+                keys.append((image * 128 + rows) * 128 + cols)
+                moved.append(values[at])
+    shape = (offsets[-1], 128, 128)
+    stack = Operand.of_keys(shape, np.concatenate(keys), np.concatenate(moved))
     return Representation(alg, stack)
 
 
@@ -451,7 +462,8 @@ def verify_sm_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Repo
     """Full measurement run on the twisted point model.
 
     Gates on the untwisted finite triple at the couplings of ``tg``, checks
-    the twisted data (representation, twist regularity, signs, order zero),
+    the twisted data (representation, twist regularity, self-adjointness of
+    D, signs, order zero),
     measures the twisted order-one residuals under both conventions, and
     reports the behaviour of the doubling involution and the convention
     discrepancy.
@@ -465,6 +477,8 @@ def verify_sm_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Repo
 
     rep.merge(tg.geometry.rep.check(tol), prefix="twisted rep: ")
     rep.merge(check_regular(tg.rho, tg.geometry, tol), prefix="twist: ")
+    d = tg.geometry.dirac
+    rep.check("Dirac operator self-adjoint", fro(d - dagger(d)), tol, max(1.0, fro(d)))
 
     record_signs(rep, "sign triple of the twisted model", tg.geometry, tol, (-1, 1, -1))
 

@@ -25,6 +25,8 @@ from .matlin import (
     AntilinearOperator,
     Tolerance,
     as_matrix,
+    built,
+    dagger,
     match_sign,
     pair_residual,
 )
@@ -85,11 +87,18 @@ class FiniteGeometry:
 
         The coordinates are real, so J commutes with combining images; at
         rows moved by ``Algebra.star_matrix`` its images are the opposite
-        action ``J rep(b*) J^-1``.
+        action ``J rep(b*) J^-1``.  ``U conj(S) U*`` is built from the entries
+        of S and U where that is exact (a monomial U, as a Clifford or
+        transposition J has, on placed images; ``matlin.built``), else by
+        ``AntilinearOperator.conjugate``.
         """
         if self.real_structure is None:
             raise ValueError("geometry has no real structure")
-        return Representation(rep.algebra, self.real_structure.conjugate(rep.stack))
+        j = self.real_structure
+        u = j.unitary
+        steps = [(u, 1), (dagger(u), 2)]
+        stack = built(lambda: j.conjugate(rep.stack), rep.operand, steps, True)
+        return Representation(rep.algebra, stack)
 
 
 def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTriple:
@@ -117,22 +126,32 @@ def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTri
     return SignTriple(eps, eps_prime, eps_dbl, evidence)
 
 
+def _untwisted_stacks(g: FiniteGeometry) -> tuple:
+    """pi(a) and J pi(b*) J^-1 over the generator rows, as ``matlin.Operand``s.
+
+    With the identity twist they are also pi o rho and the twisted opposite
+    action, which are therefore not built.
+    """
+    alg = g.algebra
+    cs = alg.generator_rows @ alg.star_matrix
+    return g.rep.generator_images, g.conjugated(g.rep).image_operand(cs)
+
+
 def order_zero_residual(g: FiniteGeometry) -> float:
     """max ||[pi(a), J pi(b*) J^{-1}]|| over generator pairs."""
-    from .twist import TwistedGeometry  # twist imports us
-
-    pi_a, _, opp_b, _ = TwistedGeometry.untwisted(g).stacks()
-    return pair_residual(pi_a, opp_b)
+    return pair_residual(*_untwisted_stacks(g))
 
 
 def order_one_residual(g: FiniteGeometry) -> float:
     """max ||[[D, pi(a)], J pi(b*) J^{-1}]|| over generator pairs.
 
-    The primary form of ``first_order_residuals`` with the identity twist.
+    The primary form of ``first_order_residuals`` with the identity twist,
+    and that form alone.
     """
-    from .twist import TwistedGeometry, first_order_residuals  # twist imports us
+    from .twist import order_one_operand  # twist imports us
 
-    return first_order_residuals(g.dirac, *TwistedGeometry.untwisted(g).stacks())[0]
+    pi_a, opp_b = _untwisted_stacks(g)
+    return pair_residual(order_one_operand(g.dirac, pi_a, pi_a), opp_b)
 
 
 def verify_spectral_triple(

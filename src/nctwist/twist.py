@@ -31,7 +31,9 @@ from .matlin import (
     PairCoords,
     Tolerance,
     as_matrix,
+    built,
     dagger,
+    difference,
     fro,
     pair_max,
     pair_residual,
@@ -165,7 +167,7 @@ class TwistedGeometry:
         _validate(self.rho, self.geometry)
         pi = self.geometry.rep
         r = pi.algebra.linear_map(self.rho.apply)
-        twisted = Representation(pi.algebra, pi.images(r))
+        twisted = Representation(pi.algebra, pi.image_operand(r))
         object.__setattr__(self, "twisted_rep", twisted)
         object.__setattr__(self, "_built", {"r": r})
 
@@ -217,8 +219,8 @@ class TwistedGeometry:
                 own = (pi.generator_images, twisted.generator_images)
                 built["stacks"] = own + opposite
             return built["stacks"]
-        pi_a, pi_rho_a = self.geometry.rep.images(rows), self.twisted_rep.images(rows)
-        return (Operand(pi_a), Operand(pi_rho_a)) + self._opposite(rows)
+        own = self.geometry.rep.image_operand(rows), self.twisted_rep.image_operand(rows)
+        return own + self._opposite(rows)
 
     def _opposite(self, rows: np.ndarray) -> tuple:
         """The last two ``stacks`` over ``rows``."""
@@ -226,7 +228,7 @@ class TwistedGeometry:
             return None, None
         cs = rows @ self.algebra.star_matrix
         opp = self.conjugated_rep
-        return Operand(opp.images(cs)), Operand(opp.images(cs @ self._built["r"]))
+        return opp.image_operand(cs), opp.image_operand(cs @ self._built["r"])
 
 
 def check_regular(
@@ -275,9 +277,13 @@ def check_regular(
             tol,
             1.0,
         )
+        mats = pi.generator_images
+        moved = built(
+            lambda: u @ mats.array @ dagger(u), mats, [(u, 1), (dagger(u), 2)], False
+        )
         r_impl = pair_max(
             np.eye(n, dtype=np.complex128)[None],
-            u @ pi.generator_images.array @ dagger(u),
+            moved,
             coords=PairCoords.of(cr[None]),
             stack=pi.operand,
         )
@@ -301,9 +307,18 @@ def first_order_residuals(
     """
     pi_a, pi_rho_a = Operand.of(pi_a), Operand.of(pi_rho_a)
     opp_b, rho_opp_b = Operand.of(opp_b), Operand.of(rho_opp_b)
-    primary = pair_residual(d @ pi_a.array - pi_rho_a.array @ d, opp_b, rho_opp_b)
-    symmetric = pair_residual(d @ opp_b.array - rho_opp_b.array @ d, pi_a, pi_rho_a)
+    primary = pair_residual(order_one_operand(d, pi_a, pi_rho_a), opp_b, rho_opp_b)
+    symmetric = pair_residual(order_one_operand(d, opp_b, rho_opp_b), pi_a, pi_rho_a)
     return primary, symmetric
+
+
+def order_one_operand(d: np.ndarray, xs: Operand, zs: Operand) -> Operand:
+    """The stack ``D xs[k] - zs[k] D``: ``D S`` and ``S' D``, each built from
+    the entries where that is cheaper and exact (``matlin.built``), then
+    subtracted, as the dense formula ``d @ xs - zs @ d`` does."""
+    left = built(lambda: d @ xs.array, xs, [(d, 1)], False)
+    right = built(lambda: zs.array @ d, zs, [(d, 2)], False)
+    return difference(left, right)
 
 
 def verify_twisted_first_order(

@@ -367,21 +367,24 @@ def test_verify_sm_twisted_reads_the_geometry_it_is_given(tsm, monkeypatch):
 
 
 def test_verify_sm_twisted_conjugates_two_stacks(monkeypatch):
-    seen = []
-    conjugate = AntilinearOperator.conjugate
+    seen, dense = [], []
+    conjugated, conjugate = FiniteGeometry.conjugated, AntilinearOperator.conjugate
 
-    def counted(j, t):
-        seen.append(t)
-        return conjugate(j, t)
+    def counted(g, rep):
+        seen.append(rep)
+        return conjugated(g, rep)
 
-    monkeypatch.setattr(AntilinearOperator, "conjugate", counted)
+    monkeypatch.setattr(FiniteGeometry, "conjugated", counted)
+    monkeypatch.setattr(AntilinearOperator, "conjugate", lambda j, t: dense.append(t))
     tg = twisted_sm_geometry()
     assert verify_sm_twisted(tg).ok
     # the finite triple's stack for its own verdict, then pi's and the display's
     finite, pi, shown = seen
-    assert np.array_equal(finite, sm_finite_geometry().rep.stack)
-    assert pi is tg.geometry.rep.stack
-    assert np.array_equal(shown, display_twist_rep().stack)
+    assert np.array_equal(finite.stack, sm_finite_geometry().rep.stack)
+    assert pi is tg.geometry.rep
+    assert np.array_equal(shown.stack, display_twist_rep().stack)
+    # J is monomial and the stacks are entry lists: none is conjugated densely
+    assert not any(rep.operand.dense for rep in seen) and dense == []
 
 
 SIGN_RECORDS = (
@@ -483,6 +486,20 @@ def test_verify_sm_twisted_gates_on_the_finite_triple_it_was_given(monkeypatch):
         verify_sm_twisted(twisted_sm_geometry(yuk, majorana))
     (g,) = seen
     assert np.array_equal(g.dirac, build_dirac(yuk, majorana))
+
+
+def test_a_non_self_adjoint_dirac_fails_the_twisted_model_record():
+    tg = twisted_sm_geometry()
+    rec = {r.name: r for r in verify_sm_twisted(tg).records}["Dirac operator self-adjoint"]
+    assert rec.passed and rec.residual == 0.0
+    # an entry outside the leading 32 x 32 block, which the finite gate reads
+    d = tg.geometry.dirac.copy()
+    d[40, 100] += 1e-3
+    rec = {r.name: r for r in verify_sm_twisted(tg.with_dirac(d)).records}[
+        "Dirac operator self-adjoint"
+    ]
+    assert not rec.passed
+    assert rec.residual == pytest.approx(np.sqrt(2) * 1e-3, rel=1e-9)
 
 
 # -- the stack-built twisted representations against their closures -------

@@ -10,9 +10,9 @@ from coordinates import inverse_automorphism, per_tuple_linear_map
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nctwist import matlin
+from nctwist import algebra, matlin, triple, twist
 from nctwist.algebra import Algebra, Placement, Representation
-from nctwist.matlin import AntilinearOperator, Operand, Tolerance, dagger, fro
+from nctwist.matlin import AntilinearOperator, Operand, Tolerance, adjoint, dagger, fro
 from nctwist.mintwist import twist_by_grading
 from nctwist.samples import (
     clifford_tensor,
@@ -755,32 +755,105 @@ def counting_scans(monkeypatch) -> dict:
     return seen
 
 
+def kept_stacks(tg) -> list:
+    """The stacks a twisted geometry builds once and keeps: pi's basis stack,
+    the four generator stacks, and the basis stacks of pi o rho and of J pi J^-1."""
+    return [
+        tg.geometry.rep.operand,
+        *tg.stacks(),
+        tg.twisted_rep.operand,
+        tg.conjugated_rep.operand,
+    ]
+
+
+def drawn_large(frame):
+    """The n = 25 catalogue shape, where the entry joins pay for themselves."""
+    g = random_matrix_geometry(np.random.default_rng(11), 5, frame=frame)
+    return twist_by_grading(g)
+
+
 @pytest.mark.parametrize("frame", [True, False])
 def test_verify_twisted_scans_each_shared_stack_once(monkeypatch, frame):
-    tg = drawn_with(frame)
     seen = counting_scans(monkeypatch)
+    order_one, make = [], twist.order_one_operand
+    monkeypatch.setattr(
+        twist, "order_one_operand", lambda *a: order_one.append(make(*a)) or order_one[-1]
+    )
+    for draw in (drawn_with, drawn_large):
+        for operands in (*seen.values(), order_one):
+            operands.clear()
+        assert_each_shared_stack_scanned_once(seen, order_one, draw, frame)
+
+
+def assert_each_shared_stack_scanned_once(seen, order_one, draw, frame):
+    """What ``verify_twisted`` of ``draw(frame)`` scans, counted in ``seen``,
+    with the order-one operands it builds in ``order_one``."""
+    tg = draw(frame)
     report = verify_twisted(tg)
     assert report.ok, report.format_text()
     pi = tg.geometry.rep
-    shared = [pi.operand, *tg.stacks()]
+    kept = kept_stacks(tg)
+    shared = kept[:5]
     assert tg.stacks()[0] is pi.generator_images
     assert tg.stacks()[1] is tg.twisted_rep.generator_images
-    # a stack is scanned by its own kept operand, never by a per-call wrapper
+    # a frame fills every image and the n = 9 products stay dense; placements
+    # at n = 25 build every kept stack and both order-one operands from their
+    # parents' entries, and the sparse evaluator never forms the operands'
+    # dense view
+    entry_built = draw is drawn_large and not frame
+    assert [s.dense for s in kept] == [not entry_built] * len(kept)
+    assert [op.dense for op in order_one] == [not entry_built] * 2
+    if entry_built:
+        assert not any("array" in vars(op) for op in order_one)
+    # a stack is scanned by its own kept operand, never by a per-call wrapper:
+    # none shares its dense array or its entry values
     for name, operands in seen.items():
-        for s in shared:
+        for s in kept:
             scans = [op for op in operands if np.shares_memory(op.array, s.array)]
             assert scans in ([], [s]), name
-    # each is counted; the basis stack is joined on the sparse coordinate
-    # side, and on placements the generator stacks are joined too
+            if not s.dense:
+                values = s.entries[1]
+                scans = [
+                    op
+                    for op in operands
+                    if "entries" in vars(op) and np.shares_memory(op.entries[1], values)
+                ]
+                assert scans in ([], [s]), name
+    # pi's basis stack and the generator stacks are counted; the basis stack
+    # is joined on the sparse coordinate side, the placed n = 9 generator
+    # stacks are joined too, and entry-built stacks are never scanned
     assert all(any(op is s for op in seen["counts"]) for s in shared)
     joined = [k for k, s in enumerate(shared) if any(op is s for op in seen["entries"])]
-    assert joined == ([0] if frame else [0, 1, 2, 3, 4])
+    if entry_built:
+        assert joined == []
+    else:
+        assert joined == ([0] if frame else [0, 1, 2, 3, 4])
     # a second call reads what the first kept
     for operands in seen.values():
         operands.clear()
     assert verify_twisted(tg).to_json() == report.to_json()
-    fresh = [op.array for op in seen["counts"]]
-    assert not any(np.shares_memory(a, s.array) for a in fresh for s in shared)
+    assert not any(op is s for op in seen["counts"] + seen["entries"] for s in kept)
+    fresh = [op.array for op in seen["counts"] + seen["entries"]]
+    assert not any(np.shares_memory(a, s.array) for a in fresh for s in kept)
+
+
+def test_a_second_verify_twisted_sorts_no_kept_stack_again(monkeypatch):
+    tg = drawn_large(False)
+    sorted_by = matlin._sorted_by
+    sorts = []
+
+    def counted(entries, axis):
+        sorts.append(entries[1])
+        return sorted_by(entries, axis)
+
+    monkeypatch.setattr(matlin, "_sorted_by", counted)
+    report = verify_twisted(tg)
+    kept = kept_stacks(tg)
+    first = [v for v in sorts if any(v is s.entries[1] for s in kept)]
+    assert first  # the joins read kept stacks sorted by their shared index
+    sorts.clear()
+    assert verify_twisted(tg).to_json() == report.to_json()
+    assert not any(v is s.entries[1] for v in sorts for s in kept)
 
 
 def test_a_plain_array_is_scanned_once_per_call(monkeypatch):
@@ -792,6 +865,141 @@ def test_a_plain_array_is_scanned_once_per_call(monkeypatch):
     matlin.pair_residual(xs, ys)
     scanned = [op.array.base for op in seen["counts"]]
     assert len(scanned) == 4 and all(b is a for b, a in zip(scanned, (xs, ys, xs, ys)))
+
+
+# -- entry-built stacks give the bits of the dense formulas -----------------
+#
+# matlin.built forms a derived stack from its parent's nonzero entries only
+# where that is exact; these draws check each stack it builds that way
+# against the dense formula it replaces, bit for bit.
+
+
+def assert_entry_built_is(op, want):
+    """``op`` holds the entries of ``want``: the same bits (a zero of either
+    sign), the counts and finiteness of a dense scan, in ``np.nonzero`` order."""
+    want = np.ascontiguousarray(want)
+    assert not op.dense and op.shape == want.shape
+    assert np.array_equal(op.array.view(np.float64), want.view(np.float64))
+    assert np.array_equal(op.array != 0, want != 0)
+    scan = Operand(want)
+    assert all(np.array_equal(a, b) for a, b in zip(op.counts, scan.counts))
+    assert op.finite == scan.finite
+    idx, values = op.entries
+    assert np.array_equal(np.ravel_multi_index(idx, op.shape), np.flatnonzero(want))
+    assert np.array_equal(values, want[idx])
+
+
+def checking_builds(monkeypatch) -> list:
+    """From now on, check every entry-built result of ``matlin.built``
+    against its dense formula; the list collects them."""
+    built, found = matlin.built, []
+
+    def checked(dense, a, steps, conj):
+        out = built(dense, a, steps, conj)
+        if not out.dense:
+            assert_entry_built_is(out, dense())
+            found.append(out)
+        return out
+
+    for module in (algebra, triple, twist):
+        monkeypatch.setattr(module, "built", checked)
+    return found
+
+
+@st.composite
+def build_cases(draw):
+    """A geometry on a C/H/M_n mix, placed or framed, maybe a Clifford factor,
+    with its own J (monomial), a phased one (monomial, not real) or a dense
+    unitary; maybe a NaN or an infinity in a basis image, in J's unitary or
+    in D; and how to twist it: by grading, by the identity, or by inner
+    unitaries and block swaps (an automorphism is drawn for the last)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # joins pay for themselves from about n = 16, so the larger k come often
+    k = draw(st.sampled_from([2, 3, 4, 5, 5]))
+    g = random_matrix_geometry(rng, k, frame=draw(st.sampled_from([False, False, True])))
+    if k <= 3 and draw(st.booleans()):
+        g = clifford_tensor(draw(st.sampled_from([1, 2])), g)
+    n, u = g.hilbert_dim, g.real_structure.unitary
+    j = draw(st.sampled_from(["own", "own", "phased", "dense"]))
+    if j != "own":
+        u = np.exp(2j * np.pi * rng.random()) * u if j == "phased" else random_unitary(rng, n)
+    bad = draw(st.sampled_from([None, None, None, np.nan, np.inf, -np.inf]))
+    where = draw(st.sampled_from(["image", "J", "D"]))
+    rep, d = g.rep, g.dirac
+    if bad is not None:
+        at = tuple(rng.integers(0, m) for m in rep.stack.shape)
+        if where == "image":
+            stack = rep.stack.copy()
+            stack[at] = bad
+            rep = Representation(g.algebra, stack)
+        elif where == "J":
+            u = u.copy()
+            u[at[1:]] = bad
+        else:
+            d = d.copy()
+            d[at[1:]] = bad
+    g = replace(g, rep=rep, dirac=d, real_structure=AntilinearOperator(u))
+    # twist_by_grading solves for an implementing unitary on pi's images,
+    # which a non-finite image stops before any stack is built
+    hows = ["identity", "inner"]
+    if bad is None or where != "image":
+        hows.append("grading")
+    how = draw(st.sampled_from(hows))
+    rho = draw_automorphism(draw, g.algebra, rng, n) if how == "inner" else None
+    return g, how, rho, bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(build_cases())
+def test_entry_built_stacks_are_the_dense_formulas_bit_for_bit(case):
+    g, how, rho, bad = case
+    # an infinity meets a zero in the dense products: NaN, as intended
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        found = checking_builds(mp)
+        if how == "grading":
+            tg = twist_by_grading(g)
+        else:
+            tg = TwistedGeometry(g, rho or Automorphism.identity(g.algebra.ncomponents))
+        report = verify_twisted(tg)
+    # only finite stacks are built from entries: a non-finite input takes the
+    # dense formula, and its NaN reaches the records that read it
+    assert all(op.finite for op in found)
+    if bad is not None:
+        assert not report.ok
+    # the doubled stack of projected_double and the star check's adjoints
+    pi = tg.geometry.rep
+    if how == "grading" and not pi.operand.dense:
+        s, gam = g.rep.stack, g.grading
+        eye = np.eye(len(gam))
+        halves = [(eye + gam) / 2.0 @ s, (eye - gam) / 2.0 @ s]
+        assert_entry_built_is(pi.operand, np.concatenate(halves))
+    if not pi.generator_images.dense:
+        assert_entry_built_is(adjoint(pi.generator_images), dagger(pi.generator_images.array))
+    # D S - S' D of the primary order-one form, subtracted from the entries
+    pi_a, pi_rho_a = tg.stacks()[:2]
+    d = tg.geometry.dirac
+    with np.errstate(invalid="ignore"):
+        operand = twist.order_one_operand(d, pi_a, pi_rho_a)
+        if not operand.dense:
+            assert_entry_built_is(operand, d @ pi_a.array - pi_rho_a.array @ d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from([1, 2, 3]))
+def test_placed_and_clifford_stacks_are_built_from_their_entries(seed, k, m):
+    g = random_matrix_geometry(np.random.default_rng(seed), k)
+    rep = g.rep
+    # the dense assembly of the placements
+    offsets = g.algebra.basis_offsets()
+    units = g.algebra.blocks(np.eye(offsets[-1]))
+    want = np.zeros(rep.operand.shape, np.complex128)
+    for p in rep.placements:
+        blk = slice(p.start, p.start + p.block_size(g.algebra.components[p.component]))
+        rows = slice(offsets[p.component], offsets[p.component + 1])
+        want[rows, blk, blk] = p.block(units[p.component][rows])
+    assert_entry_built_is(rep.operand, want)
+    tensor = clifford_tensor(m, g).rep.operand
+    assert_entry_built_is(tensor, np.kron(np.eye(2**m)[None], want))
 
 
 @pytest.mark.parametrize("where", ["pi", "J"])

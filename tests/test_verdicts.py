@@ -124,8 +124,11 @@ def test_every_record_is_decided_by_the_one_rule(tmp_path, tsm):
         "gamma", "verify", "twist-by-grading", "fluctuate", "uniqueness",
         "free-dirac", "gamma-tilde", "sm",
     }
-    # the standard-model requests at the default couplings pass
+    # the standard-model requests at the default couplings pass, and the
+    # full run checks the twisted model's D as verify_twisted does
     assert all(rep.ok for argv, rep in requests.items() if argv.startswith("sm --check"))
+    names = [r.name for r in requests["sm --check all"].records]
+    assert "Dirac operator self-adjoint" in names
     reports = list(requests.values())
     rng = np.random.default_rng(11)
     for tg in (flip_toy(), twist_by_grading(block_geometry())):
