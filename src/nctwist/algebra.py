@@ -5,7 +5,13 @@ quaternions H (stored in the 2x2 complex encoding ``[[a, b], [-conj(b),
 conj(a)]]``), and full matrix algebras M_n(C).  Elements are tuples holding
 one value per block.  Everything is treated as a real *-algebra so that
 quaternionic blocks make sense; generating sets are real-spanning, which
-makes checks of (bi)linear conditions on generators exhaustive.
+makes checks of (bi)linear conditions on generators exhaustive.  A pair
+check need not walk all of them: on a C or M_d component where pi and
+pi o rho are both complex-linear, or both antilinear, the image of ``i E``
+under pi, pi o rho and the opposite action is one unit multiple of the
+image of ``E``, so every pair residual at ``i E`` equals the one at ``E``
+and ``Algebra.pair_rows`` drops the ``i E`` rows.  Which components qualify
+is decided from structure alone (``Representation.signs``).
 
 A representation is real-linear, so it is fixed by its images of a real
 basis, and it is stored as exactly that stack of images, one
@@ -309,6 +315,39 @@ class Algebra:
         return rows
 
     @cached_property
+    def _pair_tables(self) -> dict:
+        return {}
+
+    def pair_rows(self, drop: tuple[bool, ...]) -> tuple[np.ndarray, PairCoords]:
+        """The generator rows a pair check walks, and ``structure_constants`` over them.
+
+        ``generator_rows`` without the ``i E`` rows of each C or M component
+        that ``drop`` marks (the rows of C and M_d alternate ``E`` and
+        ``i E``, as ``_matrix_units`` lists them); H keeps its four rows.
+        ``Representation.pair_rows`` decides ``drop``.  Read-only, built once
+        per ``drop`` and shared (``_first_equal``).
+        """
+        tables = self._pair_tables
+        if drop in tables:
+            return tables[drop]
+        if (first := _first_equal(self)) is not self:
+            tables[drop] = first.pair_rows(drop)
+            return tables[drop]
+        keep = np.concatenate([
+            np.ones(4, bool) if c.kind == "H" else np.tile([True, not d], c.dim**2)
+            for c, d in zip(self.components, drop)
+        ])
+        if keep.all():
+            tables[drop] = self.generator_rows, self.structure_constants
+        else:
+            rows = self.generator_rows[keep]
+            table = self.products(rows, rows)
+            for a in (rows, table.key, table.value):
+                a.flags.writeable = False
+            tables[drop] = rows, table
+        return tables[drop]
+
+    @cached_property
     def star_matrix(self) -> np.ndarray:
         """Read-only ``linear_map`` of the star, shared (``_first_equal``)."""
         if (first := _first_equal(self)) is not self:
@@ -405,8 +444,9 @@ class Algebra:
 def _first_equal(alg: Algebra) -> Algebra:
     """The first algebra equal to ``alg`` whose tables were asked for.
 
-    ``generator_rows``, ``star_matrix``, ``structure_constants`` and
-    ``_places`` are pure functions of ``Algebra.components``, so an algebra
+    ``generator_rows``, ``star_matrix``, ``structure_constants``, the
+    ``pair_rows`` tables and ``_places`` are pure functions of
+    ``Algebra.components``, so an algebra
     equal to an earlier one (every ``doubled`` algebra of one signature,
     say) reads that one's tables instead of building its own.  The lookup is by value, and the
     last 32 distinct algebras are remembered.
@@ -480,8 +520,15 @@ class Representation:
     nonzero entries.  ``stack`` is its read-only dense view.  Calling the
     instance combines the images of the nonzero coordinates of the element.
     ``placements`` is kept as the serialisable source of the stack; it is
-    not read to evaluate.  ``operand`` and ``generator_images`` are what the
-    pair kernel reads: each is scanned once, however many checks read it.
+    not read to evaluate.  ``operand``, ``generator_images`` and the
+    ``pair_images`` are what the pair kernel reads: each is scanned once,
+    however many checks read it.
+
+    ``signs`` holds, per component, +1 where the map is known to be
+    complex-linear, -1 where it is known to be antilinear and None where
+    neither is known.  They are decided from structure alone: from the
+    placement modes, and carried through the transforms that build a
+    representation from a parent's stack.  A bare stack knows none.
     """
 
     def __init__(
@@ -489,6 +536,7 @@ class Representation:
         algebra: Algebra,
         stack,
         placements: tuple[Placement, ...] | None = None,
+        signs: tuple | None = None,
     ):
         if not isinstance(stack, Operand):
             stack = Operand(np.array(stack, dtype=np.complex128))
@@ -503,12 +551,20 @@ class Representation:
         self.algebra = algebra
         self.operand = stack  # shared by every evaluation and check
         self.placements = tuple(placements) if placements is not None else None
+        self.signs = (None,) * algebra.ncomponents if signs is None else tuple(signs)
+        self._drops = {}  # the ``drop`` of ``Algebra.pair_rows`` per ``perm``
+        self._pair_images = {}  # per ``drop``
 
     @classmethod
     def from_placements(
         cls, algebra: Algebra, dim: int, placements: Sequence[Placement]
     ) -> "Representation":
-        """Block-diagonal representation assembled from placements."""
+        """Block-diagonal representation assembled from placements.
+
+        A component's sign is +1 when every placement of it is ``scalar`` or
+        ``fund`` (none at all is the zero map, which is complex-linear), -1
+        when every one is ``conj-scalar`` or ``conj-fund``, else None.
+        """
         placements = tuple(placements)
         offsets = algebra.basis_offsets()
         units = algebra.blocks(np.eye(offsets[-1]))
@@ -535,7 +591,11 @@ class Representation:
             values.append(block[k, r, c])
         shape = (offsets[-1], dim, dim)
         stack = Operand.of_keys(shape, np.concatenate(keys), np.concatenate(values))
-        return cls(algebra, stack, placements=placements)
+        signs = []
+        for k in range(algebra.ncomponents):
+            conj = {p.mode.startswith("conj") for p in placements if p.component == k}
+            signs.append(None if len(conj) == 2 else -1 if conj == {True} else 1)
+        return cls(algebra, stack, placements=placements, signs=signs)
 
     @property
     def stack(self) -> np.ndarray:
@@ -556,10 +616,54 @@ class Representation:
         """The images of ``Algebra.generator_rows``, built on first read."""
         return self.image_operand(self.algebra.generator_rows)
 
+    def pair_rows(self, perm: Sequence[int]) -> tuple[np.ndarray, PairCoords]:
+        """``Algebra.pair_rows`` for the pair checks of this map under a twist
+        that permutes the blocks by ``perm`` (``Automorphism.perm``).
+
+        An automorphism is complex-linear, so pi o rho takes on a component
+        the sign of pi on the component that rho maps it onto, and pi o
+        rho^-1 the sign on the one that rho^-1 maps it onto.  A C or M
+        component drops its ``i E`` rows when its sign is known and the same
+        on every component of its orbit under ``perm``: then the images of
+        ``i E`` under pi, pi o rho, pi o rho^-1 and the opposite action
+        ``J pi(b*) J^-1`` (the star and J are both antilinear) are one unit
+        multiple of the images of ``E``, and every pair residual is
+        real-linear in each generator.
+        """
+        return self.algebra.pair_rows(self._drop(perm))
+
+    def _drop(self, perm: Sequence[int]) -> tuple[bool, ...]:
+        """The ``drop`` of ``pair_rows(perm)``, decided once per ``perm``."""
+        if perm not in self._drops:
+            drop = []
+            for k, comp in enumerate(self.algebra.components):
+                orbit, j = [k], perm[k]
+                while j != k:
+                    orbit.append(j)
+                    j = perm[j]
+                signs = {self.signs[m] for m in orbit}
+                drop.append(comp.kind != "H" and len(signs) == 1 and None not in signs)
+            self._drops[perm] = tuple(drop)
+        return self._drops[perm]
+
+    def pair_images(self, perm: Sequence[int]) -> Operand:
+        """The images of ``pair_rows(perm)``, built once per row set."""
+        drop = self._drop(perm)
+        if not any(drop):
+            return self.generator_images
+        if drop not in self._pair_images:
+            rows, _ = self.algebra.pair_rows(drop)
+            self._pair_images[drop] = self.image_operand(rows)
+        return self._pair_images[drop]
+
     @cached_property
     def generator_scale(self) -> float:
-        """``matlin.generator_scale`` of ``generator_images``."""
-        return generator_scale(self.generator_images.array)
+        """``matlin.generator_scale`` of the ``pair_images`` with no twist.
+
+        A dropped ``i E`` image is a unit multiple of the ``E`` one, so the
+        maximum over all of ``generator_images`` is the same up to rounding.
+        """
+        return generator_scale(self.pair_images(range(self.algebra.ncomponents)).array)
 
     def __call__(self, elem: tuple) -> np.ndarray:
         if len(elem) != self.algebra.ncomponents:
@@ -587,19 +691,20 @@ class Representation:
         """Star-homomorphism property on generators."""
         rep = Report("representation")
         alg = self.algebra
-        mats, scale = self.generator_images, self.generator_scale
+        unmoved = range(alg.ncomponents)
+        rows, prod = self.pair_rows(unmoved)
+        mats, scale = self.pair_images(unmoved), self.generator_scale
         n = self.dim
 
         r_unit = fro(self(alg.unit()) - np.eye(n))
         rep.check("unit maps to identity", r_unit, tol, 1.0)
 
-        star = PairCoords.of((alg.generator_rows @ alg.star_matrix)[None])
+        star = PairCoords.of((rows @ alg.star_matrix)[None])
         eye = np.eye(n, dtype=np.complex128)[None]
         r_star = pair_max(eye, adjoint(mats), coords=star, stack=self.operand)
         rep.check("star preserved on generators", r_star, tol, scale)
 
         # every pair, cross-block ones included: pi(g_i g_j) - pi(g_i) pi(g_j)
-        prod = alg.structure_constants
         r_mult = pair_max(mats, mats, coords=prod, stack=self.operand)
         rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
         return rep
@@ -624,4 +729,4 @@ def projected_double(
         for p in ((np.eye(n) + grading) / 2.0, (np.eye(n) - grading) / 2.0)
     ]
     # (a, 0) and (0, a') run over the basis of the doubled algebra
-    return Representation(doubled(rep0.algebra), stacked(halves))
+    return Representation(doubled(rep0.algebra), stacked(halves), signs=rep0.signs * 2)

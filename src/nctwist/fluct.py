@@ -196,10 +196,13 @@ def one_form_basis(tg: TwistedGeometry) -> np.ndarray:
 
     The generators real-span the algebra and one-form evaluation is
     real-bilinear in (a, b), so the real span of this grid is the whole
-    evaluated one-form bimodule.
+    evaluated one-form bimodule.  A real span needs the ``i E`` rows, so
+    the grid reads pi and pi o rho at all of ``generator_rows``, not the
+    pair stacks; the images are formed for this call and not kept.
     """
-    d = tg.geometry.dirac
-    pi_a, pi_rho_a = (s.array for s in tg.stacks()[:2])
+    g, d = tg.geometry, tg.geometry.dirac
+    rows = g.algebra.generator_rows
+    pi_a, pi_rho_a = g.rep.images(rows), tg.twisted_rep.images(rows)
     grid = pi_a[:, None] @ (d @ pi_a - pi_rho_a @ d)[None]
     return grid.reshape((-1,) + d.shape)
 

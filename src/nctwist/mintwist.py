@@ -84,7 +84,9 @@ def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | Non
     """Unitary exchanging the eigenspace components, when one exists.
 
     Requires equal eigenspace dimensions and unitarily equivalent
-    restrictions pi+- of the representation; returns None otherwise.  The
+    restrictions pi+- of the representation; returns None otherwise, and
+    for a NaN or an inf in a restriction.  ``_matrix_units`` splits the
+    complexification, so this reads all of ``generator_images``.  The
     solutions X of pi+(a) X = X pi-(a) are the image of the
     conditional expectation ``E(Y) = sum_c sum_rs pi+(e_rs) Y pi-(e_sr) / d_c
     + (1 - pi+(1)) Y (1 - pi-(1))`` over the matrix units of the components
@@ -99,6 +101,9 @@ def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | Non
     pi_a = g.rep.generator_images.array
     restr_plus = dagger(q_plus) @ pi_a @ q_plus
     restr_minus = dagger(q_minus) @ pi_a @ q_minus
+    # decided before LAPACK sees a NaN or an inf, which fails the reports
+    if not (np.isfinite(restr_plus).all() and np.isfinite(restr_minus).all()):
+        return None
     units = list(zip(_matrix_units(alg, restr_plus), _matrix_units(alg, restr_minus)))
     h = q_plus.shape[1]
     rng = np.random.default_rng(0)

@@ -101,7 +101,7 @@ def left_regular_geometry(
         w = as_matrix(frame)
         if w.shape != (k * k, k * k):
             raise ValueError("frame must act on the full space")
-        rep = Representation(alg, w @ rep.stack @ dagger(w))
+        rep = Representation(alg, w @ rep.stack @ dagger(w), signs=rep.signs)
         dirac = w @ dirac @ dagger(w)
         grading = w @ grading @ dagger(w)
         u_real = w @ u_real @ w.T
@@ -129,7 +129,7 @@ def clifford_tensor(m: int, fin: FiniteGeometry) -> FiniteGeometry:
     # image b becomes I_m kron S[b]
     stack = identity_kron(data.dim, fin.rep.operand)
     return FiniteGeometry(
-        rep=Representation(fin.rep.algebra, stack),
+        rep=Representation(fin.rep.algebra, stack, signs=fin.rep.signs),
         dirac=kron(data.grading, fin.dirac),
         grading=kron(data.grading, fin.grading),
         real_structure=AntilinearOperator(

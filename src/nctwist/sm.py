@@ -333,10 +333,8 @@ def lean_generators(alg: Algebra) -> np.ndarray:
     the opposite action), so the matrix units alone span what matters and
     the loops shrink by the dropped elements.
     """
-    # the coordinates that are imaginary parts of matrix-block entries
-    imag = [np.tile([False, c.kind == "M"], c.dim**2) for c in alg.components]
-    rows = alg.generator_rows
-    return rows[~rows[:, np.concatenate(imag)].any(axis=1)]
+    rows, _ = alg.pair_rows(tuple(c.kind == "M" for c in alg.components))
+    return rows
 
 
 def sm_gamma_tilde_element() -> tuple:

@@ -7,9 +7,10 @@ grading are always measured from the operators, never assumed from a
 dimension table.
 
 The order-zero and order-one conditions are checked on the real-spanning
-generator set of the algebra; both conditions are real-bilinear in their
-two element slots, so passing on generators is equivalent to passing on the
-whole algebra.
+generator set of the algebra, less the ``i E`` rows that
+``Algebra.pair_rows`` drops where pi is known to be complex-linear or
+antilinear; both conditions are real-bilinear in their two element slots,
+so passing on generators is equivalent to passing on the whole algebra.
 """
 
 from __future__ import annotations
@@ -127,14 +128,15 @@ def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTri
 
 
 def _untwisted_stacks(g: FiniteGeometry) -> tuple:
-    """pi(a) and J pi(b*) J^-1 over the generator rows, as ``matlin.Operand``s.
+    """pi(a) and J pi(b*) J^-1 over pi's ``pair_rows``, as ``matlin.Operand``s.
 
     With the identity twist they are also pi o rho and the twisted opposite
     action, which are therefore not built.
     """
-    alg = g.algebra
-    cs = alg.generator_rows @ alg.star_matrix
-    return g.rep.generator_images, g.conjugated(g.rep).image_operand(cs)
+    alg, pi = g.algebra, g.rep
+    unmoved = range(alg.ncomponents)
+    cs = pi.pair_rows(unmoved)[0] @ alg.star_matrix
+    return pi.pair_images(unmoved), g.conjugated(pi).image_operand(cs)
 
 
 def order_zero_residual(g: FiniteGeometry) -> float:

@@ -167,7 +167,9 @@ class TwistedGeometry:
         _validate(self.rho, self.geometry)
         pi = self.geometry.rep
         r = pi.algebra.linear_map(self.rho.apply)
-        twisted = Representation(pi.algebra, pi.image_operand(r))
+        # rho maps component k onto the component i with perm[i] = k
+        signs = [pi.signs[i] for i in np.argsort(self.rho.perm)]
+        twisted = Representation(pi.algebra, pi.image_operand(r), signs=signs)
         object.__setattr__(self, "twisted_rep", twisted)
         object.__setattr__(self, "_built", {"r": r})
 
@@ -205,18 +207,18 @@ class TwistedGeometry:
         Each is an ``Operand`` of ``(len(rows), n, n)``, the last two None
         without a J.  They are the images of pi and pi o rho at the
         coordinate ``rows``, and of ``conjugated_rep`` at ``rows @
-        star_matrix`` and ``rows @ star_matrix @ R``.  The default,
-        ``Algebra.generator_rows``, is built once: the first two are the
-        ``generator_images`` of pi and pi o rho, and the four are kept, so
-        each is scanned once however many checks read it.  Other ``rows``
-        are built per call.
+        star_matrix`` and ``rows @ star_matrix @ R``.  The default, pi's
+        ``pair_rows`` under rho, is built once: the first two are the
+        ``pair_images`` of pi and pi o rho, and the four are kept, so each
+        is scanned once however many checks read it.  Other ``rows`` are
+        built per call.
         """
         if rows is None:
             built = self._built
             if "stacks" not in built:
-                pi, twisted = self.geometry.rep, self.twisted_rep
-                opposite = self._opposite(self.algebra.generator_rows)
-                own = (pi.generator_images, twisted.generator_images)
+                pi, twisted, perm = self.geometry.rep, self.twisted_rep, self.rho.perm
+                opposite = self._opposite(pi.pair_rows(perm)[0])
+                own = (pi.pair_images(perm), twisted.pair_images(perm))
                 built["stacks"] = own + opposite
             return built["stacks"]
         own = self.geometry.rep.image_operand(rows), self.twisted_rep.image_operand(rows)
@@ -237,13 +239,14 @@ def check_regular(
     """Check rho(a*) = (rho^{-1}(a))* and multiplicativity on generators.
 
     Both are evaluated through the representation so that the residuals are
-    operator norms comparable with everything else in a run.
+    operator norms comparable with everything else in a run, over pi's
+    ``pair_rows`` under rho.
     """
     rep = Report("automorphism regularity")
     alg = g.algebra
     _validate(rho, g)
     pi = g.rep
-    cg = alg.generator_rows
+    cg, table = pi.pair_rows(rho.perm)
     scale = pi.generator_scale
     n = pi.dim
     # coordinate rows move through rho, rho^-1 and the star as real matrices
@@ -260,7 +263,7 @@ def check_regular(
     rep.check("regular: rho(a*) = (rho^-1(a))*", r_reg, tol, scale)
 
     # rho(a b) against rho(a) rho(b) on every pair, cross-block ones included
-    diff = alg.structure_constants @ r - alg.products(cr, cr)
+    diff = table @ r - alg.products(cr, cr)
     rep.check("multiplicative on generator pairs", gap(diff), tol, scale**2)
 
     # an involutive permutation that moves values without changing them
@@ -277,7 +280,7 @@ def check_regular(
             tol,
             1.0,
         )
-        mats = pi.generator_images
+        mats = pi.pair_images(rho.perm)
         moved = built(
             lambda: u @ mats.array @ dagger(u), mats, [(u, 1), (dagger(u), 2)], False
         )

@@ -20,7 +20,11 @@ no loop over ``range`` calls the kernel.
 An algebra's generator rows and star matrix are formed in one place,
 ``Algebra.generator_rows`` and ``Algebra.star_matrix``, which build them once:
 outside ``algebra.py`` nothing calls ``coord_rows`` on a ``generators()``
-call or ``linear_map`` on a ``.star``.
+call or ``linear_map`` on a ``.star``.  The rows the pair checks walk are
+selected in one place, ``Algebra.pair_rows``: nothing else subscripts
+``generator_rows``.  ``fluct.one_form_basis`` (a real span) and
+``mintwist._implementing_unitary`` (which splits the complexification)
+read all of ``generator_rows`` or ``generator_images``, and no pair rows.
 
 J conjugates a representation in one place, ``FiniteGeometry.conjugated``,
 which conjugates its stack once: outside it no ``.conjugate(...)`` call takes
@@ -544,9 +548,72 @@ def test_coordinate_table_calls_are_seen():
     assert coordinate_table_calls(tree) == [(2, "f"), (3, "f")]
 
 
+def pair_row_selections(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, function)`` of every subscript of ``generator_rows`` in ``tree``,
+    directly or through a local name bound to it: a selection of rows."""
+    found = []
+    for qualname, node in functions(tree):
+        bound = {
+            t.id
+            for a in ast.walk(node)
+            if isinstance(a, ast.Assign) and terminal_name(a.value) == "generator_rows"
+            for t in a.targets
+            if isinstance(t, ast.Name)
+        }
+        for sub in ast.walk(node):
+            if not isinstance(sub, ast.Subscript):
+                continue
+            value = sub.value
+            if terminal_name(value) == "generator_rows" or (
+                isinstance(value, ast.Name) and value.id in bound
+            ):
+                found.append((sub.lineno, qualname))
+    return found
+
+
+def pair_row_sites() -> list[str]:
+    """``file.py:line function`` of every selection of generator rows but
+    ``Algebra.pair_rows``, which forms the rows the pair checks walk."""
+    found = []
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            (path.name, line, q)
+            for line, q in pair_row_selections(tree)
+            if (path.name, q) != ("algebra.py", "Algebra.pair_rows")
+        ]
+    return [f"{m}:{line} {where}" for m, line, where in sorted(found)]
+
+
+def names_read(module: str, qualname: str) -> set[str]:
+    """The names and attributes that function ``qualname`` of ``module`` reads."""
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    (node,) = [n for q, n in functions(tree) if q == qualname]
+    return {terminal_name(a) for a in ast.walk(node) if isinstance(a, (ast.Name, ast.Attribute))}
+
+
+def test_pair_row_selections_are_seen():
+    tree = ast.parse(
+        "def f(alg, keep):\n"
+        "    rows = alg.generator_rows\n"
+        "    return rows[keep], alg.generator_rows[::2], alg.generator_rows @ alg.star_matrix\n"
+    )
+    assert pair_row_selections(tree) == [(3, "f"), (3, "f")]
+
+
 def test_generator_rows_and_the_star_matrix_are_formed_in_one_place():
     # everything else reads Algebra.generator_rows and Algebra.star_matrix
     assert coordinate_table_sites() == []
+    # and the rows the pair checks walk, Algebra.pair_rows
+    assert pair_row_sites() == []
+    # what splits the complexification or spans a real span reads every row
+    for module, qualname in (
+        ("fluct.py", "one_form_basis"),
+        ("mintwist.py", "_implementing_unitary"),
+    ):
+        read = names_read(module, qualname)
+        assert read & {"generator_images", "generator_rows"}, qualname
+        assert not read & {"pair_images", "pair_rows", "stacks"}, qualname
 
 
 # -- report.py alone decides a verdict -------------------------------------

@@ -72,6 +72,23 @@ class TestTwistByGrading:
         report = verify_twisted(twist_by_grading(block_geometry()))
         assert report.ok, report.format_text()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_image_gives_a_failing_report(self, value):
+        # one entry of one image of a placed geometry; LAPACK never sees it.
+        # An inf meets the zeros of the projections (inf * 0), which numpy
+        # warns about
+        g = block_geometry()
+        stack = g.rep.stack.copy()
+        stack[1, 0, 0] = value
+        g = replace(g, rep=Representation(g.algebra, stack))
+        with np.errstate(invalid="ignore" if np.isinf(value) else "warn"):
+            tg = twist_by_grading(g)
+            report = verify_twisted(tg)
+        assert tg.rho.u_rho is None
+        failed = [r for r in report.records if not r.passed]
+        assert failed and any(np.isnan(r.residual) for r in failed)
+        assert "rep: multiplicative on generator pairs" in {r.name for r in failed}
+
 
 # the placement modes of each kind, with the modes of the blocks equivalent
 # to it: H is equivalent to its conjugate, C and M_n are not

@@ -85,9 +85,10 @@ def test_the_untwisted_order_conditions_read_pi_once(monkeypatch, residual):
     monkeypatch.setattr(AntilinearOperator, "conjugate", counted_conjugate)
     g = two_block_geometry(frame=True)
     assert residual(g) < 1e-12
-    # pi on the generator rows once, and no pi o rho: with the identity twist
-    # it is pi; J conjugates pi's dense (B, n, n) stack, not a batch of images
-    rows = g.algebra.generator_rows
+    # pi on its pair rows once, and no pi o rho: with the identity twist it
+    # is pi; J conjugates pi's dense (B, n, n) stack, not a batch of images
+    rows, _ = g.rep.pair_rows(range(g.algebra.ncomponents))
+    assert len(rows) < len(g.algebra.generator_rows)
     assert [c is rows for rep, c in evaluated if rep is g.rep] == [True]
     (t,) = conjugated
     assert t is g.rep.stack

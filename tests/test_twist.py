@@ -604,6 +604,14 @@ def stack_cases(draw):
     return tg, tg.algebra.generators() + extra
 
 
+def pair_generators(tg) -> list:
+    """The generators whose coordinate rows are pi's ``pair_rows`` under rho, in order."""
+    alg = tg.algebra
+    rows, _ = tg.geometry.rep.pair_rows(tg.rho.perm)
+    gens = alg.generators()
+    return [gens[np.flatnonzero((alg.generator_rows == r).all(axis=1))[0]] for r in rows]
+
+
 def assert_stacks_agree(got, want):
     for name, s, w in zip(("pi", "pi o rho", "opposite", "twisted opposite"), got, want):
         s = s.array
@@ -620,9 +628,9 @@ def test_stacks_equal_their_per_element_definitions(case):
     assert_stacks_agree(
         tg.stacks(alg.coord_rows(gens)), per_element_stacks(tg.geometry, tg.rho, gens)
     )
-    # the default is the generator set
+    # the default is the generators at pi's pair rows under rho
     default = tg.stacks()
-    explicit = tg.stacks(alg.coord_rows(alg.generators()))
+    explicit = tg.stacks(alg.coord_rows(pair_generators(tg)))
     assert all(np.array_equal(a.array, b.array) for a, b in zip(default, explicit))
 
 
@@ -688,7 +696,7 @@ def test_a_replaced_real_structure_gets_its_own_stacks():
     j = AntilinearOperator(random_unitary(np.random.default_rng(6), tg.geometry.hilbert_dim))
     other = replace(tg, geometry=replace(tg.geometry, real_structure=j))
     built = tg.stacks()
-    got, gens = other.stacks(), other.algebra.generators()
+    got, gens = other.stacks(), pair_generators(other)
     assert_stacks_agree(got, per_element_stacks(other.geometry, other.rho, gens))
     assert not np.allclose(got[2].array, built[2].array)
 
@@ -794,8 +802,8 @@ def assert_each_shared_stack_scanned_once(seen, order_one, draw, frame):
     pi = tg.geometry.rep
     kept = kept_stacks(tg)
     shared = kept[:5]
-    assert tg.stacks()[0] is pi.generator_images
-    assert tg.stacks()[1] is tg.twisted_rep.generator_images
+    assert tg.stacks()[0] is pi.pair_images(tg.rho.perm)
+    assert tg.stacks()[1] is tg.twisted_rep.pair_images(tg.rho.perm)
     # a frame fills every image and the n = 9 products stay dense; placements
     # at n = 25 build every kept stack and both order-one operands from their
     # parents' entries, and the sparse evaluator never forms the operands'
