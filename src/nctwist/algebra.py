@@ -302,8 +302,11 @@ class Algebra:
         return self.from_blocks(x)
 
     def coord_rows(self, elems: Sequence[tuple]) -> np.ndarray:
-        """``(len(elems), B)`` array whose rows are the ``coords`` of ``elems``."""
-        return np.stack([self.coords(e) for e in elems])
+        """``(len(elems), B)`` array whose rows are the ``coords`` of ``elems``,
+        formed one component at a time."""
+        n = len(elems)
+        flat = [np.asarray(v, dtype=np.complex128).reshape(n, -1) for v in zip(*elems)]
+        return np.concatenate(flat, axis=1).view(np.float64)
 
     @cached_property
     def generator_rows(self) -> np.ndarray:
@@ -630,10 +633,11 @@ class Representation:
         multiple of the images of ``E``, and every pair residual is
         real-linear in each generator.
         """
-        return self.algebra.pair_rows(self._drop(perm))
+        return self.algebra.pair_rows(self.drops(perm))
 
-    def _drop(self, perm: Sequence[int]) -> tuple[bool, ...]:
-        """The ``drop`` of ``pair_rows(perm)``, decided once per ``perm``."""
+    def drops(self, perm: Sequence[int]) -> tuple[bool, ...]:
+        """Per component, whether ``pair_rows(perm)`` drops its ``i E`` rows:
+        the ``drop`` of ``Algebra.pair_rows``, decided once per ``perm``."""
         if perm not in self._drops:
             drop = []
             for k, comp in enumerate(self.algebra.components):
@@ -648,7 +652,7 @@ class Representation:
 
     def pair_images(self, perm: Sequence[int]) -> Operand:
         """The images of ``pair_rows(perm)``, built once per row set."""
-        drop = self._drop(perm)
+        drop = self.drops(perm)
         if not any(drop):
             return self.generator_images
         if drop not in self._pair_images:
@@ -682,7 +686,10 @@ class Representation:
             raise ValueError(f"rows of width {c.shape[-1]} for {len(s)} basis images")
         used = np.flatnonzero((c != 0).any(axis=0))
         rows = s.view(np.float64).reshape(len(s), -1)
-        out = (c[:, used] @ rows[used]).view(np.complex128)
+        # an inf image meets the zero coefficients of other rows (inf * 0):
+        # those rows read NaN, which the checks fail on
+        with np.errstate(invalid="ignore"):
+            out = (c[:, used] @ rows[used]).view(np.complex128)
         return out.reshape(len(c), self.dim, self.dim)
 
     # -- checks ------------------------------------------------------------
@@ -724,9 +731,12 @@ def projected_double(
     if n != rep0.dim:
         raise ValueError("grading dimension does not match representation")
     s = rep0.operand
-    halves = [
-        built(lambda p=p: p @ s.array, s, [(p, 1)], False)
-        for p in ((np.eye(n) + grading) / 2.0, (np.eye(n) - grading) / 2.0)
-    ]
+    # an inf image meets the projections' zeros (inf * 0): the halves carry
+    # NaN, which the checks on the result fail on
+    with np.errstate(invalid="ignore"):
+        halves = [
+            built(lambda p=p: p @ s.array, s, [(p, 1)], False)
+            for p in ((np.eye(n) + grading) / 2.0, (np.eye(n) - grading) / 2.0)
+        ]
     # (a, 0) and (0, a') run over the basis of the doubled algebra
     return Representation(doubled(rep0.algebra), stacked(halves), signs=rep0.signs * 2)

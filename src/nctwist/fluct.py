@@ -4,18 +4,25 @@ A twisted one-form is a finite sum ``sum_j pi(a_j) [D, b_j]_rho``.  The
 fluctuated operator is ``D_A = D + A + eps' J A J^{-1}`` with eps' taken
 from the measured sign triple of the geometry; the fluctuation is accepted
 only when D_A is self-adjoint (A itself need not be).
+
+A twisted geometry keeps its last fluctuation: A, D_A, the self-adjointness
+defect and its bound, and the fluctuated geometry when it is accepted,
+keyed by the coordinate rows of the one-form, eps' and the tolerance.
+``verify_fluctuated``, ``fluctuate`` and ``compose_fluctuations`` read it,
+so a chain that verifies a step, takes it and composes two of them
+evaluates each one-form once on each geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .matlin import (
     DEFAULT_TOL,
     Tolerance,
-    as_matrix,
     dagger,
     fro,
     pair_residual,
@@ -112,37 +119,57 @@ def fluctuation_operator(
     return a_mat + eps_prime * j.conjugate(a_mat)
 
 
-def _fluctuated_dirac(
-    tg: TwistedGeometry, a_mat: np.ndarray, tol: Tolerance, eps_prime: int
-) -> tuple[np.ndarray, float, float]:
-    """``(D_A, defect, bound)``: the defect ``||D_A - D_A*|| / 2`` is accepted up to bound."""
-    d_new = tg.geometry.dirac + fluctuation_operator(tg, as_matrix(a_mat), eps_prime)
-    defect = fro(d_new - dagger(d_new)) / 2.0
-    return d_new, defect, tol.bound(max(1.0, fro(d_new)))
+class _Fluctuation(NamedTuple):
+    """A fluctuation of a twisted geometry by a one-form, with the sign eps'."""
+
+    a: np.ndarray  # the evaluated one-form A
+    dirac: np.ndarray  # D_A = D + A + eps' J A J^-1
+    defect: float  # ||D_A - D_A*|| / 2
+    bound: float  # the largest defect accepted
+    geometry: Optional[TwistedGeometry]  # D replaced by D_A, when accepted
+
+    def accepted(self) -> TwistedGeometry:
+        """The fluctuated geometry; ValueError, with the defect, when D_A is
+        not self-adjoint."""
+        if self.geometry is None:
+            raise ValueError(
+                f"fluctuated operator is not self-adjoint: defect {self.defect:.3e}"
+            )
+        return self.geometry
 
 
-def fluctuate_with_operator(
-    tg: TwistedGeometry, a_mat: np.ndarray, tol: Tolerance, eps_prime: int
-) -> TwistedGeometry:
-    """Fluctuate by an already-evaluated one-form matrix, with the sign ``eps_prime``.
+def _fluctuation(
+    tg: TwistedGeometry, f: TwistedOneForm, tol: Tolerance, eps_prime: int
+) -> _Fluctuation:
+    """The fluctuation of ``tg`` by ``f`` with ``eps_prime``, kept in ``tg``'s slot.
 
-    Raises ValueError when the resulting operator is not self-adjoint; the
-    defect (norm of the anti-Hermitian part) is included in the message.
+    The slot holds one fluctuation, keyed by the value of ``f`` (its
+    coordinate rows), ``eps_prime`` and ``tol``; another key replaces it.
     """
-    d_new, defect, bound = _fluctuated_dirac(tg, a_mat, tol, eps_prime)
-    if not defect <= bound:
-        raise ValueError(
-            f"fluctuated operator is not self-adjoint: defect {defect:.3e}"
-        )
-    return tg.with_dirac(d_new)
+    rows = tuple(tg.algebra.coord_rows(side) for side in zip(*f.terms))
+    key = (tuple((c.shape, c.tobytes()) for c in rows), eps_prime, tol)
+    slot = tg._fluctuation
+    if key not in slot:
+        a_mat = eval_one_form(f, tg)
+        d_new = tg.geometry.dirac + fluctuation_operator(tg, a_mat, eps_prime)
+        defect = fro(d_new - dagger(d_new)) / 2.0
+        bound = tol.bound(max(1.0, fro(d_new)))
+        accepted = tg.with_dirac(d_new) if defect <= bound else None
+        slot.clear()
+        slot[key] = _Fluctuation(a_mat, d_new, defect, bound, accepted)
+    return slot[key]
 
 
 def fluctuate(
     tg: TwistedGeometry, f: TwistedOneForm, tol: Tolerance = DEFAULT_TOL
 ) -> TwistedGeometry:
-    """Fluctuate by a twisted one-form: D -> D + A + eps' J A J^{-1}."""
+    """Fluctuate by a twisted one-form: D -> D + A + eps' J A J^{-1}.
+
+    Raises ValueError when the resulting operator is not self-adjoint; the
+    defect (norm of the anti-Hermitian part) is included in the message.
+    """
     eps_prime = measure_ko_signs(tg.geometry, tol).eps_prime
-    return fluctuate_with_operator(tg, eval_one_form(f, tg), tol, eps_prime)
+    return _fluctuation(tg, f, tol, eps_prime).accepted()
 
 
 def verify_fluctuated(
@@ -157,12 +184,10 @@ def verify_fluctuated(
     rep = Report("fluctuated geometry")
     g = tg.geometry
     signs_before = measure_ko_signs(g, tol)
-    d_new, defect, bound = _fluctuated_dirac(
-        tg, eval_one_form(f, tg), tol, signs_before.eps_prime
-    )
-    if not rep.add("fluctuation accepted (self-adjoint)", defect, bound).passed:
+    step = _fluctuation(tg, f, tol, signs_before.eps_prime)
+    if not rep.add("fluctuation accepted (self-adjoint)", step.defect, step.bound).passed:
         return rep
-    fluct = tg.with_dirac(d_new)
+    fluct, d_new = step.geometry, step.dirac
     added = d_new - g.dirac
     scale = max(1.0, fro(d_new))
 
@@ -192,19 +217,35 @@ def verify_fluctuated(
 
 
 def one_form_basis(tg: TwistedGeometry) -> np.ndarray:
-    """Evaluations pi(g_i) [D, g_j]_rho over the generator grid, stacked.
+    """Matrices whose real span is the evaluated one-form bimodule, stacked.
 
     The generators real-span the algebra and one-form evaluation is
-    real-bilinear in (a, b), so the real span of this grid is the whole
-    evaluated one-form bimodule.  A real span needs the ``i E`` rows, so
-    the grid reads pi and pi o rho at all of ``generator_rows``, not the
-    pair stacks; the images are formed for this call and not kept.
+    real-bilinear in (a, b), so the real span of the grid pi(g_i) [D, g_j]_rho
+    over all generators is the whole bimodule.  The grid is read at the pair
+    rows, from the kept ``stacks()``.  On a component whose ``i E`` rows
+    ``Representation.pair_rows`` drops, pi and pi o rho carry one sign s,
+    so pi(iE) = s i pi(E) and [D, iE]_rho = s i [D, E]_rho: an evaluation
+    at a dropped row is a real multiple of a kept one or of ``i`` times a
+    kept one.  So the basis is the pair-row grid and ``i`` times its
+    evaluations whose a or b lies in such a component.
     """
-    g, d = tg.geometry, tg.geometry.dirac
-    rows = g.algebra.generator_rows
-    pi_a, pi_rho_a = g.rep.images(rows), tg.twisted_rep.images(rows)
-    grid = pi_a[:, None] @ (d @ pi_a - pi_rho_a @ d)[None]
-    return grid.reshape((-1,) + d.shape)
+    d, pi, perm = tg.geometry.dirac, tg.geometry.rep, tg.rho.perm
+    pi_a, pi_rho_a = (s.array for s in tg.stacks()[:2])
+    # the component of each pair row, and whether it lost its i E rows
+    rows, _ = pi.pair_rows(perm)
+    first = (rows != 0).argmax(axis=1)
+    component = np.searchsorted(tg.algebra.basis_offsets(), first, side="right") - 1
+    lone = np.array(pi.drops(perm))[component]
+    multiplied = lone[:, None] | lone[None, :]
+    # pi(a) [D, b]_rho for every pair, as one product per a, then i times
+    # those of the multiplied pairs
+    n, k = d.shape[0], len(pi_a)
+    comm = (d @ pi_a - pi_rho_a @ d).transpose(1, 0, 2).reshape(n, k * n)
+    products = (pi_a @ comm).reshape(k, n, k, n).transpose(0, 2, 1, 3)
+    out = np.empty((k * k + int(multiplied.sum()), n, n), np.complex128)
+    out[: k * k].reshape(k, k, n, n)[...] = products
+    np.multiply(products[multiplied], 1j, out=out[k * k :])
+    return out
 
 
 def compose_fluctuations(
@@ -221,12 +262,11 @@ def compose_fluctuations(
     """
     rep = Report("fluctuation composition")
     eps_prime = measure_ko_signs(tg.geometry, tol).eps_prime
-    a1 = eval_one_form(f, tg)
-    tg1 = fluctuate_with_operator(tg, a1, tol, eps_prime)
-    a2 = eval_one_form(f2, tg1)
-    tg2 = fluctuate_with_operator(tg1, a2, tol, eps_prime)
+    first = _fluctuation(tg, f, tol, eps_prime)
+    second = _fluctuation(first.accepted(), f2, tol, eps_prime)
+    tg2, a2 = second.accepted(), second.a
 
-    total = a1 + a2
+    total = first.a + a2
     d_direct = tg.geometry.dirac + fluctuation_operator(tg, total, eps_prime)
     scale = max(1.0, fro(tg2.geometry.dirac))
     rep.check(

@@ -99,8 +99,9 @@ def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | Non
         return None
     alg = g.algebra
     pi_a = g.rep.generator_images.array
-    restr_plus = dagger(q_plus) @ pi_a @ q_plus
-    restr_minus = dagger(q_minus) @ pi_a @ q_minus
+    with np.errstate(invalid="ignore"):  # an inf image meets zeros (inf * 0)
+        restr_plus = dagger(q_plus) @ pi_a @ q_plus
+        restr_minus = dagger(q_minus) @ pi_a @ q_minus
     # decided before LAPACK sees a NaN or an inf, which fails the reports
     if not (np.isfinite(restr_plus).all() and np.isfinite(restr_minus).all()):
         return None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .matlin import worst
 
@@ -97,8 +97,11 @@ class Report:
         return rec
 
     def merge(self, other: "Report", prefix: str = "") -> None:
-        for rec in other.records:
-            self.records.append(replace(rec, name=f"{prefix}{rec.name}"))
+        """Append ``other``'s records, each with its name prefixed, and its info."""
+        self.records += [
+            CheckRecord(f"{prefix}{r.name}", r.passed, r.residual, r.tol, r.note, r.floor)
+            for r in other.records
+        ]
         for key, val in other.info.items():
             self.info.setdefault(key, val)
 

@@ -53,14 +53,22 @@ class SignTriple:
 
 @dataclass(frozen=True)
 class FiniteGeometry:
-    """Algebra representation + Dirac operator (+ grading, real structure)."""
+    """Algebra representation + Dirac operator (+ grading, real structure).
+
+    ``_signs`` keeps the ``SignTriple`` that ``measure_ko_signs`` measured,
+    per ``Tolerance``.  ``__post_init__`` starts it empty, so a geometry made
+    by ``with_dirac`` or ``dataclasses.replace`` measures its own; D, the
+    grading and J must not change in place once measured.
+    """
 
     rep: Representation
     dirac: np.ndarray
     grading: Optional[np.ndarray] = None
     real_structure: Optional[AntilinearOperator] = None
+    _signs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_signs", {})
         object.__setattr__(self, "dirac", as_matrix(self.dirac))
         n = self.rep.dim
         if self.dirac.shape != (n, n):
@@ -108,7 +116,11 @@ def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTri
     Each sign is decided by comparing residuals for both candidates;
     degenerate inputs (e.g. D = 0) raise instead of guessing.  Without a
     grading, eps'' is reported as +1 by convention and noted by callers.
+    The triple is measured once per geometry and ``tol`` and kept on ``g``;
+    a sign that raises is measured, and raises, on every call.
     """
+    if tol in g._signs:
+        return g._signs[tol]
     j = g.real_structure
     if j is None:
         raise ValueError("geometry has no real structure")
@@ -124,7 +136,8 @@ def measure_ko_signs(g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL) -> SignTri
             u @ np.conj(g.grading), g.grading @ u, tol, what="J vs grading"
         )
         evidence += (ev_dbl,)
-    return SignTriple(eps, eps_prime, eps_dbl, evidence)
+    signs = g._signs[tol] = SignTriple(eps, eps_prime, eps_dbl, evidence)
+    return signs
 
 
 def _untwisted_stacks(g: FiniteGeometry) -> tuple:

@@ -151,17 +151,22 @@ class TwistedGeometry:
       residuals over the stacks.
     ``with_dirac`` shares ``twisted_rep`` and ``_built`` with the geometry it
     returns, so a chain of fluctuations decides these verdicts once.
-    Nothing that reads D is kept: self-adjointness of D, the grading's
-    anticommutation with D, the signs and order one are measured on every
-    call.  ``dataclasses.replace`` runs ``__post_init__`` and starts a new
-    holder, so a geometry with another pi, rho, grading or J runs its own
-    checks.
+    Nothing that reads D is shared: self-adjointness of D, the grading's
+    anticommutation with D and order one are measured on every call, and
+    the signs once per ``FiniteGeometry``.  ``dataclasses.replace`` runs
+    ``__post_init__`` and starts a new holder, so a geometry with another
+    pi, rho, grading or J runs its own checks.
+
+    ``_fluctuation`` is the one slot in which ``fluct.py`` keeps the last
+    fluctuation of this geometry, keyed by the value of the one-form, eps'
+    and the tolerance; ``__post_init__`` and ``with_dirac`` start it empty.
     """
 
     geometry: FiniteGeometry
     rho: Automorphism
     twisted_rep: Representation = field(init=False, repr=False, compare=False)
     _built: dict = field(init=False, repr=False, compare=False)
+    _fluctuation: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate(self.rho, self.geometry)
@@ -172,6 +177,7 @@ class TwistedGeometry:
         twisted = Representation(pi.algebra, pi.image_operand(r), signs=signs)
         object.__setattr__(self, "twisted_rep", twisted)
         object.__setattr__(self, "_built", {"r": r})
+        object.__setattr__(self, "_fluctuation", {})
 
     @property
     def algebra(self) -> Algebra:
@@ -187,10 +193,12 @@ class TwistedGeometry:
 
         It shares ``twisted_rep`` and ``_built`` with ``self``: the generator
         stacks and the ``verify_twisted`` verdicts that read no D.  Nothing
-        that reads D is shared.
+        that reads D is shared: the new geometry's signs and fluctuation
+        slot start empty.
         """
         out = copy.copy(self)
         object.__setattr__(out, "geometry", self.geometry.with_dirac(d))
+        object.__setattr__(out, "_fluctuation", {})
         return out
 
     @property

@@ -443,3 +443,122 @@ def test_a_shared_verdict_equals_a_fresh_one(seed):
                 failed = {r.name: r.residual for r in shared.failures()}
                 assert all(np.isnan(failed[name]) == nan for name in fails)
         assert step._built is base._built
+
+
+# -- the kept signs and the kept fluctuation -----------------------------------
+
+
+def test_a_new_geometry_keeps_no_signs_and_no_fluctuation(tg):
+    f = random_one_form(np.random.default_rng(RNG_SEED + 14), tg)
+    fluct = fluctuate(tg, f)
+    g = tg.geometry
+    assert g._signs and tg._fluctuation and fluct.geometry._signs == {}
+    for other in (
+        tg.with_dirac(g.dirac),
+        replace(tg, geometry=g),
+        TwistedGeometry(g, tg.rho),
+    ):
+        assert other._fluctuation == {}
+    for other in (g.with_dirac(g.dirac), replace(g, grading=-g.grading)):
+        assert other._signs == {}
+    assert tg.with_dirac(g.dirac).geometry._signs == {}
+
+
+def test_an_undecided_sign_is_never_kept():
+    g = flip_toy().geometry
+    flat = g.with_dirac(np.zeros_like(g.dirac))  # J vs D fits both signs
+    for _ in range(2):
+        with pytest.raises(ValueError, match="J vs D"):
+            measure_ko_signs(flat)
+        assert flat._signs == {}
+
+
+def test_a_second_form_replaces_the_kept_fluctuation(tg):
+    rng = np.random.default_rng(RNG_SEED + 15)
+    f1, f2 = random_one_form(rng, tg), random_one_form(rng, tg)
+    first = fluctuate(tg, f1)
+    second = fluctuate(tg, f2)
+    assert len(tg._fluctuation) == 1
+    fresh = fluctuate(TwistedGeometry(tg.geometry, tg.rho), f2)
+    assert second.geometry.dirac.tobytes() == fresh.geometry.dirac.tobytes()
+    assert first.geometry.dirac.tobytes() != second.geometry.dirac.tobytes()
+    # the first form again is evaluated again, and replaces the second
+    again = fluctuate(tg, f1)
+    assert again is not first
+    assert again.geometry.dirac.tobytes() == first.geometry.dirac.tobytes()
+
+
+def test_an_equal_form_built_anew_reads_the_same_fluctuation(tg):
+    f = random_one_form(np.random.default_rng(RNG_SEED + 16), tg)
+    copy = TwistedOneForm(
+        tuple((tuple(np.copy(v) for v in a), tuple(np.copy(v) for v in b)) for a, b in f.terms)
+    )
+    assert copy is not f
+    fluct = fluctuate(tg, f)
+    assert fluctuate(tg, copy) is fluct
+    fresh = fluctuate(TwistedGeometry(tg.geometry, tg.rho), copy)
+    assert fluct.geometry.dirac.tobytes() == fresh.geometry.dirac.tobytes()
+    # another tolerance is another key
+    assert fluctuate(tg, f, LOOSE_TOL) is not fluct
+
+
+def chain(tg, forms):
+    """Verify and take each step, as a chain of fluctuations does."""
+    for f in forms:
+        report = verify_fluctuated(tg, f)
+        assert report.ok, report.format_text()
+        tg = fluctuate(tg, f)
+    return tg
+
+
+def test_the_composition_reads_the_same_after_a_chain():
+    rng = np.random.default_rng(RNG_SEED + 17)
+    base = random_graded_geometry(rng)
+    tg = twist_by_grading(base)
+    forms = []
+    for _ in range(3):
+        forms.append(random_one_form(rng, chain(tg, forms)))
+    fresh = compose_fluctuations(twist_by_grading(base), forms[0], forms[1])
+    chain(tg, forms)
+    after = compose_fluctuations(tg, forms[0], forms[1])
+    assert after.ok, after.format_text()
+    assert after.to_json() == fresh.to_json()
+
+
+def test_a_chain_evaluates_each_form_once_and_measures_each_geometry_once(monkeypatch):
+    from nctwist import fluct, triple
+
+    evaluated, measured = [], []
+    evaluate, match = fluct.eval_one_form, triple.match_sign
+
+    def counted_eval(f, tg):
+        evaluated.append((tg, f))
+        return evaluate(f, tg)
+
+    def counted_match(x, y, tol, what):
+        if what == "J^2":  # the first of the three signs of one measurement
+            measured.append(x)
+        return match(x, y, tol, what)
+
+    monkeypatch.setattr(fluct, "eval_one_form", counted_eval)
+    monkeypatch.setattr(triple, "match_sign", counted_match)
+    rng = np.random.default_rng(RNG_SEED + 18)
+    tg0 = tg = twist_by_grading(random_graded_geometry(rng))
+    steps, forms = [tg0], []
+    for _ in range(4):
+        forms.append(random_one_form(rng, tg))
+        report = verify_fluctuated(tg, forms[-1])
+        assert report.ok, report.format_text()
+        tg = fluctuate(tg, forms[-1])
+        # fluctuate returns the geometry verify_twisted measured
+        assert tg.geometry._signs
+        steps.append(tg)
+    report = compose_fluctuations(tg0, forms[0], forms[1])
+    assert report.ok, report.format_text()
+    # step i evaluates form i on geometry i, once; both fluctuations of the
+    # composition are the chain's
+    assert len(evaluated) == len(forms)
+    for (t, f), step, form in zip(evaluated, steps, forms):
+        assert t is step and f is form
+    # one measurement per geometry of the chain, however many calls read it
+    assert len(measured) == len(steps)

@@ -85,6 +85,24 @@ def test_merge_prefixes_names():
     assert floor.name == "inner: lower bound" and floor.floor and not floor.passed
 
 
+def test_a_merged_record_keeps_every_field_but_its_name():
+    inner = Report("inner")
+    inner.add("passed", 0.5, 1.0, note="a note")
+    inner.add("failed", 2.0, 1.0)
+    inner.exceeds("floor", 0.0, 1e-10, note="a floor")
+    outer = Report("outer")
+    outer.merge(inner, prefix="inner: ")
+    fields = ("passed", "residual", "tol", "note", "floor")
+    assert len(outer.records) == len(inner.records)
+    for rec, orig in zip(outer.records, inner.records):
+        assert type(rec) is CheckRecord and rec is not orig
+        assert rec.name == "inner: " + orig.name
+        assert [getattr(rec, f) for f in fields] == [getattr(orig, f) for f in fields]
+    assert [r.floor for r in outer.records] == [False, False, True]
+    assert [r.passed for r in outer.records] == [True, False, False]
+    assert [r.name for r in inner.records] == ["passed", "failed", "floor"]
+
+
 def test_merge_propagates_failure():
     inner = Report("inner")
     inner.check("bad", 1.0, Tolerance(), 1.0)
