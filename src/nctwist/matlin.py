@@ -435,9 +435,9 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
     difference is optional: ``xs`` and ``ys`` come together, ``zs`` needs
     them, and ``coords`` (a ``PairCoords`` of shape ``(rows, cols, B)``)
     needs ``stack`` (``(B, n, n)``).  The stacks are ``Operand``s, or arrays
-    that this call wraps in one (once, if one array is passed twice).  An
-    empty side gives 0.0, and a NaN or inf anywhere in an operand makes the
-    result NaN.
+    that this call wraps in one (once, if one array is passed twice).  A NaN
+    or inf anywhere in an operand makes the result NaN; otherwise an empty
+    side, or a ``coords`` with no entries and no products, gives 0.0.
 
     Two evaluators give the same maximum.  The dense one walks rows outer
     and slices of ``max(1, 32768 // n^2)`` columns inner, which keeps its
@@ -459,6 +459,8 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
         coords is not None and not np.isfinite(coords.value).all()
     ):
         return float("nan")
+    if xs is None and not len(coords.key):
+        return 0.0
     n = (xs if xs is not None else stack).shape[-1]
     joins = _joins(xs, ys, zs, coords, stack, cols, n)
     terms = sum(int(left[0] @ right[0]) for _, left, right in joins)

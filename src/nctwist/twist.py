@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -134,6 +134,88 @@ def _validate(rho: Automorphism, g: FiniteGeometry) -> None:
         raise ValueError(f"u_rho has shape {u.shape}, expected ({n}, {n})")
 
 
+class _CoordinateTables(NamedTuple):
+    """rho on coordinates, and the coordinate sides of the regularity records.
+
+    ``r`` is R, ``coords(rho(x)) = coords(x) @ R``, and ``inverse`` is
+    rho^-1 on coordinates.  ``moved`` holds the pair rows moved by R, and
+    ``regular``, ``multiplicative`` and ``involutive`` the differences the
+    regularity records read through pi, each a ``PairCoords`` over the pair
+    rows; ``involutive`` is None unless rho is an involutive permutation
+    that moves values without changing them.  Every array is read-only.
+    """
+
+    r: np.ndarray
+    inverse: np.ndarray
+    moved: PairCoords
+    regular: PairCoords
+    multiplicative: PairCoords
+    involutive: Optional[PairCoords]
+
+
+# rho's coordinate tables by value, least recently read first
+_TABLES: dict = {}
+_KEPT_TABLES = 32
+# a larger value is built on every call instead: a dense inner unitary on
+# M_10 makes a multiplicative difference of 1.8 M entries (28 MiB)
+_KEPT_BYTES = 2**20
+
+
+def _values(parts) -> Optional[tuple]:
+    """``inner`` or ``scale`` by value: the complex128 bytes of each part."""
+    if parts is None:
+        return None
+    return tuple(
+        None if p is None else np.asarray(p, np.complex128).tobytes() for p in parts
+    )
+
+
+def _coordinate_tables(
+    alg: Algebra, rho: Automorphism, drop: tuple[bool, ...]
+) -> _CoordinateTables:
+    """rho's ``_CoordinateTables`` over ``alg.pair_rows(drop)``, shared by value.
+
+    They are pure functions of the algebra, of rho's action on coordinates
+    (``perm``, ``inner`` and ``scale``, not ``u_rho``) and of ``drop``, so a
+    call with an equal key reads the tables an earlier one built, as equal
+    algebras share theirs (``algebra._first_equal``).  The last 32 keys
+    read are kept; a value of more than ``_KEPT_BYTES`` is not.
+    """
+    key = (alg, rho.perm, _values(rho.inner), _values(rho.scale), drop)
+    tables = _TABLES.pop(key, None)
+    if tables is None:
+        cg, table = alg.pair_rows(drop)
+        # coordinate rows move through rho, rho^-1 and the star as real matrices
+        star = alg.star_matrix
+        r = alg.linear_map(rho.apply)
+        inverse = np.linalg.inv(r)
+        cr = cg @ r
+        plain = all(u is None for u in rho.inner or ())
+        plain = plain and all(c == 1 for c in rho.scale or ())
+        tables = _CoordinateTables(
+            r,
+            inverse,
+            PairCoords.of(cr[None]),
+            # a single-generator record is one row of the pair grid: (1, G, B)
+            PairCoords.of((cg @ star @ r - cg @ inverse @ star)[None]),
+            # rho(a b) against rho(a) rho(b) on every pair, cross-block ones included
+            table @ r - alg.products(cr, cr),
+            PairCoords.of((cr @ r - cg)[None])
+            if rho.is_involutive_perm() and plain
+            else None,
+        )
+        arrays = [r, inverse]
+        arrays += [a for c in tables[2:] if c is not None for a in (c.key, c.value)]
+        for a in arrays:
+            a.flags.writeable = False
+        if sum(a.nbytes for a in arrays) > _KEPT_BYTES:
+            return tables
+    _TABLES[key] = tables
+    if len(_TABLES) > _KEPT_TABLES:
+        del _TABLES[next(iter(_TABLES))]
+    return tables
+
+
 @dataclass(frozen=True)
 class TwistedGeometry:
     """A finite geometry together with an automorphism of its algebra.
@@ -142,7 +224,8 @@ class TwistedGeometry:
     real matrix of rho on coordinates: pi(rho(x)) = (coords(x) R) S.
 
     ``_built`` holds what reads no D, all of it built on first read but R:
-    - ``"r"``: R, kept from ``__post_init__``;
+    - ``"r"``: R, read in ``__post_init__`` from the shared
+      ``_coordinate_tables``;
     - ``"conjugated"``: ``conjugated_rep``, the J-conjugate of pi's stack;
     - ``"stacks"``: the generator stacks of ``stacks()``, kept as operands;
     - ``"reports"``: per ``Tolerance``, the reports of
@@ -171,7 +254,7 @@ class TwistedGeometry:
     def __post_init__(self):
         _validate(self.rho, self.geometry)
         pi = self.geometry.rep
-        r = pi.algebra.linear_map(self.rho.apply)
+        r = _coordinate_tables(pi.algebra, self.rho, pi.drops(self.rho.perm)).r
         # rho maps component k onto the component i with perm[i] = k
         signs = [pi.signs[i] for i in np.argsort(self.rho.perm)]
         twisted = Representation(pi.algebra, pi.image_operand(r), signs=signs)
@@ -248,37 +331,25 @@ def check_regular(
 
     Both are evaluated through the representation so that the residuals are
     operator norms comparable with everything else in a run, over pi's
-    ``pair_rows`` under rho.
+    ``pair_rows`` under rho.  The coordinate sides depend on the algebra and
+    rho alone, and are read from the shared ``_coordinate_tables``.
     """
     rep = Report("automorphism regularity")
-    alg = g.algebra
     _validate(rho, g)
     pi = g.rep
-    cg, table = pi.pair_rows(rho.perm)
+    tables = _coordinate_tables(g.algebra, rho, pi.drops(rho.perm))
     scale = pi.generator_scale
     n = pi.dim
-    # coordinate rows move through rho, rho^-1 and the star as real matrices
-    r = alg.linear_map(rho.apply)
-    star = alg.star_matrix
-    cr = cg @ r
 
     def gap(diff):
         """max_{i,j} ||pi(a_ij) - pi(b_ij)||, read as pi(diff[i, j]), diff = a - b."""
         return pair_max(coords=diff, stack=pi.operand)
 
-    # a single-generator record is one row of the pair grid: (1, G, B)
-    r_reg = gap(PairCoords.of((cg @ star @ r - cg @ np.linalg.inv(r) @ star)[None]))
-    rep.check("regular: rho(a*) = (rho^-1(a))*", r_reg, tol, scale)
-
-    # rho(a b) against rho(a) rho(b) on every pair, cross-block ones included
-    diff = table @ r - alg.products(cr, cr)
-    rep.check("multiplicative on generator pairs", gap(diff), tol, scale**2)
-
-    # an involutive permutation that moves values without changing them
-    plain = all(u is None for u in rho.inner or ())
-    plain = plain and all(c == 1 for c in rho.scale or ())
-    if rho.is_involutive_perm() and plain:
-        rep.check("involutive", gap(PairCoords.of((cr @ r - cg)[None])), tol, scale)
+    rep.check("regular: rho(a*) = (rho^-1(a))*", gap(tables.regular), tol, scale)
+    r_mult = gap(tables.multiplicative)
+    rep.check("multiplicative on generator pairs", r_mult, tol, scale**2)
+    if tables.involutive is not None:
+        rep.check("involutive", gap(tables.involutive), tol, scale)
 
     if rho.u_rho is not None:
         u = rho.u_rho
@@ -295,7 +366,7 @@ def check_regular(
         r_impl = pair_max(
             np.eye(n, dtype=np.complex128)[None],
             moved,
-            coords=PairCoords.of(cr[None]),
+            coords=tables.moved,
             stack=pi.operand,
         )
         rep.check("pi(rho(a)) = U pi(a) U*", r_impl, tol, scale)

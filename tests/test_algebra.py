@@ -189,6 +189,24 @@ def test_the_pair_checks_hold_no_dense_product_table():
     assert peak < 16 * 2**20
 
 
+def test_a_dense_inner_twist_keeps_no_large_coordinate_tables():
+    # an unplaced M_10 under a dense inner unitary: the multiplicative
+    # difference holds 1.8 M rounding-level entries (28 MiB), built per call
+    # and not kept; the peak was 144 MiB before the tables were shared
+    alg = Algebra.of(("M", 10))
+    g = FiniteGeometry(Representation.from_placements(alg, 2, []), np.zeros((2, 2)))
+    rho = Automorphism((0,), inner=(random_unitary(np.random.default_rng(0), 10),))
+    assert g.rep.check().ok is False  # the algebra builds its own tables first
+    tracemalloc.start()
+    try:
+        assert check_regular(rho, g).ok
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 4 * 2**20
+    assert peak < 1.05 * 144 * 2**20
+
+
 def test_coordinate_products_and_linear_maps(alg):
     gens = alg.generators()
     cg = alg.generator_rows

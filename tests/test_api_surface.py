@@ -10,10 +10,11 @@ alone, so a method shares its references with every same-named one.
 
 Generator images are read in batches from representations: outside
 ``algebra.py`` no module forms pi, pi o rho or a twisted commutator one
-generator at a time.  pi o rho is formed in one place,
-``TwistedGeometry.__post_init__`` (and the regularity check, which moves
-coordinates through rho): nowhere else is ``rho.apply`` turned into a
-coordinate map or handed to a representation.  Generators and generator
+generator at a time.  rho on coordinates, R, is formed in one place,
+``twist._coordinate_tables``, which ``TwistedGeometry.__post_init__`` reads
+to build pi o rho and the regularity check reads to move coordinates:
+nowhere else is ``rho.apply`` turned into a coordinate map or handed to a
+representation.  Generators and generator
 pairs are walked in one place, ``matlin.pair_max``: outside ``matlin.py``
 no loop over ``range`` calls the kernel.
 
@@ -240,7 +241,7 @@ def test_generator_images_are_built_in_one_place():
 
 # -- pi o rho is formed in one place --------------------------------------
 
-PI_RHO_BUILDERS = {"TwistedGeometry.__post_init__", "check_regular"}
+PI_RHO_BUILDERS = {"_coordinate_tables"}
 
 
 def functions(tree: ast.Module):

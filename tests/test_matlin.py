@@ -163,6 +163,18 @@ def test_pair_max_nan_at_any_pair_is_the_result(case):
     assert np.isnan(kernel_max(diffs))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pair_max_of_no_coordinate_entries_reads_the_stack(bad):
+    # a coordinate side with no entries gives 0.0 on a finite stack and NaN
+    # on a non-finite one, which no entry reads
+    empty = PairCoords((1, 4, 2), np.zeros(0, np.intp), np.zeros(0))
+    stack = np.zeros((2, 3, 3), np.complex128)
+    stack[0, 1, 2] = 1.0
+    assert pair_max(coords=empty, stack=stack) == 0.0
+    stack[1, 0, 0] = bad
+    assert np.isnan(pair_max(coords=empty, stack=stack))
+
+
 # -- the sparse evaluator ----------------------------------------------------
 #
 # pair_max joins the nonzero entries of sparse operands instead of

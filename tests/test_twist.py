@@ -235,13 +235,15 @@ NAN_FREE_RECORDS = {
 }
 
 
-def poisoned_flip_toy():
-    """flip_toy() with a NaN in pi of its last generator, and only there."""
+def poisoned_flip_toy(poisoned=True):
+    """flip_toy() on a bare stack with a NaN in pi of its last generator, and
+    only there (``poisoned=False``: the bare stack as it is)."""
     tg = flip_toy()
     base = tg.geometry.rep
     (k,) = np.flatnonzero(base.algebra.coords(base.algebra.generators()[-1]))
     stack = base.stack.copy()
-    stack[k, 1, 1] = np.nan
+    if poisoned:
+        stack[k, 1, 1] = np.nan
     geom = tg.geometry
     return TwistedGeometry(replace(geom, rep=Representation(base.algebra, stack)), tg.rho)
 
@@ -264,6 +266,29 @@ def test_nan_image_fails_every_record_that_reads_it():
     report = verify_twisted(poisoned_flip_toy())
     assert NAN_FREE_RECORDS <= {r.name for r in report.records}
     assert_nan_fails_what_reads_it(report)
+
+
+def test_a_nan_image_fails_regularity_on_kept_tables(monkeypatch):
+    # the bare clean twin keeps the tables of the poisoned toy's key, whose
+    # differences hold no entries; reading them must not pass a NaN image
+    monkeypatch.setattr(twist, "_TABLES", {})
+    calls, apply = [], Automorphism.apply
+    monkeypatch.setattr(Automorphism, "apply", lambda rho, x: calls.append(1) or apply(rho, x))
+    assert verify_twisted(flip_toy()).ok
+    assert verify_twisted(poisoned_flip_toy(poisoned=False)).ok
+    tables = list(twist._TABLES.values())
+    assert all(len(t.regular.key) == len(t.multiplicative.key) == 0 for t in tables)
+    calls.clear()
+    report = verify_twisted(poisoned_flip_toy())
+    assert calls == []
+    assert_nan_fails_what_reads_it(report)
+    regularity = [r for r in report.records if r.name.startswith("rho: ")]
+    assert {r.name for r in regularity} - NAN_FREE_RECORDS == {
+        "rho: regular: rho(a*) = (rho^-1(a))*",
+        "rho: multiplicative on generator pairs",
+        "rho: involutive",
+        "rho: pi(rho(a)) = U pi(a) U*",
+    }
 
 
 def test_a_nan_image_report_is_strict_json():
@@ -485,16 +510,72 @@ def test_each_coordinate_map_is_evaluated_once(monkeypatch):
     g = random_graded_geometry(np.random.default_rng(4))
     report = verify_twisted(twist_by_grading(g))
     assert report.ok, report.format_text()
-    # rho once for pi o rho and once for regularity, which inverts its
-    # matrix; the star at most once per algebra signature in a process (an
-    # earlier test may have built this one's), not once per basis direction
-    # and per check
-    assert calls["apply"] == 2 and calls["star"] <= 1
-    # a second doubling is a new but equal algebra: it reads the same table
-    before = calls["star"]
+    # rho and the star each at most once per value in a process (an earlier
+    # test may have built these tables): pi o rho and regularity read one
+    # R, not once per basis direction and per check
+    assert calls["apply"] <= 1 and calls["star"] <= 1
+    # a second doubling is a new but equal algebra with an equal twist: it
+    # reads the same tables
+    before = dict(calls)
     report = verify_twisted(twist_by_grading(g))
     assert report.ok, report.format_text()
-    assert calls == {"apply": 4, "star": before}
+    assert calls == before
+
+
+def test_twists_of_one_perm_read_their_own_tables(monkeypatch):
+    # one algebra and one perm: a plain twist, an inner reflection (u^2 = 1,
+    # so regular) and a scale of 2, which fails regularity; each keeps the
+    # report it gets alone, whichever was verified before it
+    alg = Algebra.of(("M", 2), "C")
+    rep = Representation.from_placements(
+        alg, 3, [Placement(0, 0, "fund", 1), Placement(1, 2, "scalar", 1)]
+    )
+    g = FiniteGeometry(rep, np.zeros((3, 3)))
+    v = random_unitary(np.random.default_rng(3), 2)
+    twists = [
+        Automorphism((0, 1)),
+        Automorphism((0, 1), inner=(v @ np.diag([1.0, -1.0]) @ dagger(v), None)),
+        Automorphism((0, 1), scale=(2, 1)),
+    ]
+
+    def verified(rho):
+        tg = TwistedGeometry(g, rho)
+        x = alg.random_element(np.random.default_rng(5))
+        return verify_twisted(tg).to_json(), tg.twisted_rep(x), g.rep(rho.apply(x))
+
+    alone = []
+    for rho in twists:
+        monkeypatch.setattr(twist, "_TABLES", {})
+        alone.append(verified(rho))
+    failed = [
+        [c["name"] for c in json.loads(report)["checks"] if not c["passed"]]
+        for report, _, _ in alone
+    ]
+    assert failed[:2] == [[], []]
+    assert "rho: regular: rho(a*) = (rho^-1(a))*" in failed[2]
+    # only the plain twist is checked for involution
+    assert ["involutive" in report for report, _, _ in alone] == [True, False, False]
+    for k, (report, got, want) in enumerate(alone):
+        assert fro(got - want) <= 1e-14, k
+    for first, second in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]:
+        monkeypatch.setattr(twist, "_TABLES", {})
+        for k in (first, second):
+            report, got, _ = verified(twists[k])
+            assert report == alone[k][0], (first, second, k)
+            assert np.array_equal(got, alone[k][1]), (first, second, k)
+
+
+def test_twists_that_differ_only_in_u_rho_share_their_tables(monkeypatch):
+    monkeypatch.setattr(twist, "_TABLES", {})
+    calls, apply = [], Automorphism.apply
+    monkeypatch.setattr(Automorphism, "apply", lambda rho, x: calls.append(1) or apply(rho, x))
+    tg = flip_toy()
+    assert calls == [1]
+    bare = TwistedGeometry(tg.geometry, Automorphism(tg.rho.perm))
+    assert bare.rho.u_rho is None and tg.rho.u_rho is not None
+    assert bare._built["r"] is tg._built["r"]
+    assert check_regular(bare.rho, bare.geometry).ok
+    assert calls == [1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -827,15 +908,16 @@ def assert_each_shared_stack_scanned_once(seen, order_one, draw, frame):
                     if "entries" in vars(op) and np.shares_memory(op.entries[1], values)
                 ]
                 assert scans in ([], [s]), name
-    # pi's basis stack and the generator stacks are counted; the basis stack
-    # is joined on the sparse coordinate side, the placed n = 9 generator
-    # stacks are joined too, and entry-built stacks are never scanned
+    # pi's basis stack and the generator stacks are counted; the placed
+    # n = 9 basis and generator stacks are joined, the framed basis stack is
+    # read densely (a coordinate side with no entries reads no stack), and
+    # entry-built stacks are never scanned
     assert all(any(op is s for op in seen["counts"]) for s in shared)
     joined = [k for k, s in enumerate(shared) if any(op is s for op in seen["entries"])]
     if entry_built:
         assert joined == []
     else:
-        assert joined == ([0] if frame else [0, 1, 2, 3, 4])
+        assert joined == ([] if frame else [0, 1, 2, 3, 4])
     # a second call reads what the first kept
     for operands in seen.values():
         operands.clear()
