@@ -40,7 +40,6 @@ from .matlin import (
     as_matrix,
     built,
     dagger,
-    distinct,
     fro,
     generator_scale,
     kron,
@@ -409,10 +408,13 @@ class Algebra:
             """The lines of ``c``'s matrices with an entry, as the rows of one matrix."""
             z = np.ascontiguousarray(c, dtype=np.float64).view(np.complex128)
             p, k = np.nonzero(z)
-            ids, at = distinct(p * width + lines[k])
-            out = np.zeros((len(ids), width), np.complex128)
-            out[at, along[k]] = z[p, k]
-            return divmod(ids, width), out
+            slot = np.zeros((len(c), width), np.intp)
+            slot[p, lines[k]] = 1
+            filled = np.nonzero(slot)  # the packed lines, (p, line) in order
+            slot[filled] = np.arange(len(filled[0]))
+            out = np.zeros((len(filled[0]), width), np.complex128)
+            out[slot[p, lines[k]], along[k]] = z[p, k]
+            return filled, out
 
         (p, r), xrows = packed(cx, row, col)  # xrows[(p, r), s] = x_p[r, s]
         (q, u), ycols = packed(cy, col, row)  # ycols[(q, u), s] = y_q[s, u]
@@ -420,16 +422,11 @@ class Algebra:
         i, j = np.nonzero(prod)
         k = coord[r[i], u[j]]
         same = k >= 0  # a non-finite value also fills other components
-        # each (p, r) and (q, u) is one packed line, so every key is new
-        key = 2 * ((p[i] * len(cy) + q[j]) * len(row) + k)[same]
-        value = prod[i, j][same]
-        key = np.concatenate([key, key + 1])
-        value = np.concatenate([value.real, value.imag])
-        keep = value != 0
-        key, value = key[keep], value[keep]
-        # stable, the sort of ``distinct``: no second sort's code is paged in
-        order = np.argsort(key, kind="stable")
-        return PairCoords((len(cx), len(cy), 2 * len(row)), key[order], value[order])
+        i, j = i[same], j[same]
+        # each (p, r) and (q, u) is one packed line, so every index is new
+        shape = (len(cx), len(cy), len(row))
+        sums = PairCoords.at(shape, (p[i], q[j], k[same]), prod[i, j])
+        return sums.real_view()
 
     def linear_map(self, f: Callable[[Sequence], Sequence]) -> np.ndarray:
         """Real B x B matrix of a real-linear map: ``coords(f(x)) = coords(x) @ M``.
@@ -571,8 +568,7 @@ class Representation:
         placements = tuple(placements)
         offsets = algebra.basis_offsets()
         units = algebra.blocks(np.eye(offsets[-1]))
-        # the entries of every block: keys in C order, and values
-        keys, values = [np.empty(0, np.intp)], [np.empty(0, np.complex128)]
+        blocks = []  # the entries of every block, and its corner in the stack
         covered = np.zeros(dim, dtype=bool)
         for p in placements:
             if not 0 <= p.component < algebra.ncomponents:
@@ -588,12 +584,9 @@ class Representation:
                 raise ValueError("placements overlap")
             covered[blk] = True
             rows = slice(offsets[p.component], offsets[p.component + 1])
-            block = p.block(units[p.component][rows])
-            k, r, c = np.nonzero(block)
-            keys.append(((k + rows.start) * dim + r + p.start) * dim + c + p.start)
-            values.append(block[k, r, c])
-        shape = (offsets[-1], dim, dim)
-        stack = Operand.of_keys(shape, np.concatenate(keys), np.concatenate(values))
+            block = PairCoords.of(p.block(units[p.component][rows]))
+            blocks.append((block, (rows.start, p.start, p.start)))
+        stack = Operand(PairCoords.placed((offsets[-1], dim, dim), blocks))
         signs = []
         for k in range(algebra.ncomponents):
             conj = {p.mode.startswith("conj") for p in placements if p.component == k}

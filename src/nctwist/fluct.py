@@ -125,7 +125,7 @@ class _Fluctuation(NamedTuple):
     a: np.ndarray  # the evaluated one-form A
     dirac: np.ndarray  # D_A = D + A + eps' J A J^-1
     defect: float  # ||D_A - D_A*|| / 2
-    bound: float  # the largest defect accepted
+    scale: float  # the scale the defect is judged at
     geometry: Optional[TwistedGeometry]  # D replaced by D_A, when accepted
 
     def accepted(self) -> TwistedGeometry:
@@ -153,10 +153,10 @@ def _fluctuation(
         a_mat = eval_one_form(f, tg)
         d_new = tg.geometry.dirac + fluctuation_operator(tg, a_mat, eps_prime)
         defect = fro(d_new - dagger(d_new)) / 2.0
-        bound = tol.bound(max(1.0, fro(d_new)))
-        accepted = tg.with_dirac(d_new) if defect <= bound else None
+        scale = max(1.0, fro(d_new))
+        accepted = tg.with_dirac(d_new) if tol.accepts(defect, scale) else None
         slot.clear()
-        slot[key] = _Fluctuation(a_mat, d_new, defect, bound, accepted)
+        slot[key] = _Fluctuation(a_mat, d_new, defect, scale, accepted)
     return slot[key]
 
 
@@ -185,7 +185,8 @@ def verify_fluctuated(
     g = tg.geometry
     signs_before = measure_ko_signs(g, tol)
     step = _fluctuation(tg, f, tol, signs_before.eps_prime)
-    if not rep.add("fluctuation accepted (self-adjoint)", step.defect, step.bound).passed:
+    accepted = rep.check("fluctuation accepted (self-adjoint)", step.defect, tol, step.scale)
+    if not accepted.passed:
         return rep
     fluct, d_new = step.geometry, step.dirac
     added = d_new - g.dirac

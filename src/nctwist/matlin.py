@@ -4,18 +4,18 @@ Everything in the package works with square ``numpy.ndarray`` matrices of
 dtype complex128.  This module collects the primitives the rest of the code
 is built on: the tolerance and its bound, ``pair_max``, the one walk over
 generators or generator pairs behind every order, regularity and
-multiplicativity check (``pair_residual`` is its commutator form), which
-evaluates on dense slices or on the nonzero entries of its operands (each
-an ``Operand``, a stack given densely or as its entries, which keeps what
-the kernel reads off it) and reads coordinates over pairs as the entry list
-``PairCoords``; ``built``, which derives a stack from a parent's entries
-where that gives the dense formula's bits; antilinear
-operators in unitary-times-conjugation form, the SVD nullspace and the
-distance to a real span.
+multiplicativity check (``pair_residual`` is its commutator form), and
+``built``, which derives a stack from a parent's entries where that gives
+the dense formula's bits; antilinear operators, the SVD nullspace and the
+distance to a real span.  The sparse layer has one entry type,
+``PairCoords`` (nonzero values under ascending flat C-order keys), with one
+merge, one join step and one cost rule (``_pays``, one tuned constant); an
+``Operand`` is a stack, dense or as entries, with what the kernel reads off it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -33,8 +33,9 @@ class Tolerance:
     A residual r measured against a scale s passes when
     ``r <= rel * s + abs``.  The same ``rel`` drives the singular-value
     cutoff in nullspace computations.  Both must be finite and
-    non-negative (zero is allowed): an infinite bound passes every check,
-    and a negative or NaN one fails every check.
+    non-negative (zero is allowed): an infinite one would pass every check,
+    and a negative or NaN one fail every check.  A bound that is not finite
+    all the same (its scale overflowed) accepts nothing.
     """
 
     rel: float = DEFAULT_RTOL
@@ -52,7 +53,7 @@ class Tolerance:
         return self.rel * scale + self.abs
 
     def accepts(self, residual: float, scale: float = 1.0) -> bool:
-        return residual <= self.bound(scale)
+        return residual <= self.bound(scale) < np.inf
 
 
 DEFAULT_TOL = Tolerance()
@@ -114,49 +115,194 @@ def anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
 
 
-# the sparse evaluator runs when the dense multiply-adds outnumber its
-# product terms by at least this factor
+# The one cost rule (``_pays``): join nonzero entries where the dense
+# multiply-adds outnumber the product terms by this factor.  A product by U, D
+# or a projection (``built``) is charged this many extra terms, 256 x 256 =
+# 65,536 multiply-adds for the join's few dozen numpy calls (35-50 us on small
+# stacks, one OpenBLAS thread).  Without that fixed cost (8 s runs at seed 7,
+# 4 alternating pairs, 1 BLAS thread) the n <= 9 products joined: tbg_stream
+# ops_per_s fell 415.7 -> 402.3 and fluct_chain latency_p50_ms rose 0.888 ->
+# 0.954 (medians), each worse on 4 of 4 pairs.
 _SPARSE_FACTOR = 256
 
-# the fixed cost, in dense multiply-adds, of a join in a product by U, D or a
-# projection (``built``): its few dozen numpy calls took 35-50 us on small
-# stacks (one OpenBLAS thread), about what BLAS takes for this many
-# multiply-adds on small matrices.  Tuned on its own, not from _SPARSE_FACTOR:
-# without it the n <= 9 products joined and ran 5-10% slower
-_JOIN_OVERHEAD = 65536
+
+def _pays(terms: int, dense: int, extra: int = 0) -> bool:
+    """Whether a join of ``terms`` (plus ``extra``) terms beats ``dense`` multiply-adds."""
+    return (terms + extra) * _SPARSE_FACTOR <= dense
 
 
-def distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending distinct values of an integer ``key`` and where each entry went.
+class PairCoords:
+    """An array of any shape, real or complex, as its nonzero entries.
 
-    ``np.unique(key, return_inverse=True)`` by a stable sort.
+    An entry's key is its position in the array read in C order.  Keys are
+    distinct and ascending and no value is zero: the list is what
+    ``np.flatnonzero`` reads off the dense array.  The pair checks read
+    coordinates over generator pairs in this form, and an ``Operand`` keeps
+    a stack's entries in it.  Keys and per-axis indices are converted here
+    and nowhere else: builders hand in indices (``at``, ``placed``), and
+    ``index`` derives them from the keys on first read.
     """
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    new = np.diff(ordered, prepend=ordered[:1] - 1) != 0
-    at = np.empty_like(order)
-    at[order] = np.cumsum(new) - 1
-    return ordered[new], at
+
+    def __init__(self, shape: tuple, key: np.ndarray, value: np.ndarray):
+        self.shape, self.key, self.value = tuple(shape), key, value
+        self._index = self._groups = None
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> "PairCoords":
+        """The entries of a dense array."""
+        key = np.flatnonzero(a != 0)  # much faster than nonzero on complex values
+        return cls(a.shape, key, a.reshape(-1)[key])
+
+    @classmethod
+    def at(cls, shape: tuple, index: np.ndarray, value: np.ndarray) -> "PairCoords":
+        """The entries of ``shape`` with ``value`` at distinct ``index``, one
+        integer array per axis."""
+        key = np.ravel_multi_index(index, shape)
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            key, value = key[order], value[order]
+        return cls(shape, key, value)
+
+    @classmethod
+    def placed(cls, shape: tuple, parts) -> "PairCoords":
+        """The entries of ``shape`` holding each list of ``parts``, given as
+        ``(list, corner)``, with its index moved by ``corner``; none overlap."""
+        if not parts:
+            return cls(shape, np.empty(0, np.intp), np.empty(0, np.complex128))
+        index = [[i + c if c else i for i, c in zip(e.index, corner)] for e, corner in parts]
+        value = np.concatenate([e.value for e, _ in parts])
+        return cls.at(shape, tuple(map(np.concatenate, zip(*index))), value)
+
+    @classmethod
+    def merged(cls, shape: tuple, key: np.ndarray, value: np.ndarray) -> "PairCoords":
+        """The one merge: entries of ``shape`` whose values sum ``value`` over
+        equal ``key``s in the order given (``x`` then ``-y`` gives the bits of
+        ``x - y``), the real and imaginary parts apart; exact zeros are dropped."""
+        key, at = cls._distinct(key)
+        out = np.bincount(at, value.real, len(key))
+        if value.dtype.kind == "c":
+            out = out.astype(np.complex128)
+            out.imag = np.bincount(at, value.imag, len(key))
+        if np.count_nonzero(out) < len(out):
+            keep = out != 0
+            key, out = key[keep], out[keep]
+        return cls(shape, key, out)
+
+    @staticmethod
+    def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``np.unique(key, return_inverse=True)`` by a stable sort."""
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        new = np.empty(len(key), bool)  # the first of each run of equal keys
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        at = np.empty_like(order)
+        at[order] = np.cumsum(new) - 1
+        return ordered[new], at
+
+    @property
+    def index(self) -> tuple:
+        """The index of each entry on each axis."""
+        if self._index is None and len(self.key) < 512:
+            self._index = np.unravel_index(self.key, self.shape)
+        elif self._index is None:
+            # on long lists, floor division beats unravel_index several times
+            rest, index = self.key, []
+            for size in self.shape[:0:-1]:
+                quotient = rest // size
+                index.append(rest - quotient * size)
+                rest = quotient
+            self._index = (rest, *index[::-1])
+        return self._index
+
+    def weighted(self, weights: tuple) -> np.ndarray:
+        """``sum_a weights[a] index[a]``: the keys under other strides."""
+        terms = [i if w == 1 else w * i for w, i in zip(weights, self.index) if w]
+        return sum(terms[1:], terms[0])
+
+    def squared_norms(self) -> np.ndarray:
+        """The squared Frobenius norm of each slice along axis 0."""
+        square = self.value.real**2 + self.value.imag**2
+        return np.bincount(self.key // math.prod(self.shape[1:]), square, self.shape[0])
+
+    def transposed(self, axes: tuple) -> "PairCoords":
+        """The entries of the dense array transposed by ``axes`` (``np.transpose``)."""
+        shape, index = tuple(self.shape[a] for a in axes), [self.index[a] for a in axes]
+        key = np.ravel_multi_index(index, shape)
+        order = np.argsort(key, kind="stable")
+        out = PairCoords(shape, key[order], self.value[order])
+        out._index = tuple(i[order] for i in index)  # cheaper than splitting the keys
+        return out
+
+    def real_view(self) -> "PairCoords":
+        """The entries of a complex array viewed as float64 (``a.view(np.float64)``):
+        each entry's real and imaginary parts, a zero part dropped."""
+        key = (2 * self.key[:, None] + np.arange(2)).reshape(-1)
+        value = np.ascontiguousarray(self.value).view(np.float64)
+        keep = value != 0
+        shape = (*self.shape[:-1], 2 * self.shape[-1])
+        return PairCoords(shape, key[keep], value[keep])
+
+    def __sub__(self, other: "PairCoords") -> "PairCoords":
+        key = np.concatenate([self.key, other.key])
+        value = np.concatenate([self.value, -other.value])
+        return PairCoords.merged(self.shape, key, value)
+
+    def __matmul__(self, m: np.ndarray) -> "PairCoords":
+        """The entries of ``dense @ m`` for a real ``(B, B')`` matrix ``m`` and a
+        ``(rows, cols, B)`` array."""
+        rows, cols, _ = self.shape
+        width = m.shape[1]
+        right = PairCoords.of(m)
+        key, li, ri = self.join(2, (cols * width, width, 0), right, (0, 1))
+        value = self.value[li] * right.value[ri]
+        return PairCoords.merged((rows, cols, width), key, value)
+
+    def join(self, axis: int, weights: tuple, right: "PairCoords", rweights: tuple):
+        """The one join step: every product of an entry of this list and one
+        of ``right`` whose indices on ``axis`` and on right's axis 0 agree;
+        right's keys ascend, so its entries come grouped by that index.
+
+        A product's key sums its factors' indices weighted by ``weights`` and
+        ``rweights`` (per axis, the shared ones 0).  Returns the keys and the
+        positions ``li``, ``ri`` of the factors, a left entry's products
+        together, in right's order: the textbook sparse product (Gustavson,
+        ACM TOMS 4(3), 1978).
+        """
+        ls = self.index[axis]
+        lk, rk = self.weighted(weights), right.weighted(rweights)
+        if right._groups is None:  # where each group starts, and its size
+            rcount = np.bincount(right.index[0], minlength=right.shape[0])
+            right._groups = np.cumsum(rcount) - rcount, rcount
+        start, rcount = right._groups
+        count = rcount[ls]
+        li = np.repeat(np.arange(len(ls)), count)
+        ri = np.arange(len(li)) + np.repeat(start[ls] - np.cumsum(count) + count, count)
+        return lk[li] + rk[ri], li, ri
 
 
 class Operand:
     """A ``(k, n, n)`` complex stack, with what the pair kernel reads off it.
 
-    ``pair_max`` reads three facts off each stack: whether it is finite, how
-    many nonzeros sit in each matrix, at each row and at each column, and
-    the nonzero entries themselves.  Each is found on first read and kept, so a
-    stack that is built once and shared (a representation's basis or
-    generator images, a twisted geometry's generator stacks) is scanned once
-    however many checks read it.
-
-    A stack is given either densely (``Operand(stack)``) or as its nonzero
-    entries (``Operand.of_entries``, which ``built`` uses).  An entry-built
-    operand reads its counts off the entries and forms ``array``, the dense
-    view, only when something reads it.  ``array`` is read-only; a dense
-    stack must not change through another reference once read.
+    ``pair_max`` reads four facts off each stack: whether it is finite, how
+    many nonzeros sit in each matrix, at each row and at each column, its
+    nonzero ``entries`` (a ``PairCoords``), and those sorted by their index
+    on an axis (``ordered``).  Each is found on first read and kept, so a
+    stack built once and shared (a representation's basis or generator
+    images, a twisted geometry's generator stacks) is scanned and sorted
+    once however many checks read it.  A stack is given densely, or as its
+    finite entries (``Operand(PairCoords)``, which ``built`` uses), when it
+    reads its counts off the entries and forms ``array``, the read-only dense
+    view, only when something reads it.  A dense stack must not change
+    through another reference once read.
     """
 
     def __init__(self, stack):
+        self._orders = {}  # per axis, sorted once
+        if isinstance(stack, PairCoords):
+            self.shape, self.dense, self.entries = stack.shape, False, stack
+            self.finite = True
+            return
         array = np.asarray(stack, dtype=np.complex128).view()
         array.flags.writeable = False
         self.shape = array.shape
@@ -168,36 +314,11 @@ class Operand:
         """``stack`` itself if it is an ``Operand``, else an ``Operand`` of it."""
         return stack if isinstance(stack, cls) else cls(stack)
 
-    @classmethod
-    def of_entries(cls, shape: tuple, idx: tuple, values: np.ndarray) -> "Operand":
-        """The stack of ``shape`` whose nonzeros are ``values`` at ``idx``.
-
-        The entries must be finite and nonzero and come in ``np.nonzero`` order.
-        """
-        out = cls.__new__(cls)
-        out.shape, out.dense, out.finite = tuple(map(int, shape)), False, True
-        out.entries = idx, values
-        return out
-
-    @classmethod
-    def of_keys(cls, shape: tuple, key: np.ndarray, values: np.ndarray) -> "Operand":
-        """``of_entries`` with each entry's index given by its C-order flat key.
-
-        The keys must be distinct; they are sorted here unless they come in
-        order already.
-        """
-        if not (key[1:] > key[:-1]).all():
-            order = np.argsort(key, kind="stable")
-            key, values = key[order], values[order]
-        k, rc = np.divmod(key, shape[1] * shape[2])
-        return cls.of_entries(shape, (k, *np.divmod(rc, shape[2])), values)
-
     @cached_property
     def array(self) -> np.ndarray:
         """The dense stack, formed from the entries on first read."""
         out = np.zeros(self.shape, np.complex128)
-        idx, values = self.entries
-        out[idx] = values
+        out.reshape(-1)[self.entries.key] = self.entries.value
         out.flags.writeable = False
         return out
 
@@ -209,40 +330,28 @@ class Operand:
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The number of nonzeros in each matrix, at each row and at each column."""
         if not self.dense:
-            idx, _ = self.entries
-            return tuple(np.bincount(i, minlength=m) for i, m in zip(idx, self.shape))
+            pairs = zip(self.entries.index, self.shape)
+            return tuple(np.bincount(i, minlength=m) for i, m in pairs)
         nonzero = self.array != 0
         rows = nonzero.sum(axis=2, dtype=np.intp)
         cols = nonzero.sum(axis=1, dtype=np.intp)
         return rows.sum(axis=1), rows.sum(axis=0), cols.sum(axis=0)
 
     @cached_property
-    def entries(self) -> tuple[tuple, np.ndarray]:
-        """``(indices, values)`` of the nonzeros, as ``np.nonzero`` orders them."""
-        idx = np.nonzero(self.array)
-        return idx, self.array[idx]
+    def entries(self) -> PairCoords:
+        """The nonzero entries."""
+        return PairCoords.of(self.array)
 
-    @cached_property
-    def _orders(self) -> dict:
-        return {}
-
-    def ordered(self, axis: int) -> tuple[tuple, np.ndarray]:
-        """``entries`` stably sorted by their index on ``axis``; sorted once per axis.
-
-        ``np.nonzero`` order is already sorted on axis 0.
-        """
+    def ordered(self, axis: int) -> PairCoords:
+        """``entries`` with ``axis`` moved first, so that they come sorted by
+        their index on it; sorted once per axis.  Axis 0 is ``entries``."""
         if axis not in self._orders:
-            self._orders[axis] = _sorted_by(self.entries, axis)
+            moved = (axis, *(a for a in range(3) if a != axis))
+            out = self.entries.transposed(moved) if axis else self.entries
+            count = self.counts[axis]  # the join's groups, from the counts at hand
+            out._groups = np.cumsum(count) - count, count
+            self._orders[axis] = out
         return self._orders[axis]
-
-
-def _sorted_by(entries: tuple, axis: int) -> tuple[tuple, np.ndarray]:
-    """``entries`` stably sorted by their index on ``axis``."""
-    idx, values = entries
-    if axis == 0:
-        return entries
-    order = np.argsort(idx[axis], kind="stable")
-    return tuple(i[order] for i in idx), values[order]
 
 
 def built(dense, a: Operand, steps, conj: bool) -> Operand:
@@ -254,17 +363,14 @@ def built(dense, a: Operand, steps, conj: bool) -> Operand:
     ``dense()`` is the same stack by the dense BLAS formula.
 
     A stack given densely, or a non-finite ``a`` or ``m``, takes the dense
-    formula: ``Operand(dense())``.  Otherwise each step is the sparse
-    product of the nonzero entries (``_join``) when that is cheaper by the
-    measure of ``pair_max``: a join costs ``_SPARSE_FACTOR`` dense
-    multiply-adds per term, its terms read from the nonzero counts of each
-    shared index.  A product by U, D or a projection (axes 1 and 2) adds
-    ``_JOIN_OVERHEAD`` for the join's fixed cost; images at coordinate rows
-    (axis 0) add none, since their real coefficients need no purity check
-    and their dense formula would first form ``a``'s dense view.  A product is kept only when it gives the bits of the dense
-    formula: every entry is a single product, and one factor of each product
-    is purely real or purely imaginary, so that every rounding order of BLAS
-    rounds it alike.  A step that is not kept ends in the dense formula.
+    formula: ``Operand(dense())``.  Otherwise each step joins the nonzero
+    entries (``PairCoords.join``) where ``_pays`` says so, charging a product
+    by U, D or a projection (axes 1 and 2) ``_SPARSE_FACTOR`` extra terms;
+    images at coordinate rows (axis 0) need no purity check, and their dense
+    formula would first form ``a``'s dense view.  A product is kept only when
+    it gives the dense formula's bits: every entry is a single product, and
+    one factor of each is purely real or purely imaginary, so that every
+    rounding order of BLAS rounds it alike; else the step is the dense formula.
     """
     if a.dense or not all(np.isfinite(m).all() for m, _ in steps):
         return Operand(dense())
@@ -280,47 +386,43 @@ def _product(m: np.ndarray, a: Operand, axis: int, conj: bool) -> Operand | None
     """One step of ``built`` on the entries of finite ``m`` and entry-built
     ``a``, or None where the dense formula is cheaper or not exactly met."""
     n = a.shape[-1]
-    if axis:  # a product by U, D or a projection, and the join's fixed cost
-        cost, fixed = a.shape[0] * n**3, _JOIN_OVERHEAD
-        if fixed > cost:
+    extra = _SPARSE_FACTOR if axis else 0  # the join's fixed cost, in terms
+    if axis:  # a product by U, D or a projection
+        cost = a.shape[0] * n**3
+        if not _pays(0, cost, extra):
             return None
     # m, transposed for axis 1, so that for axes 1 and 2 its rows run over
     # the shared index (for axis 0, m[p, b] shares its columns)
     mt = m.T if axis == 1 else m
     mcount = np.count_nonzero(mt, axis=0 if axis == 0 else 1)
     if axis == 0:  # real multiply-adds, four to a complex one
-        cost, fixed = len(m) * int(np.count_nonzero(mcount)) * n * n // 2, 0
-    if int(mcount @ a.counts[axis]) * _SPARSE_FACTOR + fixed > cost:
+        cost = len(m) * int(np.count_nonzero(mcount)) * n * n // 2
+    if not _pays(int(mcount @ a.counts[axis]), cost, extra):
         return None
-    mi, mj = np.nonzero(mt)
-    mv = mt[mi, mj]
-    idx, av = a.entries
-    av = np.conj(av) if conj else av
-    if axis == 0:  # m[p, b] a[b, r, c]; a's entries come sorted by b
-        left, lv = (mj, mi * (n * n)), mv
-        rkey, rv, rcount = idx[1] * n + idx[2], av, a.counts[0]
-        shape = (len(m), n, n)
-    else:  # a[k, r, s] m[s, c], or a[k, s, c] m.T[s, r]; m's entries sorted by s
-        kept = idx[1] * n if axis == 2 else idx[2]
-        left, lv = (idx[axis], idx[0] * (n * n) + kept), av
-        rkey, rv, rcount = (mj if axis == 2 else mj * n), mv, mcount
-        shape = a.shape
-    key, li, ri = _join(left, rkey, rcount)
+    me, ae = PairCoords.of(mt), a.entries
+    av = np.conj(ae.value) if conj else ae.value
+    if axis == 0:  # m[p, b] a[b, r, c]
+        key, li, ri = me.join(1, (n * n, 0), ae, (0, n, 1))
+        lv, rv, shape = me.value, av, (len(m), n, n)
+    else:  # a[k, r, s] m[s, c], or a[k, s, c] m.T[s, r]
+        weights = (n * n, n, 0) if axis == 2 else (n * n, 0, 1)
+        key, li, ri = ae.join(axis, weights, me, (0, 1 if axis == 2 else n))
+        lv, rv, shape = av, me.value, a.shape
     pure, mpure = _pure(av), True
-    if pure is not True and (mpure := _pure(mv)) is not True:
+    if pure is not True and (mpure := _pure(me.value)) is not True:
         lp, rp = (mpure, pure) if axis == 0 else (pure, mpure)
         if not (lp[li] | rp[ri]).all():
             return None
     value = lv[li] * rv[ri]
-    keep = value != 0  # an underflow
-    if not keep.all():
+    if np.count_nonzero(value) < len(value):  # an underflow
+        keep = value != 0
         key, value = key[keep], value[keep]
     if not (key[1:] > key[:-1]).all():
         order = np.argsort(key, kind="stable")
         key, value = key[order], value[order]
         if not (key[1:] > key[:-1]).all():  # a sum of products
             return None
-    return Operand.of_keys(shape, key, value)
+    return Operand(PairCoords(shape, key, value))
 
 
 def _pure(v: np.ndarray):
@@ -335,11 +437,9 @@ def identity_kron(d: int, a: Operand) -> Operand:
     """The stack of ``I_d kron a[k]``, entry-built when ``a`` is."""
     if a.dense:
         return Operand(kron(np.eye(d)[None], a.array))
-    (k, r, c), values = a.entries
     n = a.shape[-1]
-    shift = np.arange(d)[:, None] * n  # block i moves each entry by i n
-    key = ((k * d * n + shift + r) * d * n + shift + c).ravel()
-    return Operand.of_keys((a.shape[0], d * n, d * n), key, np.tile(values, d))
+    blocks = [(a.entries, (0, i * n, i * n)) for i in range(d)]
+    return Operand(PairCoords.placed((a.shape[0], d * n, d * n), blocks))
 
 
 def stacked(parts: Sequence[Operand]) -> Operand:
@@ -347,20 +447,16 @@ def stacked(parts: Sequence[Operand]) -> Operand:
     if any(p.dense for p in parts):
         return Operand(np.concatenate([p.array for p in parts]))
     start = np.cumsum([0] + [p.shape[0] for p in parts])
-    idx = [p.entries[0] for p in parts]
-    k = np.concatenate([i[0] + s for i, s in zip(idx, start)])
-    rest = (np.concatenate([i[axis] for i in idx]) for axis in (1, 2))
-    values = np.concatenate([p.entries[1] for p in parts])
-    return Operand.of_entries((start[-1],) + parts[0].shape[1:], (k, *rest), values)
+    shape = (int(start[-1]),) + parts[0].shape[1:]
+    return Operand(PairCoords.placed(shape, [(p.entries, (s, 0, 0)) for p, s in zip(parts, start)]))
 
 
 def adjoint(a: Operand) -> Operand:
     """The stack of conjugate transposes of ``a``'s matrices."""
     if a.dense:
         return Operand(dagger(a.array))
-    (k, r, c), values = a.entries
-    n = a.shape[-1]
-    return Operand.of_keys(a.shape, (k * n + c) * n + r, np.conj(values))
+    t = a.entries.transposed((0, 2, 1))
+    return Operand(PairCoords(t.shape, t.key, np.conj(t.value)))
 
 
 def difference(x: Operand, y: Operand) -> Operand:
@@ -371,61 +467,7 @@ def difference(x: Operand, y: Operand) -> Operand:
     """
     if x.dense or y.dense:
         return Operand(x.array - y.array)
-    n = x.shape[-1]
-    (xi, xv), (yi, yv) = x.entries, y.entries
-    keys = [(i[0] * n + i[1]) * n + i[2] for i in (xi, yi)]
-    key, at = distinct(np.concatenate(keys))
-    both = np.concatenate([xv, -yv])  # summed in order: x + (-y) is x - y
-    value = np.empty(len(key), np.complex128)
-    value.real = np.bincount(at, both.real, len(key))
-    value.imag = np.bincount(at, both.imag, len(key))
-    keep = value != 0
-    return Operand.of_keys(x.shape, key[keep], value[keep])
-
-
-@dataclass(frozen=True)
-class PairCoords:
-    """Real ``(rows, cols, B)`` coordinates over pairs, as their nonzero entries.
-
-    Entry (i, j, b) has the key ``(i cols + j) B + b``, its index in the dense
-    array read in C order.  Keys are unique and ascending and no value is
-    zero: the list is what ``np.flatnonzero`` reads off the dense array.
-    """
-
-    shape: tuple[int, int, int]
-    key: np.ndarray
-    value: np.ndarray
-
-    @classmethod
-    def of(cls, a: np.ndarray) -> "PairCoords":
-        """The entries of a dense ``(rows, cols, B)`` array."""
-        key = np.flatnonzero(a)
-        return cls(a.shape, key, a.reshape(-1)[key])
-
-    @classmethod
-    def summed(cls, shape: tuple, key: np.ndarray, value: np.ndarray) -> "PairCoords":
-        """Entries of ``shape`` whose values sum ``value`` over equal ``key``s.
-
-        Sums that are exactly zero are dropped.
-        """
-        key, at = distinct(key)
-        value = np.bincount(at, value, len(key))
-        keep = value != 0
-        return cls(tuple(shape), key[keep], value[keep])
-
-    def __sub__(self, other: "PairCoords") -> "PairCoords":
-        key = np.concatenate([self.key, other.key])
-        return PairCoords.summed(self.shape, key, np.concatenate([self.value, -other.value]))
-
-    def __matmul__(self, m: np.ndarray) -> "PairCoords":
-        """The entries of ``dense @ m`` for a real ``(B, B')`` matrix ``m``."""
-        rows, cols, basis = self.shape
-        mb, mc = np.nonzero(m)
-        left = (self.key % basis, self.key // basis * m.shape[1], self.value)
-        count = np.bincount(mb, minlength=basis)
-        key, li, ri = _join(left[:2], mc, count)
-        value = left[2][li] * m[mb, mc][ri]
-        return PairCoords.summed((rows, cols, m.shape[1]), key, value)
+    return Operand(x.entries - y.entries)
 
 
 def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
@@ -441,12 +483,10 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
 
     Two evaluators give the same maximum.  The dense one walks rows outer
     and slices of ``max(1, 32768 // n^2)`` columns inner, which keeps its
-    temporaries small on large n; it fills each slice's ``(columns, B)``
+    temporaries small on large n, filling each slice's ``(columns, B)``
     coordinates from the entries.  The sparse one (``_sparse_pair_max``)
-    joins the nonzero entries of the operands on their shared index, and
-    reads the entries of ``coords`` as they are.  It runs when its term
-    count, read from the nonzero counts of each shared index, is at least
-    ``_SPARSE_FACTOR`` times below the dense multiply-add count.
+    joins the nonzero entries of the operands; it runs where ``_pays`` says
+    so, its terms read from the nonzero counts of each shared index.
     """
     xs, ys, zs, stack = _operands(xs, ys, zs, stack)
     rows = xs.shape[0] if xs is not None else coords.shape[0]
@@ -459,24 +499,25 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
         coords is not None and not np.isfinite(coords.value).all()
     ):
         return float("nan")
-    if xs is None and not len(coords.key):
+    if xs is None and not len(coords.value):
         return 0.0
     n = (xs if xs is not None else stack).shape[-1]
     joins = _joins(xs, ys, zs, coords, stack, cols, n)
-    terms = sum(int(left[0] @ right[0]) for _, left, right in joins)
+    terms = [int(left[0] @ right[0]) for _, left, right in joins]
     # the coords join comes first; its left count is per basis image
     used = 0 if coords is None else np.count_nonzero(joins[0][1][0])
     products = (xs is not None) + (zs is not None)
-    if terms * _SPARSE_FACTOR <= rows * cols * n * n * (products * n + used):
-        return _sparse_pair_max(joins, n)
+    if _pays(sum(terms), rows * cols * n * n * (products * n + used)):
+        joins = [j for j, t in zip(joins, terms) if t]
+        return _sparse_pair_max(joins, coords, rows * cols, n)
 
     xs, ys, zs = (None if a is None else a.array for a in (xs, ys, zs))
     step = max(1, 32768 // n**2)
     if coords is not None:
-        basis = coords.shape[2]
+        basis, key, value = coords.shape[2], coords.key, coords.value
         flat = stack.array.view(np.float64).reshape(basis, -1)
         # where the entries of pair (i, j), in key order, start
-        first = np.searchsorted(coords.key, np.arange(rows * cols + 1) * basis)
+        first = np.searchsorted(key, np.arange(rows * cols + 1) * basis)
 
     def block(i, j):
         s = slice(j, min(j + step, cols))
@@ -484,7 +525,7 @@ def pair_max(xs=None, ys=None, zs=None, coords=None, stack=None) -> float:
         if coords is not None:
             lo, hi = first[i * cols + s.start], first[i * cols + s.stop]
             c = np.zeros((s.stop - s.start, basis))
-            c.flat[coords.key[lo:hi] - (i * cols + j) * basis] = coords.value[lo:hi]
+            c.flat[key[lo:hi] - (i * cols + j) * basis] = value[lo:hi]
             col = np.flatnonzero((c != 0).any(axis=0))
             out = (c[:, col] @ flat[col]).view(np.complex128).reshape(-1, n, n)
         if xs is not None:
@@ -510,80 +551,41 @@ def _operands(*stacks) -> list:
 
 
 def _joins(xs, ys, zs, coords, stack, cols, n):
-    """The products of a pair difference, as ``(sign, left, right)`` sides.
-
-    An entry's key weights its three indices, so that a term of pair (i, j)
-    at entry (r, c) has the key ``((i cols + j) n + r) n + c``, the sum of
-    the keys of its two factors.  The shared axis has weight 0.
+    """The products of a pair difference, each ``(sign, (count, x, weights),
+    (count, y, axis, weights))``: ``x`` (an operand, or ``coords`` itself)
+    joined on its last axis with ``y`` on ``axis``, ``count[s]`` nonzeros at
+    shared index s.  The weights (``PairCoords.join``) make the key of a
+    term of pair (i, j) at entry (r, c) ``((i cols + j) n + r) n + c``.
     """
     pair, mat = cols * n * n, n * n
     out = []
     if coords is not None:  # coords[i, j, b] stack[b, r, c]
-        basis = coords.shape[2]
-        b = coords.key % basis
-        entries = (b, coords.key // basis * mat, coords.value)
-        side = (np.bincount(b, minlength=basis), lambda: entries)
-        out.append((1.0, side, _side(stack, 0, (0, n, 1))))
-    if xs is not None:  # xs[i, r, k] ys[j, k, c]
-        out.append((-1.0, _side(xs, 2, (pair, n, 0)), _side(ys, 1, (mat, 0, 1))))
-    if zs is not None:  # zs[j, r, k] xs[i, k, c]
-        out.append((1.0, _side(zs, 2, (mat, n, 0)), _side(xs, 1, (pair, 0, 1))))
+        count = np.bincount(coords.index[2], minlength=coords.shape[2])
+        out.append((1.0, (count, coords, (pair, mat, 0)), (stack.counts[0], stack, 0, (0, n, 1))))
+    if xs is not None:  # xs[i, r, k] ys[j, k, c], ys ordered (k, j, c)
+        left, right = (xs.counts[2], xs, (pair, n, 0)), (ys.counts[1], ys, 1, (0, mat, 1))
+        out.append((-1.0, left, right))
+    if zs is not None:  # zs[j, r, k] xs[i, k, c], xs ordered (k, i, c)
+        left, right = (zs.counts[2], zs, (mat, n, 0)), (xs.counts[1], xs, 1, (0, pair, 1))
+        out.append((1.0, left, right))
     return out
 
 
-def _side(a: Operand, shared: int, weights: tuple) -> tuple:
-    """``(count, entries)`` of an operand, joined on its axis ``shared``.
-
-    ``count[k]`` is the number of nonzeros at shared index k, and
-    ``entries()`` lists them as ``(shared index, key, value)``.  A right side
-    (joined on its axis 0 or 1) lists them sorted by shared index
-    (``Operand.ordered``); a left side (axis 2) in ``np.nonzero`` order.
-    """
-
-    def entries():
-        idx, values = a.ordered(shared) if shared < 2 else a.entries
-        return idx[shared], sum(w * k for w, k in zip(weights, idx) if w), values
-
-    return a.counts[shared], entries
-
-
-def _join(left, rk, rcount):
-    """Every pair of a left and a right entry that share an index.
-
-    The left side is ``(shared index, key)``; the right entries are given by
-    their keys ``rk``, sorted by shared index, and ``rcount[k]`` counts them
-    at shared index k.  Returns the key of each product, the sum of the keys
-    of its factors, and the positions ``li`` and ``ri`` of its factors; a
-    left entry's products come together, in the order of the right entries.
-    This is the textbook sparse product (Gustavson, ACM TOMS 4(3), 1978).
-    """
-    ls, lk = left
-    # the right entries of shared index k sit from start[k]
-    start = np.cumsum(rcount) - rcount
-    count = rcount[ls]
-    li = np.repeat(np.arange(len(ls)), count)
-    ri = np.arange(len(li)) + np.repeat(start[ls] - np.cumsum(count) + count, count)
-    return lk[li] + rk[ri], li, ri
-
-
-def _sparse_pair_max(joins, n: int) -> float:
-    """``pair_max`` from the nonzero entries of its operands.
-
-    Every term of every product is formed for all pairs at once by
-    ``_join``.  Terms of one key are summed, then the squared moduli of each
-    pair's keys.  Operands must be finite.
-    """
+def _sparse_pair_max(joins, coords, pairs: int, n: int) -> float:
+    """``pair_max`` from the nonzero entries of its finite operands: every
+    term of every product for all pairs at once (``PairCoords.join``), merged,
+    then the squared moduli of each pair's entries summed."""
+    if not joins:
+        return 0.0
     keys, values = [], []
-    for sign, (_, left), (rcount, right) in joins:
-        (ls, lk, lv), (_, rk, rv) = left(), right()
-        key, li, ri = _join((ls, lk), rk, rcount)
+    for sign, (_, x, lw), (_, y, axis, rw) in joins:
+        left, right = (x if x is coords else x.entries), y.ordered(axis)
+        key, li, ri = left.join(2, lw, right, rw)
         keys.append(key)
-        values.append(sign * (lv[li] * rv[ri]))
-    key, inverse = distinct(np.concatenate(keys))
-    value = np.concatenate(values)
-    square = np.bincount(inverse, value.real) ** 2 + np.bincount(inverse, value.imag) ** 2
-    per_pair = np.bincount(key // (n * n), square)
-    return float(np.sqrt(per_pair.max(initial=0.0)))
+        values.append(sign * (left.value[li] * right.value[ri]))
+    # a pair's terms fill its row of a (pairs, n n) array
+    total = PairCoords.merged((pairs, n * n), np.concatenate(keys), np.concatenate(values))
+    return float(np.sqrt(total.squared_norms().max(initial=0.0)))
 
 
 def pair_residual(xs, ys, zs=None) -> float:

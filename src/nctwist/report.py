@@ -8,7 +8,7 @@ payload.
 The verdict is decided here and nowhere else, from the two numbers the
 record prints: a check passes when ``residual <= tol``, and a floor record
 (:meth:`Report.exceeds`) when ``residual > tol``.  A non-finite residual
-fails either kind.
+fails either kind, and so does a :meth:`Report.check` whose bound overflowed.
 """
 
 from __future__ import annotations
@@ -79,19 +79,21 @@ class Report:
         scale: float = 1.0,
         note: str = "",
     ) -> CheckRecord:
-        """Record a residual judged by a Tolerance against a scale."""
-        return self.add(name, residual, tol.bound(scale), note)
+        """Record a residual judged by a Tolerance against a scale; a bound
+        that is not finite accepts nothing."""
+        bound = tol.bound(scale)
+        return self._decide(name, residual, bound, note, False, math.isfinite(bound))
 
     def record(self, name: str, residual: float, note: str = "") -> CheckRecord:
         """Record a measured-only residual (tol inf): it fails only if non-finite."""
         return self.add(name, residual, float("inf"), note)
 
     def _decide(
-        self, name: str, residual: float, bound: float, note: str, floor: bool
+        self, name: str, residual: float, bound: float, note: str, floor: bool, bounded=True
     ) -> CheckRecord:
-        """The one verdict rule; a non-finite residual fails either kind."""
+        """The one verdict rule; a non-finite residual, or not ``bounded``, fails."""
         r, bound = float(residual), float(bound)
-        passed = math.isfinite(r) and (r > bound if floor else r <= bound)
+        passed = bounded and math.isfinite(r) and (r > bound if floor else r <= bound)
         rec = CheckRecord(name, passed, r, bound, note, floor)
         self.records.append(rec)
         return rec

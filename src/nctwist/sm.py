@@ -37,6 +37,7 @@ from .matlin import (
     DEFAULT_TOL,
     AntilinearOperator,
     Operand,
+    PairCoords,
     Tolerance,
     dagger,
     fro,
@@ -195,19 +196,17 @@ def _sector_rep(plus: tuple, minus: tuple) -> Representation:
     alg = twisted_sm_algebra()
     bounds = _SM_REP.algebra.basis_offsets()
     offsets = alg.basis_offsets()
-    (k, r, c), values = _SM_REP.operand.entries
-    keys, moved = [], []
+    entries = _SM_REP.operand.entries
+    k, r, c = entries.index
+    parts = []
     for proj, reads in ((_P_PLUS, plus), (_P_MINUS, minus)):
         for comp, (kind, mask) in zip(reads, _SLOTS):
             at = (bounds[kind] <= k) & (k < bounds[kind + 1])
             at &= np.broadcast_to(mask, (32, 32))[r, c] != 0
+            part = PairCoords(entries.shape, entries.key[at], entries.value[at])
             for block in np.flatnonzero(np.diag(proj)):
-                rows, cols = 32 * block + r[at], 32 * block + c[at]
-                image = k[at] - bounds[kind] + offsets[comp]
-                keys.append((image * 128 + rows) * 128 + cols)
-                moved.append(values[at])
-    shape = (offsets[-1], 128, 128)
-    stack = Operand.of_keys(shape, np.concatenate(keys), np.concatenate(moved))
+                parts.append((part, (offsets[comp] - bounds[kind], 32 * block, 32 * block)))
+    stack = Operand(PairCoords.placed((offsets[-1], 128, 128), parts))
     return Representation(alg, stack)
 
 

@@ -15,6 +15,11 @@ sha256:
 - one line per in-process ``cli.main([..., "--report", "json"])`` request:
   the digest of its standard output, and its exit code.
 
+One more line, ``census``, counts what the sparse layer decided over the
+258 reports: the ``matlin.pair_max`` calls and how many of them the sparse
+evaluator ran, and the ``matlin.built`` calls and how many of their results
+are entry-built or dense.  A change to the cost rule shows there.
+
 BLAS runs on one thread, set before numpy is imported, so that the sums of
 every product are formed in one order.  pytest does not collect this file;
 ``tests/test_same_answers.py`` checks that the report fingerprint is
@@ -33,6 +38,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,7 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 
-from nctwist import cli  # noqa: E402
+from nctwist import cli, matlin  # noqa: E402
 
 SEEDS = (7, 29)
 BLOCKS = range(3)
@@ -89,6 +95,45 @@ def report_hash(workload_names=("tbg_stream", "fluct_chain"), seeds=SEEDS, block
     return len(seen), digest
 
 
+@contextlib.contextmanager
+def census(counts: Counter):
+    """Count the sparse layer's decisions into ``counts`` while in the block.
+
+    ``pair_max`` and ``built`` are wrapped in every ``nctwist`` module that
+    holds them, and ``_sparse_pair_max`` in ``matlin``.
+    """
+    pair_max, built, sparse = matlin.pair_max, matlin.built, matlin._sparse_pair_max
+
+    def counted_pair_max(*args, **kwargs):
+        counts["pair_max"] += 1
+        return pair_max(*args, **kwargs)
+
+    def counted_built(*args, **kwargs):
+        out = built(*args, **kwargs)
+        counts["built"] += 1
+        counts["dense" if out.dense else "entry"] += 1
+        return out
+
+    def counted_sparse(*args, **kwargs):
+        counts["sparse"] += 1
+        return sparse(*args, **kwargs)
+
+    wrapped = {pair_max: counted_pair_max, built: counted_built}
+    patched = [(matlin, "_sparse_pair_max", sparse)]
+    for name, module in list(sys.modules.items()):
+        if name == "nctwist" or name.startswith("nctwist."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in wrapped):
+                    patched.append((module, attr, value))
+    try:
+        for module, attr, value in patched:
+            setattr(module, attr, counted_sparse if value is sparse else wrapped[value])
+        yield counts
+    finally:
+        for module, attr, value in patched:
+            setattr(module, attr, value)
+
+
 def cli_digest(argv) -> tuple[str, int]:
     """The digest of ``cli.main``'s JSON report for ``argv``, and its exit code."""
     out = io.StringIO()
@@ -98,8 +143,13 @@ def cli_digest(argv) -> tuple[str, int]:
 
 
 def main() -> None:
-    count, digest = report_hash()
+    with census(Counter()) as counts:
+        count, digest = report_hash()
     print(f"reports {count} {digest}")
+    print(
+        f"census pair_max {counts['pair_max']} sparse {counts['sparse']}"
+        f" built {counts['built']} entry {counts['entry']} dense {counts['dense']}"
+    )
     for argv in REQUESTS:
         digest, code = cli_digest(argv)
         print(f"{' '.join(argv)} {digest} exit {code}")

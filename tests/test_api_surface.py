@@ -16,7 +16,10 @@ to build pi o rho and the regularity check reads to move coordinates:
 nowhere else is ``rho.apply`` turned into a coordinate map or handed to a
 representation.  Generators and generator
 pairs are walked in one place, ``matlin.pair_max``: outside ``matlin.py``
-no loop over ``range`` calls the kernel.
+no loop over ``range`` calls the kernel.  Sparse entries have one format,
+``matlin.PairCoords``: outside it nothing splits keys into indices
+(``divmod``, ``unravel_index``) or groups them (``distinct``), and no name
+of the retired tuple form is left.
 
 An algebra's generator rows and star matrix are formed in one place,
 ``Algebra.generator_rows`` and ``Algebra.star_matrix``, which build them once:
@@ -383,6 +386,59 @@ def pair_loops() -> list[str]:
 def test_generator_pairs_are_walked_in_one_place():
     # matlin.pair_max is the one loop over generators and generator pairs
     assert pair_loops() == []
+
+
+# -- sparse entries have one format ---------------------------------------
+
+ENTRY_TYPE = "PairCoords"
+KEY_SPLITS = {"divmod", "unravel_index", "distinct", "_distinct"}
+GONE = {"of_entries", "_sorted_by", "_JOIN_OVERHEAD"}
+
+
+def key_splits(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, callee)`` of every call in ``tree`` that splits keys into
+    indices or groups them (``KEY_SPLITS``), outside the entry type."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef) and stmt.name == ENTRY_TYPE:
+            continue
+        for call in ast.walk(stmt):
+            if isinstance(call, ast.Call) and terminal_name(call) in KEY_SPLITS:
+                found.append((call.lineno, terminal_name(call)))
+    return found
+
+
+def entry_format_sites() -> list[str]:
+    """``module.py:line name`` of every key split outside ``matlin.PairCoords``
+    and of every use of a name of the retired tuple form."""
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        found += [(module.name, line, name) for line, name in key_splits(tree)]
+        for node in ast.walk(tree):
+            name = node.name if isinstance(node, ast.FunctionDef) else terminal_name(node)
+            if name in GONE:
+                found.append((module.name, node.lineno, name))
+    return [f"{m}:{line} {name}" for m, line, name in sorted(found)]
+
+
+def test_key_splits_are_seen():
+    tree = ast.parse(
+        "class PairCoords:\n"
+        "    def index(self):\n"
+        "        return np.unravel_index(self.key, self.shape)\n"
+        "class Operand:\n"
+        "    def entries(self):\n"
+        "        k, rc = np.divmod(key, n * n)\n"
+        "def f(key):\n"
+        "    return distinct(key), divmod(key, 3), unravel_index(key, (2, 2))\n"
+    )
+    assert key_splits(tree) == [(6, "divmod"), (8, "distinct"), (8, "divmod"), (8, "unravel_index")]
+
+
+def test_sparse_entries_have_one_format_in_one_place():
+    # keys become indices only inside matlin.PairCoords, and the tuple form is gone
+    assert entry_format_sites() == []
 
 
 # -- J conjugates a representation in one place ---------------------------

@@ -203,6 +203,19 @@ def accepted_record(tg, f):
     return rec, fro(d_a - dagger(d_a)) / 2.0, DEFAULT_TOL.bound(max(1.0, fro(d_a)))
 
 
+def test_a_fluctuation_whose_bound_overflowed_is_not_accepted(tg):
+    # A scaled by 1e160: D_A stays self-adjoint up to rounding, but its
+    # Frobenius norm, the scale of the bound, overflows
+    f = random_one_form(np.random.default_rng(RNG_SEED + 8), tg)
+    huge = TwistedOneForm.of(*[(tuple(1e160 * np.asarray(x) for x in a), b) for a, b in f.terms])
+    with np.errstate(over="ignore"):
+        rec, defect, bound = accepted_record(tg, huge)
+        with pytest.raises(ValueError, match="not self-adjoint"):
+            fluctuate(tg, huge)
+    assert np.isfinite(defect) and bound == np.inf
+    assert rec.residual == defect and rec.tol == bound and not rec.passed
+
+
 def test_accepted_fluctuation_prints_its_defect_against_the_bound(tg):
     rng = np.random.default_rng(RNG_SEED + 8)
     rec, defect, bound = accepted_record(tg, random_one_form(rng, tg))

@@ -301,15 +301,40 @@ def test_kept_operands_give_the_bits_of_writable_copies(case, bad, data):
 
 def dense(coords):
     """The dense array of a ``PairCoords``."""
-    out = np.zeros(coords.shape)
+    out = np.zeros(coords.shape, coords.value.dtype)
     out.reshape(-1)[coords.key] = coords.value
     return out
 
 
 def assert_entry_list(coords):
-    """Keys ascending and unique, no zero value."""
+    """Keys ascending and unique, no zero value, and the per-axis indices of
+    ``np.unravel_index``."""
     assert np.all(np.diff(coords.key) > 0)
     assert np.all(coords.value != 0)
+    want = np.unravel_index(coords.key, coords.shape)
+    assert all(np.array_equal(i, w) for i, w in zip(coords.index, want, strict=True))
+
+
+def assert_bits(coords, want):
+    """``coords`` lists the nonzeros of ``want``, bit for bit."""
+    assert coords.shape == want.shape
+    assert np.array_equal(coords.key, np.flatnonzero(want))
+    got = dense(coords)
+    want = np.ascontiguousarray(want, got.dtype)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    assert_entry_list(coords)
+
+
+def joined(a, axis, m):
+    """``PairCoords.join`` of ``a``'s entries on ``axis`` with ``m``'s rows, merged:
+    the entries of ``a`` with its ``axis`` contracted against ``m``."""
+    shape = list(a.shape)
+    shape[axis] = m.shape[1]
+    strides = np.cumprod([1, *shape[:0:-1]])[::-1]
+    weights = tuple(0 if k == axis else int(w) for k, w in enumerate(strides))
+    left, right = PairCoords.of(a), PairCoords.of(m)
+    key, li, ri = left.join(axis, weights, right, (0, int(strides[axis])))
+    return PairCoords.merged(shape, key, left.value[li] * right.value[ri])
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,8 +343,11 @@ def test_pair_coords_differences_and_products_are_the_dense_ones(seed):
     rng = np.random.default_rng(seed)
     rows, cols, basis, width = rng.integers(1, 6, 4)
 
-    def sparse(*shape):
-        return rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+    def sparse(*shape, complex_values=False):
+        out = rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+        if complex_values:
+            out = out + 1j * rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+        return out
 
     a, b, m = sparse(rows, cols, basis), sparse(rows, cols, basis), sparse(basis, width)
     same = rng.random(a.shape) < 0.3
@@ -333,6 +361,59 @@ def test_pair_coords_differences_and_products_are_the_dense_ones(seed):
     assert_entry_list(moved)
     assert moved.shape == (rows, cols, width)
     assert np.allclose(dense(moved), a @ m, rtol=0, atol=1e-13)
+
+    # complex (k, n, n) stacks: the difference holds the bits of the dense one
+    k, n = rng.integers(1, 5), rng.integers(1, 7)
+    x, y = sparse(k, n, n, complex_values=True), sparse(k, n, n, complex_values=True)
+    same = rng.random(x.shape) < 0.3
+    y[same] = x[same]
+    assert_bits(PairCoords.of(x) - PairCoords.of(y), x - y)
+    for z in (x, y):  # a list and its dense array, both ways, bit for bit
+        entries = PairCoords.of(z)
+        assert_bits(entries, z)
+        assert_bits(PairCoords(z.shape, entries.key, entries.value), z)
+        shuffled = rng.permutation(len(entries.value))  # ``at`` sorts what it is given
+        index = tuple(i[shuffled] for i in entries.index)
+        assert_bits(PairCoords.at(z.shape, index, entries.value[shuffled]), z)
+        assert np.array_equal(Operand(entries).array.view(np.float64), z.view(np.float64))
+        assert_bits(entries.transposed((0, 2, 1)), z.transpose(0, 2, 1))
+        assert_bits(entries.real_view(), z.view(np.float64))
+
+    # repeated keys into the merge sum in the order given; x then -x cancels
+    size = k * n * n
+    key = rng.integers(0, size, rng.integers(0, 3 * size))
+    value = rng.standard_normal(len(key)) + 1j * rng.standard_normal(len(key))
+    gone = rng.integers(0, size)
+    key, value = np.append(key, [gone, gone]), np.append(value, [2.5 - 1j, -2.5 + 1j])
+    want = np.zeros(size, np.complex128)
+    np.add.at(want, key, value)
+    assert_bits(PairCoords.merged((k, n, n), key, value), want.reshape(k, n, n))
+
+    # a join on each axis, merged, is the dense contraction
+    for axis in range(3):
+        p = sparse(x.shape[axis], rng.integers(1, 5), complex_values=True)
+        want = np.moveaxis(np.tensordot(x, p, axes=([axis], [0])), -1, axis)
+        got = joined(x, axis, p)
+        assert_entry_list(got)
+        assert np.allclose(dense(got), want, rtol=0, atol=1e-13)
+
+    # empty lists: a difference, a merge, a product and a join with no entries
+    zero = np.zeros((k, n, n), np.complex128)
+    assert_bits(PairCoords.of(zero) - PairCoords.of(zero), zero)
+    assert_bits(PairCoords.merged((k, n, n), np.zeros(0, np.intp), zero[:0, 0, 0]), zero)
+    assert_bits(PairCoords.of(np.zeros_like(a)) @ m, np.zeros((rows, cols, width)))
+    axis = int(rng.integers(3))
+    assert_bits(joined(zero, axis, np.eye(zero.shape[axis])), zero)
+    assert_bits(joined(x, 0, np.zeros((k, 2))), np.zeros((2, n, n), np.complex128))
+
+
+def test_long_entry_lists_split_their_keys_like_unravel_index():
+    # a list of more than 512 keys splits them by floor division
+    rng = np.random.default_rng(5)
+    shape = (40, 30, 20)
+    key = np.sort(rng.choice(np.prod(shape), 3000, replace=False))
+    entries = PairCoords(shape, key, rng.standard_normal(len(key)) + 1.0)
+    assert_entry_list(entries)
 
 
 def test_nan_on_a_row_of_ys_that_no_x_reaches_is_the_result():

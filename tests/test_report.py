@@ -1,12 +1,19 @@
 """Report plumbing: records, gating, merging, serialization."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nctwist.matlin import Tolerance
+from nctwist import cli
+from nctwist.matlin import Tolerance, fro
+from nctwist.mintwist import twist_by_grading
 from nctwist.report import CheckRecord, Report
+from nctwist.samples import random_matrix_geometry
+from nctwist.serialize import dump_json, geometry_to_json
+from nctwist.triple import verify_spectral_triple
+from nctwist.twist import verify_twisted
 
 
 def test_check_gates_on_tolerance():
@@ -152,3 +159,41 @@ def test_check_record_line_contains_residual():
     line = rec.format_line()
     assert "x" in line
     assert "1.5" in line
+
+
+# -- a bound that overflowed accepts nothing --------------------------------
+
+
+def overflowing_geometry():
+    """A finite D near 1e153, so that its Frobenius norm (the scale of the
+    order-one bound) overflows, plus a Hermitian term that breaks order one;
+    each pair residual stays finite."""
+    rng = np.random.default_rng(3)
+    g = random_matrix_geometry(rng, 3, frame=False)
+    n = g.hilbert_dim
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return replace(g, dirac=9e152 * (g.dirac + h + h.conj().T))
+
+
+def test_a_check_whose_bound_overflowed_fails(tmp_path, capsys):
+    rep = Report("demo")
+    assert not rep.check("overflowed", 0.0, Tolerance(), np.inf).passed
+    assert rep.record("measured only", 3.5).passed  # tol inf by design
+    assert not Tolerance().accepts(0.0, np.inf)
+    g = overflowing_geometry()
+    with np.errstate(over="ignore"):
+        assert np.isinf(fro(g.dirac))
+        reports = [verify_spectral_triple(g), verify_twisted(twist_by_grading(g))]
+    for report in reports:
+        order_one = [r for r in report.records if "form on generator pairs" in r.name]
+        assert len(order_one) == 2
+        for r in order_one:
+            assert np.isfinite(r.residual) and r.tol == np.inf and not r.passed, r
+    # ``nctwist verify`` prints the same records
+    path = tmp_path / "overflow.json"
+    dump_json(geometry_to_json(g), str(path))
+    with np.errstate(over="ignore"):
+        assert cli.main(["verify", str(path), "--report", "json"]) == 1
+    printed = json.loads(capsys.readouterr().out)["checks"]
+    order_one = [c for c in printed if "form on generator pairs" in c["name"]]
+    assert len(order_one) == 2 and not any(c["passed"] for c in order_one)

@@ -829,18 +829,28 @@ def test_order_one_goes_dense_on_a_frame_and_sparse_on_placements(monkeypatch, f
 
 def counting_scans(monkeypatch) -> dict:
     """Record the operand of every ``Operand.counts`` and ``Operand.entries``
-    derivation from now on: the kernel scans a stack there and nowhere else."""
-    seen = {"counts": [], "entries": []}
-    for name, operands in seen.items():
+    derivation from now on, and of every per-axis order ``Operand.ordered``
+    sorts (axis 0 is the entries as they are): the kernel scans and sorts a
+    stack there and nowhere else."""
+    seen = {"counts": [], "entries": [], "orders": []}
+    for name in ("counts", "entries"):
         derive = getattr(Operand, name).func
 
-        def counted(op, derive=derive, operands=operands):
+        def counted(op, derive=derive, operands=seen[name]):
             operands.append(op)
             return derive(op)
 
         prop = cached_property(counted)
         prop.__set_name__(Operand, name)
         monkeypatch.setattr(Operand, name, prop)
+    ordered = Operand.ordered
+
+    def counted_order(op, axis):
+        if axis and axis not in op._orders:
+            seen["orders"].append(op)
+        return ordered(op, axis)
+
+    monkeypatch.setattr(Operand, "ordered", counted_order)
     return seen
 
 
@@ -901,11 +911,11 @@ def assert_each_shared_stack_scanned_once(seen, order_one, draw, frame):
             scans = [op for op in operands if np.shares_memory(op.array, s.array)]
             assert scans in ([], [s]), name
             if not s.dense:
-                values = s.entries[1]
+                values = s.entries.value
                 scans = [
                     op
                     for op in operands
-                    if "entries" in vars(op) and np.shares_memory(op.entries[1], values)
+                    if "entries" in vars(op) and np.shares_memory(op.entries.value, values)
                 ]
                 assert scans in ([], [s]), name
     # pi's basis stack and the generator stacks are counted; the placed
@@ -922,28 +932,22 @@ def assert_each_shared_stack_scanned_once(seen, order_one, draw, frame):
     for operands in seen.values():
         operands.clear()
     assert verify_twisted(tg).to_json() == report.to_json()
-    assert not any(op is s for op in seen["counts"] + seen["entries"] for s in kept)
-    fresh = [op.array for op in seen["counts"] + seen["entries"]]
+    again = [op for operands in seen.values() for op in operands]
+    assert not any(op is s for op in again for s in kept)
+    fresh = [op.array for op in again]
     assert not any(np.shares_memory(a, s.array) for a in fresh for s in kept)
 
 
 def test_a_second_verify_twisted_sorts_no_kept_stack_again(monkeypatch):
     tg = drawn_large(False)
-    sorted_by = matlin._sorted_by
-    sorts = []
-
-    def counted(entries, axis):
-        sorts.append(entries[1])
-        return sorted_by(entries, axis)
-
-    monkeypatch.setattr(matlin, "_sorted_by", counted)
+    sorts = counting_scans(monkeypatch)["orders"]
     report = verify_twisted(tg)
     kept = kept_stacks(tg)
-    first = [v for v in sorts if any(v is s.entries[1] for s in kept)]
+    first = [op for op in sorts if any(op is s for s in kept)]
     assert first  # the joins read kept stacks sorted by their shared index
     sorts.clear()
     assert verify_twisted(tg).to_json() == report.to_json()
-    assert not any(v is s.entries[1] for v in sorts for s in kept)
+    assert not any(op is s for op in sorts for s in kept)
 
 
 def test_a_plain_array_is_scanned_once_per_call(monkeypatch):
@@ -966,7 +970,7 @@ def test_a_plain_array_is_scanned_once_per_call(monkeypatch):
 
 def assert_entry_built_is(op, want):
     """``op`` holds the entries of ``want``: the same bits (a zero of either
-    sign), the counts and finiteness of a dense scan, in ``np.nonzero`` order."""
+    sign), the counts and finiteness of a dense scan, in C order."""
     want = np.ascontiguousarray(want)
     assert not op.dense and op.shape == want.shape
     assert np.array_equal(op.array.view(np.float64), want.view(np.float64))
@@ -974,9 +978,9 @@ def assert_entry_built_is(op, want):
     scan = Operand(want)
     assert all(np.array_equal(a, b) for a, b in zip(op.counts, scan.counts))
     assert op.finite == scan.finite
-    idx, values = op.entries
-    assert np.array_equal(np.ravel_multi_index(idx, op.shape), np.flatnonzero(want))
-    assert np.array_equal(values, want[idx])
+    key = np.flatnonzero(want)
+    assert np.array_equal(op.entries.key, key)
+    assert np.array_equal(op.entries.value, want.reshape(-1)[key])
 
 
 def checking_builds(monkeypatch) -> list:
