@@ -34,8 +34,8 @@ class Tolerance:
     ``r <= rel * s + abs``.  The same ``rel`` drives the singular-value
     cutoff in nullspace computations.  Both must be finite and
     non-negative (zero is allowed): an infinite one would pass every check,
-    and a negative or NaN one fail every check.  A bound that is not finite
-    all the same (its scale overflowed) accepts nothing.
+    and a negative or NaN one fail every check.  A bound that overflows at a
+    huge scale accepts nothing.
     """
 
     rel: float = DEFAULT_RTOL
@@ -154,7 +154,7 @@ class PairCoords:
         return cls(a.shape, key, a.reshape(-1)[key])
 
     @classmethod
-    def at(cls, shape: tuple, index: np.ndarray, value: np.ndarray) -> "PairCoords":
+    def at(cls, shape: tuple, index: tuple, value: np.ndarray) -> "PairCoords":
         """The entries of ``shape`` with ``value`` at distinct ``index``, one
         integer array per axis."""
         key = np.ravel_multi_index(index, shape)
