@@ -40,6 +40,7 @@ from .matlin import (
     as_matrix,
     built,
     dagger,
+    distinct,
     fro,
     generator_scale,
     kron,
@@ -408,13 +409,10 @@ class Algebra:
             """The lines of ``c``'s matrices with an entry, as the rows of one matrix."""
             z = np.ascontiguousarray(c, dtype=np.float64).view(np.complex128)
             p, k = np.nonzero(z)
-            slot = np.zeros((len(c), width), np.intp)
-            slot[p, lines[k]] = 1
-            filled = np.nonzero(slot)  # the packed lines, (p, line) in order
-            slot[filled] = np.arange(len(filled[0]))
-            out = np.zeros((len(filled[0]), width), np.complex128)
-            out[slot[p, lines[k]], along[k]] = z[p, k]
-            return filled, out
+            ids, at = distinct(p * width + lines[k])
+            out = np.zeros((len(ids), width), np.complex128)
+            out[at, along[k]] = z[p, k]
+            return divmod(ids, width), out
 
         (p, r), xrows = packed(cx, row, col)  # xrows[(p, r), s] = x_p[r, s]
         (q, u), ycols = packed(cy, col, row)  # ycols[(q, u), s] = y_q[s, u]

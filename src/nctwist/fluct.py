@@ -154,7 +154,8 @@ def _fluctuation(
         d_new = tg.geometry.dirac + fluctuation_operator(tg, a_mat, eps_prime)
         defect = fro(d_new - dagger(d_new)) / 2.0
         scale = max(1.0, fro(d_new))
-        accepted = tg.with_dirac(d_new) if tol.accepts(defect, scale) else None
+        # a bound that overflowed accepts nothing, as in ``Report.check``
+        accepted = tg.with_dirac(d_new) if defect <= tol.bound(scale) < np.inf else None
         slot.clear()
         slot[key] = _Fluctuation(a_mat, d_new, defect, scale, accepted)
     return slot[key]

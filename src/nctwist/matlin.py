@@ -33,9 +33,8 @@ class Tolerance:
     A residual r measured against a scale s passes when
     ``r <= rel * s + abs``.  The same ``rel`` drives the singular-value
     cutoff in nullspace computations.  Both must be finite and
-    non-negative (zero is allowed): an infinite one would pass every check,
-    and a negative or NaN one fail every check.  A bound that overflows at a
-    huge scale accepts nothing.
+    non-negative (zero is allowed): an infinite bound passes every check,
+    and a negative or NaN one fails every check.
     """
 
     rel: float = DEFAULT_RTOL
@@ -53,7 +52,7 @@ class Tolerance:
         return self.rel * scale + self.abs
 
     def accepts(self, residual: float, scale: float = 1.0) -> bool:
-        return residual <= self.bound(scale) < np.inf
+        return residual <= self.bound(scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -131,6 +130,18 @@ def _pays(terms: int, dense: int, extra: int = 0) -> bool:
     return (terms + extra) * _SPARSE_FACTOR <= dense
 
 
+def distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(key, return_inverse=True)`` of integer keys, by a stable sort."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.empty(len(key), bool)  # the first of each run of equal keys
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    at = np.empty_like(order)
+    at[order] = np.cumsum(new) - 1
+    return ordered[new], at
+
+
 class PairCoords:
     """An array of any shape, real or complex, as its nonzero entries.
 
@@ -140,7 +151,8 @@ class PairCoords:
     coordinates over generator pairs in this form, and an ``Operand`` keeps
     a stack's entries in it.  Keys and per-axis indices are converted here
     and nowhere else: builders hand in indices (``at``, ``placed``), and
-    ``index`` derives them from the keys on first read.
+    ``index`` derives them from the keys on first read and keeps them with
+    the list.
     """
 
     def __init__(self, shape: tuple, key: np.ndarray, value: np.ndarray):
@@ -178,7 +190,7 @@ class PairCoords:
         """The one merge: entries of ``shape`` whose values sum ``value`` over
         equal ``key``s in the order given (``x`` then ``-y`` gives the bits of
         ``x - y``), the real and imaginary parts apart; exact zeros are dropped."""
-        key, at = cls._distinct(key)
+        key, at = distinct(key)
         out = np.bincount(at, value.real, len(key))
         if value.dtype.kind == "c":
             out = out.astype(np.complex128)
@@ -188,42 +200,36 @@ class PairCoords:
             key, out = key[keep], out[keep]
         return cls(shape, key, out)
 
-    @staticmethod
-    def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``np.unique(key, return_inverse=True)`` by a stable sort."""
-        order = np.argsort(key, kind="stable")
-        ordered = key[order]
-        new = np.empty(len(key), bool)  # the first of each run of equal keys
-        new[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        at = np.empty_like(order)
-        at[order] = np.cumsum(new) - 1
-        return ordered[new], at
+    @classmethod
+    def merged_norms(cls, shape: tuple, key: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """The squared Frobenius norm of each slice along axis 0 of
+        ``merged(shape, key, value)``, from its real and imaginary sums alone."""
+        key, at = distinct(key)
+        square = np.bincount(at, value.real, len(key)) ** 2
+        square += np.bincount(at, value.imag, len(key)) ** 2
+        return np.bincount(key // math.prod(shape[1:]), square, shape[0])
 
     @property
     def index(self) -> tuple:
-        """The index of each entry on each axis."""
-        if self._index is None and len(self.key) < 512:
-            self._index = np.unravel_index(self.key, self.shape)
-        elif self._index is None:
-            # on long lists, floor division beats unravel_index several times
-            rest, index = self.key, []
-            for size in self.shape[:0:-1]:
+        """The index of each entry on each axis (``np.unravel_index``)."""
+        if self._index is None:
+            rest, index = self.key.view(), []
+            for size in self.shape[:0:-1]:  # floor division, the last axis first
                 quotient = rest // size
                 index.append(rest - quotient * size)
                 rest = quotient
             self._index = (rest, *index[::-1])
         return self._index
 
+    def grouped(self, count: np.ndarray) -> "PairCoords":
+        """This list, with ``count[s]`` of its entries at index s on axis 0 (for ``join``)."""
+        self._groups = np.cumsum(count) - count, count
+        return self
+
     def weighted(self, weights: tuple) -> np.ndarray:
         """``sum_a weights[a] index[a]``: the keys under other strides."""
         terms = [i if w == 1 else w * i for w, i in zip(weights, self.index) if w]
         return sum(terms[1:], terms[0])
-
-    def squared_norms(self) -> np.ndarray:
-        """The squared Frobenius norm of each slice along axis 0."""
-        square = self.value.real**2 + self.value.imag**2
-        return np.bincount(self.key // math.prod(self.shape[1:]), square, self.shape[0])
 
     def transposed(self, axes: tuple) -> "PairCoords":
         """The entries of the dense array transposed by ``axes`` (``np.transpose``)."""
@@ -253,7 +259,7 @@ class PairCoords:
         ``(rows, cols, B)`` array."""
         rows, cols, _ = self.shape
         width = m.shape[1]
-        right = PairCoords.of(m)
+        right = PairCoords.of(m).grouped(np.count_nonzero(m, axis=1))
         key, li, ri = self.join(2, (cols * width, width, 0), right, (0, 1))
         value = self.value[li] * right.value[ri]
         return PairCoords.merged((rows, cols, width), key, value)
@@ -261,7 +267,8 @@ class PairCoords:
     def join(self, axis: int, weights: tuple, right: "PairCoords", rweights: tuple):
         """The one join step: every product of an entry of this list and one
         of ``right`` whose indices on ``axis`` and on right's axis 0 agree;
-        right's keys ascend, so its entries come grouped by that index.
+        right's keys ascend, so its entries come in the groups it was given
+        (``grouped``).
 
         A product's key sums its factors' indices weighted by ``weights`` and
         ``rweights`` (per axis, the shared ones 0).  Returns the keys and the
@@ -271,9 +278,6 @@ class PairCoords:
         """
         ls = self.index[axis]
         lk, rk = self.weighted(weights), right.weighted(rweights)
-        if right._groups is None:  # where each group starts, and its size
-            rcount = np.bincount(right.index[0], minlength=right.shape[0])
-            right._groups = np.cumsum(rcount) - rcount, rcount
         start, rcount = right._groups
         count = rcount[ls]
         li = np.repeat(np.arange(len(ls)), count)
@@ -300,8 +304,7 @@ class Operand:
     def __init__(self, stack):
         self._orders = {}  # per axis, sorted once
         if isinstance(stack, PairCoords):
-            self.shape, self.dense, self.entries = stack.shape, False, stack
-            self.finite = True
+            self.shape, self.dense, self.entries, self.finite = stack.shape, False, stack, True
             return
         array = np.asarray(stack, dtype=np.complex128).view()
         array.flags.writeable = False
@@ -348,9 +351,7 @@ class Operand:
         if axis not in self._orders:
             moved = (axis, *(a for a in range(3) if a != axis))
             out = self.entries.transposed(moved) if axis else self.entries
-            count = self.counts[axis]  # the join's groups, from the counts at hand
-            out._groups = np.cumsum(count) - count, count
-            self._orders[axis] = out
+            self._orders[axis] = out.grouped(self.counts[axis])  # from the counts at hand
         return self._orders[axis]
 
 
@@ -399,14 +400,14 @@ def _product(m: np.ndarray, a: Operand, axis: int, conj: bool) -> Operand | None
         cost = len(m) * int(np.count_nonzero(mcount)) * n * n // 2
     if not _pays(int(mcount @ a.counts[axis]), cost, extra):
         return None
-    me, ae = PairCoords.of(mt), a.entries
+    me, ae = PairCoords.of(mt), a.entries if axis else a.ordered(0)
     av = np.conj(ae.value) if conj else ae.value
     if axis == 0:  # m[p, b] a[b, r, c]
         key, li, ri = me.join(1, (n * n, 0), ae, (0, n, 1))
         lv, rv, shape = me.value, av, (len(m), n, n)
     else:  # a[k, r, s] m[s, c], or a[k, s, c] m.T[s, r]
         weights = (n * n, n, 0) if axis == 2 else (n * n, 0, 1)
-        key, li, ri = ae.join(axis, weights, me, (0, 1 if axis == 2 else n))
+        key, li, ri = ae.join(axis, weights, me.grouped(mcount), (0, 1 if axis == 2 else n))
         lv, rv, shape = av, me.value, a.shape
     pure, mpure = _pure(av), True
     if pure is not True and (mpure := _pure(me.value)) is not True:
@@ -573,8 +574,8 @@ def _joins(xs, ys, zs, coords, stack, cols, n):
 
 def _sparse_pair_max(joins, coords, pairs: int, n: int) -> float:
     """``pair_max`` from the nonzero entries of its finite operands: every
-    term of every product for all pairs at once (``PairCoords.join``), merged,
-    then the squared moduli of each pair's entries summed."""
+    term of every product for all pairs at once (``PairCoords.join``), then
+    each pair's squared norm after the merge (``PairCoords.merged_norms``)."""
     if not joins:
         return 0.0
     keys, values = [], []
@@ -584,8 +585,8 @@ def _sparse_pair_max(joins, coords, pairs: int, n: int) -> float:
         keys.append(key)
         values.append(sign * (left.value[li] * right.value[ri]))
     # a pair's terms fill its row of a (pairs, n n) array
-    total = PairCoords.merged((pairs, n * n), np.concatenate(keys), np.concatenate(values))
-    return float(np.sqrt(total.squared_norms().max(initial=0.0)))
+    norms = PairCoords.merged_norms((pairs, n * n), np.concatenate(keys), np.concatenate(values))
+    return float(np.sqrt(norms.max(initial=0.0)))
 
 
 def pair_residual(xs, ys, zs=None) -> float:

@@ -179,7 +179,8 @@ def _coordinate_tables(
     (``perm``, ``inner`` and ``scale``, not ``u_rho``) and of ``drop``, so a
     call with an equal key reads the tables an earlier one built, as equal
     algebras share theirs (``algebra._first_equal``).  The last 32 keys
-    read are kept; a value of more than ``_KEPT_BYTES`` is not.
+    read are kept; a value of more than ``_KEPT_BYTES``, counting the
+    per-axis indices of its differences, is not.
     """
     key = (alg, rho.perm, _values(rho.inner), _values(rho.scale), drop)
     tables = _TABLES.pop(key, None)
@@ -205,7 +206,7 @@ def _coordinate_tables(
             else None,
         )
         arrays = [r, inverse]
-        arrays += [a for c in tables[2:] if c is not None for a in (c.key, c.value)]
+        arrays += [a for c in tables[2:] if c is not None for a in (c.key, c.value, *c.index)]
         for a in arrays:
             a.flags.writeable = False
         if sum(a.nbytes for a in arrays) > _KEPT_BYTES:

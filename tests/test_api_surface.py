@@ -19,7 +19,8 @@ pairs are walked in one place, ``matlin.pair_max``: outside ``matlin.py``
 no loop over ``range`` calls the kernel.  Sparse entries have one format,
 ``matlin.PairCoords``: outside it nothing splits keys into indices
 (``divmod``, ``unravel_index``) or groups them (``distinct``), and no name
-of the retired tuple form is left.
+of the retired tuple form is left.  ``Algebra.products``' ``packed``
+numbers (matrix, line) pairs, which are not entry keys, and may.
 
 An algebra's generator rows and star matrix are formed in one place,
 ``Algebra.generator_rows`` and ``Algebra.star_matrix``, which build them once:
@@ -391,21 +392,29 @@ def test_generator_pairs_are_walked_in_one_place():
 # -- sparse entries have one format ---------------------------------------
 
 ENTRY_TYPE = "PairCoords"
-KEY_SPLITS = {"divmod", "unravel_index", "distinct", "_distinct"}
+# the packed lines of ``Algebra.products``: (matrix, line) pairs, not entry keys
+NOT_ENTRY_KEYS = "packed"
+KEY_SPLITS = {"divmod", "unravel_index", "distinct"}
 GONE = {"of_entries", "_sorted_by", "_JOIN_OVERHEAD"}
 
 
 def key_splits(tree: ast.Module) -> list[tuple[int, str]]:
     """``(line, callee)`` of every call in ``tree`` that splits keys into
-    indices or groups them (``KEY_SPLITS``), outside the entry type."""
-    found = []
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef) and stmt.name == ENTRY_TYPE:
-            continue
-        for call in ast.walk(stmt):
-            if isinstance(call, ast.Call) and terminal_name(call) in KEY_SPLITS:
-                found.append((call.lineno, terminal_name(call)))
-    return found
+    indices or groups them (``KEY_SPLITS``), outside the entry type and
+    ``NOT_ENTRY_KEYS``."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == ENTRY_TYPE or (
+            isinstance(node, ast.FunctionDef) and node.name == NOT_ENTRY_KEYS
+        ):
+            skipped.update(map(id, ast.walk(node)))
+    return sorted(
+        (call.lineno, terminal_name(call))
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and id(call) not in skipped
+        and terminal_name(call) in KEY_SPLITS
+    )
 
 
 def entry_format_sites() -> list[str]:
@@ -432,8 +441,14 @@ def test_key_splits_are_seen():
         "        k, rc = np.divmod(key, n * n)\n"
         "def f(key):\n"
         "    return distinct(key), divmod(key, 3), unravel_index(key, (2, 2))\n"
+        "def products(c):\n"
+        "    def packed(c):\n"
+        "        return divmod(distinct(c)[0], 3)\n"
+        "    return divmod(c, 2)\n"
     )
-    assert key_splits(tree) == [(6, "divmod"), (8, "distinct"), (8, "divmod"), (8, "unravel_index")]
+    assert key_splits(tree) == [
+        (6, "divmod"), (8, "distinct"), (8, "divmod"), (8, "unravel_index"), (12, "divmod")
+    ]
 
 
 def test_sparse_entries_have_one_format_in_one_place():

@@ -1,5 +1,7 @@
 """Dense-matrix helpers: norms, conjugations, nullspaces; the Kronecker reference solvers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -332,7 +334,7 @@ def joined(a, axis, m):
     shape[axis] = m.shape[1]
     strides = np.cumprod([1, *shape[:0:-1]])[::-1]
     weights = tuple(0 if k == axis else int(w) for k, w in enumerate(strides))
-    left, right = PairCoords.of(a), PairCoords.of(m)
+    left, right = PairCoords.of(a), PairCoords.of(m).grouped(np.count_nonzero(m, axis=1))
     key, li, ri = left.join(axis, weights, right, (0, int(strides[axis])))
     return PairCoords.merged(shape, key, left.value[li] * right.value[ri])
 
@@ -406,14 +408,10 @@ def test_pair_coords_differences_and_products_are_the_dense_ones(seed):
     assert_bits(joined(zero, axis, np.eye(zero.shape[axis])), zero)
     assert_bits(joined(x, 0, np.zeros((k, 2))), np.zeros((2, n, n), np.complex128))
 
-
-def test_long_entry_lists_split_their_keys_like_unravel_index():
-    # a list of more than 512 keys splits them by floor division
-    rng = np.random.default_rng(5)
-    shape = (40, 30, 20)
-    key = np.sort(rng.choice(np.prod(shape), 3000, replace=False))
-    entries = PairCoords(shape, key, rng.standard_normal(len(key)) + 1.0)
-    assert_entry_list(entries)
+    # a long list over one to four axes splits its keys like np.unravel_index
+    shape = tuple(int(s) for s in rng.integers(1, 30, rng.integers(1, 5)))
+    key = np.sort(rng.choice(math.prod(shape), min(3000, math.prod(shape)), replace=False))
+    assert_entry_list(PairCoords(shape, key, rng.random(len(key)) + 1.0))
 
 
 def test_nan_on_a_row_of_ys_that_no_x_reaches_is_the_result():

@@ -578,6 +578,33 @@ def test_twists_that_differ_only_in_u_rho_share_their_tables(monkeypatch):
     assert calls == [1]
 
 
+def held_bytes(tables) -> int:
+    """The bytes of every array a kept ``_CoordinateTables`` holds, whatever
+    its ``PairCoords`` keep beside their keys and values."""
+    arrays = [a for a in tables if isinstance(a, np.ndarray)]
+    for c in tables[2:]:
+        for v in vars(c).values() if c is not None else ():
+            arrays += [a for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    return sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_a_kept_table_holds_no_more_than_the_byte_bound(monkeypatch, d):
+    # an unplaced M_d under a dense inner unitary; on M_5 the differences'
+    # keys and values fit in the bound, but not with their per-axis indices
+    alg = Algebra.of(("M", d))
+    g = FiniteGeometry(Representation.from_placements(alg, 2, []), np.zeros((2, 2)))
+    rho = Automorphism((0,), inner=(random_unitary(np.random.default_rng(0), d),))
+    monkeypatch.setattr(twist, "_TABLES", {})
+    verify_twisted(TwistedGeometry(g, rho))
+    kept = list(twist._TABLES.values())
+    assert len(kept) == (d == 4)
+    for tables in kept:
+        assert held_bytes(tables) <= twist._KEPT_BYTES
+        for c in tables[2:]:
+            assert c is None or not any(a.flags.writeable for a in (c.key, c.value, *c.index))
+
+
 @settings(max_examples=80, deadline=None)
 @given(twisted_geometries(), st.integers(0, 2**32 - 1))
 def test_twisted_rep_is_pi_of_the_twisted_element(tg, seed):
