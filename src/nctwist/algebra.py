@@ -40,6 +40,7 @@ from .matlin import (
     as_matrix,
     built,
     dagger,
+    digest,
     distinct,
     fro,
     generator_scale,
@@ -606,6 +607,18 @@ class Representation:
         return built(lambda: self.images(c), self.operand, [(c, 0)], False)
 
     @cached_property
+    def digest(self) -> bytes:
+        """``matlin.digest`` of ``operand`` in the form it is held, its
+        entries or its dense stack, tagged with the form.  The operand is
+        read-only, so it is hashed once.  ``projected_double`` sets it
+        instead from the digests of its inputs, of which its operand is a
+        pure function."""
+        op = self.operand
+        if op.dense:
+            return digest("dense", op.array)
+        return digest("entries", np.array(op.shape), op.entries.key, op.entries.value)
+
+    @cached_property
     def generator_images(self) -> Operand:
         """The images of ``Algebra.generator_rows``, built on first read."""
         return self.image_operand(self.algebra.generator_rows)
@@ -730,4 +743,6 @@ def projected_double(
             for p in ((np.eye(n) + grading) / 2.0, (np.eye(n) - grading) / 2.0)
         ]
     # (a, 0) and (0, a') run over the basis of the doubled algebra
-    return Representation(doubled(rep0.algebra), stacked(halves), signs=rep0.signs * 2)
+    out = Representation(doubled(rep0.algebra), stacked(halves), signs=rep0.signs * 2)
+    out.digest = digest("projected_double", rep0.digest, grading)
+    return out

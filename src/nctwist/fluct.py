@@ -31,7 +31,7 @@ from .matlin import (
     tightest,
 )
 from .report import Report
-from .twist import TwistedGeometry, verify_twisted
+from .twist import TwistedGeometry, measured_signs, verify_twisted
 from .triple import measure_ko_signs
 
 
@@ -180,11 +180,15 @@ def verify_fluctuated(
 
     Also confirms the structural facts that do not depend on the axioms:
     sign preservation, grading anticommutation with the added term, and
-    J D_A = eps' D_A J with the signs of the base geometry.
+    J D_A = eps' D_A J with the signs of the base geometry.  Without a
+    decided eps' on the base there is no D_A: the report fails a "sign
+    triple determinate" record, as ``verify_twisted`` does.
     """
     rep = Report("fluctuated geometry")
     g = tg.geometry
-    signs_before = measure_ko_signs(g, tol)
+    signs_before = measured_signs(rep, "sign triple determinate", g, tol)
+    if signs_before is None:
+        return rep
     step = _fluctuation(tg, f, tol, signs_before.eps_prime)
     accepted = rep.check("fluctuation accepted (self-adjoint)", step.defect, tol, step.scale)
     if not accepted.passed:
@@ -260,10 +264,14 @@ def compose_fluctuations(
 
     With D1 = fluctuation of D by f, and f2 a one-form over D1, the total
     equals the fluctuation of D by A(f) + A2(f2 over D1), and A2 lies in
-    the one-form bimodule of the original D.
+    the one-form bimodule of the original D.  Without a decided eps' the
+    report fails a "sign triple determinate" record instead.
     """
     rep = Report("fluctuation composition")
-    eps_prime = measure_ko_signs(tg.geometry, tol).eps_prime
+    signs = measured_signs(rep, "sign triple determinate", tg.geometry, tol)
+    if signs is None:
+        return rep
+    eps_prime = signs.eps_prime
     first = _fluctuation(tg, f, tol, eps_prime)
     second = _fluctuation(first.accepted(), f2, tol, eps_prime)
     tg2, a2 = second.accepted(), second.a

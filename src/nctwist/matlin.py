@@ -15,6 +15,7 @@ merge, one join step and one cost rule (``_pays``, one tuned constant); an
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,6 +129,33 @@ _SPARSE_FACTOR = 256
 def _pays(terms: int, dense: int, extra: int = 0) -> bool:
     """Whether a join of ``terms`` (plus ``extra``) terms beats ``dense`` multiply-adds."""
     return (terms + extra) * _SPARSE_FACTOR <= dense
+
+
+def digest(*parts) -> bytes:
+    """The blake2b-256 digest of ``parts``: arrays, by their dtype, shape and
+    exact bytes, or None, or strings.  Tables kept by value key their arrays
+    by this, so that a key holds 32 bytes however large the arrays are."""
+    h = hashlib.blake2b(digest_size=32)
+    for p in parts:
+        if p is None:
+            h.update(b"none;")
+        elif isinstance(p, str):
+            h.update(f"str{len(p)}:{p};".encode())
+        else:
+            a = np.ascontiguousarray(p)
+            h.update(f"{a.dtype.str}{a.shape}:".encode())
+            h.update(a)
+    return h.digest()
+
+
+def kept(table: dict, key, value, bound: int):
+    """``value``, stored in ``table`` under ``key`` as its most recently read
+    entry; the least recently read entries beyond ``bound`` are dropped.  A
+    reader ``pop``s its key first, so that ``table`` stays in reading order."""
+    table[key] = value
+    if len(table) > bound:
+        del table[next(iter(table))]
+    return value
 
 
 def distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

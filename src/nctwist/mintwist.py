@@ -30,8 +30,10 @@ from .matlin import (
     anticommutator,
     as_matrix,
     dagger,
+    digest,
     fro,
     generator_scale,
+    kept,
     pair_residual,
     sign_fits,
     tightest,
@@ -126,6 +128,13 @@ def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | Non
     return q_plus @ v @ dagger(q_minus) + q_minus @ dagger(v) @ dagger(q_plus)
 
 
+# ``_implementing_unitary`` by value, least recently read first.  Its keys
+# repeat as those of ``twist._VERDICTS`` do, and the same 128 keeps every
+# repeat of tbg_stream; a kept unitary is 16 KB at its largest n, 32
+_UNITARIES: dict = {}
+_KEPT_UNITARIES = 128
+
+
 def twist_by_grading(
     g: FiniteGeometry, tol: Tolerance = DEFAULT_TOL
 ) -> TwistedGeometry:
@@ -135,7 +144,8 @@ def twist_by_grading(
     (a', a) twists commutators with D.  D, grading and real structure are
     those of the input.  An implementing unitary is attached to the flip
     only when the two eigenspace restrictions of the representation are
-    unitarily equivalent.
+    unitarily equivalent; it is found once per value of the algebra, pi,
+    the grading and ``tol`` (``_UNITARIES``) and shared, read-only.
     """
     if g.grading is None:
         raise ValueError("twist by grading needs a graded geometry")
@@ -147,7 +157,16 @@ def twist_by_grading(
     ):
         raise ValueError("grading is not a self-adjoint involution")
     rep2 = projected_double(g.rep, gam)
-    u_rho = _implementing_unitary(g, tol)
+    # the unitary reads the algebra, pi's operand, the grading and tol only;
+    # it is shared, so read-only
+    key = (g.algebra, g.rep.digest, digest(gam), tol)
+    if key in _UNITARIES:
+        u_rho = _UNITARIES.pop(key)
+    else:
+        u_rho = _implementing_unitary(g, tol)
+        if u_rho is not None:
+            u_rho.flags.writeable = False
+    kept(_UNITARIES, key, u_rho, _KEPT_UNITARIES)
     rho = Automorphism.flip(rep2.algebra.ncomponents, u_rho=u_rho)
     doubled_geom = FiniteGeometry(
         rep=rep2,

@@ -34,7 +34,9 @@ from .matlin import (
     built,
     dagger,
     difference,
+    digest,
     fro,
+    kept,
     pair_max,
     pair_residual,
     sign_fits,
@@ -42,7 +44,7 @@ from .matlin import (
     worst,
 )
 from .report import Report
-from .triple import FiniteGeometry, measure_ko_signs
+from .triple import FiniteGeometry, SignTriple, measure_ko_signs
 
 
 @dataclass(frozen=True)
@@ -161,13 +163,11 @@ _KEPT_TABLES = 32
 _KEPT_BYTES = 2**20
 
 
-def _values(parts) -> Optional[tuple]:
-    """``inner`` or ``scale`` by value: the complex128 bytes of each part."""
+def _values(parts) -> Optional[bytes]:
+    """``inner`` or ``scale`` by value: the digest of each part's complex128 values."""
     if parts is None:
         return None
-    return tuple(
-        None if p is None else np.asarray(p, np.complex128).tobytes() for p in parts
-    )
+    return digest(*(None if p is None else np.asarray(p, np.complex128) for p in parts))
 
 
 def _coordinate_tables(
@@ -211,10 +211,7 @@ def _coordinate_tables(
             a.flags.writeable = False
         if sum(a.nbytes for a in arrays) > _KEPT_BYTES:
             return tables
-    _TABLES[key] = tables
-    if len(_TABLES) > _KEPT_TABLES:
-        del _TABLES[next(iter(_TABLES))]
-    return tables
+    return kept(_TABLES, key, tables, _KEPT_TABLES)
 
 
 @dataclass(frozen=True)
@@ -229,17 +226,17 @@ class TwistedGeometry:
       ``_coordinate_tables``;
     - ``"conjugated"``: ``conjugated_rep``, the J-conjugate of pi's stack;
     - ``"stacks"``: the generator stacks of ``stacks()``, kept as operands;
-    - ``"reports"``: per ``Tolerance``, the reports of
-      ``Representation.check`` and ``check_regular``;
-    - ``"pairs"``: the order-zero and grading-commutes-with-algebra
-      residuals over the stacks.
+    - ``"key"``: the value of what the D-free verdicts read (``_d_free_key``).
     ``with_dirac`` shares ``twisted_rep`` and ``_built`` with the geometry it
-    returns, so a chain of fluctuations decides these verdicts once.
+    returns, so a chain of fluctuations builds the stacks once.  The
+    verdicts that read no D are shared by value instead, across every
+    geometry: ``_d_free_verdicts`` keeps them in ``_VERDICTS`` under
+    ``"key"`` and the tolerance, so an independently built geometry with an
+    equal pi, rho, grading and J reads them without deciding them again.
     Nothing that reads D is shared: self-adjointness of D, the grading's
     anticommutation with D and order one are measured on every call, and
     the signs once per ``FiniteGeometry``.  ``dataclasses.replace`` runs
-    ``__post_init__`` and starts a new holder, so a geometry with another
-    pi, rho, grading or J runs its own checks.
+    ``__post_init__`` and starts a new holder, which builds its own stacks.
 
     ``_fluctuation`` is the one slot in which ``fluct.py`` keeps the last
     fluctuation of this geometry, keyed by the value of the one-form, eps'
@@ -276,9 +273,9 @@ class TwistedGeometry:
         """The same twisted geometry with D replaced by ``d``.
 
         It shares ``twisted_rep`` and ``_built`` with ``self``: the generator
-        stacks and the ``verify_twisted`` verdicts that read no D.  Nothing
-        that reads D is shared: the new geometry's signs and fluctuation
-        slot start empty.
+        stacks and the key under which the ``verify_twisted`` verdicts that
+        read no D are kept (``_d_free_key``).  Nothing that reads D is
+        shared: the new geometry's signs and fluctuation slot start empty.
         """
         out = copy.copy(self)
         object.__setattr__(out, "geometry", self.geometry.with_dirac(d))
@@ -496,39 +493,68 @@ def coexistence_first_order_check(
     return rep
 
 
+# the verdicts of ``_d_free_verdicts`` by value, least recently read first.
+# 128 keeps every key that repeats: over 300 blocks of tbg_stream at seed 7
+# (3,900 reads, 1,220 keys; the 4 framed ops of a block never repeat) 20
+# keys repeat and all 2,680 repeats hit, where 64 keeps 2,669 and 32 2,265
+_VERDICTS: dict = {}
+_KEPT_VERDICTS = 128
+
+
+def _d_free_key(tg: TwistedGeometry, tol: Tolerance) -> tuple:
+    """Every input of the D-free verdicts, by value, and ``tol``.
+
+    The algebra; pi's operand (``Representation.digest``) and signs; rho's
+    ``perm``, ``inner``, ``scale`` and ``u_rho``; the grading and J's
+    unitary.  Arrays enter as their blake2b digests (``matlin.digest``).
+    All but ``tol`` is found once per ``with_dirac`` lineage and kept on
+    ``tg._built``, since D is not part of it.
+    """
+    built = tg._built
+    if "key" not in built:
+        g, rho = tg.geometry, tg.rho
+        j = g.real_structure
+        arrays = digest(rho.u_rho, g.grading, None if j is None else j.unitary)
+        pi = g.rep
+        inner, scale = _values(rho.inner), _values(rho.scale)
+        built["key"] = pi.algebra, pi.digest, pi.signs, rho.perm, inner, scale, arrays
+    return built["key"], tol
+
+
 def _d_free_verdicts(tg: TwistedGeometry, tol: Tolerance) -> tuple:
     """``(pi report, rho report, grading residual, order-zero residual)``.
 
-    None of the four reads D, so each is kept on ``tg._built``, which
-    ``with_dirac`` shares: the two reports under ``"reports"``, keyed by the
-    tolerance, and the two pair residuals under ``"pairs"`` (None without a
-    grading or a J, respectively).
+    None of the four reads D: they are the reports of ``Representation.check``
+    and ``check_regular`` and the grading-commutes-with-algebra and order-zero
+    residuals over the stacks (None without a grading or a J, respectively).
+    They are decided once per value of their inputs and kept in
+    ``_VERDICTS``, keyed by ``_d_free_key``.  A kept report is shared:
+    callers merge it and do not change it.
     """
-    g, built = tg.geometry, tg._built
-    reports = built.setdefault("reports", {})
-    if tol not in reports:
-        reports[tol] = (g.rep.check(tol), check_regular(tg.rho, g, tol))
-    if "pairs" not in built:
-        pi_a, _, opp_b, _ = tg.stacks()
-        built["pairs"] = (
-            None if g.grading is None else pair_residual([g.grading], pi_a),
-            None if g.real_structure is None else pair_residual(pi_a, opp_b),
-        )
-    return reports[tol] + built["pairs"]
+    key = _d_free_key(tg, tol)
+    if key in _VERDICTS:
+        return kept(_VERDICTS, key, _VERDICTS.pop(key), _KEPT_VERDICTS)
+    g = tg.geometry
+    reports = g.rep.check(tol), check_regular(tg.rho, g, tol)
+    pi_a, _, opp_b, _ = tg.stacks()
+    pairs = (
+        None if g.grading is None else pair_residual([g.grading], pi_a),
+        None if g.real_structure is None else pair_residual(pi_a, opp_b),
+    )
+    return kept(_VERDICTS, key, reports + pairs, _KEPT_VERDICTS)
 
 
-def record_signs(
-    rep: Report, name: str, g: FiniteGeometry, tol: Tolerance, expected: tuple | None
-) -> None:
-    """Record on ``rep`` the sign triple of ``g``, judged at ``expected`` (None: as measured).
+def measured_signs(
+    rep: Report, name: str, g: FiniteGeometry, tol: Tolerance
+) -> Optional[SignTriple]:
+    """``measure_ko_signs(g, tol)``, or None when a sign is undecided.
 
-    A flipped sign fails on its residual; the note and ``rep.info["signs"]``
-    hold the measured signs.  An undecided one is decided on its
-    ``match_sign`` evidence: when both fit, a floor record of the larger
-    residual; when neither fits, the smaller one (a NaN stays NaN).
+    An undecided sign fails a record ``name`` on ``rep``, decided on its
+    ``match_sign`` evidence: when both signs fit, a floor record of the
+    larger residual; when neither fits, the smaller one (a NaN stays NaN).
     """
     try:
-        signs = measure_ko_signs(g, tol)
+        return measure_ko_signs(g, tol)
     except ValueError as exc:
         if not hasattr(exc, "evidence"):  # no J: not a sign to decide
             raise
@@ -538,6 +564,20 @@ def record_signs(
             rep.exceeds(name, np.max(fits), bound, str(exc))
         else:
             rep.add(name, np.min(fits), bound, str(exc))
+        return None
+
+
+def record_signs(
+    rep: Report, name: str, g: FiniteGeometry, tol: Tolerance, expected: tuple | None
+) -> None:
+    """Record on ``rep`` the sign triple of ``g``, judged at ``expected`` (None: as measured).
+
+    A flipped sign fails on its residual; the note and ``rep.info["signs"]``
+    hold the measured signs.  An undecided one fails as ``measured_signs``
+    decides it.
+    """
+    signs = measured_signs(rep, name, g, tol)
+    if signs is None:
         return
     measured = signs.as_tuple()
     fit = tightest(sign_fits(expected or measured, signs.evidence))
@@ -554,8 +594,8 @@ def verify_twisted(tg: TwistedGeometry, tol: Tolerance = DEFAULT_TOL) -> Report:
 
     The representation and regularity reports and the two pair residuals
     that read no D (grading commutes with the algebra, order zero) are
-    decided once per shared build (see ``TwistedGeometry``); every other
-    record is measured on each call.
+    decided once per value of pi, rho, the grading, J and ``tol``
+    (``_d_free_verdicts``); every other record is measured on each call.
     """
     g = tg.geometry
     eye = np.eye(g.hilbert_dim)

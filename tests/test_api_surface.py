@@ -48,10 +48,19 @@ A verdict is decided in one place, ``report.py``: outside it nothing in
 passes a ``passed=`` keyword or sets ``"passed"`` through ``setattr``.  A
 verifier hands ``Report`` a residual and a bound, never a boolean.
 
-The sign triple is recorded in one place, ``twist.record_signs``, which
-decides and prints it for ``verify_twisted`` and the twisted standard model:
-in ``src/nctwist`` nothing else calls ``measure_ko_signs`` but ``fluct.py``,
-which reads eps' to form D_A.
+The sign triple is measured for a report in one place,
+``twist.measured_signs``, which fails an undecided sign on the report for
+``twist.record_signs`` (``verify_twisted`` and the twisted standard model)
+and for the fluctuation reports: in ``src/nctwist`` nothing else calls
+``measure_ko_signs`` but ``fluct.py``, whose ``fluctuate`` reads eps' to
+form D_A.
+
+A table kept by value for the whole process (a module-level empty dict, or
+a function under ``lru_cache``) keys its arrays by their exact bytes or
+their blake2b digests, never by the builtin ``hash`` or ``id``: no code that
+builds a key of one, followed through the package functions it calls,
+calls either.  The keys of the dict tables, once verifications fill them,
+hold only bytes, integers, None, tolerances and algebras.
 
 The package reads no environment variable: nothing in ``src/nctwist``
 names ``os.environ``, ``os.environb`` or ``getenv``, so a tolerance is set by
@@ -72,6 +81,15 @@ import builtins
 import re
 from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
+
+from nctwist import mintwist, twist
+from nctwist.algebra import Algebra
+from nctwist.matlin import Tolerance
+from nctwist.mintwist import twist_by_grading
+from nctwist.samples import flip_toy, random_matrix_geometry
+from nctwist.twist import Automorphism, TwistedGeometry, verify_twisted
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nctwist"
@@ -747,7 +765,7 @@ def test_only_the_report_module_decides_a_verdict():
 
 # -- the sign triple is recorded in one place ------------------------------
 
-SIGN_RECORDER = ("twist.py", "record_signs")
+SIGN_RECORDER = ("twist.py", "measured_signs")
 SIGN_READERS = {"fluct.py"}  # eps' of D_A = D + A + eps' J A J^-1
 
 
@@ -786,6 +804,157 @@ def test_the_sign_triple_is_recorded_in_one_place():
         if (path.name, where) != SIGN_RECORDER
     ]
     assert found == []
+
+
+# -- tables kept by value key their arrays by bytes or digests -------------
+
+VALUE_TABLES = {
+    "algebra.py": {"_first_equal"},
+    "mintwist.py": {"_UNITARIES"},
+    "twist.py": {"_TABLES", "_VERDICTS"},
+}
+IDENTITY_KEYS = {"hash", "id"}
+KEY_READS = {"pop", "get", "setdefault"}
+# what a key of a dict table may hold, through tuples: array parts as exact
+# bytes or digests, and values hashed by value
+KEY_LEAVES = (bytes, int, type(None), Tolerance, Algebra)
+
+
+def value_tables(tree: ast.Module) -> set[str]:
+    """The module-level tables of ``tree``: names bound to an empty dict, and
+    functions under ``lru_cache`` or ``cache``, keyed by their arguments."""
+    found = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            if any(terminal_name(d) in {"lru_cache", "cache"} for d in stmt.decorator_list):
+                found.add(stmt.name)
+            continue
+        value = getattr(stmt, "value", None)
+        empty = (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.Call) and terminal_name(value) == "dict" and not value.args
+        )
+        targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+        if empty:
+            found |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return found
+
+
+def key_expressions(tree: ast.Module, tables: set[str]) -> list[ast.AST]:
+    """Every expression of ``tree`` that keys one of ``tables``: ``T[k]``,
+    ``T.pop(k)`` (``get``, ``setdefault``), ``k in T``, ``kept(T, k, ...)``
+    and the arguments of a call to a cached function, with every value
+    assigned, in the same function, to a name used as a key."""
+    found = []
+    for _, node in functions(tree):
+        keys = []
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Subscript) and terminal_name(sub.value) in tables:
+                keys.append(sub.slice)
+            elif isinstance(sub, ast.Compare) and any(
+                terminal_name(c) in tables for c in sub.comparators
+            ):
+                keys.append(sub.left)
+            elif isinstance(sub, ast.Call):
+                func, name = sub.func, terminal_name(sub)
+                if name in KEY_READS and isinstance(func, ast.Attribute) and sub.args:
+                    if terminal_name(func.value) in tables:
+                        keys.append(sub.args[0])
+                elif name == "kept" and len(sub.args) > 1 and terminal_name(sub.args[0]) in tables:
+                    keys.append(sub.args[1])
+                elif name in tables:
+                    keys += sub.args
+        names = {k.id for k in keys if isinstance(k, ast.Name)}
+        keys += [
+            a.value
+            for a in ast.walk(node)
+            if isinstance(a, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id in names for t in a.targets)
+        ]
+        found += keys
+    return found
+
+
+def identity_keys(trees: dict[str, ast.Module]) -> list[tuple[str, int]]:
+    """``(module, line)`` of every call of the builtin ``hash`` or ``id`` in
+    code that keys a value table: its key expressions and, transitively, the
+    body of every function or method of ``trees`` that such code calls or
+    reads as an attribute (matched by name)."""
+    defs = defaultdict(list)
+    for module, tree in trees.items():
+        for qualname, node in functions(tree):
+            if qualname != "<module>":
+                defs[qualname.rsplit(".", 1)[-1]].append((module, node))
+    todo = [
+        (module, key)
+        for module, tree in trees.items()
+        for key in key_expressions(tree, value_tables(tree))
+    ]
+    seen, found = set(), set()
+    while todo:
+        module, node = todo.pop()
+        for sub in ast.walk(node):
+            if not isinstance(sub, (ast.Call, ast.Attribute)):
+                continue
+            name = terminal_name(sub)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and name in IDENTITY_KEYS:
+                found.add((module, sub.lineno))
+            for place in defs.get(name, ()):
+                if id(place[1]) not in seen:
+                    seen.add(id(place[1]))
+                    todo.append(place)
+    return sorted(found)
+
+
+def test_identity_keys_are_seen():
+    tree = ast.parse(
+        "_T: dict = {}\n"
+        "_U = dict()\n"
+        "def part(x):\n"
+        "    return hash(x.tobytes())\n"
+        "def read(x, tol):\n"
+        "    key = (id(x), part(x), tol)\n"
+        "    return _T.pop(key, None)\n"
+        "@lru_cache(maxsize=4)\n"
+        "def first(alg):\n"
+        "    return alg\n"
+        "def store(x):\n"
+        "    kept(_U, first(hash(x)), x, 4)\n"
+        "    return x in _U or _T[x.tobytes()]\n"
+        "def unrelated(xs):\n"
+        "    return {id(s): s for s in xs}\n"
+    )
+    assert value_tables(tree) == {"_T", "_U", "first"}
+    assert identity_keys({"m.py": tree}) == [("m.py", 4), ("m.py", 6), ("m.py", 12)]
+
+
+def test_value_tables_key_their_arrays_by_bytes_or_digests():
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    tables = {name: value_tables(tree) for name, tree in trees.items()}
+    assert {name: found for name, found in tables.items() if found} == VALUE_TABLES
+    assert identity_keys(trees) == []
+
+
+def key_leaves(key) -> list:
+    """The parts of a key, through tuples."""
+    if isinstance(key, tuple):
+        return [leaf for part in key for leaf in key_leaves(part)]
+    return [key]
+
+
+def test_kept_keys_hold_bytes_and_values_only():
+    # every dict table, filled by verifications whose keys read arrays
+    tg = twist_by_grading(random_matrix_geometry(np.random.default_rng(0), 3))
+    inner = (np.eye(2), None, np.eye(2), None)
+    for t in (flip_toy(), tg, TwistedGeometry(tg.geometry, Automorphism(tg.rho.perm, inner))):
+        verify_twisted(t)
+    for table in (twist._TABLES, twist._VERDICTS, mintwist._UNITARIES):
+        leaves = [key_leaves(key) for key in table]
+        assert all(isinstance(leaf, KEY_LEAVES) for key in leaves for leaf in key), leaves
+        # some key holds an array, as its 32-byte digest
+        assert any(isinstance(leaf, bytes) and len(leaf) == 32 for key in leaves for leaf in key)
 
 
 # -- the package reads no environment variable -----------------------------

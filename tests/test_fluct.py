@@ -40,6 +40,7 @@ from nctwist.samples import (
 )
 from nctwist.triple import FiniteGeometry, measure_ko_signs
 from nctwist.twist import TwistedGeometry, verify_twisted
+from test_report import overflowing_geometry
 
 RNG_SEED = 77
 
@@ -277,7 +278,7 @@ LOOSE_TOL = Tolerance(rel=1e-3, abs=1e-6)
 
 
 def test_a_chain_of_fluctuations_builds_one_geometry_and_one_set_of_stacks(
-    monkeypatch,
+    monkeypatch, cold_verdicts
 ):
     built, made, checked, regular = [], [], [], []
     conjugated, post_init = FiniteGeometry.conjugated, TwistedGeometry.__post_init__
@@ -575,3 +576,19 @@ def test_a_chain_evaluates_each_form_once_and_measures_each_geometry_once(monkey
         assert t is step and f is form
     # one measurement per geometry of the chain, however many calls read it
     assert len(measured) == len(steps)
+
+
+def test_an_undecided_base_sign_fails_the_fluctuation_reports():
+    # D near 1e153 overflows the bound that decides eps', so both signs fit:
+    # without eps' there is no D_A, and each report fails the sign record that
+    # verify_twisted fails on the same geometry, instead of raising
+    with np.errstate(over="ignore"):
+        tg = twist_by_grading(overflowing_geometry())
+        rng = np.random.default_rng(4)
+        f, f2 = random_one_form(rng, tg), random_one_form(rng, tg)
+        reports = [verify_fluctuated(tg, f), compose_fluctuations(tg, f, f2)]
+        twisted = verify_twisted(tg)
+    (sign,) = [r for r in twisted.records if r.name == "sign triple determinate"]
+    assert not sign.passed
+    for report in reports:
+        assert report.records == [sign]

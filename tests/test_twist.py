@@ -899,7 +899,7 @@ def drawn_large(frame):
 
 
 @pytest.mark.parametrize("frame", [True, False])
-def test_verify_twisted_scans_each_shared_stack_once(monkeypatch, frame):
+def test_verify_twisted_scans_each_shared_stack_once(monkeypatch, cold_verdicts, frame):
     seen = counting_scans(monkeypatch)
     order_one, make = [], twist.order_one_operand
     monkeypatch.setattr(
