@@ -536,6 +536,7 @@ class Representation:
         stack,
         placements: tuple[Placement, ...] | None = None,
         signs: tuple | None = None,
+        digest: bytes | None = None,
     ):
         if not isinstance(stack, Operand):
             stack = Operand(np.array(stack, dtype=np.complex128))
@@ -551,6 +552,7 @@ class Representation:
         self.operand = stack  # shared by every evaluation and check
         self.placements = tuple(placements) if placements is not None else None
         self.signs = (None,) * algebra.ncomponents if signs is None else tuple(signs)
+        self._derived_digest = digest  # see ``digest``
         self._drops = {}  # the ``drop`` of ``Algebra.pair_rows`` per ``perm``
         self._pair_images = {}  # per ``drop``
 
@@ -610,9 +612,11 @@ class Representation:
     def digest(self) -> bytes:
         """``matlin.digest`` of ``operand`` in the form it is held, its
         entries or its dense stack, tagged with the form.  The operand is
-        read-only, so it is hashed once.  ``projected_double`` sets it
-        instead from the digests of its inputs, of which its operand is a
-        pure function."""
+        read-only, so it is hashed once.  A maker whose operand is a pure
+        function of inputs with known digests passes their digest instead,
+        as the ``digest`` argument (``projected_double``)."""
+        if self._derived_digest is not None:
+            return self._derived_digest
         op = self.operand
         if op.dense:
             return digest("dense", op.array)
@@ -722,13 +726,15 @@ class Representation:
 
 
 def projected_double(
-    rep0: Representation, grading: np.ndarray
+    rep0: Representation, grading: np.ndarray, grading_digest: bytes | None = None
 ) -> Representation:
     """Representation of the doubled algebra through grading projectors.
 
     The pair (a, a') acts as P+ pi0(a) + P- pi0(a') where P+- project on the
     grading eigenspaces.  The projectors commute with pi0, so this is again
-    a *-homomorphism.
+    a *-homomorphism.  Its digest is derived from pi0's and the grading's
+    (``grading_digest``, when the caller knows it, as
+    ``FiniteGeometry.digests`` does).
     """
     grading = as_matrix(grading)
     n = grading.shape[0]
@@ -743,6 +749,11 @@ def projected_double(
             for p in ((np.eye(n) + grading) / 2.0, (np.eye(n) - grading) / 2.0)
         ]
     # (a, 0) and (0, a') run over the basis of the doubled algebra
-    out = Representation(doubled(rep0.algebra), stacked(halves), signs=rep0.signs * 2)
-    out.digest = digest("projected_double", rep0.digest, grading)
-    return out
+    if grading_digest is None:
+        grading_digest = digest(grading)
+    return Representation(
+        doubled(rep0.algebra),
+        stacked(halves),
+        signs=rep0.signs * 2,
+        digest=digest("projected_double", rep0.digest, grading_digest),
+    )

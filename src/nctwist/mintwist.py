@@ -30,7 +30,6 @@ from .matlin import (
     anticommutator,
     as_matrix,
     dagger,
-    digest,
     fro,
     generator_scale,
     kept,
@@ -128,11 +127,9 @@ def _implementing_unitary(g: FiniteGeometry, tol: Tolerance) -> np.ndarray | Non
     return q_plus @ v @ dagger(q_minus) + q_minus @ dagger(v) @ dagger(q_plus)
 
 
-# ``_implementing_unitary`` by value, least recently read first.  Its keys
-# repeat as those of ``twist._VERDICTS`` do, and the same 128 keeps every
-# repeat of tbg_stream; a kept unitary is 16 KB at its largest n, 32
+# ``_implementing_unitary`` by value, least recently read first, at most
+# ``matlin.KEPT_VALUES`` of them
 _UNITARIES: dict = {}
-_KEPT_UNITARIES = 128
 
 
 def twist_by_grading(
@@ -156,24 +153,20 @@ def twist_by_grading(
         and tol.accepts(fro(gam @ gam - np.eye(n)), n)
     ):
         raise ValueError("grading is not a self-adjoint involution")
-    rep2 = projected_double(g.rep, gam)
-    # the unitary reads the algebra, pi's operand, the grading and tol only;
-    # it is shared, so read-only
-    key = (g.algebra, g.rep.digest, digest(gam), tol)
+    grading_digest = g.digests[0]
+    rep2 = projected_double(g.rep, gam, grading_digest)
+    # the unitary reads the algebra, pi's operand, the grading and tol only,
+    # so their key names it too; it is shared, so read-only
+    key = (g.algebra, g.rep.digest, grading_digest, tol)
     if key in _UNITARIES:
         u_rho = _UNITARIES.pop(key)
     else:
         u_rho = _implementing_unitary(g, tol)
         if u_rho is not None:
             u_rho.flags.writeable = False
-    kept(_UNITARIES, key, u_rho, _KEPT_UNITARIES)
-    rho = Automorphism.flip(rep2.algebra.ncomponents, u_rho=u_rho)
-    doubled_geom = FiniteGeometry(
-        rep=rep2,
-        dirac=g.dirac,
-        grading=g.grading,
-        real_structure=g.real_structure,
-    )
+    kept(_UNITARIES, key, u_rho)
+    rho = Automorphism.flip(rep2.algebra.ncomponents, u_rho, key)
+    doubled_geom = g.with_rep(rep2)
     return TwistedGeometry(doubled_geom, rho)
 
 

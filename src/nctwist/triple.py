@@ -28,6 +28,7 @@ from .matlin import (
     as_matrix,
     built,
     dagger,
+    digest,
     match_sign,
     pair_residual,
 )
@@ -58,7 +59,8 @@ class FiniteGeometry:
     ``_signs`` keeps the ``SignTriple`` that ``measure_ko_signs`` measured,
     per ``Tolerance``.  ``__post_init__`` starts it empty, so a geometry made
     by ``with_dirac`` or ``dataclasses.replace`` measures its own; D, the
-    grading and J must not change in place once measured.
+    grading and J must not change in place once measured.  ``_digests``
+    keeps ``digests``, which ``with_dirac`` and ``with_rep`` pass on.
     """
 
     rep: Representation
@@ -66,6 +68,7 @@ class FiniteGeometry:
     grading: Optional[np.ndarray] = None
     real_structure: Optional[AntilinearOperator] = None
     _signs: dict = field(init=False, repr=False, compare=False)
+    _digests: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_signs", {})
@@ -88,8 +91,34 @@ class FiniteGeometry:
     def hilbert_dim(self) -> int:
         return self.rep.dim
 
+    @property
+    def digests(self) -> tuple:
+        """``(grading, J's unitary)`` as ``matlin.digest``s, None where absent.
+
+        They are the parts of this geometry that the tables kept by value
+        key by digest, beside pi's (``Representation.digest``), and they are
+        hashed once per geometry.
+        """
+        if self._digests is None:
+            j = self.real_structure
+            found = (
+                None if self.grading is None else digest(self.grading),
+                None if j is None else digest(j.unitary),
+            )
+            object.__setattr__(self, "_digests", found)
+        return self._digests
+
     def with_dirac(self, new_d: np.ndarray) -> "FiniteGeometry":
-        return replace(self, dirac=as_matrix(new_d))
+        return self._keeping_digests(replace(self, dirac=as_matrix(new_d)))
+
+    def with_rep(self, rep: Representation) -> "FiniteGeometry":
+        """The same geometry with pi replaced by ``rep``, on the same space."""
+        return self._keeping_digests(replace(self, rep=rep))
+
+    def _keeping_digests(self, out: "FiniteGeometry") -> "FiniteGeometry":
+        # neither D nor pi is part of ``digests``
+        object.__setattr__(out, "_digests", self._digests)
+        return out
 
     def conjugated(self, rep: Representation) -> Representation:
         """The representation ``b -> J rep(b) J^-1``: J conjugates ``rep``'s stack.

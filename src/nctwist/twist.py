@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Hashable, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,13 +54,14 @@ class Automorphism:
     ``perm[i]`` is the index of the source block feeding block i of the
     image: ``rho(a)_i = scale_i * u_i a_{perm[i]} u_i^dagger``.  An
     optional unitary ``u_rho`` records an implementation on the Hilbert
-    space, when one exists.
+    space, when one exists.  ``_u_rho_key`` keeps ``u_rho_key``.
     """
 
     perm: tuple[int, ...]
     inner: Optional[tuple[Optional[np.ndarray], ...]] = None
     scale: Optional[tuple[complex, ...]] = None
     u_rho: Optional[np.ndarray] = None
+    _u_rho_key: Optional[Hashable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.perm)
@@ -81,13 +82,36 @@ class Automorphism:
         return cls(tuple(range(ncomponents)))
 
     @classmethod
-    def flip(cls, ncomponents: int, u_rho: np.ndarray | None = None) -> "Automorphism":
-        """Exchange the two halves of a doubled algebra."""
+    def flip(
+        cls, ncomponents: int, u_rho: np.ndarray | None = None, u_rho_key: Hashable = None
+    ) -> "Automorphism":
+        """Exchange the two halves of a doubled algebra.
+
+        ``u_rho_key``, when given, names ``u_rho`` by the value of the
+        inputs it is a pure function of (see ``u_rho_key``).
+        """
         if ncomponents % 2:
             raise ValueError("flip needs an even number of blocks")
         half = ncomponents // 2
         perm = tuple(range(half, ncomponents)) + tuple(range(half))
-        return cls(perm, u_rho=u_rho)
+        out = cls(perm, u_rho=u_rho)
+        object.__setattr__(out, "_u_rho_key", None if u_rho is None else u_rho_key)
+        return out
+
+    @property
+    def u_rho_key(self) -> Hashable:
+        """``u_rho`` by value, for the tables kept by value: its
+        ``matlin.digest``, found once (None without a ``u_rho``).
+
+        ``flip`` may be given a key instead that names ``u_rho`` by the
+        value of the inputs it is a pure function of (``twist_by_grading``
+        passes the key of ``mintwist._UNITARIES``), so that it is not
+        hashed.  Either way equal keys mean equal unitaries.
+        ``dataclasses.replace`` starts it afresh.
+        """
+        if self._u_rho_key is None and self.u_rho is not None:
+            object.__setattr__(self, "_u_rho_key", digest(self.u_rho))
+        return self._u_rho_key
 
     def validate_for(self, algebra: Algebra) -> None:
         sig = algebra.signature()
@@ -493,31 +517,26 @@ def coexistence_first_order_check(
     return rep
 
 
-# the verdicts of ``_d_free_verdicts`` by value, least recently read first.
-# 128 keeps every key that repeats: over 300 blocks of tbg_stream at seed 7
-# (3,900 reads, 1,220 keys; the 4 framed ops of a block never repeat) 20
-# keys repeat and all 2,680 repeats hit, where 64 keeps 2,669 and 32 2,265
+# the verdicts of ``_d_free_verdicts`` by value, least recently read first,
+# at most ``matlin.KEPT_VALUES`` of them
 _VERDICTS: dict = {}
-_KEPT_VERDICTS = 128
 
 
 def _d_free_key(tg: TwistedGeometry, tol: Tolerance) -> tuple:
     """Every input of the D-free verdicts, by value, and ``tol``.
 
     The algebra; pi's operand (``Representation.digest``) and signs; rho's
-    ``perm``, ``inner``, ``scale`` and ``u_rho``; the grading and J's
-    unitary.  Arrays enter as their blake2b digests (``matlin.digest``).
-    All but ``tol`` is found once per ``with_dirac`` lineage and kept on
-    ``tg._built``, since D is not part of it.
+    ``perm``, ``inner``, ``scale`` and ``u_rho`` (``u_rho_key``); the
+    grading and J's unitary (``FiniteGeometry.digests``).  Arrays enter as
+    their blake2b digests (``matlin.digest``), each found once per object
+    that holds it.  All but ``tol`` is kept on ``tg._built``, which
+    ``with_dirac`` shares, since D is not part of it.
     """
     built = tg._built
     if "key" not in built:
-        g, rho = tg.geometry, tg.rho
-        j = g.real_structure
-        arrays = digest(rho.u_rho, g.grading, None if j is None else j.unitary)
-        pi = g.rep
-        inner, scale = _values(rho.inner), _values(rho.scale)
-        built["key"] = pi.algebra, pi.digest, pi.signs, rho.perm, inner, scale, arrays
+        g, rho, pi = tg.geometry, tg.rho, tg.geometry.rep
+        rho_parts = rho.perm, _values(rho.inner), _values(rho.scale), rho.u_rho_key
+        built["key"] = (pi.algebra, pi.digest, pi.signs) + rho_parts + g.digests
     return built["key"], tol
 
 
@@ -533,7 +552,7 @@ def _d_free_verdicts(tg: TwistedGeometry, tol: Tolerance) -> tuple:
     """
     key = _d_free_key(tg, tol)
     if key in _VERDICTS:
-        return kept(_VERDICTS, key, _VERDICTS.pop(key), _KEPT_VERDICTS)
+        return kept(_VERDICTS, key, _VERDICTS.pop(key))
     g = tg.geometry
     reports = g.rep.check(tol), check_regular(tg.rho, g, tol)
     pi_a, _, opp_b, _ = tg.stacks()
@@ -541,7 +560,7 @@ def _d_free_verdicts(tg: TwistedGeometry, tol: Tolerance) -> tuple:
         None if g.grading is None else pair_residual([g.grading], pi_a),
         None if g.real_structure is None else pair_residual(pi_a, opp_b),
     )
-    return kept(_VERDICTS, key, reports + pairs, _KEPT_VERDICTS)
+    return kept(_VERDICTS, key, reports + pairs)
 
 
 def measured_signs(

@@ -14,9 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nctwist import mintwist, twist
+from nctwist import algebra, mintwist, triple, twist
 from nctwist.algebra import Algebra, Placement, Representation, projected_double
-from nctwist.matlin import DEFAULT_TOL, AntilinearOperator, Tolerance
+from nctwist.matlin import DEFAULT_TOL, KEPT_VALUES, AntilinearOperator, Tolerance, digest
 from nctwist.mintwist import twist_by_grading
 from nctwist.samples import flip_toy, random_matrix_geometry, random_unitary, toy_triple
 from nctwist.triple import FiniteGeometry
@@ -78,6 +78,7 @@ def twins():
     eye = (np.eye(2), None, np.eye(2), None)
     bent = (np.diag([2.0, 1.0]), None, np.eye(2), None)
     toy = flip_toy()
+    # rho's u_rho, hashed: ``twist_by_grading`` names its own by its inputs
     u = toy.rho.u_rho
     v = random_unitary(np.random.default_rng(1), g.hilbert_dim)
     dense = with_rep(tg, g.rep.stack)
@@ -100,7 +101,7 @@ def twins():
          {"rep: multiplicative on generator pairs"}),
         ("pi signs", lying_sign((1,)), DEFAULT_TOL, lying_sign((None,)), DEFAULT_TOL,
          {"rep: multiplicative on generator pairs", "rep: star preserved on generators"}),
-        ("rho perm", toy, DEFAULT_TOL,
+        ("rho perm", with_rho(toy, u_rho=u), DEFAULT_TOL,
          TwistedGeometry(toy.geometry, Automorphism((0, 1), u_rho=u)), DEFAULT_TOL,
          {"rho: pi(rho(a)) = U pi(a) U*"}),
         ("rho inner", with_rho(tg, inner=eye), DEFAULT_TOL, with_rho(tg, inner=bent), DEFAULT_TOL,
@@ -108,7 +109,7 @@ def twins():
         ("rho scale", with_rho(tg, scale=(1, 1, 1, 1)), DEFAULT_TOL,
          with_rho(tg, scale=(2, 1, 1, 1)), DEFAULT_TOL,
          {"rho: multiplicative on generator pairs"}),
-        ("u_rho", toy, DEFAULT_TOL, with_rho(toy, u_rho=2 * u), DEFAULT_TOL,
+        ("u_rho", with_rho(toy, u_rho=u), DEFAULT_TOL, with_rho(toy, u_rho=2 * u), DEFAULT_TOL,
          {"rho: implementing unitary is unitary"}),
         ("grading", tg, DEFAULT_TOL, with_geometry(tg, grading=v @ g.grading @ v.conj().T),
          DEFAULT_TOL, {"grading commutes with algebra"}),
@@ -213,11 +214,46 @@ def kept_arrays(value) -> list:
 def test_the_tables_hold_no_more_than_their_bounds(cold_verdicts):
     # a random frame makes every geometry new, so each verification misses
     rng = np.random.default_rng(8)
-    for _ in range(twist._KEPT_VERDICTS + 32):
+    for _ in range(KEPT_VALUES + 32):
         assert verify_twisted(twist_by_grading(random_matrix_geometry(rng, 2, frame=True))).ok
-    assert len(twist._VERDICTS) == twist._KEPT_VERDICTS
-    assert len(mintwist._UNITARIES) == mintwist._KEPT_UNITARIES
+    assert len(twist._VERDICTS) == KEPT_VALUES
+    assert len(mintwist._UNITARIES) == KEPT_VALUES
     for table in (twist._VERDICTS, mintwist._UNITARIES):
         arrays = kept_arrays(list(table.items()))
         assert not any(a.flags.writeable for a in arrays)
     assert any(u is not None for u in mintwist._UNITARIES.values())
+
+
+def test_a_twist_by_grading_hashes_each_array_once(monkeypatch, cold_verdicts):
+    # the grading's and J's bytes once each, and u_rho's never: the doubled
+    # pi and the unitary are named by digests already found, and the
+    # verdict key reads those
+    hashed = []
+    for module in (algebra, triple, twist):
+        real = module.digest
+        monkeypatch.setattr(module, "digest", lambda *p, real=real: hashed.append(p) or real(*p))
+    g = toy_triple()
+    tg = twist_by_grading(g)
+    assert verify_twisted(tg).ok and tg.rho.u_rho is not None
+    arrays = [a for p in hashed for a in p if isinstance(a, np.ndarray)]
+    for part in (g.grading, g.real_structure.unitary, tg.rho.u_rho):
+        assert sum(a is part for a in arrays) == (part is not tg.rho.u_rho)
+    # a geometry along ``with_dirac`` hashes nothing again
+    hashed.clear()
+    verify_twisted(tg.with_dirac(2 * tg.geometry.dirac))
+    assert hashed == []
+
+
+def test_derived_digests_are_those_of_the_inputs():
+    g = toy_triple()
+    tg = twist_by_grading(g)
+    pi2 = tg.geometry.rep
+    assert pi2.digest == projected_double(g.rep, g.grading).digest
+    assert pi2.digest != Representation(pi2.algebra, pi2.operand).digest
+    assert tg.geometry.digests == g.digests == (digest(g.grading), digest(g.real_structure.unitary))
+    # the unitary is named by the key of its inputs, not hashed
+    u = tg.rho.u_rho
+    assert tg.rho.u_rho_key == (g.algebra, g.rep.digest, digest(g.grading), DEFAULT_TOL)
+    # ``replace`` starts the key of another u_rho afresh
+    assert replace(tg.rho, u_rho=2 * u).u_rho_key == digest(2 * u)
+    assert Automorphism(tg.rho.perm, u_rho=u).u_rho_key == digest(u)
