@@ -204,9 +204,21 @@ def _component_from_spec(spec) -> Component:
 
 @dataclass(frozen=True)
 class Algebra:
-    """Direct sum of scalar, quaternion, and matrix blocks."""
+    """Direct sum of scalar, quaternion, and matrix blocks.
+
+    An algebra is hashed once, by its ``signature()``, which fixes its
+    components: the tables kept by value look it up without hashing each
+    component, and C + H and H + C hash apart (the fieldless blocks would
+    hash alike).
+    """
 
     components: tuple[Component, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.signature()))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, *specs) -> "Algebra":

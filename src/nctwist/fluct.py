@@ -10,7 +10,10 @@ defect and its bound, and the fluctuated geometry when it is accepted,
 keyed by the coordinate rows of the one-form, eps' and the tolerance.
 ``verify_fluctuated``, ``fluctuate`` and ``compose_fluctuations`` read it,
 so a chain that verifies a step, takes it and composes two of them
-evaluates each one-form once on each geometry.
+evaluates each one-form once on each geometry.  The composition's span
+record reads the one-form grid (``one_form_basis``) as an ``Operand`` built
+from nonzero entries where that gives the dense grid's bits, and solves on
+the support read from those entries (``matlin.residual_against_span``).
 """
 
 from __future__ import annotations
@@ -22,16 +25,19 @@ import numpy as np
 
 from .matlin import (
     DEFAULT_TOL,
+    Operand,
+    PairCoords,
     Tolerance,
     dagger,
     fro,
+    pair_products,
     pair_residual,
     residual_against_span,
     sign_fits,
     tightest,
 )
 from .report import Report
-from .twist import TwistedGeometry, measured_signs, verify_twisted
+from .twist import TwistedGeometry, measured_signs, order_one_operand, verify_twisted
 from .triple import measure_ko_signs
 
 
@@ -58,8 +64,8 @@ def eval_one_form(f: TwistedOneForm, tg: TwistedGeometry) -> np.ndarray:
     if not f.terms:
         return np.zeros_like(d)
     ca, cb = (g.algebra.coord_rows(side) for side in zip(*f.terms))
-    pi_b, pi_rho_b = g.rep.images(cb), tg.twisted_rep.images(cb)
-    return (g.rep.images(ca) @ (d @ pi_b - pi_rho_b @ d)).sum(axis=0)
+    pi_b, pi_rho_b = Operand(g.rep.images(cb)), Operand(tg.twisted_rep.images(cb))
+    return (g.rep.images(ca) @ order_one_operand(d, pi_b, pi_rho_b).array).sum(axis=0)
 
 
 def one_form_opposite_checks(
@@ -222,8 +228,8 @@ def verify_fluctuated(
     return rep
 
 
-def one_form_basis(tg: TwistedGeometry) -> np.ndarray:
-    """Matrices whose real span is the evaluated one-form bimodule, stacked.
+def one_form_basis(tg: TwistedGeometry) -> Operand:
+    """The stack of matrices whose real span is the evaluated one-form bimodule.
 
     The generators real-span the algebra and one-form evaluation is
     real-bilinear in (a, b), so the real span of the grid pi(g_i) [D, g_j]_rho
@@ -233,25 +239,42 @@ def one_form_basis(tg: TwistedGeometry) -> np.ndarray:
     so pi(iE) = s i pi(E) and [D, iE]_rho = s i [D, E]_rho: an evaluation
     at a dropped row is a real multiple of a kept one or of ``i`` times a
     kept one.  So the basis is the pair-row grid and ``i`` times its
-    evaluations whose a or b lies in such a component.
+    evaluations whose a or b lies in such a component, appended in pair order.
+
+    The commutators are ``twist.order_one_operand``'s stack, and the grid
+    is built from the nonzero entries (``matlin.pair_products``) where that
+    gives the dense product's bits, its ``i`` multiples as the same entries
+    times ``1j``; otherwise it is the dense product.
     """
     d, pi, perm = tg.geometry.dirac, tg.geometry.rep, tg.rho.perm
-    pi_a, pi_rho_a = (s.array for s in tg.stacks()[:2])
     # the component of each pair row, and whether it lost its i E rows
     rows, _ = pi.pair_rows(perm)
     first = (rows != 0).argmax(axis=1)
     component = np.searchsorted(tg.algebra.basis_offsets(), first, side="right") - 1
     lone = np.array(pi.drops(perm))[component]
     multiplied = lone[:, None] | lone[None, :]
-    # pi(a) [D, b]_rho for every pair, as one product per a, then i times
-    # those of the multiplied pairs
-    n, k = d.shape[0], len(pi_a)
-    comm = (d @ pi_a - pi_rho_a @ d).transpose(1, 0, 2).reshape(n, k * n)
-    products = (pi_a @ comm).reshape(k, n, k, n).transpose(0, 2, 1, 3)
-    out = np.empty((k * k + int(multiplied.sum()), n, n), np.complex128)
-    out[: k * k].reshape(k, k, n, n)[...] = products
-    np.multiply(products[multiplied], 1j, out=out[k * k :])
-    return out
+    # an inf meets zeros (inf * 0), in J's conjugation of the stacks too, and
+    # reads NaN, which fails the span record
+    with np.errstate(invalid="ignore"):
+        pi_a, pi_rho_a = tg.stacks()[:2]
+        n, k = d.shape[0], pi_a.shape[0]
+        comm = order_one_operand(d, pi_a, pi_rho_a)
+        grid = pair_products(pi_a, comm)
+        if grid is None:  # pi(a) [D, b]_rho for every pair, as one product per a
+            wide = comm.array.transpose(1, 0, 2).reshape(n, k * n)
+            products = (pi_a.array @ wide).reshape(k, n, k, n).transpose(0, 2, 1, 3)
+            out = np.empty((k * k + int(multiplied.sum()), n, n), np.complex128)
+            out[: k * k].reshape(k, k, n, n)[...] = products
+            np.multiply(products[multiplied], 1j, out=out[k * k :])
+            return Operand(out)
+    # the entries of a multiplied pair, moved to that pair's i multiple
+    e, multiplied = grid.entries, multiplied.reshape(-1)
+    pair = e.index[0]
+    moved = multiplied[pair]
+    shift = (k * k + np.cumsum(multiplied) - 1 - np.arange(k * k)) * (n * n)
+    key = np.concatenate([e.key, e.key[moved] + shift[pair[moved]]])
+    value = np.concatenate([e.value, e.value[moved] * 1j])
+    return Operand(PairCoords((k * k + int(multiplied.sum()), n, n), key, value))
 
 
 def compose_fluctuations(

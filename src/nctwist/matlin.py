@@ -11,6 +11,8 @@ distance to a real span.  The sparse layer has one entry type,
 ``PairCoords`` (nonzero values under ascending flat C-order keys), with one
 merge, one join step and one cost rule (``_pays``, one tuned constant); an
 ``Operand`` is a stack, dense or as entries, with what the kernel reads off it.
+``pair_products`` forms every product of two stacks from their entries under
+``built``'s rule, and the span solve reads an entry-built span's entries.
 """
 
 from __future__ import annotations
@@ -450,9 +452,17 @@ def _product(m: np.ndarray, a: Operand, axis: int, conj: bool) -> Operand | None
         weights = (n * n, n, 0) if axis == 2 else (n * n, 0, 1)
         key, li, ri = ae.join(axis, weights, me.grouped(mcount), (0, 1 if axis == 2 else n))
         lv, rv, shape = av, me.value, a.shape
-    pure, mpure = _pure(av), True
-    if pure is not True and (mpure := _pure(me.value)) is not True:
-        lp, rp = (mpure, pure) if axis == 0 else (pure, mpure)
+    out = _single_products(key, lv, rv, li, ri)
+    return None if out is None else Operand(PairCoords(shape, *out))
+
+
+def _single_products(key, lv, rv, li, ri):
+    """``(key, lv[li] * rv[ri])`` in key order, or None where that is not the
+    dense product's bits (``built``'s rule): a product whose factors are
+    both neither purely real nor purely imaginary, or a key met twice (a
+    sum of products).  A product that underflowed to zero is dropped."""
+    lp = _pure(lv)
+    if lp is not True and (rp := _pure(rv)) is not True:
         if not (lp[li] | rp[ri]).all():
             return None
     value = lv[li] * rv[ri]
@@ -464,7 +474,7 @@ def _product(m: np.ndarray, a: Operand, axis: int, conj: bool) -> Operand | None
         key, value = key[order], value[order]
         if not (key[1:] > key[:-1]).all():  # a sum of products
             return None
-    return Operand(PairCoords(shape, key, value))
+    return key, value
 
 
 def _pure(v: np.ndarray):
@@ -640,6 +650,39 @@ def pair_residual(xs, ys, zs=None) -> float:
     return pair_max(xs, ys, ys if zs is None else zs)
 
 
+def pair_products(xs: Operand, ys: Operand) -> Operand | None:
+    """The stack of ``xs[i] @ ys[j]`` over every pair, ``i`` outer, as its
+    nonzero entries, or None where they would not be the dense product's bits.
+
+    The entries are the terms of ``pair_max``'s ``xs ys`` join, read from
+    the operands whatever their storage, and are kept under ``built``'s
+    rule: finite operands, a single product at every entry, one factor of
+    each purely real or purely imaginary, and every value finite.  Nothing
+    is joined where more terms than positions means that some position sums
+    products, or where ``_pays`` finds the dense product cheaper.  The join
+    is charged twice the fixed cost ``built`` charges a product by D: on the
+    one-form grid of n = 9 and 10 x 10 pairs, the entry path (the join, its
+    ``i`` multiples and the span solve reading them) took 85 us more than the
+    dense one, about 600 terms' worth (median of 300 alternated calls, one
+    BLAS thread).
+    """
+    rows, cols, n = xs.shape[0], ys.shape[0], xs.shape[-1]
+    dense, extra = rows * cols * n**3, 2 * _SPARSE_FACTOR
+    if not _pays(0, dense, extra):
+        return None
+    terms = int(xs.counts[2] @ ys.counts[1])
+    if terms > rows * cols * n * n or not _pays(terms, dense, extra):
+        return None
+    if not (xs.finite and ys.finite):
+        return None
+    left, right = xs.entries, ys.ordered(1)
+    key, li, ri = left.join(2, (cols * n * n, n, 0), right, (0, n * n, 1))
+    out = _single_products(key, left.value, right.value, li, ri)
+    if out is None or not np.isfinite(out[1]).all():
+        return None
+    return Operand(PairCoords((rows * cols, n, n), *out))
+
+
 @dataclass(frozen=True)
 class AntilinearOperator:
     """Antilinear operator stored as ``psi -> unitary @ conj(psi)``.
@@ -729,15 +772,13 @@ def nullspace(
     return basis[:, order], sv_full[null_mask][order]
 
 
-def residual_against_span(
-    target: np.ndarray,
-    span: Sequence[np.ndarray],
-) -> float:
-    """Distance from ``target`` to the real span of ``span`` matrices (or a stack).
+def residual_against_span(target: np.ndarray, span) -> float:
+    """Distance from ``target`` to the real span of ``span``'s matrices.
 
-    Real coefficients keep quaternionic blocks honest: the spanning sets
-    used by callers are real bases of the algebras involved.  Stacking real
-    and imaginary parts turns the least-squares problem into a real one.
+    ``span`` is an ``Operand``, a stack or a list of matrices.  Real
+    coefficients keep quaternionic blocks honest: the spanning sets used by
+    callers are real bases of the algebras involved.  Stacking real and
+    imaginary parts turns the least-squares problem into a real one.
 
     The problem is solved on its structural support: the real and imaginary
     positions that are nonzero in some spanning matrix or in the target, and
@@ -745,26 +786,59 @@ def residual_against_span(
     dropped position is zero in every column and in the right-hand side, so
     it adds nothing to the residual, and a dropped matrix adds nothing to
     the span.  The target's own positions stay, so a target off the support
-    keeps its distance.  A NaN or inf in an operand gives NaN, decided
-    before LAPACK sees it.
+    keeps its distance.  LAPACK solves the transpose of a C-ordered
+    (matrices, positions) array: masks read it off a dense stack, and an
+    entry-built stack scatters its nonzero entries into it, so that an
+    entry-built span gives the bits of its dense stack without forming it.
+    A NaN or inf in an operand gives NaN, decided before LAPACK sees it.
     """
     t = as_matrix(target)
     if not np.isfinite(t).all():
         return float("nan")
-    if len(span) == 0:
+    span = Operand.of(span)
+    if span.shape[0] == 0:
         return fro(t)
-    cols = np.asarray(span, dtype=np.complex128)
-    if cols.shape[1:] != t.shape:
-        raise ValueError(f"span of shape {cols.shape} does not fit target {t.shape}")
-    if not np.isfinite(cols).all():
+    if span.shape[1:] != t.shape:
+        raise ValueError(f"span of shape {span.shape} does not fit target {t.shape}")
+    if not span.finite:
         return float("nan")
-    flat, t = cols.reshape(len(cols), -1), t.reshape(-1)
-    parts = [(flat.real, t.real), (flat.imag, t.imag)]
-    rows = [(m != 0).any(axis=0) | (v != 0) for m, v in parts]
-    a = np.concatenate([m[:, r] for (m, _), r in zip(parts, rows)], axis=1)
-    b = np.concatenate([v[r] for (_, v), r in zip(parts, rows)])
-    a = a[(a != 0).any(axis=1)].T
+    a, b = (_dense_columns if span.dense else _entry_columns)(span, t.reshape(-1))
+    a = a.T
     if a.size == 0:
         return float(np.linalg.norm(b))
     coeff = np.linalg.lstsq(a, b, rcond=None)[0]
     return float(np.linalg.norm(b - a @ coeff))
+
+
+def _dense_columns(span: Operand, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``residual_against_span``'s (matrices, positions) array and right-hand
+    side, read off a dense stack by masks."""
+    flat = span.array.reshape(span.shape[0], -1)
+    parts = [(flat.real, t.real), (flat.imag, t.imag)]
+    rows = [(m != 0).any(axis=0) | (v != 0) for m, v in parts]
+    a = np.concatenate([m[:, r] for (m, _), r in zip(parts, rows)], axis=1)
+    b = np.concatenate([v[r] for (_, v), r in zip(parts, rows)])
+    return a[(a != 0).any(axis=1)], b
+
+
+def _entry_columns(span: Operand, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_dense_columns`` of an entry-built stack, its entries scattered."""
+    e = span.entries
+    matrix, position = e.index[0], e.weighted((0, span.shape[2], 1))
+    # the row of each nonzero matrix, and the column of each support position
+    kept = np.zeros(span.shape[0], bool)
+    kept[matrix] = True
+    row = np.cumsum(kept) - 1
+    parts, b, width = [], [], 0
+    for values, v in ((e.value.real, t.real), (e.value.imag, t.imag)):
+        on = values != 0
+        support = v != 0
+        support[position[on]] = True
+        column = np.cumsum(support) - 1 + width
+        parts.append((row[matrix[on]], column[position[on]], values[on]))
+        b.append(v[support])
+        width += int(np.count_nonzero(support))
+    a = np.zeros((int(np.count_nonzero(kept)), width))
+    for r, c, values in parts:
+        a[r, c] = values
+    return a, np.concatenate(b)

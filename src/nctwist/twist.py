@@ -419,7 +419,10 @@ def first_order_residuals(
 def order_one_operand(d: np.ndarray, xs: Operand, zs: Operand) -> Operand:
     """The stack ``D xs[k] - zs[k] D``: ``D S`` and ``S' D``, each built from
     the entries where that is cheaper and exact (``matlin.built``), then
-    subtracted, as the dense formula ``d @ xs - zs @ d`` does."""
+    subtracted, as the dense formula ``d @ xs - zs @ d`` does; two dense
+    stacks take that formula at once."""
+    if xs.dense and zs.dense:
+        return Operand(d @ xs.array - zs.array @ d)
     left = built(lambda: d @ xs.array, xs, [(d, 1)], False)
     right = built(lambda: zs.array @ d, zs, [(d, 2)], False)
     return difference(left, right)

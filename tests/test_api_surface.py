@@ -31,7 +31,9 @@ selected in one place, ``Algebra.pair_rows``: nothing else subscripts
 complexification) reads all of ``generator_rows`` or ``generator_images``,
 and no pair rows.  ``fluct.one_form_basis`` (a real span) reads the kept
 pair ``stacks`` and neither ``generator_rows`` nor ``generator_images``:
-the ``i`` multiples it adds stand in for the dropped rows.
+the ``i`` multiples it adds stand in for the dropped rows.  Its commutators
+are ``twist.order_one_operand``'s stack D S - S' D, and nothing in
+``fluct.py`` forms ``d @ x - y @ d`` itself.
 
 J conjugates a representation in one place, ``FiniteGeometry.conjugated``,
 which conjugates its stack once: outside it no ``.conjugate(...)`` call takes
@@ -706,6 +708,43 @@ def test_generator_rows_and_the_star_matrix_are_formed_in_one_place():
     read = names_read("fluct.py", "one_form_basis")
     assert "stacks" in read
     assert not read & {"generator_images", "generator_rows", "images", "image_operand"}
+
+
+DIRAC_NAMES = {"d", "dirac"}
+
+
+def dirac_commutators(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, function)`` of every ``d @ x - y @ d`` in ``tree``: a product
+    with D first minus one with D last, D read as ``d`` or a ``.dirac``."""
+    found = []
+    for qualname, node in functions(tree):
+        for sub in ast.walk(node):
+            if not (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)):
+                continue
+            left, right = sub.left, sub.right
+            if not all(isinstance(x, ast.BinOp) and isinstance(x.op, ast.MatMult) for x in (left, right)):
+                continue
+            if terminal_name(left.left) in DIRAC_NAMES and terminal_name(right.right) in DIRAC_NAMES:
+                found.append((sub.lineno, qualname))
+    return found
+
+
+def test_dirac_commutators_are_seen():
+    tree = ast.parse(
+        "def f(d, g, s, t, u):\n"
+        "    return d @ s - t @ d, g.dirac @ s - t @ g.dirac\n"
+        "def h(d, s, t, u):\n"
+        "    return d @ s + t @ d, u @ d - d @ u, u @ s - t @ u\n"
+    )
+    assert dirac_commutators(tree) == [(2, "f"), (2, "f")]
+
+
+def test_fluct_has_one_d_s_minus_s_prime_d_formula():
+    # the one-form grid reads the order-one stack D S - S' D, and nothing
+    # in fluct.py forms that difference itself
+    assert "order_one_operand" in names_read("fluct.py", "one_form_basis")
+    tree = ast.parse((PACKAGE / "fluct.py").read_text(), filename="fluct.py")
+    assert dirac_commutators(tree) == []
 
 
 # -- report.py alone decides a verdict -------------------------------------

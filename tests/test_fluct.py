@@ -248,7 +248,7 @@ def test_one_form_opposite_conditions(tg):
 def test_span_membership(tg):
     rng = np.random.default_rng(RNG_SEED + 10)
     basis = one_form_basis(tg)
-    assert max(fro(b) for b in basis) > 0.1
+    assert max(fro(b) for b in basis.array) > 0.1
     f = random_one_form(rng, tg)
     assert residual_against_span(eval_one_form(f, tg), basis) < 1e-8
     # the identity commutes with everything; it is not an evaluated one-form

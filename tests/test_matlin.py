@@ -601,6 +601,8 @@ def test_span_residual_equals_the_uncompressed_solve(seed, m, pad, rank, extra, 
     expected = uncompressed_residual(target, span)
     got = residual_against_span(target, span)
     assert abs(got - expected) <= 1e-12 * max(1.0, fro(target))
+    # the same span given as its entries gives the same bits
+    assert residual_against_span(target, Operand(PairCoords.of(span))) == got
     if off == "none":
         assert got <= 1e-12 * max(1.0, fro(target))
 
@@ -614,12 +616,14 @@ def test_span_residual_keeps_a_target_entry_where_the_span_is_zero():
     # the entry's rows are zero in every column: the solve fits nothing there
     assert residual_against_span(target, span) == 5.0
     assert residual_against_span(target, list(span)) == 5.0
+    assert residual_against_span(target, Operand(PairCoords.of(span))) == 5.0
 
 
 def test_span_residual_of_an_all_zero_span_is_the_target_norm():
     target = np.array([[1.0, 2.0j], [0.0, -2.0]], dtype=np.complex128)
     assert residual_against_span(target, np.zeros((3, 2, 2))) == fro(target) == 3.0
     assert residual_against_span(target, []) == 3.0
+    assert residual_against_span(target, Operand(PairCoords.of(np.zeros((3, 2, 2))))) == 3.0
     assert residual_against_span(np.zeros((2, 2)), np.zeros((3, 2, 2))) == 0.0
 
 

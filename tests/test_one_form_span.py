@@ -8,27 +8,38 @@ dropped component and reject one on H, whose complex span is larger than
 its real one.
 """
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nctwist import fluct
 from nctwist.algebra import Algebra, Placement, Representation
 from nctwist.fluct import (
     TwistedOneForm,
     compose_fluctuations,
     eval_one_form,
+    fluctuate,
     one_form_basis,
     symmetrized,
 )
-from nctwist.matlin import AntilinearOperator
+from nctwist.matlin import DEFAULT_TOL, AntilinearOperator, fro, residual_against_span
 from nctwist.mintwist import twist_by_grading
+from nctwist.report import Report
 from nctwist.samples import (
     clifford_tensor,
     left_regular_geometry,
     random_hermitian,
+    random_matrix_geometry,
+    random_one_form,
     random_unitary,
 )
 from nctwist.triple import FiniteGeometry
 from nctwist.twist import Automorphism, TwistedGeometry
+from span_reference import dense_one_form_basis, dense_residual_against_span
 
 SPAN = "second one-form lies in the original bimodule"
 
@@ -100,7 +111,7 @@ def scalar_pair(rng, perm) -> TwistedGeometry:
 
 
 def assert_same_real_span(tg: TwistedGeometry) -> None:
-    full, basis = full_grid(tg), one_form_basis(tg)
+    full, basis = full_grid(tg), one_form_basis(tg).array
     assert len(basis) <= len(full)
     # the larger column norm of the two sets
     scale = max(np.linalg.norm(real_columns(s), axis=0).max() for s in (full, basis))
@@ -125,6 +136,16 @@ def test_the_span_of_a_conjugate_scalar_pair_equals_the_full_row_span(perm):
     # each component alone has one known sign; the flip meets +1 and -1
     assert len(rows) == (2 if perm == (0, 1) else 4)
     assert_same_real_span(tg)
+
+
+def h_untwisted(rng) -> TwistedGeometry:
+    """H placed fund twice and C once on C^5: H keeps its ``i`` rows."""
+    alg = Algebra.of("H", "C")
+    rep = Representation.from_placements(
+        alg, 5, [Placement(0, 0, "fund", mult=2), Placement(1, 4, "scalar")]
+    )
+    d = random_hermitian(rng, 5).real
+    return TwistedGeometry.untwisted(FiniteGeometry(rep, d, real_structure=AntilinearOperator(np.eye(5))))
 
 
 # -- mutations -------------------------------------------------------------
@@ -158,16 +179,10 @@ def test_an_i_multiple_on_a_dropped_component_is_in_the_span():
 
 
 def test_an_i_multiple_on_h_is_outside_the_span():
-    # H placed fund twice and C once on C^5, J complex conjugation, D real
-    alg = Algebra.of("H", "C")
-    rep = Representation.from_placements(
-        alg, 5, [Placement(0, 0, "fund", mult=2), Placement(1, 4, "scalar")]
-    )
-    d = random_hermitian(np.random.default_rng(6), 5).real
-    g = FiniteGeometry(rep, d, real_structure=AntilinearOperator(np.eye(5)))
-    tg = TwistedGeometry.untwisted(g)
-    assert rep.drops(tg.rho.perm) == (False, True)
-    basis = one_form_basis(tg)
+    # J complex conjugation, D real
+    tg = h_untwisted(np.random.default_rng(6))
+    assert tg.geometry.rep.drops(tg.rho.perm) == (False, True)
+    basis = one_form_basis(tg).array
     # the complex span is strictly larger than the real one
     rank = np.linalg.matrix_rank(real_columns(basis))
     assert np.linalg.matrix_rank(real_columns(np.concatenate([basis, 1j * basis]))) > rank
@@ -182,3 +197,111 @@ def test_an_i_multiple_on_h_is_outside_the_span():
     flat = basis.reshape(len(basis), -1).T
     coeff = np.linalg.lstsq(flat, a2, rcond=None)[0]
     assert np.linalg.norm(a2 - flat @ coeff) < 1e-3 * rec.tol
+
+
+# -- the entry-built grid and solve against the dense reference ------------
+
+
+def e4_shaped(rng) -> FiniteGeometry:
+    """A placed M3 (+) C geometry on M_4 (n = 16), as catalogue entry 4 draws it."""
+    g = random_matrix_geometry(rng, 4)
+    while g.algebra.signature() != (("M", 3), ("C", None)):
+        g = random_matrix_geometry(rng, 4)
+    return g
+
+
+# twisted by grading, each is a doubled algebra; e4 is placed, e1 and e3 framed
+SAMPLES = {
+    **{case: lambda rng, c=case: twist_by_grading(CASES[c](rng)) for case in CASES},
+    "e4-placed": lambda rng: twist_by_grading(e4_shaped(rng)),
+    "H-untwisted": h_untwisted,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(sorted(SAMPLES)), seed=st.integers(0, 2**32 - 1))
+def test_the_grid_and_the_span_residual_are_the_dense_ones(case, seed):
+    rng = np.random.default_rng(seed)
+    tg = SAMPLES[case](rng)
+    grid, reference = one_form_basis(tg), dense_one_form_basis(tg)
+    assert grid.shape == reference.shape
+    assert np.array_equal(grid.array, reference)
+    # the nonzero values bit for bit (a zero's sign may differ)
+    nonzero = reference != 0
+    assert grid.array[nonzero].tobytes() == reference[nonzero].tobytes()
+    f, f2 = random_one_form(rng, tg), random_one_form(rng, tg)
+    report = compose_fluctuations(tg, f, f2)
+    a2 = eval_one_form(f2, fluctuate(tg, f))
+    assert report.info["a2_span_residual"] == dense_residual_against_span(a2, reference)
+    assert residual_against_span(a2, grid) == residual_against_span(a2, reference)
+
+
+def test_the_e4_grid_is_entry_built_and_the_framed_one_dense():
+    rng = np.random.default_rng(7)
+    assert not one_form_basis(twist_by_grading(e4_shaped(rng))).dense
+    assert one_form_basis(twist_by_grading(CASES["e3-framed"](rng))).dense
+
+
+def test_compose_holds_no_dense_grid():
+    # e4: the dense grid is 800 matrices of 16 x 16 (3.3 MB), and composing
+    # peaked at 6.35 MiB when it was formed
+    rng = np.random.default_rng(7)
+    tg = twist_by_grading(e4_shaped(rng))
+    f, f2 = random_one_form(rng, tg), random_one_form(rng, tg)
+    assert len(dense_one_form_basis(tg)) == 800
+    tracemalloc.start()
+    try:
+        report = compose_fluctuations(tg, f, f2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.format_text()
+    assert peak < 2**20
+
+
+def test_a_term_off_the_grid_fails_the_span_record_by_its_norm(monkeypatch):
+    rng = np.random.default_rng(11)
+    tg = twist_by_grading(e4_shaped(rng))
+    f, f2 = random_one_form(rng, tg), random_one_form(rng, tg)
+    assert span_record(tg, f2).passed
+    # a position that no matrix of the grid reaches, real or imaginary
+    (r, c), *_ = np.argwhere(~one_form_basis(tg).array.any(axis=0))
+    term = np.zeros_like(tg.geometry.dirac)
+    term[r, c] = 3.0 - 4.0j
+    solve = fluct.residual_against_span
+    monkeypatch.setattr(fluct, "residual_against_span", lambda a2, span: solve(a2 + term, span))
+    rec = span_record(tg, f2)
+    assert not rec.passed
+    assert rec.residual == fro(term) == 5.0
+
+
+def test_a_nan_in_d_fails_the_span_record():
+    # compose reads no D with a NaN (its signs are undecided), so the record
+    # is formed as compose forms it, on the grid of such a D
+    rng = np.random.default_rng(12)
+    tg = twist_by_grading(e4_shaped(rng))
+    a2 = eval_one_form(random_one_form(rng, tg), tg)
+    d = tg.geometry.dirac.copy()
+    d[0, 1] = np.nan
+    grid = one_form_basis(tg.with_dirac(d))
+    assert grid.dense and np.isnan(grid.array).any()
+    r = residual_against_span(a2, grid)
+    assert np.isnan(r)
+    rec = Report("span").check(SPAN, r, DEFAULT_TOL, max(1.0, fro(a2)))
+    assert not rec.passed
+
+
+def test_an_inf_in_a_pi_image_fails_the_span_record():
+    rng = np.random.default_rng(13)
+    tg = twist_by_grading(e4_shaped(rng))
+    pi = tg.geometry.rep
+    stack = pi.stack.copy()
+    stack[0][stack[0] != 0] = np.inf
+    rep = Representation(pi.algebra, stack, signs=pi.signs)
+    bad = TwistedGeometry(replace(tg.geometry, rep=rep), tg.rho)
+    # the empty one-forms fluctuate nothing, so compose reaches the record
+    empty = TwistedOneForm.of()
+    report = compose_fluctuations(bad, empty, empty)
+    rec = {r.name: r for r in report.records}[SPAN]
+    assert np.isnan(rec.residual) and not rec.passed
+    assert not report.ok

@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from nctwist import algebra, mintwist, triple, twist
-from nctwist.algebra import Algebra, Placement, Representation, projected_double
+from nctwist.algebra import (
+    Algebra,
+    MatrixBlock,
+    Placement,
+    QuaternionBlock,
+    Representation,
+    ScalarBlock,
+    projected_double,
+)
 from nctwist.matlin import DEFAULT_TOL, KEPT_VALUES, AntilinearOperator, Tolerance, digest
 from nctwist.mintwist import twist_by_grading
 from nctwist.samples import flip_toy, random_matrix_geometry, random_unitary, toy_triple
@@ -257,3 +265,23 @@ def test_derived_digests_are_those_of_the_inputs():
     # ``replace`` starts the key of another u_rho afresh
     assert replace(tg.rho, u_rho=2 * u).u_rho_key == digest(2 * u)
     assert Automorphism(tg.rho.perm, u_rho=u).u_rho_key == digest(u)
+
+
+def test_an_algebra_is_hashed_once_by_its_signature(monkeypatch, cold_verdicts):
+    # the fieldless blocks hash alike, so their order was not in the hash
+    ch, hc = Algebra.of("C", "H"), Algebra.of("H", "C")
+    assert ch != hc and hash(ch) != hash(hc)
+    # equal algebras still share the tables of the first one asked
+    first, again = Algebra.of(("M", 2), "C"), Algebra.of(("M", 2), "C")
+    assert first is not again and hash(first) == hash(again)
+    assert again.generator_rows is first.generator_rows
+    assert again.star_matrix is first.star_matrix
+    tg = twist_by_grading(graded())
+    verify_twisted(tg)
+    calls = []
+    for block in (ScalarBlock, QuaternionBlock, MatrixBlock):
+        monkeypatch.setattr(block, "__hash__", lambda self, h=block.__hash__: calls.append(self) or h(self))
+    key = twist._d_free_key(tg, DEFAULT_TOL)
+    assert key in twist._VERDICTS
+    assert verify_twisted(tg).ok
+    assert calls == []
