@@ -37,7 +37,13 @@ from .matlin import (
     tightest,
 )
 from .report import Report
-from .twist import TwistedGeometry, measured_signs, order_one_operand, verify_twisted
+from .twist import (
+    TwistedGeometry,
+    measured_signs,
+    order_one,
+    order_one_operand,
+    verify_twisted,
+)
 from .triple import measure_ko_signs
 
 
@@ -64,8 +70,8 @@ def eval_one_form(f: TwistedOneForm, tg: TwistedGeometry) -> np.ndarray:
     if not f.terms:
         return np.zeros_like(d)
     ca, cb = (g.algebra.coord_rows(side) for side in zip(*f.terms))
-    pi_b, pi_rho_b = Operand(g.rep.images(cb)), Operand(tg.twisted_rep.images(cb))
-    return (g.rep.images(ca) @ order_one_operand(d, pi_b, pi_rho_b).array).sum(axis=0)
+    pi_b, pi_rho_b = g.rep.images(cb), tg.twisted_rep.images(cb)
+    return (g.rep.images(ca) @ order_one(d, pi_b, pi_rho_b)).sum(axis=0)
 
 
 def one_form_opposite_checks(

@@ -416,13 +416,20 @@ def built(dense, a: Operand, steps, conj: bool) -> Operand:
     one factor of each is purely real or purely imaginary, so that every
     rounding order of BLAS rounds it alike; else the step is the dense formula.
     """
+    out = entry_built(a, steps, conj)
+    return Operand(dense()) if out is None else out
+
+
+def entry_built(a: Operand, steps, conj: bool) -> Operand | None:
+    """``built``'s stack from the nonzero entries, or None where ``built``
+    takes the dense formula."""
     if a.dense or not all(np.isfinite(m).all() for m, _ in steps):
-        return Operand(dense())
+        return None
     for m, axis in steps:
         a = _product(m, a, axis, conj)
         conj = False
         if a is None:
-            return Operand(dense())
+            return None
     return a
 
 
@@ -802,6 +809,11 @@ def residual_against_span(target: np.ndarray, span) -> float:
         raise ValueError(f"span of shape {span.shape} does not fit target {t.shape}")
     if not span.finite:
         return float("nan")
+    # A dense stack is read by masks: scattering its entries gives the same
+    # array, but on the framed one-form grid (200 matrices of 9 x 9, nearly
+    # all nonzero) it took 1057 us against 187 us, and on the H grid of
+    # n = 9 (136 matrices) 72 us against 57 (medians of 300 alternated calls
+    # on a fresh stack, one BLAS thread).
     a, b = (_dense_columns if span.dense else _entry_columns)(span, t.reshape(-1))
     a = a.T
     if a.size == 0:

@@ -35,6 +35,7 @@ from .matlin import (
     dagger,
     difference,
     digest,
+    entry_built,
     fro,
     kept,
     pair_max,
@@ -416,15 +417,20 @@ def first_order_residuals(
     return primary, symmetric
 
 
+def order_one(d: np.ndarray, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The stack ``D xs[k] - zs[k] D`` of dense stacks: the one dense formula."""
+    return d @ xs - zs @ d
+
+
 def order_one_operand(d: np.ndarray, xs: Operand, zs: Operand) -> Operand:
     """The stack ``D xs[k] - zs[k] D``: ``D S`` and ``S' D``, each built from
-    the entries where that is cheaper and exact (``matlin.built``), then
-    subtracted, as the dense formula ``d @ xs - zs @ d`` does; two dense
-    stacks take that formula at once."""
-    if xs.dense and zs.dense:
-        return Operand(d @ xs.array - zs.array @ d)
-    left = built(lambda: d @ xs.array, xs, [(d, 1)], False)
-    right = built(lambda: zs.array @ d, zs, [(d, 2)], False)
+    the entries where that is cheaper and exact (``matlin.entry_built``), then
+    subtracted with the bits of the dense subtraction; where either side is
+    not, the dense formula ``order_one``."""
+    left = entry_built(xs, [(d, 1)], False)
+    right = None if left is None else entry_built(zs, [(d, 2)], False)
+    if right is None:
+        return Operand(order_one(d, xs.array, zs.array))
     return difference(left, right)
 
 
@@ -495,8 +501,8 @@ def coexistence_first_order_check(
     rep = Report("order-one coexistence")
     d = tg.geometry.dirac
     pi_a, pi_rho_a, opp_b, rho_opp_b = tg.stacks()
-    plain = d @ pi_a.array - pi_a.array @ d
-    twisted = d @ pi_a.array - pi_rho_a.array @ d
+    plain = order_one(d, pi_a.array, pi_a.array)
+    twisted = order_one(d, pi_a.array, pi_rho_a.array)
     # a generator its twist cannot be told apart from (NaN included) is fixed
     fixed = [
         not fro(ma - mra) > tol.bound(max(1.0, fro(ma)))

@@ -17,8 +17,9 @@ sha256:
 
 One more line, ``census``, counts what the sparse layer decided over the
 258 reports: the ``matlin.pair_max`` calls and how many of them the sparse
-evaluator ran, and the ``matlin.built`` calls and how many of their results
-are entry-built or dense.  A change to the cost rule shows there.
+evaluator ran, and the ``matlin.entry_built`` calls (``matlin.built`` and
+``twist.order_one_operand`` make them) and how many of their results are
+entry-built or dense.  A change to the cost rule shows there.
 
 BLAS runs on one thread, set before numpy is imported, so that the sums of
 every product are formed in one order.  pytest does not collect this file;
@@ -99,10 +100,10 @@ def report_hash(workload_names=("tbg_stream", "fluct_chain"), seeds=SEEDS, block
 def census(counts: Counter):
     """Count the sparse layer's decisions into ``counts`` while in the block.
 
-    ``pair_max`` and ``built`` are wrapped in every ``nctwist`` module that
-    holds them, and ``_sparse_pair_max`` in ``matlin``.
+    ``pair_max`` and ``entry_built`` are wrapped in every ``nctwist`` module
+    that holds them, and ``_sparse_pair_max`` in ``matlin``.
     """
-    pair_max, built, sparse = matlin.pair_max, matlin.built, matlin._sparse_pair_max
+    pair_max, built, sparse = matlin.pair_max, matlin.entry_built, matlin._sparse_pair_max
 
     def counted_pair_max(*args, **kwargs):
         counts["pair_max"] += 1
@@ -111,7 +112,7 @@ def census(counts: Counter):
     def counted_built(*args, **kwargs):
         out = built(*args, **kwargs)
         counts["built"] += 1
-        counts["dense" if out.dense else "entry"] += 1
+        counts["dense" if out is None else "entry"] += 1
         return out
 
     def counted_sparse(*args, **kwargs):

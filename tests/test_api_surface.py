@@ -32,8 +32,9 @@ complexification) reads all of ``generator_rows`` or ``generator_images``,
 and no pair rows.  ``fluct.one_form_basis`` (a real span) reads the kept
 pair ``stacks`` and neither ``generator_rows`` nor ``generator_images``:
 the ``i`` multiples it adds stand in for the dropped rows.  Its commutators
-are ``twist.order_one_operand``'s stack D S - S' D, and nothing in
-``fluct.py`` forms ``d @ x - y @ d`` itself.
+are ``twist.order_one_operand``'s stack D S - S' D.  The dense D S - S' D
+is written once, ``twist.order_one``: no other function of the package forms
+``d @ x - y @ d``.
 
 J conjugates a representation in one place, ``FiniteGeometry.conjugated``,
 which conjugates its stack once: outside it no ``.conjugate(...)`` call takes
@@ -739,12 +740,20 @@ def test_dirac_commutators_are_seen():
     assert dirac_commutators(tree) == [(2, "f"), (2, "f")]
 
 
-def test_fluct_has_one_d_s_minus_s_prime_d_formula():
-    # the one-form grid reads the order-one stack D S - S' D, and nothing
-    # in fluct.py forms that difference itself
+def test_the_package_has_one_d_s_minus_s_prime_d_formula():
+    # the one-form grid reads the order-one stack D S - S' D, a one-form's
+    # value and the operand fallback read the dense formula, and no other
+    # function forms that difference itself
     assert "order_one_operand" in names_read("fluct.py", "one_form_basis")
-    tree = ast.parse((PACKAGE / "fluct.py").read_text(), filename="fluct.py")
-    assert dirac_commutators(tree) == []
+    assert "order_one" in names_read("fluct.py", "eval_one_form")
+    assert "order_one" in names_read("twist.py", "order_one_operand")
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        for _, qualname in dirac_commutators(tree):
+            found.setdefault(f"{path.name}:{qualname}", 0)
+            found[f"{path.name}:{qualname}"] += 1
+    assert found == {"twist.py:order_one": 1}
 
 
 # -- report.py alone decides a verdict -------------------------------------

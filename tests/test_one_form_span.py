@@ -26,7 +26,7 @@ from nctwist.fluct import (
     one_form_basis,
     symmetrized,
 )
-from nctwist.matlin import DEFAULT_TOL, AntilinearOperator, fro, residual_against_span
+from nctwist.matlin import DEFAULT_TOL, AntilinearOperator, Operand, fro, residual_against_span
 from nctwist.mintwist import twist_by_grading
 from nctwist.report import Report
 from nctwist.samples import (
@@ -38,7 +38,7 @@ from nctwist.samples import (
     random_unitary,
 )
 from nctwist.triple import FiniteGeometry
-from nctwist.twist import Automorphism, TwistedGeometry
+from nctwist.twist import Automorphism, TwistedGeometry, order_one, order_one_operand
 from span_reference import dense_one_form_basis, dense_residual_against_span
 
 SPAN = "second one-form lies in the original bimodule"
@@ -240,6 +240,22 @@ def test_the_e4_grid_is_entry_built_and_the_framed_one_dense():
     rng = np.random.default_rng(7)
     assert not one_form_basis(twist_by_grading(e4_shaped(rng))).dense
     assert one_form_basis(twist_by_grading(CASES["e3-framed"](rng))).dense
+
+
+def test_the_order_one_stack_has_the_dense_formula_s_bits_however_stored():
+    # entry-built on both sides it is built from the entries (the Clifford
+    # e9 shape, n = 32); a dense side takes the one dense formula
+    tg = twist_by_grading(CASES["e9"](np.random.default_rng(7)))
+    d, (pi_a, pi_rho_a) = tg.geometry.dirac, tg.stacks()[:2]
+    assert not (pi_a.dense or pi_rho_a.dense)
+    want = order_one(d, pi_a.array, pi_rho_a.array)
+    for xs in (pi_a, Operand(pi_a.array)):
+        for zs in (pi_rho_a, Operand(pi_rho_a.array)):
+            got = order_one_operand(d, xs, zs)
+            assert got.dense == (xs.dense or zs.dense)
+            assert np.array_equal(got.array, want)
+            nonzero = want != 0
+            assert got.array[nonzero].tobytes() == want[nonzero].tobytes()
 
 
 def test_compose_holds_no_dense_grid():
